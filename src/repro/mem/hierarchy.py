@@ -64,6 +64,16 @@ class HierarchyStats:
 class MemoryHierarchy:
     """One core's view of the memory system."""
 
+    #: Contract with the timing model's inlined L1 fast path: a store
+    #: that hits a clean, writable-or-owned L1D line has no effect
+    #: outside this hierarchy, so ``PipelineModel._run_stream`` may
+    #: account it in place without calling :meth:`access_data`.  A
+    #: subclass whose stores are visible elsewhere (write-invalidate
+    #: coherence) sets this False and then sees every store in
+    #: ``access_data``; load and fetch hits stay inlined either way.
+    #: A fact about the class, not a tuning knob.
+    store_hits_are_local = True
+
     def __init__(self, config: MemHierConfig | None = None,
                  l2: Cache | None = None, dram: Dram | None = None):
         self.config = config = config if config is not None else MemHierConfig()

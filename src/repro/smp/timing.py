@@ -42,6 +42,10 @@ class SmpTimingStats:
 class _CoherentHierarchy(MemoryHierarchy):
     """A per-core hierarchy whose writes invalidate sibling L1 copies."""
 
+    #: Every store must reach access_data: a hit in this core's L1D
+    #: still has to invalidate the siblings' copies.
+    store_hits_are_local = False
+
     def __init__(self, config: MemHierConfig, l2: Cache, dram: Dram,
                  shared_stats: SmpTimingStats, snoop_latency: int = 8):
         super().__init__(config, l2=l2, dram=dram)
@@ -139,22 +143,11 @@ def run_smp_timing(program: Program, cores: int = 4,
     # only between cores at comparable times).
     pipelines = [PipelineModel(config, hierarchy=hierarchies[index])
                  for index in range(cores)]
-    for pipeline in pipelines:
-        pipeline._reset_run_state()
-    positions = [0] * cores
     chunk = 64
-    remaining = True
-    while remaining:
-        remaining = False
-        for index in range(cores):
-            trace = traces[index]
-            pos = positions[index]
-            end = min(pos + chunk, len(trace))
-            for k in range(pos, end):
-                pipelines[index].feed(trace[k])
-            positions[index] = end
-            if end < len(trace):
-                remaining = True
+    for pos in range(0, max(map(len, traces)), chunk):
+        for pipeline, trace in zip(pipelines, traces):
+            if pos < len(trace):
+                pipeline.run_quantum(trace[pos:pos + chunk])
     per_core = [pipeline.finish() for pipeline in pipelines]
     return SmpTimingResult(
         per_core=per_core, coherence=shared_stats,

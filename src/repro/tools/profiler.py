@@ -102,7 +102,6 @@ class Profiler:
             max_steps: int | None = None) -> Profile:
         emulator = Emulator(program)
         pipeline = PipelineModel(self.config)
-        pipeline._reset_run_state()
         samples: dict[int, PcSample] = {}
         load_best = self.config.lsu.load_to_use + 1
 

@@ -25,14 +25,26 @@ Fast path
 
 The model has two equivalent execution paths:
 
+* the **batched hot loop** (:meth:`PipelineModel._run_stream`) — the
+  only production path.  :meth:`PipelineModel.run` drives it over a
+  whole trace (``Emulator.fast_trace`` yields one ``TranslatedBlock``
+  worth of records at a time); :meth:`PipelineModel.run_quantum`
+  resumes it for one slice of records, which is how
+  :mod:`repro.smp.timing` interleaves the harts of a cluster.  It is a
+  hand-inlined port of the staged accounting over cached per-PC
+  :class:`TimingInfo` records;
 * the **staged methods** (`_frontend`/`_dispatch`/`_execute`/`_retire`/
-  `_resolve_control`) — the readable specification, used by the
-  incremental :meth:`PipelineModel.feed` interface (SMP interleaving)
-  and by :mod:`repro.tools.profiler`;
-* the **batched hot loop** in :meth:`PipelineModel.run` — a hand-inlined
-  port of the same accounting that charges whole trace batches
-  (``Emulator.fast_trace`` yields one ``TranslatedBlock`` worth of
-  records at a time) through cached per-PC :class:`TimingInfo` records.
+  `_resolve_control`) — the readable specification.  Nothing under
+  ``src/`` times instructions through :meth:`PipelineModel.feed`; it
+  is the differential oracle the tests replay the stream path against.
+  :mod:`repro.tools.profiler` calls the five stage methods directly so
+  it can attribute stalls between them.
+
+The hot loop inlines clean L1 hits instead of calling the hierarchy.
+For stores that is only sound when a store hit has no effect outside
+the core's own hierarchy; the hierarchy says so through the class fact
+``MemoryHierarchy.store_hits_are_local`` (False for the write-invalidate
+SMP hierarchy, whose ``access_data`` then sees every store).
 
 Static per-instruction facts (pipe selection, latency, operand register
 ids, store addr/data operand split, branch kind) are resolved once per
@@ -282,19 +294,33 @@ class PipelineModel:
         identical, batching only amortises per-instruction overhead
         through the inlined hot loop.
         """
-        self._reset_run_state()
+        # A model that has timed nothing since its last reset (fresh
+        # from the constructor, typically) is already in reset state.
+        if self.stats.instructions:
+            self._reset_run_state()
         self._run_stream(trace)
-        self._drain()
-        self._collect_ras()
-        return self.stats
+        return self.finish()
+
+    def run_quantum(self, records: Iterable[DynInst]) -> None:
+        """Resume the hot loop for one slice of the stream.
+
+        No reset and no drain: the loop reloads every piece of run
+        state from the model on entry and writes it back on exit, so
+        ``run(trace)`` equals any chunking of the same trace through
+        ``run_quantum`` followed by :meth:`finish`.  Multi-core timing
+        interleaves its harts this way to keep their clocks aligned.
+        """
+        self._run_stream((records,))
 
     def feed(self, dyn: DynInst) -> None:
-        """Incremental interface: time one instruction (multi-core
-        interleaving uses this to keep per-core clocks aligned)."""
+        """Time one instruction through the staged specification —
+        the differential oracle for the hot loop, not a production
+        path."""
         self._simulate(dyn)
 
     def finish(self) -> CoreStats:
-        """Close out an incremental run started with :meth:`feed`."""
+        """Drain the pipeline and close out the statistics of a run
+        driven by :meth:`run_quantum` (or :meth:`feed`)."""
         self._drain()
         self._collect_ras()
         return self.stats
@@ -544,6 +570,9 @@ class PipelineModel:
         tlb_stats = tlb.stats
         mem_tlb = h_cfg.model_tlb
         mem_inline = (not mem_tlb) or h_cfg.tlb.utlb_latency == 0
+        # Store hits are inlined only when the hierarchy declares them
+        # invisible outside itself (see MemoryHierarchy).
+        store_inline = mem_inline and hier.store_hits_are_local
         l1_latency = h_cfg.l1_latency
         l1d = hier.l1d
         l1d_shift = l1d._offset_bits
@@ -1086,7 +1115,7 @@ class PipelineModel:
                         addr = dyn.mem_addr
                         drain = -1
                         laddr = addr >> l1d_shift
-                        if mem_inline \
+                        if store_inline \
                                 and (addr + size - 1) >> l1d_shift == laddr:
                             if mem_tlb:
                                 tkey = (addr >> 12, 4096, tlb.asid)

@@ -14,6 +14,9 @@ model.  Three independent oracles pin that down:
 3. the model's own staged per-instruction path (``feed``/``finish``),
    which the monolith is an inlined port of.
 
+The monolith is also resumable (``run_quantum``, how SMP timing drives
+it): ``run(trace)`` must equal any chunking of the same trace.
+
 Plus the operational properties the fast path must not break:
 determinism across runs, ``_reset_run_state`` completeness on model
 reuse, static-cache revalidation by instruction identity, and bounded
@@ -23,11 +26,13 @@ reuse, static-cache revalidation by instruction identity, and bounded
 from __future__ import annotations
 
 import copy
+import functools
+import itertools
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.harness.runner import run_on_core
@@ -121,6 +126,45 @@ def test_feed_matches_run():
     assert feed_stats.as_comparable() == run_stats.as_comparable()
 
 
+#: Small enough to replay one instruction per quantum: FP, vector,
+#: load/store-heavy and branchy integer code; coremark-list is long
+#: enough to cross the 8192-instruction pipe-window prune.
+RESUME_WORKLOADS = ["nbench-fourier", "vec-mac16", "nbench-lu",
+                    "eembc-canrdr", "coremark-list"]
+
+
+@functools.cache
+def _whole_run_and_records(name):
+    """``run()`` over the natural block batches, and the same stream
+    as a flat list of retained records (``trace()`` allocates a fresh
+    ``DynInst`` per step; ``fast_trace`` batches are reused slots)."""
+    program = _workload(name).program()
+    whole = _run_model(PipelineModel, program).as_comparable()
+    return whole, list(Emulator(program).trace(None))
+
+
+@settings(max_examples=8, deadline=None)
+@given(name=st.sampled_from(RESUME_WORKLOADS),
+       sizes=st.lists(st.integers(min_value=1, max_value=48),
+                      min_size=1, max_size=5))
+@example(name="nbench-fourier", sizes=[1])
+@example(name="vec-mac16", sizes=[64])
+def test_run_equals_any_chunking_through_run_quantum(name, sizes):
+    """The resumable quantum is ``run()`` cut anywhere: the sizes are
+    cycled, so cuts land inside basic blocks, between a branch and its
+    target, and (size 1) after every instruction."""
+    whole, records = _whole_run_and_records(name)
+    config = get_preset("xt910")
+    model = PipelineModel(config, MemoryHierarchy(config.mem))
+    pos = 0
+    for size in itertools.cycle(sizes):
+        if pos >= len(records):
+            break
+        model.run_quantum(records[pos:pos + size])
+        pos += size
+    assert model.finish().as_comparable() == whole
+
+
 def _stats_for(model, program, max_steps):
     """Run *program* through *model*; a trace cut short by the step
     watchdog is closed out with ``finish()`` — the monolith's
@@ -155,6 +199,19 @@ def test_determinism_and_reset_completeness(name, max_steps):
     reused.hier = MemoryHierarchy(config.mem)
     third = _stats_for(reused, program, max_steps)
     assert third == first
+
+
+def test_reset_is_skipped_only_while_nothing_was_timed():
+    """``run()`` on a just-constructed model must not rebuild the
+    predictors and re-zero the rings a second time; once the model has
+    timed anything, the next ``run()`` must."""
+    program = _workload("nbench-fourier").program()
+    model = PipelineModel(get_preset("xt910"))
+    built = model.direction
+    model.run(Emulator(program).fast_trace(None))
+    assert model.direction is built
+    model.run(Emulator(program).fast_trace(None))
+    assert model.direction is not built
 
 
 def test_tcache_revalidates_on_new_instruction_object():
