@@ -385,17 +385,13 @@ def _submit_specs(args) -> list:
                   wall_timeout_s=args.wall_timeout, vet=not args.no_vet)
     specs = []
     if args.workloads:
-        from .workloads import all_workloads
+        from .workloads import all_workloads, get_workload
 
-        workloads = all_workloads()
-        if args.targets:
-            known = {w.name for w in workloads}
-            missing = [name for name in args.targets if name not in known]
-            if missing:
-                raise SystemExit(
-                    f"error: unknown workload(s) {', '.join(missing)}; "
-                    f"known: {', '.join(sorted(known))}")
-            workloads = [w for w in workloads if w.name in args.targets]
+        try:
+            workloads = ([get_workload(name) for name in args.targets]
+                         if args.targets else all_workloads())
+        except LookupError as exc:
+            raise SystemExit(f"error: {exc}") from None
         for workload in workloads:
             specs.append(JobSpec(source=workload.source,
                                  name=workload.name,
@@ -703,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_exp = sub.add_parser(
         "explore", help="design-space sweep: expand config axes into "
-                        "points, run them through the worker pool, "
+                        "points, run each cell as a service job, "
                         "reuse results from the content-addressed "
                         "store")
     p_exp.add_argument("spec", nargs="?", default=None,

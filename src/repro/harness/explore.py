@@ -1,21 +1,27 @@
-"""Design-space exploration: sweep config axes through the worker pool.
+"""Design-space exploration: sweep config axes through the job service.
 
 A *sweep spec* names a base config (preset, file, or inline document),
 a workload list, an execution tier, and a set of axes — each axis a
 dotted config path plus the values to try.  ``expand`` takes the
 cartesian product into config *points* (one overlay-merged document
-per point, content-digested), and ``run_sweep`` pushes every
-(point, workload) cell through :func:`repro.harness.parallel.
-run_cells` — the same crash-isolated pool the figure sweeps use.
+per point, content-digested), and ``run_sweep`` turns every
+(point, workload) cell into a pinned-mode
+:class:`~repro.service.job.JobSpec` and hands the batch to a
+:class:`~repro.service.core.JobService` — explore is a client of the
+service, not a second route to the simulator.  There is one cell
+function (``execute_job``), one key (``JobSpec.key``, over the
+*resolved* config digest) and one result store
+(:class:`~repro.service.store.ResultStore`), so a sweep cell and an
+equivalent ``repro submit`` job are the same record, and sweeps inherit
+the service's retry, wall-clock reaping and circuit breaker.
 
-Results live in a content-addressed store keyed by
-``(program hash, config digest, tier, max_insts)``: a point that was
-ever simulated — this run, a previous run, an interrupted run — is
-served from disk and never simulated again.  That is what makes
-thousand-point sweeps incremental: re-running a sweep after adding one
-axis value only simulates the new column.  The ``explore-smoke`` CI
-job runs a sweep twice and asserts the second pass is 100% cache hits
-with zero new simulations.
+With a disk-backed store (:class:`ExploreStore`) a cell that was ever
+simulated — this run, a previous run, an interrupted run — is served
+from disk and never simulated again.  That is what makes thousand-point
+sweeps incremental: re-running a sweep after adding one axis value only
+simulates the new column.  The ``explore-smoke`` CI job runs a sweep
+twice and asserts the second pass is 100% cache hits with zero new
+simulations.
 
 ``run_depth_bench`` is the committed experiment: the pipeline-depth
 sweep (``frontend.depth``) over the CoreMark kernels, reproducing the
@@ -28,21 +34,21 @@ is exact equality, not a tolerance band.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
+# Leaf modules with no way back into repro.harness, so safe at module
+# level; JobService itself (-> worker -> harness.runner) is imported
+# lazily in run_sweep.
+from ..service.job import STORE_VERSION, TIER_MODES
+from ..service.store import ResultStore, storable
 from ..uarch import uconfig
-from ..uarch.config import CoreConfig
-from .parallel import run_cells
+from ..workloads import get_workload
+from .parallel import CellError, CellFailure
 from .report import ExperimentResult
-
-#: Result-record schema version; part of every store key so old
-#: records are invisible after an incompatible change.
-STORE_VERSION = 1
 
 #: Hard ceiling on expanded points: a typo'd range axis should fail
 #: loudly, not fill the disk.
@@ -237,94 +243,12 @@ def default_store_dir() -> str:
                         "repro-explore")
 
 
-def store_key(program_hash: str, config_digest: str, tier: int,
-              max_insts: int | None) -> str:
-    """The content address of one simulation result."""
-    blob = (f"{STORE_VERSION}\x00{program_hash}\x00{config_digest}"
-            f"\x00{tier}\x00{max_insts}")
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class ExploreStore:
-    """Durable (program, config, tier)-addressed result records.
-
-    Records are JSON files two directory levels deep (``ab/cdef...``),
-    written atomically; a corrupt or truncated record is treated as a
-    miss and overwritten, never fatal.
-    """
+class ExploreStore(ResultStore):
+    """The disk-backed :class:`ResultStore` spelling sweeps default to,
+    rooted at :func:`default_store_dir` unless told otherwise."""
 
     def __init__(self, root: str | None = None) -> None:
-        self.root = root if root is not None else default_store_dir()
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key[2:] + ".json")
-
-    def get(self, key: str) -> dict[str, Any] | None:
-        try:
-            with open(self._path(key)) as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return None
-        if not isinstance(record, dict):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
-
-    def put(self, key: str, record: Mapping[str, Any]) -> None:
-        path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(dict(record), handle, sort_keys=True)
-        os.replace(tmp, path)
-
-    def __len__(self) -> int:
-        if not os.path.isdir(self.root):
-            return 0
-        return sum(1 for _dir, _sub, files in os.walk(self.root)
-                   for fn in files if fn.endswith(".json"))
-
-
-# -- cell execution ----------------------------------------------------------
-
-
-def _program_hash(source: str, compress: bool) -> str:
-    blob = f"{compress}\x00{source}".encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _find_workload(name: str) -> Any:
-    from ..workloads import all_workloads
-
-    for workload in all_workloads():
-        if workload.name == name:
-            return workload
-    known = ", ".join(sorted(w.name for w in all_workloads()))
-    raise ExploreError(f"unknown workload {name!r} (known: {known})")
-
-
-def _explore_cell(workload_name: str, doc_json: str, tier: int,
-                  max_insts: int | None) -> dict[str, Any]:
-    """One (point, workload) simulation; module-level for pickling."""
-    from .runner import run_on_core
-
-    config = uconfig.config_from_doc(json.loads(doc_json))
-    workload = _find_workload(workload_name)
-    result = run_on_core(workload.program(), config, tier=tier,
-                         max_insts=max_insts, partial_on_watchdog=True)
-    stats = result.stats
-    return {
-        "cycles": stats.cycles,
-        "instructions": stats.instructions,
-        "ipc": round(stats.ipc, 6),
-        "exit_code": result.exit_code,
-        "watchdog_expired": int(result.watchdog is not None),
-        "stats": stats.as_comparable(),
-    }
+        super().__init__(root if root is not None else default_store_dir())
 
 
 # -- the sweep runner --------------------------------------------------------
@@ -385,55 +309,68 @@ class ExploreReport:
 
 
 def run_sweep(spec: SweepSpec, jobs: int | None = None,
-              store: ExploreStore | None = None,
+              store: ResultStore | None = None,
               timeout: float | None = None,
               progress: Callable[[str], None] | None = None
               ) -> ExploreReport:
-    """Expand *spec*, serve repeated points from the store, simulate
-    the rest through the worker pool, and persist every new record."""
+    """Expand *spec* into one pinned-mode job per (point, workload)
+    cell and run the batch through a :class:`JobService` over *store*:
+    stored cells are served without simulating, new results are stored
+    as they land.  Every cell runs to its own outcome first; if any
+    failed, one :class:`CellFailure` then names each with its service
+    error chain (the siblings' results are already in the store)."""
+    # Lazy: repro.service.core -> worker -> repro.harness.runner, so a
+    # module-level import would be circular (as in parallel.py).
+    from ..service import JobService, JobSpec, error_from_dict
+
     points = expand(spec)
-    store = store if store is not None else ExploreStore()
-    workloads = {name: _find_workload(name) for name in spec.workloads}
-
-    plan: list[tuple[ExplorePoint, str, str]] = []   # point, workload, key
-    results: dict[tuple[int, str], CellResult] = {}
-    for point in points:
-        for name, workload in workloads.items():
-            key = store_key(
-                _program_hash(workload.source, workload.compress),
-                point.digest, spec.tier, spec.max_insts)
-            record = store.get(key)
-            if record is not None:
-                results[point.index, name] = CellResult(
-                    point, name, record, cached=True)
-            else:
-                plan.append((point, name, key))
+    try:
+        workloads = [get_workload(name) for name in spec.workloads]
+    except LookupError as exc:
+        raise ExploreError(str(exc)) from None
+    cells = [(point, workload) for point in points
+             for workload in workloads]
     if progress is not None:
-        progress(f"{spec.name}: {len(points)} points, "
-                 f"{len(results)} cell(s) cached, {len(plan)} to "
-                 f"simulate")
+        progress(f"{spec.name}: {len(points)} point(s), "
+                 f"{len(cells)} cell(s) to look up or simulate")
+    service = JobService(
+        workers=jobs, isolation=jobs is not None and jobs > 1,
+        store=store if store is not None else ExploreStore())
+    outcomes = service.run([
+        JobSpec(source=workload.source, compress=workload.compress,
+                name=f"{workload.name}@{point.label}", core=None,
+                uarch=point.doc, mode=TIER_MODES[spec.tier], vet=False,
+                max_insts=spec.max_insts, wall_timeout_s=timeout)
+        for point, workload in cells])
 
-    if plan:
-        cells = [(name, json.dumps(point.doc, sort_keys=True),
-                  spec.tier, spec.max_insts)
-                 for point, name, _key in plan]
-
-        def persist(index: int, record: Any) -> None:
-            point, name, key = plan[index]
-            store.put(key, record)
-            results[point.index, name] = CellResult(
-                point, name, record, cached=False)
-
-        run_cells(_explore_cell, cells, jobs=jobs, timeout=timeout,
-                  on_result=persist)
-
-    ordered = [results[point.index, name]
-               for point in points for name in spec.workloads]
-    simulated = sum(1 for cell in ordered if not cell.cached)
+    results: list[CellResult] = []
+    failures: list[CellError] = []
+    for index, ((point, workload), outcome) in enumerate(
+            zip(cells, outcomes)):
+        if not storable(outcome):
+            assert outcome.error is not None
+            failures.append(CellError(
+                index, "execute_job", (workload.name, point.label),
+                "error", {"type": outcome.state.value,
+                          "message": error_from_dict(
+                              outcome.error).render()}))
+            continue
+        metrics = outcome.metrics
+        results.append(CellResult(point, workload.name, {
+            "cycles": metrics["cycles"],
+            "instructions": metrics["instructions"],
+            "ipc": metrics["ipc"],
+            "exit_code": outcome.exit_code or 0,
+            "watchdog_expired": int(outcome.partial),
+            "stats": metrics["stats"],
+        }, cached=outcome.cache_hit))
+    if failures:
+        raise CellFailure(failures, len(cells))
+    simulated = sum(1 for cell in results if not cell.cached)
     return ExploreReport(
         name=spec.name, tier=spec.tier, axes=list(spec.axes),
-        points=len(points), results=ordered,
-        cache_hits=len(ordered) - simulated, simulated=simulated)
+        points=len(points), results=results,
+        cache_hits=len(results) - simulated, simulated=simulated)
 
 
 # -- the committed depth-sweep bench -----------------------------------------
@@ -493,7 +430,7 @@ def depth_sweep_spec(quick: bool = False) -> SweepSpec:
 
 def run_bench(quick: bool = False, repeat: int = 1,
               jobs: int | None = None,
-              store: ExploreStore | None = None) -> dict[str, Any]:
+              store: ResultStore | None = None) -> dict[str, Any]:
     """Run the depth sweep and shape the BENCH_explore.json payload.
 
     ``repeat`` is accepted for CLI symmetry with the timing benches and
@@ -669,8 +606,8 @@ def run_explore(quick: bool = True,
 
 __all__ = [
     "ExploreError", "SweepAxis", "SweepSpec", "load_sweep",
-    "ExplorePoint", "expand", "ExploreStore", "store_key",
-    "default_store_dir", "CellResult", "ExploreReport", "run_sweep",
+    "ExplorePoint", "expand", "ExploreStore", "default_store_dir",
+    "CellResult", "ExploreReport", "run_sweep",
     "depth_sweep_spec", "smoke_spec", "run_bench", "render", "save",
     "load", "check_regression", "run_explore", "frequency_scale",
     "DEFAULT_TOLERANCE", "DEPTHS",

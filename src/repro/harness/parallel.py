@@ -1,4 +1,4 @@
-"""Process-pool execution of independent harness cells.
+"""Process-pool execution of independent figure-harness cells.
 
 Every figure sweep and the RAS campaign decompose into independent
 (core, workload)-style cells: each cell builds its own program and
@@ -20,6 +20,10 @@ crash/timeout classification from the worker pool).  The parallel path
 runs on :class:`repro.service.pool.WorkerPool`, so a cell that
 segfaults or hangs is reaped and attributed instead of taking the
 whole sweep down with a ``BrokenProcessPool``.
+
+Design-space sweeps (:mod:`repro.harness.explore`) do not come through
+here: their cells are service jobs, supervised by ``JobService``.  They
+report failed cells with the same :class:`CellFailure`.
 """
 
 from __future__ import annotations
@@ -85,8 +89,7 @@ def _fn_name(fn: Callable) -> str:
 
 
 def run_cells(fn: Callable, cells: Iterable[tuple], jobs: int | None = None,
-              timeout: float | None = None,
-              on_result: Callable[[int, object], None] | None = None) -> list:
+              timeout: float | None = None) -> list:
     """Run ``fn(*cell)`` for every cell, preserving input order.
 
     With ``jobs`` > 1 the cells are fanned out over crash-isolated
@@ -99,12 +102,6 @@ def run_cells(fn: Callable, cells: Iterable[tuple], jobs: int | None = None,
     with its function and arguments.  Callers that want per-cell
     containment *as data* (e.g. the RAS campaign) catch inside the
     cell function as before.
-
-    ``on_result(index, value)`` is invoked in the parent, in completion
-    order, for every cell that succeeds — the explore runner uses it to
-    persist finished sweep points to its result store as they land, so
-    an interrupted sweep keeps everything already simulated.  A raising
-    callback is a caller bug and propagates.
     """
     # Imported lazily: repro.service pulls in repro.harness (the job
     # worker runs cells through run_on_core), so a module-level import
@@ -125,9 +122,6 @@ def run_cells(fn: Callable, cells: Iterable[tuple], jobs: int | None = None,
                 failures.append(CellError(
                     index, name, tuple(cell), "error",
                     serialize_exception(exc)))
-                continue
-            if on_result is not None:
-                on_result(index, results[index])
         if failures:
             raise CellFailure(failures, len(cells)) from last_exc
         return results
@@ -139,8 +133,6 @@ def run_cells(fn: Callable, cells: Iterable[tuple], jobs: int | None = None,
             index = int(key)  # submitted as int; Hashable in the pool API
             if outcome.ok:
                 results[index] = outcome.value
-                if on_result is not None:
-                    on_result(index, outcome.value)
             elif outcome.status == "error":
                 failures.append(CellError(index, name, tuple(cells[index]),
                                           "error", outcome.value))

@@ -21,7 +21,12 @@ import json
 import time
 
 from ..sim.emulator import Emulator
-from ..workloads import coremark_suite, eembc_suite, nbench_suite
+from ..workloads import (
+    coremark_suite,
+    eembc_suite,
+    get_workload,
+    nbench_suite,
+)
 from .report import geomean
 from .runner import run_on_core
 
@@ -35,13 +40,6 @@ def _workloads(quick: bool):
     if not quick:
         suites += [eembc_suite(), nbench_suite()]
     return [w for suite in suites for w in suite]
-
-
-def _lookup(name: str):
-    for workload in _workloads(quick=False):
-        if workload.name == name:
-            return workload
-    raise KeyError(name)
 
 
 def _time_emulator(workload, fast: bool, repeat: int) -> tuple[int, float]:
@@ -71,7 +69,7 @@ def _time_harness(workload, repeat: int) -> float:
 
 def bench_workload(name: str, repeat: int = 3) -> dict:
     """Before/after numbers for one kernel."""
-    workload = _lookup(name)
+    workload = get_workload(name)
     insts, precise_s = _time_emulator(workload, fast=False, repeat=repeat)
     _, fast_s = _time_emulator(workload, fast=True, repeat=repeat)
     harness_s = _time_harness(workload, repeat=repeat)

@@ -25,7 +25,7 @@ import tempfile
 import time
 
 from ..sim.emulator import Emulator
-from ..workloads import all_workloads, coremark_suite
+from ..workloads import coremark_suite, get_workload
 from .report import geomean
 
 #: JSON schema version of BENCH_tier3.json
@@ -38,8 +38,7 @@ def _workloads(quick: bool):
     if not quick:
         names += ["specint-like", "nbench-numsort", "nbench-idea",
                   "eembc-aifirf", "eembc-idctrn"]
-    by_name = {w.name: w for w in all_workloads()}
-    return [by_name[name] for name in names]
+    return [get_workload(name) for name in names]
 
 
 def _time_tier(workload, tier: int, repeat: int,

@@ -2,16 +2,15 @@
 
 The fault-tolerance layer over the emulator + timing-model stack:
 crash-isolated worker processes, wall-clock and instruction watchdogs,
-retry with backoff + jitter, a per-program circuit breaker, a
-content-addressed result cache, and the fast→precise degradation
-ladder.  The chaos harness (:mod:`repro.service.chaos`) proves the
+retry with backoff + jitter, a per-program circuit breaker, one
+content-addressed result store (shared with explore sweeps, whose
+cells are jobs), and the tier3→fast→precise degradation ladder.  The chaos harness (:mod:`repro.service.chaos`) proves the
 core invariant — every submitted job terminates in a definitive state
 with no silent loss — and CI gates it at zero.
 """
 
 from __future__ import annotations
 
-from .cache import ResultCache
 from .core import JobService, default_workers
 from .errors import (
     DivergenceDetected,
@@ -25,6 +24,7 @@ from .errors import (
 from .job import TERMINAL_STATES, JobResult, JobSpec, JobState
 from .pool import TaskOutcome, WorkerPool, run_tasks
 from .retry import CircuitBreaker, RetryPolicy
+from .store import ResultStore
 
 __all__ = [
     "CircuitBreaker",
@@ -35,7 +35,7 @@ __all__ = [
     "JobSpec",
     "JobState",
     "ResourceExhausted",
-    "ResultCache",
+    "ResultStore",
     "RetryPolicy",
     "ServiceError",
     "TERMINAL_STATES",

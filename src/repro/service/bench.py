@@ -45,7 +45,7 @@ def run_bench(quick: bool = True, jobs: int | None = None,
     """Benchmark the service; returns the BENCH_service.json payload."""
     count = jobs if jobs is not None else (32 if quick else 128)
     width = workers if workers is not None else default_workers()
-    service = JobService(workers=width, use_cache=False)
+    service = JobService(workers=width)
     specs = _load(count)
     start = time.perf_counter()
     results = service.run(specs)

@@ -4,8 +4,9 @@
 vetting, blockcache/fast-path execution, the timing model, the metrics
 surface — behind one supervisor with a full robustness envelope:
 
-* a **content-addressed result cache** in front of the pool, so
-  retries and repeat submissions of identical work are free,
+* a **content-addressed result store** in front of the pool
+  (:mod:`repro.service.store`), so retries, repeat submissions and
+  sweep cells of identical work are free,
 * a **circuit breaker** per program hash, so a toxic program stops
   burning worker slots after N consecutive terminal failures,
 * **crash-isolated execution** on :class:`~repro.service.pool.
@@ -29,13 +30,14 @@ import heapq
 import os
 import random
 import time
+from dataclasses import dataclass
 from typing import Any, Sequence, cast
 
-from .cache import ResultCache
 from .errors import ServiceError, WatchdogTimeout, WorkerCrash
 from .job import JobResult, JobSpec, JobState
 from .pool import TaskOutcome, WorkerPool, serialize_exception
 from .retry import CircuitBreaker, RetryPolicy
+from .store import ResultStore, storable
 from .worker import execute_job
 
 
@@ -44,9 +46,25 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
+@dataclass
+class _Batch:
+    """Per-job state of one ``run()``; every list parallels ``specs``."""
+
+    specs: Sequence[JobSpec]
+    #: store key per job, computed once (None: the core did not resolve)
+    keys: list[str | None]
+    results: list[JobResult | None]
+    started: list[float]
+    #: heap of (ready_time, index, attempt) — jobs awaiting (re)launch
+    ready: list[tuple[float, int, int]]
+
+
 class JobService:
     """Supervisor for batches of simulation jobs.
 
+    ``store`` is the result store in front of the pool; the default is
+    a private in-memory :class:`ResultStore`, and passing one rooted
+    on disk shares results across services, sweeps and processes.
     ``isolation=False`` runs jobs inline in this process — no crash
     containment and no wall-clock reaping (chaos crash/hang plans
     would take this process with them), but single-stepping a job
@@ -56,16 +74,14 @@ class JobService:
     def __init__(self, *, workers: int | None = None,
                  retry: RetryPolicy | None = None,
                  breaker_threshold: int = 3,
-                 cache_capacity: int = 4096,
-                 use_cache: bool = True,
+                 store: ResultStore | None = None,
                  seed: int = 2020,
                  isolation: bool = True,
                  start_method: str | None = None) -> None:
         self.workers = workers if workers is not None else default_workers()
         self.retry = retry if retry is not None else RetryPolicy()
         self.breaker = CircuitBreaker(breaker_threshold)
-        self.cache: ResultCache | None = (
-            ResultCache(cache_capacity) if use_cache else None)
+        self.store = store if store is not None else ResultStore()
         self.isolation = isolation
         self._start_method = start_method
         self._rng = random.Random(seed)
@@ -94,101 +110,83 @@ class JobService:
         if not specs:
             return []
         self._counts["jobs_submitted"] += len(specs)
-        results: list[JobResult | None] = [None] * len(specs)
-        started = [0.0] * len(specs)
-        #: (ready_time, index, attempt) — jobs awaiting (re)launch
-        ready: list[tuple[float, int, int]] = []
         now = time.monotonic()
-        for index in range(len(specs)):
-            started[index] = now
-            heapq.heappush(ready, (now, index, 1))
+        batch = _Batch(
+            specs=specs, keys=[self._key(spec) for spec in specs],
+            results=[None] * len(specs), started=[now] * len(specs),
+            ready=[(now, index, 1) for index in range(len(specs))])
         if self.isolation:
-            self._run_pooled(specs, results, started, ready)
+            self._run_pooled(batch)
         else:
-            self._run_inline(specs, results, started, ready)
-        done = [result for result in results if result is not None]
+            self._run_inline(batch)
+        done = [result for result in batch.results if result is not None]
         assert len(done) == len(specs)  # the no-silent-loss invariant
         return done
 
     # -- supervision --------------------------------------------------------
 
-    def _run_pooled(self, specs: Sequence[JobSpec],
-                    results: list[JobResult | None],
-                    started: list[float],
-                    ready: list[tuple[float, int, int]]) -> None:
+    def _run_pooled(self, batch: _Batch) -> None:
+        ready = batch.ready
         with WorkerPool(self.workers, execute_job,
                         start_method=self._start_method) as pool:
             while ready or pool.outstanding:
                 now = time.monotonic()
                 while ready and ready[0][0] <= now:
                     _, index, attempt = heapq.heappop(ready)
-                    self._launch(pool, specs, results, started,
-                                 index, attempt)
+                    if not self._settled(batch, index, attempt):
+                        spec = batch.specs[index]
+                        pool.submit((index, attempt),
+                                    {"spec": spec.to_dict(),
+                                     "attempt": attempt},
+                                    timeout=spec.wall_timeout_s)
                 if pool.outstanding:
                     next_ready = ready[0][0] - now if ready else None
                     for key, outcome in pool.wait(timeout=next_ready):
                         index, attempt = cast(tuple[int, int], key)
-                        self._absorb(specs, results, started, ready,
-                                     index, attempt, outcome)
+                        self._absorb(batch, index, attempt, outcome)
                 elif ready:
                     time.sleep(max(0.0, min(ready[0][0] - now, 0.05)))
             self._counts["workers_launched"] += pool.launched
 
-    def _run_inline(self, specs: Sequence[JobSpec],
-                    results: list[JobResult | None],
-                    started: list[float],
-                    ready: list[tuple[float, int, int]]) -> None:
-        while ready:
-            ready_time, index, attempt = heapq.heappop(ready)
+    def _run_inline(self, batch: _Batch) -> None:
+        while batch.ready:
+            ready_time, index, attempt = heapq.heappop(batch.ready)
             time.sleep(max(0.0, ready_time - time.monotonic()))
-            spec = specs[index]
-            if self.breaker.is_open(spec.program_hash):
-                self._finalize(results, started, index,
-                               self._quarantined(spec), spec)
+            if self._settled(batch, index, attempt):
                 continue
-            if attempt == 1:
-                cached = self._cache_get(spec)
-                if cached is not None:
-                    self._finalize(results, started, index, cached, spec,
-                                   from_cache=True)
-                    continue
-            payload = {"spec": spec.to_dict(), "attempt": attempt}
+            payload = {"spec": batch.specs[index].to_dict(),
+                       "attempt": attempt}
             try:
                 outcome = TaskOutcome(status="ok",
                                       value=execute_job(payload))
             except Exception as exc:
                 outcome = TaskOutcome(status="error",
                                       value=serialize_exception(exc))
-            self._absorb(specs, results, started, ready,
-                         index, attempt, outcome)
+            self._absorb(batch, index, attempt, outcome)
 
-    def _launch(self, pool: WorkerPool, specs: Sequence[JobSpec],
-                results: list[JobResult | None], started: list[float],
-                index: int, attempt: int) -> None:
-        spec = specs[index]
-        # The breaker may have opened — and a duplicate spec earlier in
-        # the batch may have populated the cache — while this job sat
-        # in the queue.
+    def _settled(self, batch: _Batch, index: int, attempt: int) -> bool:
+        """Finalize a job that needs no worker: its breaker is open, or
+        (first attempt) the store already holds its result.  Checked at
+        launch time, not submit time — the breaker may have opened, and
+        a duplicate earlier in the batch may have stored the answer,
+        while this job sat in the queue."""
+        spec = batch.specs[index]
         if self.breaker.is_open(spec.program_hash):
-            self._finalize(results, started, index,
-                           self._quarantined(spec), spec)
-            return
-        if attempt == 1:
-            cached = self._cache_get(spec)
-            if cached is not None:
-                self._finalize(results, started, index, cached, spec,
-                               from_cache=True)
-                return
-        payload = {"spec": spec.to_dict(), "attempt": attempt}
-        pool.submit((index, attempt), payload,
-                    timeout=spec.wall_timeout_s)
+            self._finalize(batch, index, self._quarantined(spec))
+            return True
+        key = batch.keys[index]
+        if attempt == 1 and key is not None:
+            stored = self.store.get(key)
+            if stored is not None:
+                stored.name = spec.name
+                self._finalize(batch, index, stored, from_store=True)
+                return True
+        return False
 
-    def _absorb(self, specs: Sequence[JobSpec],
-                results: list[JobResult | None], started: list[float],
-                ready: list[tuple[float, int, int]],
-                index: int, attempt: int, outcome: TaskOutcome) -> None:
+    def _absorb(self, batch: _Batch, index: int, attempt: int,
+                outcome: TaskOutcome) -> None:
         """Fold one pool outcome into a terminal result or a retry."""
-        spec = specs[index]
+        spec = batch.specs[index]
         if outcome.status == "ok":
             result = JobResult.from_dict(outcome.value)
             result.attempts = attempt
@@ -208,10 +206,10 @@ class JobService:
                 and not self.breaker.is_open(spec.program_hash):
             self._counts["retries"] += 1
             delay = self.retry.delay(attempt, self._rng)
-            heapq.heappush(ready,
+            heapq.heappush(batch.ready,
                            (time.monotonic() + delay, index, attempt + 1))
             return
-        self._finalize(results, started, index, result, spec)
+        self._finalize(batch, index, result)
 
     def _supervisor_error(self, outcome: TaskOutcome,
                           attempt: int) -> ServiceError:
@@ -254,18 +252,24 @@ class JobService:
                          error=error.to_dict(), attempts=0,
                          program_hash=spec.program_hash)
 
-    def _cache_get(self, spec: JobSpec) -> JobResult | None:
-        if self.cache is None:
+    @staticmethod
+    def _key(spec: JobSpec) -> str | None:
+        """The spec's store key, or None when its core does not resolve
+        (invalid document, unreadable path): such a job bypasses the
+        store and the worker's admission reports the problem, so
+        ``run`` stays total over hostile specs."""
+        try:
+            return spec.key()
+        except Exception:
             return None
-        return self.cache.get(spec.cache_key())
 
-    def _finalize(self, results: list[JobResult | None],
-                  started: list[float], index: int, result: JobResult,
-                  spec: JobSpec, from_cache: bool = False) -> None:
+    def _finalize(self, batch: _Batch, index: int, result: JobResult,
+                  from_store: bool = False) -> None:
         self._job_seq += 1
         result.job_id = self._job_seq
-        result.duration_s = round(time.monotonic() - started[index], 6)
-        results[index] = result
+        result.duration_s = round(
+            time.monotonic() - batch.started[index], 6)
+        batch.results[index] = result
         self.latencies_s.append(result.duration_s)
         state_counter = {
             JobState.COMPLETED: "jobs_completed",
@@ -278,14 +282,19 @@ class JobService:
         if result.downgraded:
             self._counts["jobs_degraded"] += 1
             self._counts["fallbacks"] += 1
-        if from_cache:
+        if from_store:
             return
-        if result.state is JobState.COMPLETED:
-            self.breaker.record_success(spec.program_hash)
-            if self.cache is not None:
-                self.cache.put(spec.cache_key(), result)
+        program_hash = batch.specs[index].program_hash
+        key = batch.keys[index]
+        if storable(result):
+            # An instruction-budget expiry that returned data is an
+            # answer, not a failure: a budgeted sweep of one program
+            # over many configs must not quarantine itself.
+            self.breaker.record_success(program_hash)
+            if key is not None:
+                self.store.put(key, result)
         elif result.state is not JobState.QUARANTINED:
-            self.breaker.record_failure(spec.program_hash)
+            self.breaker.record_failure(program_hash)
 
     # -- metrics ------------------------------------------------------------
 
@@ -294,9 +303,8 @@ class JobService:
         counters: dict[str, Any] = dict(self._counts)
         counters["breaker_trips"] = self.breaker.trips
         counters["breaker_open"] = len(self.breaker.open_keys)
-        if self.cache is not None:
-            for name, value in self.cache.counters().items():
-                counters[f"cache_{name}"] = value
+        for name, value in self.store.counters().items():
+            counters[f"cache_{name}"] = value
         lat = sorted(self.latencies_s)
         counters["latency_p50_ms"] = round(_percentile(lat, 50.0) * 1e3, 3)
         counters["latency_p99_ms"] = round(_percentile(lat, 99.0) * 1e3, 3)

@@ -1,11 +1,13 @@
 """Job schema: what users submit and what the service returns.
 
 A :class:`JobSpec` is a plain, picklable description of one simulation
-request — assembly source plus execution knobs.  Hashing is content-
-addressed: ``program_hash`` covers the guest program bytes-to-be,
-``config_hash`` covers every knob that changes the answer, and the two
-together (plus the resolved execution mode) key the result cache, so
-retries and repeat submissions of identical work are free.
+request — assembly source plus execution knobs.  :meth:`JobSpec.key`
+is its content address — the one key of the one result store
+(:mod:`repro.service.store`): ``program_hash`` covers the guest program
+bytes-to-be, the digest of the *resolved* config covers every timing
+knob however the core was named, and mode, budget and vetting cover the
+rest, so retries, repeat submissions and sweep cells of identical work
+are free.
 
 A :class:`JobResult` is the service's *only* answer shape: every job —
 completed, degraded, timed out, rejected, crashed-out or quarantined —
@@ -18,10 +20,19 @@ job reaches a definitive state" is the invariant the chaos harness
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any
+
+from ..uarch import uconfig
+from ..uarch.config import CoreConfig
+
+#: Result-record schema version; part of every store key so old
+#: records are invisible after an incompatible change.
+STORE_VERSION = 2
+
+#: the pinned (single-rung) mode per execution tier
+TIER_MODES = {1: "precise", 2: "fast", 3: "tier3"}
 
 
 class JobState(str, Enum):
@@ -41,9 +52,6 @@ TERMINAL_STATES = frozenset({
     JobState.REJECTED, JobState.QUARANTINED,
 })
 
-#: entry tier per execution mode (``auto`` starts the ladder at 3)
-_MODE_TIERS = {"precise": 1, "fast": 2, "tier3": 3, "auto": 3}
-
 
 @dataclass
 class JobSpec:
@@ -53,11 +61,13 @@ class JobSpec:
     the 12-stage timing model.  ``uarch`` optionally carries an inline
     config *document* (the ``repro.uarch.uconfig`` schema — what
     ``--uarch file.yaml --extend overlay.yaml`` resolves to): when set
-    it defines the timing core, is schema-validated at admission
-    (invalid documents are REJECTED, never executed), and is folded
-    into ``config_hash`` so differently-configured runs of the same
-    program never share a cache entry.  ``mode`` selects the execution
-    tier:
+    it defines the timing core and is schema-validated at admission
+    (invalid documents are REJECTED, never executed).  Either way the
+    *resolved* config is what :meth:`key` digests, so a preset name,
+    its committed document and a partial overlay of the same point
+    share one store entry and differently-configured runs never do.
+    ``max_insts=None`` leaves the emulator's own watchdog limit in
+    place.  ``mode`` selects the execution tier:
     ``"tier3"`` (specializing translator), ``"fast"`` (block-translation
     cache), ``"precise"`` (per-step interpreter) or ``"auto"`` — tier-3
     with automatic fast-then-precise fallback when a tier fails or
@@ -71,7 +81,7 @@ class JobSpec:
     core: str | None = "xt910"
     uarch: dict[str, Any] | None = None
     mode: str = "auto"
-    max_insts: int = 5_000_000
+    max_insts: int | None = 5_000_000
     wall_timeout_s: float | None = 60.0
     compress: bool = True
     vet: bool = True
@@ -83,33 +93,26 @@ class JobSpec:
         blob = f"{self.compress}\x00{self.source}".encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    @property
-    def config_hash(self) -> str:
-        """Content hash of every knob that changes the result."""
-        config = {
-            "core": self.core,
-            "uarch": self.uarch,
-            "max_insts": self.max_insts,
-            "vet": self.vet,
-        }
-        blob = json.dumps(config, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+    def resolve_core(self) -> CoreConfig | None:
+        """The timing core this spec names (None: functional only).
 
-    @property
-    def execution_tier(self) -> int:
-        """Numeric tier the mode *starts* at (1 precise, 2 fast,
-        3 specializing translator; ``auto`` enters the ladder at 3)."""
-        return _MODE_TIERS.get(self.mode, 3)
+        Raises :class:`~repro.uarch.uconfig.UconfigError` for an
+        unknown name or a document that fails schema validation, and
+        ``OSError`` for an unreadable document path.
+        """
+        named = self.uarch if self.uarch is not None else self.core
+        return None if named is None else uconfig.resolve_core(named)
 
-    def cache_key(self, mode: str | None = None) -> tuple[str, str, str, int]:
-        """(program, config, mode, tier) key for the content-addressed
-        cache.  The tier component keeps tier-3 results from colliding
-        with tier-2/precise entries even for modes that share a string
-        (``auto`` historically meant "fast with fallback"; it now
-        enters at tier 3)."""
-        resolved = mode if mode is not None else self.mode
-        return (self.program_hash, self.config_hash, resolved,
-                _MODE_TIERS.get(resolved, 3))
+    def key(self) -> str:
+        """The content address of this job's (deterministic) result:
+        everything that changes the answer, nothing that does not."""
+        core = self.resolve_core()
+        parts = (STORE_VERSION, self.program_hash,
+                 "functional" if core is None
+                 else uconfig.config_digest(core),
+                 self.mode, self.max_insts, self.vet)
+        blob = "\x00".join(str(part) for part in parts)
+        return hashlib.sha256(blob.encode()).hexdigest()
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -179,4 +182,5 @@ class JobResult:
         return head
 
 
-__all__ = ["JobSpec", "JobResult", "JobState", "TERMINAL_STATES"]
+__all__ = ["JobSpec", "JobResult", "JobState", "TERMINAL_STATES",
+           "STORE_VERSION", "TIER_MODES"]

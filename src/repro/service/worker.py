@@ -60,6 +60,8 @@ from ..asm import assemble
 from ..asm.program import Program
 from ..harness.runner import RunResult, run_on_core
 from ..sim.emulator import Emulator, EmulatorError, WatchdogExpired
+from ..uarch.config import CoreConfig
+from ..uarch.uconfig import UconfigError
 from .errors import (
     DivergenceDetected,
     GuestFault,
@@ -82,14 +84,14 @@ def execute_job(payload: dict[str, Any]) -> dict[str, Any]:
     attempt = int(payload.get("attempt", 1))
     _apply_chaos(spec.chaos, attempt)
     try:
-        program = _admit(spec)
+        program, core = _admit(spec)
     except ServiceError as exc:
         return _error_result(spec, JobState.REJECTED, exc)
     try:
-        if spec.core is None and spec.uarch is None:
+        if core is None:
             result = _run_functional(spec, program)
         else:
-            result = _run_timed(spec, program)
+            result = _run_timed(spec, program, core)
     except ServiceError as exc:
         return _error_result(spec, JobState.FAILED, exc)
     except Exception as exc:  # simulator bug: still a definitive state
@@ -119,25 +121,25 @@ def _apply_chaos(chaos: dict[str, Any], attempt: int) -> None:
 # -- admission --------------------------------------------------------------
 
 
-def _admit(spec: JobSpec) -> Program:
-    """Vet an untrusted program before it reaches the execution engine.
+def _admit(spec: JobSpec) -> tuple[Program, CoreConfig | None]:
+    """Vet an untrusted job before it reaches the execution engine;
+    returns the assembled program and the resolved timing core (None
+    for a functional job), each built exactly once.
 
     Raises :class:`ResourceExhausted` for size-cap violations and
     :class:`GuestFault` for programs that fail to assemble, crash the
-    static analyzer, carry error-severity lint findings, or ship an
-    inline ``uarch`` document that fails schema validation.
+    static analyzer, carry error-severity lint findings, or name a
+    core that does not resolve (unknown preset, unreadable document
+    path, or a document that fails schema validation).
     """
-    if spec.uarch is not None:
-        from ..uarch import uconfig
-
-        try:
-            uconfig.resolve_core(spec.uarch)
-        except uconfig.UconfigError as exc:
-            raise GuestFault(
-                f"invalid uarch config document: {exc}",
-                detail={"stage": "admission",
-                        "problems": list(exc.problems)},
-                retryable=False) from exc
+    try:
+        core = spec.resolve_core()
+    except (UconfigError, OSError) as exc:
+        raise GuestFault(
+            f"invalid uarch config: {exc}",
+            detail={"stage": "admission",
+                    "problems": list(getattr(exc, "problems", ()))},
+            retryable=False) from exc
     raw = len(spec.source.encode())
     if raw > MAX_SOURCE_BYTES:
         raise ResourceExhausted(
@@ -170,7 +172,7 @@ def _admit(spec: JobSpec) -> Program:
                 f"finding(s)",
                 detail={"stage": "admission",
                         "findings": sorted(f.key for f in errors)})
-    return program
+    return program, core
 
 
 # -- execution --------------------------------------------------------------
@@ -190,17 +192,9 @@ def _chaos_tier_fault(chaos: dict[str, Any], tier: int) -> None:
         raise RuntimeError("chaos: injected fast-path fault")
 
 
-def _run_timed(spec: JobSpec, program: Program) -> JobResult:
+def _run_timed(spec: JobSpec, program: Program,
+               core: CoreConfig) -> JobResult:
     """Emulator + 12-stage timing model, with the degradation ladder."""
-    assert spec.core is not None or spec.uarch is not None
-    if spec.uarch is not None:
-        # Admission already validated the document; resolution here
-        # cannot fail for schema reasons.
-        from ..uarch import uconfig
-
-        core = uconfig.resolve_core(spec.uarch)
-    else:
-        core = spec.core
     rungs = _ladder(spec.mode)
     reasons: list[str] = []
     for index, tier in enumerate(rungs):
@@ -235,15 +229,9 @@ def _timed_result(spec: JobSpec, run: RunResult, tier: int,
         "stats": stats.as_comparable(),
     }
     if run.watchdog is not None:
-        error = WatchdogTimeout(
-            f"instruction watchdog: limit {spec.max_insts} expired",
-            detail={"watchdog": "instructions",
-                    "instret": run.watchdog.partial.get("instret"),
-                    "limit": spec.max_insts},
-            retryable=False)
         return JobResult(
             name=spec.name, state=JobState.TIMEOUT,
-            error=error.to_dict(), metrics=metrics,
+            error=_watchdog_error(spec, run.watchdog), metrics=metrics,
             stdout=run.stdout[:MAX_STDOUT_CHARS], partial=True,
             downgraded=downgrade_reason is not None,
             downgrade_reason=downgrade_reason,
@@ -312,21 +300,26 @@ def _functional_attempt(spec: JobSpec, program: Program, tier: int,
 def _functional_timeout(spec: JobSpec, exc: WatchdogExpired,
                         downgraded: bool,
                         downgrade_reason: str | None = None) -> JobResult:
-    error = WatchdogTimeout(
-        f"instruction watchdog: limit {spec.max_insts} expired",
-        detail={"watchdog": "instructions",
-                "instret": exc.partial.get("instret"),
-                "limit": spec.max_insts},
-        retryable=False)
     metrics: dict[str, Any] = {
         "instret": exc.partial.get("instret", 0),
     }
     metrics.update(exc.partial.get("counters", {}))
     return JobResult(
-        name=spec.name, state=JobState.TIMEOUT, error=error.to_dict(),
+        name=spec.name, state=JobState.TIMEOUT,
+        error=_watchdog_error(spec, exc),
         metrics=metrics, partial=True, downgraded=downgraded,
         downgrade_reason=downgrade_reason,
         program_hash=spec.program_hash)
+
+
+def _watchdog_error(spec: JobSpec, exc: WatchdogExpired) -> dict[str, Any]:
+    limit = (spec.max_insts if spec.max_insts is not None
+             else Emulator.DEFAULT_INSTRUCTION_LIMIT)
+    return WatchdogTimeout(
+        f"instruction watchdog: limit {limit} expired",
+        detail={"watchdog": "instructions",
+                "instret": exc.partial.get("instret"), "limit": limit},
+        retryable=False).to_dict()
 
 
 # -- classification ---------------------------------------------------------

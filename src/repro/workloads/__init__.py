@@ -1,5 +1,7 @@
 """Benchmark workloads: each an assembly kernel + Python reference."""
 
+import functools
+
 from .base import Workload, crc16_update  # noqa: F401
 from .blockchain import blockchain_kernel  # noqa: F401
 from .coremark import coremark_suite  # noqa: F401
@@ -33,3 +35,19 @@ def all_workloads() -> list[Workload]:
             + [blockchain_kernel(xt=False, blocks=4),
                blockchain_kernel(xt=True, blocks=4),
                strlen_base(), strlen_xt(), dhrystone()])
+
+
+@functools.cache
+def _by_name() -> dict[str, Workload]:
+    return {workload.name: workload for workload in all_workloads()}
+
+
+def get_workload(name: str) -> Workload:
+    """The bundled workload called *name* (one shared instance, from an
+    index built on first use); LookupError names the known ones."""
+    try:
+        return _by_name()[name]
+    except KeyError:
+        raise LookupError(
+            f"unknown workload {name!r} (known: "
+            f"{', '.join(sorted(_by_name()))})") from None

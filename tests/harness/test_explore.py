@@ -3,20 +3,26 @@
 Covers sweep-spec parsing (both axis forms and their negatives), point
 expansion with validation at expansion time, the content-addressed
 result store (second-pass-all-hits, corrupt records as misses, and key
-separation across program/config/tier/budget), the depth bench's
-trade-off shape against the committed BENCH_explore.json, and a
->=100-point sweep actually fanned through the worker pool.
+separation across program/config/tier/budget), the one job path (a
+sweep cell and the equivalent service job are one store record; sweeps
+inherit the service's watchdog and failure semantics), the depth
+bench's trade-off shape against the committed BENCH_explore.json, and
+a >=100-point sweep actually fanned through the worker pool.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.harness import explore
+from repro.harness.parallel import CellFailure
+from repro.service import JobResult, JobService, JobSpec, JobState
 from repro.uarch import uconfig
+from repro.workloads import Workload, get_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -135,13 +141,18 @@ def test_no_axes_is_one_point():
 # -- the store ---------------------------------------------------------------
 
 
+#: a cell's job as ``run_sweep`` spells it (tier 2, unvetted, unbudgeted)
+_CELL = JobSpec(source="prog", core="xt910", mode="fast", vet=False,
+                max_insts=None)
+
+
 def test_store_key_separates_every_component():
     keys = {
-        explore.store_key("prog", "conf", 2, None),
-        explore.store_key("prog2", "conf", 2, None),     # program
-        explore.store_key("prog", "conf2", 2, None),     # config
-        explore.store_key("prog", "conf", 3, None),      # tier
-        explore.store_key("prog", "conf", 2, 1000),      # budget
+        _CELL.key(),
+        dataclasses.replace(_CELL, source="prog2").key(),       # program
+        dataclasses.replace(_CELL, core="u74").key(),           # config
+        dataclasses.replace(_CELL, mode="tier3").key(),         # tier
+        dataclasses.replace(_CELL, max_insts=1000).key(),       # budget
     }
     assert len(keys) == 5
 
@@ -149,23 +160,30 @@ def test_store_key_separates_every_component():
 def test_store_key_no_collision_across_field_boundaries():
     """The key material is delimited: shifting characters between
     adjacent fields must not produce the same address."""
-    assert explore.store_key("ab", "cd", 2, None) != \
-        explore.store_key("a", "bcd", 2, None)
-    assert explore.store_key("p", "c1", 2, None) != \
-        explore.store_key("p", "c", 12, None)
+    assert dataclasses.replace(_CELL, mode="fast", max_insts=12).key() != \
+        dataclasses.replace(_CELL, mode="fast1", max_insts=2).key()
 
 
 def test_store_round_trip_and_corrupt_record_is_miss(tmp_path):
-    store = explore.ExploreStore(str(tmp_path / "store"))
-    key = explore.store_key("p", "c", 2, None)
+    root = str(tmp_path / "store")
+    store = explore.ExploreStore(root)
+    key = _CELL.key()
+    result = JobResult(name="cell", state=JobState.COMPLETED,
+                       metrics={"cycles": 123})
     assert store.get(key) is None
-    store.put(key, {"cycles": 123})
-    assert store.get(key) == {"cycles": 123}
-    assert len(store) == 1
-    # corrupt the record on disk: treated as a miss, not an error
+    assert store.put(key, result)
+    assert store.get(key).metrics == {"cycles": 123}
+    # a second process sees the record on disk
+    assert explore.ExploreStore(root).get(key).metrics == {"cycles": 123}
+    # corrupt the record on disk: a counted miss, not an error ...
     Path(store._path(key)).write_text("{truncated")
-    assert store.get(key) is None
-    assert store.hits == 1 and store.misses == 2
+    fresh = explore.ExploreStore(root)
+    assert fresh.get(key) is None
+    assert fresh.counters() == {"hits": 0, "misses": 1, "entries": 0,
+                                "discards": 1}
+    # ... that the next put overwrites
+    fresh.put(key, result)
+    assert explore.ExploreStore(root).get(key).metrics == {"cycles": 123}
 
 
 def test_default_store_dir_honours_env(monkeypatch):
@@ -237,6 +255,117 @@ def test_report_json_is_metrics_schema(tmp_path):
     assert registry["explore.p0000.blockchain-base.cycles"] == \
         report.results[0].record["cycles"]
     assert registry["explore.p0001.axis.mem.dram.latency"] == 200
+
+
+# -- one job path ------------------------------------------------------------
+
+
+def _cell_job(latency: int, tier_mode: str = "fast") -> JobSpec:
+    """The service job equivalent to one ``_tiny_spec`` cell, spelled
+    the way ``repro submit --core xt910 --extend overlay`` would: the
+    preset document with a nested overlay merged on top."""
+    workload = get_workload("blockchain-base")
+    doc = uconfig.merge_overlay(
+        uconfig.config_to_doc(uconfig.resolve_core("xt910")),
+        {"mem": {"dram": {"latency": latency}}})
+    return JobSpec(source=workload.source, compress=workload.compress,
+                   core=None, mode=tier_mode, vet=False, max_insts=None,
+                   uarch=doc)
+
+
+def test_sweep_cell_is_a_hit_for_the_equivalent_job(tmp_path):
+    root = str(tmp_path / "store")
+    report = explore.run_sweep(_tiny_spec((100,)),
+                               store=explore.ExploreStore(root))
+    assert report.simulated == 1
+    service = JobService(isolation=False, store=explore.ExploreStore(root))
+    job = service.submit(_cell_job(100))
+    assert job.state is JobState.COMPLETED and job.cache_hit
+    assert job.metrics["cycles"] == report.results[0].record["cycles"]
+    assert job.metrics["stats"] == report.results[0].record["stats"]
+    # a different tier or point is a different record
+    assert not service.submit(_cell_job(100, "tier3")).cache_hit
+    assert not service.submit(_cell_job(300)).cache_hit
+
+
+def test_job_is_a_hit_for_the_equivalent_sweep_cell(tmp_path):
+    root = str(tmp_path / "store")
+    service = JobService(isolation=False, store=explore.ExploreStore(root))
+    job = service.submit(_cell_job(200))
+    assert job.state is JobState.COMPLETED and not job.cache_hit
+    report = explore.run_sweep(_tiny_spec((100, 200)),
+                               store=explore.ExploreStore(root))
+    assert [cell.cached for cell in report.results] == [False, True]
+    assert report.results[1].record["cycles"] == job.metrics["cycles"]
+
+
+def test_corrupt_records_are_resimulated_and_overwritten(tmp_path):
+    root = tmp_path / "store"
+    explore.run_sweep(_tiny_spec(), store=explore.ExploreStore(str(root)))
+    records = sorted(root.rglob("*.json"))
+    assert len(records) == 2
+    records[0].write_text("")                       # truncated
+    records[1].write_text('{"state": "no-such"}')   # parses, not a result
+    store = explore.ExploreStore(str(root))
+    again = explore.run_sweep(_tiny_spec(), store=store)
+    assert again.simulated == 2 and again.cache_hits == 0
+    assert store.discards == 2
+    healed = explore.run_sweep(_tiny_spec(),
+                               store=explore.ExploreStore(str(root)))
+    assert healed.simulated == 0 and healed.cache_hits == 2
+
+
+def test_budgeted_sweep_returns_partial_records_and_never_quarantines(
+        tmp_path):
+    """Every cell of one program expires its instruction budget: that
+    is data (the budget is in the key), not a breaker failure."""
+    spec = _tiny_spec((100, 200, 300, 400, 500))
+    spec.max_insts = 500
+    store = explore.ExploreStore(str(tmp_path / "store"))
+    first = explore.run_sweep(spec, store=store)   # raises if quarantined
+    assert first.simulated == 5
+    for cell in first.results:
+        assert cell.record["watchdog_expired"] == 1
+        assert cell.record["instructions"] > 0 and cell.record["cycles"] > 0
+    second = explore.run_sweep(spec, store=store)
+    assert second.simulated == 0 and second.cache_hits == 5
+    assert [c.record for c in second.results] == \
+        [c.record for c in first.results]
+    # the unbudgeted sweep is a different set of records
+    assert explore.run_sweep(_tiny_spec((100,)), store=store).simulated == 1
+
+
+def test_failing_cells_are_named_after_siblings_finish(tmp_path,
+                                                       monkeypatch):
+    bad = Workload("exits-nonzero", "li a0, 3\nli a7, 93\necall\n")
+    monkeypatch.setattr(
+        explore, "get_workload",
+        lambda name: bad if name == bad.name else get_workload(name))
+    spec = _tiny_spec()
+    spec.workloads = [bad.name, "blockchain-base"]
+    store = explore.ExploreStore(str(tmp_path / "store"))
+    with pytest.raises(CellFailure) as excinfo:
+        explore.run_sweep(spec, store=store)
+    failure = excinfo.value
+    assert failure.total == 4
+    assert [f.cell for f in failure.failures] == \
+        [(bad.name, "p0000"), (bad.name, "p0001")]
+    message = str(failure)
+    assert "2 of 4 cells failed" in message
+    # the service's rendered error chain, per cell
+    assert message.count("guest-fault: program exited with 3") == 2
+    assert "<- caused by" in message and "RuntimeError" in message
+    # the siblings finished and were stored before the failure surfaced
+    spec.workloads = ["blockchain-base"]
+    assert explore.run_sweep(spec, store=store).cache_hits == 2
+
+
+def test_unknown_workload_is_an_explore_error():
+    spec = _tiny_spec()
+    spec.workloads = ["no-such-kernel"]
+    with pytest.raises(explore.ExploreError) as excinfo:
+        explore.run_sweep(spec)
+    assert "blockchain-base" in str(excinfo.value)   # names the known
 
 
 # -- the depth bench ---------------------------------------------------------

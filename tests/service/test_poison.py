@@ -27,7 +27,7 @@ from repro.service.chaos import (
 
 @pytest.fixture()
 def service() -> JobService:
-    return JobService(isolation=False, use_cache=False)
+    return JobService(isolation=False)
 
 
 def _assert_definitive(result, state: JobState, kind: str) -> None:

@@ -1,10 +1,10 @@
-"""Retry policy, circuit breaker, and the content-addressed cache."""
+"""Retry policy, circuit breaker, and the result store's LRU front."""
 
 import random
 
-from repro.service.cache import ResultCache
 from repro.service.job import JobResult, JobState
 from repro.service.retry import CircuitBreaker, RetryPolicy
+from repro.service.store import ResultStore
 
 
 class TestRetryPolicy:
@@ -73,24 +73,29 @@ def _completed(name: str = "job") -> JobResult:
 
 
 class TestResultCache:
-    KEY = ("prog", "config", "auto")
+    """The in-memory (``root=None``) ResultStore: what JobService uses
+    by default.  The disk back is covered in test_store.py."""
+
+    KEY = "prog-config-auto"
 
     def test_miss_then_hit(self):
-        cache = ResultCache()
+        cache = ResultStore()
         assert cache.get(self.KEY) is None
         cache.put(self.KEY, _completed())
         hit = cache.get(self.KEY)
         assert hit is not None and hit.cache_hit
         assert hit.metrics == {"cycles": 100}
-        assert cache.counters() == {"hits": 1, "misses": 1, "entries": 1}
+        assert cache.counters() == {"hits": 1, "misses": 1, "entries": 1,
+                                    "discards": 0}
 
     def test_only_completed_results_are_cached(self):
-        cache = ResultCache()
-        cache.put(self.KEY, JobResult(name="x", state=JobState.FAILED))
+        cache = ResultStore()
+        assert not cache.put(self.KEY,
+                             JobResult(name="x", state=JobState.FAILED))
         assert cache.get(self.KEY) is None
 
     def test_returned_results_are_independent_copies(self):
-        cache = ResultCache()
+        cache = ResultStore()
         cache.put(self.KEY, _completed())
         first = cache.get(self.KEY)
         first.metrics["cycles"] = -1
@@ -100,11 +105,11 @@ class TestResultCache:
         assert second.state is JobState.COMPLETED
 
     def test_lru_eviction(self):
-        cache = ResultCache(capacity=2)
-        cache.put(("a",), _completed("a"))
-        cache.put(("b",), _completed("b"))
-        assert cache.get(("a",)) is not None   # refresh "a"
-        cache.put(("c",), _completed("c"))     # evicts "b"
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) is not None
-        assert cache.get(("c",)) is not None
+        cache = ResultStore(capacity=2)
+        cache.put("a", _completed("a"))
+        cache.put("b", _completed("b"))
+        assert cache.get("a") is not None   # refresh "a"
+        cache.put("c", _completed("c"))     # evicts "b"
+        assert cache.get("b") is None
+        assert cache.get("a") is not None
+        assert cache.get("c") is not None

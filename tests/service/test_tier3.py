@@ -2,10 +2,10 @@
 
 The degradation ladder for ``mode="auto"`` now enters at the
 specializing translator (tier 3) and rides down tier 2 (fast) to
-tier 1 (precise); pinned modes never downgrade.  The result cache key
-carries the numeric execution tier, so tier-3 results can never be
-served for a tier-2 request (or vice versa) even though both complete
-successfully on the same program + config.
+tier 1 (precise); pinned modes never downgrade.  The store key carries
+the mode, so tier-3 results can never be served for a tier-2 request
+(or vice versa) even though both complete successfully on the same
+program + config.
 """
 
 from repro.service import JobService, JobSpec, JobState, RetryPolicy
@@ -23,22 +23,13 @@ def _service(**kwargs) -> JobService:
 
 class TestCacheKeyTier:
     def test_key_carries_the_execution_tier(self):
-        spec = JobSpec(source=clean_source(0))
-        assert spec.cache_key() == (spec.program_hash, spec.config_hash,
-                                    "auto", 3)
-        assert spec.cache_key("precise")[-1] == 1
-        assert spec.cache_key("fast")[-1] == 2
-        assert spec.cache_key("tier3")[-1] == 3
-
-    def test_execution_tier_property(self):
-        source = clean_source(1)
-        assert JobSpec(source=source, mode="precise").execution_tier == 1
-        assert JobSpec(source=source, mode="fast").execution_tier == 2
-        assert JobSpec(source=source, mode="tier3").execution_tier == 3
-        assert JobSpec(source=source, mode="auto").execution_tier == 3
+        source = clean_source(0)
+        keys = {JobSpec(source=source, mode=mode).key()
+                for mode in ("auto", "precise", "fast", "tier3")}
+        assert len(keys) == 4
 
     def test_tiers_do_not_collide_in_the_result_cache(self):
-        service = _service(use_cache=True)
+        service = _service()
         source = clean_source(2)
         fast = service.submit(JobSpec(source=source, core=None,
                                       mode="fast", name="f"))

@@ -2,9 +2,9 @@
 
 A JobSpec may carry a config *document* instead of a preset name: it is
 validated at admission (invalid documents are REJECTED with the dotted
-problem paths, never retried), resolved in the worker, and folded into
-``config_hash`` so differently-configured runs never share a cache
-entry.
+problem paths, never retried), resolved once in the worker, and its
+resolved digest is folded into ``JobSpec.key`` so differently-
+configured runs never share a store entry.
 """
 
 from repro.service import JobService, JobSpec, JobState, RetryPolicy
@@ -62,9 +62,8 @@ class TestInlineUarch:
         spec_b = JobSpec(source=clean_source(4), core=None,
                          uarch={"rob_entries": 128})
         spec_preset = JobSpec(source=clean_source(4), core="xt910")
-        hashes = {spec_a.config_hash, spec_b.config_hash,
-                  spec_preset.config_hash}
-        assert len(hashes) == 3
+        keys = {spec_a.key(), spec_b.key(), spec_preset.key()}
+        assert len(keys) == 3
         # same document, same key: resubmission is a cache hit
         service = _service()
         first = service.submit(spec_a)
