@@ -316,7 +316,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import os
+    from .harness import benchkit
 
     exclusive = [flag for flag in ("pipeline", "service", "vector")
                  if getattr(args, flag)]
@@ -328,42 +328,16 @@ def cmd_bench(args) -> int:
         print("error: --tier applies to the emulator bench only",
               file=sys.stderr)
         return 2
-    if args.pipeline:
-        from .harness import pipebench as bench_mod
-    elif args.service:
-        from .service import bench as bench_mod
-    elif args.vector:
-        from .harness import vecbench as bench_mod
-    elif args.tier == 3:
-        from .harness import tierbench as bench_mod
-    else:
-        # tiers 1 and 2 are the emulator bench's precise/fast columns
-        from .harness import perfbench as bench_mod
-
-    if args.baseline and not os.path.exists(args.baseline):
-        print(f"error: baseline {args.baseline} not found", file=sys.stderr)
-        return 2
-    if args.service:
-        payload = bench_mod.run_bench(quick=args.quick)
-    else:
-        payload = bench_mod.run_bench(quick=args.quick, repeat=args.repeat)
-    print(bench_mod.render(payload))
-    if args.out:
-        bench_mod.save(payload, args.out)
-        print(f"wrote {args.out}")
-    if args.baseline:
-        tolerance = (args.tolerance if args.tolerance is not None
-                     else bench_mod.DEFAULT_TOLERANCE)
-        baseline = bench_mod.load(args.baseline)
-        failures = bench_mod.check_regression(payload, baseline,
-                                              tolerance=tolerance)
-        for failure in failures:
-            print(f"REGRESSION: {failure}")
-        if failures:
-            return 1
-        print(f"no regression vs {args.baseline} "
-              f"(tolerance {tolerance:.0%})")
-    return 0
+    # the exclusive flags are spelled like the benches they select;
+    # tiers 1 and 2 are the emulator bench's precise/fast columns
+    name = exclusive[0] if exclusive else (
+        "tier3" if args.tier == 3 else "emulator")
+    options = {"quick": args.quick}
+    if name != "service":       # one batch's throughput, not a best-of-N
+        options["repeat"] = args.repeat
+    return benchkit.drive(benchkit.get(name), out=args.out,
+                          baseline=args.baseline,
+                          tolerance=args.tolerance, **options)
 
 
 def _submit_specs(args) -> list:
@@ -438,7 +412,7 @@ def cmd_submit(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    from .harness import explore
+    from .harness import benchkit, explore
     from .uarch import uconfig
 
     if bool(args.spec) == bool(args.depth):
@@ -447,22 +421,9 @@ def cmd_explore(args) -> int:
         return 2
     store = explore.ExploreStore(args.store)
     if args.depth:
-        payload = explore.run_bench(quick=args.quick, jobs=args.jobs,
-                                    store=store)
-        print(explore.render(payload))
-        if args.out:
-            explore.save(payload, args.out)
-            print(f"wrote {args.out}")
-        if args.baseline:
-            baseline = explore.load(args.baseline)
-            failures = explore.check_regression(payload, baseline)
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            if failures:
-                return 1
-            print(f"no regression vs {args.baseline} (simulated "
-                  f"cycles compared exactly)")
-        return 0
+        return benchkit.drive(benchkit.get("explore-depth"), out=args.out,
+                              baseline=args.baseline, quick=args.quick,
+                              jobs=args.jobs, store=store)
     try:
         spec = explore.load_sweep(args.spec)
         report = explore.run_sweep(spec, jobs=args.jobs, store=store,

@@ -1,0 +1,226 @@
+"""The bench spine: one timer, one file format, one gate, one driver.
+
+A bench is a :class:`Bench` record plus a cell function; what a bench
+does *not* own is here, once: min-of-N wall-clock timing
+(:func:`best_of`), the payload header and JSON file format
+(:func:`run`, :func:`save`, :func:`load`), the relative-floor gate
+(:func:`check`) and the CLI sequence with its exit codes
+(:func:`drive`), which ``repro bench`` and ``repro explore --depth``
+both reach through :func:`get`.
+
+A floor is a ratio because absolute MIPS and jobs/sec shift with the
+host: a floored key fails when it drops more than ``tolerance`` below
+the baseline's value.  A baseline is only comparable with the bench
+that wrote it, so :func:`load` refuses a file whose ``bench`` name or
+schema stamp differs rather than gate on whatever keys overlap.
+"""
+
+from __future__ import annotations
+
+import functools
+import importlib
+import json
+import operator
+import sys
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, TypeVar
+
+from ..sim.emulator import Emulator
+
+T = TypeVar("T")
+Payload = dict[str, Any]
+
+#: ``schema`` of the payloads whose header :func:`run` writes.
+SCHEMA = 1
+
+
+class BenchError(ValueError):
+    """A baseline file is missing, malformed, or from another bench."""
+
+
+def _no_invariants(payload: Payload, baseline: Payload) -> list[str]:
+    return []
+
+
+@dataclass(frozen=True)
+class Bench:
+    """What is specific to one bench."""
+
+    name: str                           # the payload's "bench" field
+    run: Callable[..., Payload]         # run(quick, ...) -> payload body
+    render: Callable[[Payload], str]    # the terminal table
+    floors: tuple[str, ...]             # dotted payload keys held to a
+    tolerance: float                    # ... (1 - tolerance) x baseline
+    #: absolute checks of (payload, baseline) that no tolerance relaxes
+    invariants: Callable[[Payload, Payload], list[str]] = _no_invariants
+    stamp: tuple[str, int] = ("schema", SCHEMA)     # version key, value
+
+
+#: Every bench: payload name -> the module whose ``BENCH`` it is (named,
+#: not imported: the bench modules import this one).
+_MODULES = {
+    "emulator": "repro.harness.perfbench",
+    "pipeline": "repro.harness.pipebench",
+    "tier3": "repro.harness.tierbench",
+    "vector": "repro.harness.vecbench",
+    "service": "repro.service.bench",
+    "explore-depth": "repro.harness.explore",
+}
+NAMES = tuple(_MODULES)
+
+
+def get(name: str) -> Bench:
+    """The registered bench called *name*."""
+    bench: Bench = importlib.import_module(_MODULES[name]).BENCH
+    assert bench.name == name, (bench.name, name)
+    return bench
+
+
+def best_of(repeat: int,
+            once: Callable[[Callable[..., Any]], T]) -> tuple[list[float], T]:
+    """Min-of-N wall clock: run ``once(timed)`` *repeat* times.
+
+    Inside a round, what goes through ``timed(fn, *args, **kwargs)`` is
+    on the clock and everything else (set-up, a differential check) is
+    off it.  A round that times several contenders back-to-back
+    interleaves them, which keeps scheduler noise out of their ratio.
+    Returns the fastest time seen for each ``timed`` call of a round, in
+    call order, and the last round's return value.
+    """
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, not {repeat}")
+    laps: list[float] = []
+
+    def timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        laps.append(time.perf_counter() - start)
+        return result
+
+    best: list[float] = []
+    for _ in range(repeat):
+        laps.clear()
+        value = once(timed)
+        best = list(map(min, best, laps)) if best else list(laps)
+    return best, value
+
+
+def best_emulation(repeat: int, workload: Any,
+                   code_cache_dir: str | None = None,
+                   **run_options: Any) -> tuple[float, Emulator]:
+    """Best-of-*repeat* seconds of ``Emulator.run(**run_options)`` on
+    *workload*, and the last emulator.  Each round builds a fresh
+    emulator off the clock: tiers 2 and 3 bind vector handlers and
+    cached code at translate time, so a reused one times something else.
+    """
+    def once(timed: Callable[..., Any]) -> Emulator:
+        emulator = Emulator(workload.program(),
+                            code_cache_dir=code_cache_dir)
+        timed(emulator.run, **run_options)
+        return emulator
+
+    (seconds,), emulator = best_of(repeat, once)
+    return seconds, emulator
+
+
+def run(bench: Bench, quick: bool = False, **options: Any) -> Payload:
+    """Run *bench* and put the payload header on what it measured."""
+    key, version = bench.stamp
+    return {key: version, "bench": bench.name, "quick": quick,
+            **bench.run(quick=quick, **options)}
+
+
+def save(payload: Payload, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def load(path: str, bench: Bench) -> Payload:
+    """Read a payload *bench* wrote; :class:`BenchError` otherwise."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except FileNotFoundError:
+        raise BenchError(f"baseline {path} not found") from None
+    except json.JSONDecodeError as exc:
+        raise BenchError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise BenchError(f"{path}: expected a JSON object")
+    if payload.get("bench") != bench.name:
+        raise BenchError(f"{path}: a {payload.get('bench')!r} payload, "
+                         f"not a baseline for the {bench.name!r} bench")
+    key, version = bench.stamp
+    if payload.get(key) != version:
+        raise BenchError(f"{path}: {key} {payload.get(key)!r}, the "
+                         f"{bench.name} bench writes {key} {version}")
+    return payload
+
+
+def _dig(payload: Payload, dotted: str) -> Any:
+    """``payload[a][b]`` for ``"a.b"``; KeyError where a level is absent."""
+    return functools.reduce(operator.getitem, dotted.split("."), payload)
+
+
+def check(bench: Bench, payload: Payload, baseline: Payload,
+          tolerance: float | None = None) -> list[str]:
+    """Gate a fresh *payload* against *baseline*.
+
+    Returns human-readable failure strings (empty = no regression): one
+    per floored key that dropped more than *tolerance* (default: the
+    bench's own) below a baseline that has it, then whatever the
+    bench's invariants object to.
+    """
+    if tolerance is None:
+        tolerance = bench.tolerance
+    failures = []
+    for key in bench.floors:
+        try:
+            base = _dig(baseline, key)
+        except KeyError:        # an older baseline: nothing to hold to
+            continue
+        current = _dig(payload, key)
+        floor = (base or 0.0) * (1.0 - tolerance)
+        if current < floor:
+            failures.append(
+                f"{key} regressed: {current} < {floor:.4f} "
+                f"(baseline {base}, tolerance {tolerance:.0%})")
+    return failures + bench.invariants(payload, baseline)
+
+
+def drive(bench: Bench, out: str | None = None,
+          baseline: str | None = None, tolerance: float | None = None,
+          **options: Any) -> int:
+    """The CLI body of every bench; returns the process exit code.
+
+    0: ran and, given a baseline, held; 1: regression, one
+    ``REGRESSION:`` line each; 2: the baseline is unusable, reported
+    before the minutes-long run rather than after it.
+    """
+    try:
+        reference = load(baseline, bench) if baseline else None
+    except BenchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    payload = run(bench, **options)
+    print(bench.render(payload))
+    if out:
+        save(payload, out)
+        print(f"wrote {out}")
+    if reference is None:
+        return 0
+    if tolerance is None:
+        tolerance = bench.tolerance
+    failures = check(bench, payload, reference, tolerance)
+    for failure in failures:
+        print(f"REGRESSION: {failure}")
+    if failures:
+        return 1
+    band = f" (tolerance {tolerance:.0%})" if bench.floors else ""
+    print(f"no regression vs {baseline}{band}")
+    return 0
+
+
+__all__ = ["Bench", "BenchError", "NAMES", "SCHEMA", "best_emulation",
+           "best_of", "check", "drive", "get", "load", "run", "save"]

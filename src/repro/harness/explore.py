@@ -23,7 +23,7 @@ simulates the new column.  The ``explore-smoke`` CI job runs a sweep
 twice and asserts the second pass is 100% cache hits with zero new
 simulations.
 
-``run_depth_bench`` is the committed experiment: the pipeline-depth
+``BENCH`` is the committed experiment: the pipeline-depth
 sweep (``frontend.depth``) over the CoreMark kernels, reproducing the
 RV-IM100-style depth/frequency trade-off — cycles grow with depth
 while the achievable clock grows sublinearly (``f = 1/(t_logic/depth +
@@ -35,7 +35,6 @@ is exact equality, not a tolerance band.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
@@ -47,6 +46,7 @@ from ..service.job import STORE_VERSION, TIER_MODES
 from ..service.store import ResultStore, storable
 from ..uarch import uconfig
 from ..workloads import get_workload
+from . import benchkit
 from .parallel import CellError, CellFailure
 from .report import ExperimentResult
 
@@ -302,10 +302,7 @@ class ExploreReport:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
+        benchkit.save(self.to_json_dict(), path)
 
 
 def run_sweep(spec: SweepSpec, jobs: int | None = None,
@@ -386,8 +383,6 @@ LATCH_FRACTION = 0.10
 #: The reference depth frequencies are normalized against.
 _REF_DEPTH = 7
 
-DEFAULT_TOLERANCE = 0.0     # cycles are simulated: the gate is exact
-
 _QUICK_WORKLOADS = ["coremark-list"]
 _FULL_WORKLOADS = ["coremark-list", "coremark-matrix", "coremark-state",
                    "coremark-crc"]
@@ -428,16 +423,13 @@ def depth_sweep_spec(quick: bool = False) -> SweepSpec:
         name="depth-sweep")
 
 
-def run_bench(quick: bool = False, repeat: int = 1,
-              jobs: int | None = None,
+def run_depth(quick: bool = False, jobs: int | None = None,
               store: ResultStore | None = None) -> dict[str, Any]:
-    """Run the depth sweep and shape the BENCH_explore.json payload.
+    """Run the depth sweep and shape the BENCH_explore.json body.
 
-    ``repeat`` is accepted for CLI symmetry with the timing benches and
-    ignored: cycle counts are simulated, not measured, so one run is
-    exact.
+    There is no ``repeat``: cycle counts are simulated, not measured,
+    so one run is exact.
     """
-    del repeat
     spec = depth_sweep_spec(quick)
     report = run_sweep(spec, jobs=jobs, store=store)
     by_depth: dict[int, dict[str, Any]] = {}
@@ -465,9 +457,6 @@ def run_bench(quick: bool = False, repeat: int = 1,
                                                    ), 6)
     best = max(rows, key=lambda r: r["perf_rel"])
     return {
-        "bench": "explore-depth",
-        "version": STORE_VERSION,
-        "quick": quick,
         "workloads": spec.workloads,
         "latch_fraction": LATCH_FRACTION,
         "rows": rows,
@@ -494,28 +483,11 @@ def render(payload: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def save(payload: Mapping[str, Any], path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(dict(payload), handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
-def load(path: str) -> dict[str, Any]:
-    with open(path) as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return payload
-
-
-def check_regression(payload: Mapping[str, Any],
-                     baseline: Mapping[str, Any],
-                     tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
+def invariants(payload: Mapping[str, Any],
+               baseline: Mapping[str, Any]) -> list[str]:
     """Exact-equality gate: simulated cycles must match the committed
     baseline per depth per workload, and the trade-off shape must hold
-    (cycles non-decreasing in depth).  ``tolerance`` is accepted for
-    CLI symmetry; cycles are compared exactly regardless."""
-    del tolerance
+    (cycles non-decreasing in depth)."""
     failures: list[str] = []
     base_rows = {row["depth"]: row for row in baseline.get("rows", [])}
     quick = bool(payload.get("quick"))
@@ -545,6 +517,14 @@ def check_regression(payload: Mapping[str, Any],
     return failures
 
 
+#: No floored keys and so no tolerance: the whole gate is
+#: :func:`invariants`.  Stamped with the store version, not ``schema``:
+#: a record-format bump also invalidates the committed cycle counts.
+BENCH = benchkit.Bench(
+    name="explore-depth", run=run_depth, render=render, floors=(),
+    tolerance=0.0, invariants=invariants, stamp=("version", STORE_VERSION))
+
+
 # -- the harness experiment --------------------------------------------------
 
 
@@ -572,7 +552,7 @@ def run_explore(quick: bool = True,
     spec = smoke_spec()
     first = run_sweep(spec, jobs=jobs, store=store)
     second = run_sweep(spec, jobs=jobs, store=store)
-    bench = run_bench(quick=quick, jobs=jobs, store=store)
+    bench = benchkit.run(BENCH, quick=quick, jobs=jobs, store=store)
 
     result = ExperimentResult(
         experiment="explore",
@@ -608,7 +588,6 @@ __all__ = [
     "ExploreError", "SweepAxis", "SweepSpec", "load_sweep",
     "ExplorePoint", "expand", "ExploreStore", "default_store_dir",
     "CellResult", "ExploreReport", "run_sweep",
-    "depth_sweep_spec", "smoke_spec", "run_bench", "render", "save",
-    "load", "check_regression", "run_explore", "frequency_scale",
-    "DEFAULT_TOLERANCE", "DEPTHS",
+    "depth_sweep_spec", "smoke_spec", "run_depth", "render",
+    "invariants", "BENCH", "run_explore", "frequency_scale", "DEPTHS",
 ]

@@ -9,69 +9,50 @@ measured rather than asserted.
 
 The committed JSON doubles as the CI regression baseline: the bench CI
 job re-runs ``bench --quick`` and fails when fast-mode emulator MIPS
-drops more than the tolerance (default 30%) below the checked-in
-numbers.  MIPS is computed from the best of ``repeat`` runs to shave
-scheduler noise; absolute numbers still vary across machines, which is
-why the gate is a ratio, not a floor.
+or the fast/precise speedup drops more than the tolerance (default
+30%) below the checked-in numbers.  MIPS is computed from the best of
+``repeat`` runs to shave scheduler noise.  Timing, file format and the
+gate itself are :mod:`repro.harness.benchkit`'s.
 """
 
 from __future__ import annotations
 
-import json
-import time
-
-from ..sim.emulator import Emulator
 from ..workloads import (
     coremark_suite,
     eembc_suite,
     get_workload,
     nbench_suite,
 )
+from . import benchkit
 from .report import geomean
 from .runner import run_on_core
 
-#: JSON schema version of BENCH_emulator.json
-SCHEMA = 1
-DEFAULT_TOLERANCE = 0.30
 
-
-def _workloads(quick: bool):
+def workloads(quick: bool):
+    """The kernel set, shared with the pipeline bench."""
     suites = [coremark_suite()]
     if not quick:
         suites += [eembc_suite(), nbench_suite()]
     return [w for suite in suites for w in suite]
 
 
-def _time_emulator(workload, fast: bool, repeat: int) -> tuple[int, float]:
-    """(retired instructions, best-of-*repeat* seconds) for one run."""
-    best = float("inf")
-    insts = 0
-    for _ in range(repeat):
-        emulator = Emulator(workload.program())
-        start = time.perf_counter()
-        emulator.run(fast=fast)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        insts = emulator.state.instret
-    return insts, best
-
-
 def _time_harness(workload, repeat: int) -> float:
     """Best-of-*repeat* wall-clock of emulator + timing model."""
-    best = float("inf")
-    for _ in range(repeat):
+    def once(timed):
         program = workload.program()
-        start = time.perf_counter()
-        run_on_core(program, "xt910")
-        best = min(best, time.perf_counter() - start)
+        timed(run_on_core, program, "xt910")
+
+    (best,), _ = benchkit.best_of(repeat, once)
     return best
 
 
 def bench_workload(name: str, repeat: int = 3) -> dict:
     """Before/after numbers for one kernel."""
     workload = get_workload(name)
-    insts, precise_s = _time_emulator(workload, fast=False, repeat=repeat)
-    _, fast_s = _time_emulator(workload, fast=True, repeat=repeat)
+    precise_s, emulator = benchkit.best_emulation(repeat, workload,
+                                                  fast=False)
+    fast_s, _ = benchkit.best_emulation(repeat, workload, fast=True)
+    insts = emulator.state.instret
     harness_s = _time_harness(workload, repeat=repeat)
     return {
         "insts": insts,
@@ -84,64 +65,32 @@ def bench_workload(name: str, repeat: int = 3) -> dict:
     }
 
 
-def run_bench(quick: bool = False, repeat: int = 3) -> dict:
-    """Benchmark every kernel; returns the BENCH_emulator.json payload."""
-    workloads = _workloads(quick)
-    results = {w.name: bench_workload(w.name, repeat=repeat)
-               for w in workloads}
+def summarize(results: dict, slow: str) -> dict:
+    """What this bench and the pipeline bench both publish: the fast
+    side's speedup over *slow* on every kernel, and both sides' MIPS
+    and the speedup over the CoreMark kernels (the floored keys)."""
     coremark = [r for name, r in results.items()
                 if name.startswith("coremark")]
-    payload = {
-        "schema": SCHEMA,
-        "bench": "emulator",
-        "quick": quick,
-        "repeat": repeat,
-        "workloads": results,
-        "summary": {
-            "geomean_speedup": round(
-                geomean([r["speedup"] for r in results.values()]), 3),
-            "coremark_precise_mips": round(
-                geomean([r["precise_mips"] for r in coremark]), 4),
-            "coremark_fast_mips": round(
-                geomean([r["fast_mips"] for r in coremark]), 4),
-            "coremark_speedup": round(
-                geomean([r["speedup"] for r in coremark]), 3),
-            "harness_wall_s": round(
-                sum(r["harness_s"] for r in results.values()), 3),
-        },
+    return {
+        "geomean_speedup": round(
+            geomean([r["speedup"] for r in results.values()]), 3),
+        f"coremark_{slow}_mips": round(
+            geomean([r[f"{slow}_mips"] for r in coremark]), 4),
+        "coremark_fast_mips": round(
+            geomean([r["fast_mips"] for r in coremark]), 4),
+        "coremark_speedup": round(
+            geomean([r["speedup"] for r in coremark]), 3),
     }
-    return payload
 
 
-def check_regression(payload: dict, baseline: dict,
-                     tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
-    """Compare a fresh bench run against the committed baseline.
-
-    Returns human-readable failure strings (empty = no regression).
-    The gate is fast-mode emulator throughput: absolute MIPS shifting
-    with the host is expected, a >``tolerance`` drop is not.
-    """
-    failures = []
-    base_summary = baseline.get("summary", {})
-    for key in ("coremark_fast_mips",):
-        base = base_summary.get(key)
-        if not base:
-            continue
-        current = payload["summary"][key]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{key} regressed: {current} < {floor:.4f} "
-                f"(baseline {base}, tolerance {tolerance:.0%})")
-    base_speedup = base_summary.get("coremark_speedup")
-    if base_speedup:
-        current = payload["summary"]["coremark_speedup"]
-        floor = base_speedup * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"coremark_speedup regressed: {current} < {floor:.3f} "
-                f"(baseline {base_speedup}, tolerance {tolerance:.0%})")
-    return failures
+def run(quick: bool = False, repeat: int = 3) -> dict:
+    """Benchmark every kernel; returns the BENCH_emulator.json body."""
+    results = {w.name: bench_workload(w.name, repeat=repeat)
+               for w in workloads(quick)}
+    summary = summarize(results, "precise")
+    summary["harness_wall_s"] = round(
+        sum(r["harness_s"] for r in results.values()), 3)
+    return {"repeat": repeat, "workloads": results, "summary": summary}
 
 
 def render(payload: dict) -> str:
@@ -165,16 +114,10 @@ def render(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def save(payload: dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+BENCH = benchkit.Bench(
+    name="emulator", run=run, render=render,
+    floors=("summary.coremark_fast_mips", "summary.coremark_speedup"),
+    tolerance=0.30)
 
-
-def load(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-__all__ = ["run_bench", "bench_workload", "check_regression", "render",
-           "save", "load", "DEFAULT_TOLERANCE", "SCHEMA"]
+__all__ = ["BENCH", "bench_workload", "render", "run", "summarize",
+           "workloads"]

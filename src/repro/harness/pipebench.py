@@ -23,49 +23,41 @@ checked-in numbers.
 
 from __future__ import annotations
 
-import json
-import time
-
 from ..mem.hierarchy import MemoryHierarchy
 from ..sim.emulator import Emulator
 from ..uarch.core import PipelineModel
 from ..uarch.presets import get_preset
 from ..uarch.refmodel import ReferencePipelineModel
-from .perfbench import _lookup, _workloads
-from .report import geomean
+from ..workloads import get_workload
+from . import benchkit
+from .perfbench import summarize, workloads
 
-#: JSON schema version of BENCH_pipeline.json
-SCHEMA = 1
-DEFAULT_TOLERANCE = 0.30
 CORE = "xt910"
 
 
-def _time_model(model_cls, program):
-    """One harness run (emulator + *model_cls*): (stats, seconds)."""
+def _harness(model_cls, program):
+    """One harness run (emulator + *model_cls*), ready to be timed."""
     config = get_preset(CORE)
     model = model_cls(config, MemoryHierarchy(config.mem))
     emulator = Emulator(program)
-    start = time.perf_counter()
-    stats = model.run(emulator.fast_trace(None))
-    elapsed = time.perf_counter() - start
-    return stats, elapsed
+    return lambda: model.run(emulator.fast_trace(None))
 
 
 def bench_workload(name: str, repeat: int = 3) -> dict:
     """Interleaved ref/fast numbers for one kernel."""
-    program = _lookup(name).program()
-    best_ref = best_fast = float("inf")
-    insts = 0
-    for _ in range(repeat):
-        ref_stats, ref_s = _time_model(ReferencePipelineModel, program)
-        fast_stats, fast_s = _time_model(PipelineModel, program)
+    program = get_workload(name).program()
+
+    def once(timed):
+        ref_stats = timed(_harness(ReferencePipelineModel, program))
+        fast_stats = timed(_harness(PipelineModel, program))
         if fast_stats.as_comparable() != ref_stats.as_comparable():
             raise RuntimeError(
                 f"{name}: fast model diverged from the reference oracle; "
                 f"refusing to publish bench numbers")
-        best_ref = min(best_ref, ref_s)
-        best_fast = min(best_fast, fast_s)
-        insts = fast_stats.instructions
+        return fast_stats
+
+    (best_ref, best_fast), fast_stats = benchkit.best_of(repeat, once)
+    insts = fast_stats.instructions
     return {
         "insts": insts,
         "ref_s": round(best_ref, 6),
@@ -76,55 +68,12 @@ def bench_workload(name: str, repeat: int = 3) -> dict:
     }
 
 
-def run_bench(quick: bool = False, repeat: int = 3) -> dict:
-    """Benchmark every kernel; returns the BENCH_pipeline.json payload."""
-    workloads = _workloads(quick)
+def run(quick: bool = False, repeat: int = 3) -> dict:
+    """Benchmark every kernel; returns the BENCH_pipeline.json body."""
     results = {w.name: bench_workload(w.name, repeat=repeat)
-               for w in workloads}
-    coremark = [r for name, r in results.items()
-                if name.startswith("coremark")]
-    return {
-        "schema": SCHEMA,
-        "bench": "pipeline",
-        "core": CORE,
-        "quick": quick,
-        "repeat": repeat,
-        "workloads": results,
-        "summary": {
-            "geomean_speedup": round(
-                geomean([r["speedup"] for r in results.values()]), 3),
-            "coremark_ref_mips": round(
-                geomean([r["ref_mips"] for r in coremark]), 4),
-            "coremark_fast_mips": round(
-                geomean([r["fast_mips"] for r in coremark]), 4),
-            "coremark_speedup": round(
-                geomean([r["speedup"] for r in coremark]), 3),
-        },
-    }
-
-
-def check_regression(payload: dict, baseline: dict,
-                     tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
-    """Compare a fresh bench run against the committed baseline.
-
-    Returns human-readable failure strings (empty = no regression).
-    Two gates: absolute fast-model harness throughput (host-relative,
-    hence the ratio tolerance) and the fast/ref speedup, which is
-    host-independent and catches the fast path quietly losing its edge.
-    """
-    failures = []
-    base_summary = baseline.get("summary", {})
-    for key in ("coremark_fast_mips", "coremark_speedup"):
-        base = base_summary.get(key)
-        if not base:
-            continue
-        current = payload["summary"][key]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{key} regressed: {current} < {floor:.4f} "
-                f"(baseline {base}, tolerance {tolerance:.0%})")
-    return failures
+               for w in workloads(quick)}
+    return {"core": CORE, "repeat": repeat, "workloads": results,
+            "summary": summarize(results, "ref")}
 
 
 def render(payload: dict) -> str:
@@ -146,16 +95,9 @@ def render(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def save(payload: dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+BENCH = benchkit.Bench(
+    name="pipeline", run=run, render=render,
+    floors=("summary.coremark_fast_mips", "summary.coremark_speedup"),
+    tolerance=0.30)
 
-
-def load(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-__all__ = ["run_bench", "bench_workload", "check_regression", "render",
-           "save", "load", "DEFAULT_TOLERANCE", "SCHEMA", "CORE"]
+__all__ = ["BENCH", "CORE", "bench_workload", "render", "run"]

@@ -19,18 +19,12 @@ invocation compiles zero blocks.
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
-import time
 
-from ..sim.emulator import Emulator
 from ..workloads import coremark_suite, get_workload
+from . import benchkit
 from .report import geomean
-
-#: JSON schema version of BENCH_tier3.json
-SCHEMA = 1
-DEFAULT_TOLERANCE = 0.30
 
 
 def _workloads(quick: bool):
@@ -41,23 +35,6 @@ def _workloads(quick: bool):
     return [get_workload(name) for name in names]
 
 
-def _time_tier(workload, tier: int, repeat: int,
-               cache_dir: str | None = None) -> tuple[int, float, dict]:
-    """(retired insts, best-of-*repeat* seconds, last counters)."""
-    best = float("inf")
-    insts = 0
-    counters: dict = {}
-    for _ in range(repeat):
-        emulator = Emulator(workload.program(), code_cache_dir=cache_dir)
-        start = time.perf_counter()
-        emulator.run(tier=tier)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        insts = emulator.state.instret
-        counters = emulator.counters()
-    return insts, best, counters
-
-
 def bench_workload(workload, repeat: int, cache_dir: str) -> dict:
     """Tier-2 vs tier-3 (cold and warm) numbers for one kernel.
 
@@ -65,11 +42,14 @@ def bench_workload(workload, repeat: int, cache_dir: str) -> dict:
     run is the cold measurement (repeat=1 by definition — it populates
     the cache), the following runs are the warm best-of-*repeat*.
     """
-    insts, tier2_s, _ = _time_tier(workload, tier=2, repeat=repeat)
-    _, cold_s, cold = _time_tier(workload, tier=3, repeat=1,
-                                 cache_dir=cache_dir)
-    _, warm_s, warm = _time_tier(workload, tier=3, repeat=repeat,
-                                 cache_dir=cache_dir)
+    tier2_s, emulator = benchkit.best_emulation(repeat, workload, tier=2)
+    insts = emulator.state.instret
+    cold_s, emulator = benchkit.best_emulation(1, workload, cache_dir,
+                                               tier=3)
+    cold = emulator.counters()
+    warm_s, emulator = benchkit.best_emulation(repeat, workload, cache_dir,
+                                               tier=3)
+    warm = emulator.counters()
     return {
         "insts": insts,
         "tier2_s": round(tier2_s, 6),
@@ -86,23 +66,19 @@ def bench_workload(workload, repeat: int, cache_dir: str) -> dict:
     }
 
 
-def run_bench(quick: bool = False, repeat: int = 3) -> dict:
-    """Benchmark every kernel; returns the BENCH_tier3.json payload."""
-    workloads = _workloads(quick)
+def run(quick: bool = False, repeat: int = 3) -> dict:
+    """Benchmark every kernel; returns the BENCH_tier3.json body."""
     cache_dir = tempfile.mkdtemp(prefix="repro-tierbench-")
     try:
         results = {w.name: bench_workload(w, repeat=repeat,
                                           cache_dir=cache_dir)
-                   for w in workloads}
+                   for w in _workloads(quick)}
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     coremark = [r for name, r in results.items()
                 if name.startswith("coremark")]
     all_r = list(results.values())
-    payload = {
-        "schema": SCHEMA,
-        "bench": "tier3",
-        "quick": quick,
+    return {
         "repeat": repeat,
         "workloads": results,
         "summary": {
@@ -122,37 +98,16 @@ def run_bench(quick: bool = False, repeat: int = 3) -> dict:
                 r["blocks_compiled_warm"] for r in all_r),
         },
     }
-    return payload
 
 
-def check_regression(payload: dict, baseline: dict,
-                     tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
-    """Compare a fresh tier bench against the committed baseline.
-
-    Returns human-readable failure strings (empty = no regression).
-    Gates warm tier-3 CoreMark MIPS and the tier-3/tier-2 speedup —
-    both ratios, so absolute host-speed differences pass.  The
-    warm-start invariant (zero blocks compiled on a warm cache) is
-    absolute: any recompilation is a bug, not noise.
-    """
-    failures = []
-    base_summary = baseline.get("summary", {})
-    for key in ("coremark_tier3_mips", "coremark_speedup_vs_tier2"):
-        base = base_summary.get(key)
-        if not base:
-            continue
-        current = payload["summary"][key]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"{key} regressed: {current} < {floor:.4f} "
-                f"(baseline {base}, tolerance {tolerance:.0%})")
+def invariants(payload: dict, baseline: dict) -> list[str]:
+    """The warm-start invariant (zero blocks compiled on a warm cache)
+    is absolute: any recompilation is a bug, not noise."""
     warm_compiled = payload["summary"].get("warm_blocks_compiled", 0)
     if warm_compiled:
-        failures.append(
-            f"warm-start violated: {warm_compiled} blocks recompiled "
-            f"with a populated disk cache (expected 0)")
-    return failures
+        return [f"warm-start violated: {warm_compiled} blocks recompiled "
+                f"with a populated disk cache (expected 0)"]
+    return []
 
 
 def render(payload: dict) -> str:
@@ -181,16 +136,10 @@ def render(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def save(payload: dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+BENCH = benchkit.Bench(
+    name="tier3", run=run, render=render,
+    floors=("summary.coremark_tier3_mips",
+            "summary.coremark_speedup_vs_tier2"),
+    tolerance=0.30, invariants=invariants)
 
-
-def load(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-__all__ = ["run_bench", "bench_workload", "check_regression", "render",
-           "save", "load", "DEFAULT_TOLERANCE", "SCHEMA"]
+__all__ = ["BENCH", "bench_workload", "invariants", "render", "run"]

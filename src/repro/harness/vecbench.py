@@ -20,17 +20,12 @@ tolerance-scaled committed numbers.  The nightly lane runs the full
 from __future__ import annotations
 
 import hashlib
-import json
-import time
 
 from ..sim import exec_vector
-from ..sim.emulator import Emulator
 from ..workloads import vector_suite
+from . import benchkit
 from .report import geomean
 
-#: JSON schema version of BENCH_vector.json
-SCHEMA = 1
-DEFAULT_TOLERANCE = 0.30
 #: the ISSUE acceptance floor: batched must beat per-element by 3x
 #: geomean on the vector suite at VLEN=128.
 MIN_GEOMEAN_SPEEDUP = 3.0
@@ -48,15 +43,6 @@ def _workloads(quick: bool):
                 "vec-stencil32", "vec-gather", "vec-memcpy"}
         suite = [w for w in suite if w.name in keep]
     return suite
-
-
-def _run_once(workload, tier: int):
-    """One run; returns (emulator, elapsed seconds)."""
-    emulator = Emulator(workload.program())
-    start = time.perf_counter()
-    emulator.run(tier=tier)
-    elapsed = time.perf_counter() - start
-    return emulator, elapsed
 
 
 def _fingerprint(workload, emulator) -> tuple:
@@ -78,54 +64,54 @@ def bench_workload(workload, repeat: int, tiers=(1, 2, 3)) -> dict:
     by construction); the numpy engine gets best-of-*repeat*.
     """
     entry: dict = {"tiers": {}}
-    for tier in tiers:
-        exec_vector.select_engine("ref")
-        try:
-            ref_emu, ref_s = _run_once(workload, tier)
-        finally:
+    entered = exec_vector.active_engine()
+    try:
+        for tier in tiers:
+            exec_vector.select_engine("ref")
+            ref_s, ref_emu = benchkit.best_emulation(1, workload, tier=tier)
+            ref_fp = _fingerprint(workload, ref_emu)
             exec_vector.select_engine("numpy")
-        ref_fp = _fingerprint(workload, ref_emu)
-        best = float("inf")
-        np_fp = None
-        for _ in range(repeat):
-            np_emu, elapsed = _run_once(workload, tier)
-            best = min(best, elapsed)
+            best, np_emu = benchkit.best_emulation(repeat, workload,
+                                                   tier=tier)
             np_fp = _fingerprint(workload, np_emu)
-        if np_fp != ref_fp:
-            raise AssertionError(
-                f"{workload.name} tier {tier}: numpy engine diverged "
-                f"from the reference engine")
-        insts = np_emu.state.instret
-        vec = np_emu.state.vec_counters
-        entry["tiers"][str(tier)] = {
-            "insts": insts,
-            "ref_s": round(ref_s, 6),
-            "numpy_s": round(best, 6),
-            "speedup": round(ref_s / best, 3),
-            "ref_mips": round(insts / ref_s / 1e6, 4),
-            "numpy_mips": round(insts / best / 1e6, 4),
-        }
-        entry["batched_ops"] = vec["batched_ops"]
-        entry["specialized_ops"] = vec["specialized_ops"]
-        entry["fallback_ops"] = vec["fallback_ops"]
-        entry["mask_density"] = round(
-            vec["elems_active"] / vec["elems_total"], 4) if (
-                vec["elems_total"]) else 1.0
+            if np_fp != ref_fp:
+                raise AssertionError(
+                    f"{workload.name} tier {tier}: numpy engine diverged "
+                    f"from the reference engine")
+            insts = np_emu.state.instret
+            vec = np_emu.state.vec_counters
+            entry["tiers"][str(tier)] = {
+                "insts": insts,
+                "ref_s": round(ref_s, 6),
+                "numpy_s": round(best, 6),
+                "speedup": round(ref_s / best, 3),
+                "ref_mips": round(insts / ref_s / 1e6, 4),
+                "numpy_mips": round(insts / best / 1e6, 4),
+            }
+            entry["batched_ops"] = vec["batched_ops"]
+            entry["specialized_ops"] = vec["specialized_ops"]
+            entry["fallback_ops"] = vec["fallback_ops"]
+            entry["mask_density"] = round(
+                vec["elems_active"] / vec["elems_total"], 4) if (
+                    vec["elems_total"]) else 1.0
+    finally:
+        # leave the process on the engine it entered with (it may have
+        # been started under REPRO_VECTOR_ENGINE=ref)
+        exec_vector.select_engine(entered)
     entry["insts"] = entry["tiers"][str(tiers[0])]["insts"]
     return entry
 
 
-def run_bench(quick: bool = False, repeat: int = 3) -> dict:
-    """Benchmark the vector suite; returns the BENCH_vector.json payload.
+def run(quick: bool = False, repeat: int = 3) -> dict:
+    """Benchmark the vector suite; returns the BENCH_vector.json body.
 
     ``quick`` trims the workload list (the CI bench job's variant);
     both variants cover all three tiers so the tier-3 specialization
     path is always exercised.
     """
-    workloads = _workloads(quick)
     tiers = (1, 2, 3)
     results = {w.name: bench_workload(w, repeat=repeat, tiers=tiers)
-               for w in workloads}
+               for w in _workloads(quick)}
     vector_names = [name for name in results
                     if name not in _SCALAR_BASELINES]
     per_tier = {
@@ -135,10 +121,7 @@ def run_bench(quick: bool = False, repeat: int = 3) -> dict:
         for tier in tiers}
     all_speedups = [results[n]["tiers"][str(t)]["speedup"]
                     for n in vector_names for t in tiers]
-    payload = {
-        "schema": SCHEMA,
-        "bench": "vector",
-        "quick": quick,
+    return {
         "repeat": repeat,
         "vlen": 128,
         "workloads": results,
@@ -149,32 +132,16 @@ def run_bench(quick: bool = False, repeat: int = 3) -> dict:
                 r["fallback_ops"] for r in results.values()),
         },
     }
-    return payload
 
 
-def check_regression(payload: dict, baseline: dict,
-                     tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
-    """Compare a fresh vector bench against the committed baseline.
-
-    Returns human-readable failure strings (empty = no regression).
-    Two gates: the absolute ``MIN_GEOMEAN_SPEEDUP`` floor from the
-    ISSUE acceptance criteria, and the relative tolerance against the
-    committed geomean (a ratio, so host-speed differences pass).
-    """
-    failures = []
+def invariants(payload: dict, baseline: dict) -> list[str]:
+    """The absolute ``MIN_GEOMEAN_SPEEDUP`` floor from the ISSUE
+    acceptance criteria holds whatever the baseline and tolerance."""
     current = payload["summary"]["geomean_speedup"]
     if current < MIN_GEOMEAN_SPEEDUP:
-        failures.append(
-            f"geomean numpy/ref speedup {current} below the absolute "
-            f"floor {MIN_GEOMEAN_SPEEDUP}")
-    base = baseline.get("summary", {}).get("geomean_speedup")
-    if base:
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"geomean_speedup regressed: {current} < {floor:.3f} "
-                f"(baseline {base}, tolerance {tolerance:.0%})")
-    return failures
+        return [f"geomean numpy/ref speedup {current} below the absolute "
+                f"floor {MIN_GEOMEAN_SPEEDUP}"]
+    return []
 
 
 def render(payload: dict) -> str:
@@ -204,17 +171,10 @@ def render(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def save(payload: dict, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+BENCH = benchkit.Bench(
+    name="vector", run=run, render=render,
+    floors=("summary.geomean_speedup",),
+    tolerance=0.30, invariants=invariants)
 
-
-def load(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-__all__ = ["run_bench", "bench_workload", "check_regression", "render",
-           "save", "load", "DEFAULT_TOLERANCE", "MIN_GEOMEAN_SPEEDUP",
-           "SCHEMA"]
+__all__ = ["BENCH", "MIN_GEOMEAN_SPEEDUP", "bench_workload", "invariants",
+           "render", "run"]

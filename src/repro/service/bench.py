@@ -15,17 +15,12 @@ looser than the emulator bench's.
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Any
 
+from ..harness import benchkit
 from .chaos import clean_source
 from .core import JobService, default_workers
 from .job import JobSpec, JobState
-
-#: JSON schema version of BENCH_service.json
-SCHEMA = 1
-DEFAULT_TOLERANCE = 0.50
 
 
 def _load(jobs: int, timed_every: int = 4) -> list[JobSpec]:
@@ -40,22 +35,18 @@ def _load(jobs: int, timed_every: int = 4) -> list[JobSpec]:
     return specs
 
 
-def run_bench(quick: bool = True, jobs: int | None = None,
-              workers: int | None = None) -> dict[str, Any]:
-    """Benchmark the service; returns the BENCH_service.json payload."""
+def run(quick: bool = True, jobs: int | None = None,
+        workers: int | None = None) -> dict[str, Any]:
+    """Benchmark the service; returns the BENCH_service.json body."""
     count = jobs if jobs is not None else (32 if quick else 128)
     width = workers if workers is not None else default_workers()
     service = JobService(workers=width)
     specs = _load(count)
-    start = time.perf_counter()
-    results = service.run(specs)
-    wall_s = time.perf_counter() - start
+    (wall_s,), results = benchkit.best_of(
+        1, lambda timed: timed(service.run, specs))
     completed = sum(1 for r in results if r.state is JobState.COMPLETED)
     counters = service.counters()
     return {
-        "schema": SCHEMA,
-        "bench": "service",
-        "quick": quick,
         "jobs": count,
         "workers": width,
         "completed": completed,
@@ -68,28 +59,13 @@ def run_bench(quick: bool = True, jobs: int | None = None,
     }
 
 
-def check_regression(payload: dict[str, Any], baseline: dict[str, Any],
-                     tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
-    """Compare a fresh service bench against the committed baseline.
-
-    Returns human-readable failure strings (empty = no regression).
-    Two gates: every job must complete (a correctness floor, no
-    tolerance), and jobs/sec must stay within *tolerance* of baseline.
-    """
-    failures = []
+def invariants(payload: dict[str, Any],
+               baseline: dict[str, Any]) -> list[str]:
+    """Every job must complete: a correctness floor, no tolerance."""
     if payload["completed"] != payload["jobs"]:
-        failures.append(
-            f"service bench lost jobs: {payload['completed']} completed "
-            f"of {payload['jobs']}")
-    base = baseline.get("jobs_per_s")
-    if base:
-        current = payload["jobs_per_s"]
-        floor = base * (1.0 - tolerance)
-        if current < floor:
-            failures.append(
-                f"jobs_per_s regressed: {current} < {floor:.3f} "
-                f"(baseline {base}, tolerance {tolerance:.0%})")
-    return failures
+        return [f"service bench lost jobs: {payload['completed']} "
+                f"completed of {payload['jobs']}"]
+    return []
 
 
 def render(payload: dict[str, Any]) -> str:
@@ -110,16 +86,8 @@ def render(payload: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def save(payload: dict[str, Any], path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+BENCH = benchkit.Bench(
+    name="service", run=run, render=render, floors=("jobs_per_s",),
+    tolerance=0.50, invariants=invariants)
 
-
-def load(path: str) -> dict[str, Any]:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-__all__ = ["run_bench", "check_regression", "render", "save", "load",
-           "DEFAULT_TOLERANCE", "SCHEMA"]
+__all__ = ["BENCH", "invariants", "render", "run"]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import explore
+from repro.harness import benchkit, explore
 from repro.harness.parallel import CellFailure
 from repro.service import JobResult, JobService, JobSpec, JobState
 from repro.uarch import uconfig
@@ -389,10 +389,12 @@ def test_frequency_scale_shape():
 
 
 def test_depth_bench_quick_matches_committed_baseline(tmp_path):
-    baseline = explore.load(str(REPO_ROOT / "BENCH_explore.json"))
-    payload = explore.run_bench(
-        quick=True, store=explore.ExploreStore(str(tmp_path / "s")))
-    assert explore.check_regression(payload, baseline) == []
+    baseline = benchkit.load(str(REPO_ROOT / "BENCH_explore.json"),
+                             explore.BENCH)
+    payload = benchkit.run(
+        explore.BENCH, quick=True,
+        store=explore.ExploreStore(str(tmp_path / "s")))
+    assert benchkit.check(explore.BENCH, payload, baseline) == []
     cycles = [row["cycles_total"] for row in payload["rows"]]
     assert cycles == sorted(cycles)       # deeper is never cheaper
     # the committed full-suite optimum is interior, the trade-off shape
@@ -401,12 +403,13 @@ def test_depth_bench_quick_matches_committed_baseline(tmp_path):
 
 
 def test_check_regression_flags_cycle_drift():
-    baseline = explore.load(str(REPO_ROOT / "BENCH_explore.json"))
+    baseline = benchkit.load(str(REPO_ROOT / "BENCH_explore.json"),
+                             explore.BENCH)
     payload = json.loads(json.dumps(baseline))
     row = payload["rows"][0]
     name = next(iter(row["workloads"]))
     row["workloads"][name]["cycles"] += 1
-    failures = explore.check_regression(payload, baseline)
+    failures = benchkit.check(explore.BENCH, payload, baseline)
     assert any("timing-model change" in failure for failure in failures)
 
 

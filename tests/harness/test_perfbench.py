@@ -1,48 +1,11 @@
-"""The bench payload, the regression gate, and the CLI subcommand."""
+"""The emulator bench's cell function, renderer and committed baseline
+(the gate itself is tests/harness/test_benchkit.py)."""
 
-import json
 import pathlib
 
-from repro.harness import perfbench
+from repro.harness import benchkit, perfbench
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-
-
-def _payload(fast_mips=2.0, speedup=3.5):
-    return {
-        "schema": perfbench.SCHEMA,
-        "summary": {
-            "coremark_fast_mips": fast_mips,
-            "coremark_precise_mips": fast_mips / speedup,
-            "coremark_speedup": speedup,
-        },
-    }
-
-
-class TestRegressionGate:
-    def test_no_regression(self):
-        assert perfbench.check_regression(_payload(2.0), _payload(2.0)) == []
-
-    def test_faster_is_fine(self):
-        assert perfbench.check_regression(_payload(9.0), _payload(2.0)) == []
-
-    def test_within_tolerance(self):
-        assert perfbench.check_regression(
-            _payload(1.5), _payload(2.0), tolerance=0.30) == []
-
-    def test_mips_regression_fails(self):
-        failures = perfbench.check_regression(
-            _payload(1.0), _payload(2.0), tolerance=0.30)
-        assert any("coremark_fast_mips" in f for f in failures)
-
-    def test_speedup_regression_fails(self):
-        failures = perfbench.check_regression(
-            _payload(2.0, speedup=1.5), _payload(2.0, speedup=3.5),
-            tolerance=0.30)
-        assert any("coremark_speedup" in f for f in failures)
-
-    def test_empty_baseline_passes(self):
-        assert perfbench.check_regression(_payload(), {"summary": {}}) == []
 
 
 class TestBenchRun:
@@ -56,7 +19,8 @@ class TestBenchRun:
 
     def test_render_and_save(self, tmp_path):
         payload = {
-            "schema": perfbench.SCHEMA,
+            "schema": benchkit.SCHEMA,
+            "bench": "emulator",
             "workloads": {
                 "coremark-list": {
                     "insts": 100, "precise_s": 1.0, "fast_s": 0.25,
@@ -72,15 +36,14 @@ class TestBenchRun:
         assert "coremark-list" in text
         assert "4.00x" in text
         path = tmp_path / "bench.json"
-        perfbench.save(payload, str(path))
-        assert perfbench.load(str(path)) == payload
+        benchkit.save(payload, str(path))
+        assert benchkit.load(str(path), perfbench.BENCH) == payload
 
 
 class TestCommittedBaseline:
     def test_checked_in_payload_is_valid(self):
-        with open(REPO_ROOT / "BENCH_emulator.json") as handle:
-            payload = json.load(handle)
-        assert payload["schema"] == perfbench.SCHEMA
+        payload = benchkit.load(str(REPO_ROOT / "BENCH_emulator.json"),
+                                perfbench.BENCH)
         summary = payload["summary"]
         # The acceptance bar this PR ships under: >= 3x on CoreMark.
         assert summary["coremark_speedup"] >= 3.0

@@ -1,53 +1,11 @@
-"""The tier bench payload, its regression gate, and the baseline."""
+"""The tier bench's cell function and committed baseline (the gate
+itself is tests/harness/test_benchkit.py)."""
 
-import json
 import pathlib
 
-from repro.harness import tierbench
+from repro.harness import benchkit, tierbench
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-
-
-def _payload(tier3_mips=4.0, speedup=2.5, warm_compiled=0):
-    return {
-        "schema": tierbench.SCHEMA,
-        "summary": {
-            "coremark_tier3_mips": tier3_mips,
-            "coremark_tier2_mips": tier3_mips / speedup,
-            "coremark_speedup_vs_tier2": speedup,
-            "warm_blocks_compiled": warm_compiled,
-        },
-    }
-
-
-class TestRegressionGate:
-    def test_no_regression(self):
-        assert tierbench.check_regression(_payload(), _payload()) == []
-
-    def test_within_tolerance(self):
-        assert tierbench.check_regression(
-            _payload(3.0), _payload(4.0), tolerance=0.30) == []
-
-    def test_mips_regression_fails(self):
-        failures = tierbench.check_regression(
-            _payload(2.0), _payload(4.0), tolerance=0.30)
-        assert any("coremark_tier3_mips" in f for f in failures)
-
-    def test_speedup_regression_fails(self):
-        failures = tierbench.check_regression(
-            _payload(speedup=1.2), _payload(speedup=2.5),
-            tolerance=0.30)
-        assert any("coremark_speedup_vs_tier2" in f for f in failures)
-
-    def test_warm_recompilation_is_absolute(self):
-        # Blocks recompiled against a warm cache are a bug at any
-        # tolerance — the warm-start gate has no noise band.
-        failures = tierbench.check_regression(
-            _payload(warm_compiled=3), _payload(), tolerance=0.99)
-        assert any("warm-start" in f for f in failures)
-
-    def test_empty_baseline_passes(self):
-        assert tierbench.check_regression(_payload(), {"summary": {}}) == []
 
 
 class TestBenchRun:
@@ -66,9 +24,8 @@ class TestBenchRun:
 
 class TestCommittedBaseline:
     def test_checked_in_payload_is_valid(self):
-        with open(REPO_ROOT / "BENCH_tier3.json") as handle:
-            payload = json.load(handle)
-        assert payload["schema"] == tierbench.SCHEMA
+        payload = benchkit.load(str(REPO_ROOT / "BENCH_tier3.json"),
+                                tierbench.BENCH)
         summary = payload["summary"]
         # The acceptance bar this PR ships under: >= 2x over tier-2
         # on CoreMark, and a genuinely warm second start.

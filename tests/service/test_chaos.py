@@ -2,7 +2,9 @@
 small end-to-end campaign (CI runs the full 100-fault campaign in its
 own job; this suite keeps the in-tree cost low)."""
 
+from repro.harness import benchkit
 from repro.service import JobResult, JobState
+from repro.service import bench as service_bench
 from repro.service.chaos import (
     ChaosReport,
     PlannedJob,
@@ -12,7 +14,6 @@ from repro.service.chaos import (
     run_chaos,
 )
 from repro.service.job import JobSpec
-from repro.service import bench as service_bench
 
 
 class TestPlan:
@@ -96,12 +97,14 @@ class TestCampaign:
 
 class TestServiceBench:
     def test_quick_bench_payload_and_gate(self):
-        payload = service_bench.run_bench(quick=True, jobs=4, workers=2)
+        bench = service_bench.BENCH
+        payload = benchkit.run(bench, quick=True, jobs=4, workers=2)
+        assert payload["bench"] == "service"
         assert payload["completed"] == payload["jobs"] == 4
         assert payload["jobs_per_s"] > 0
-        assert service_bench.check_regression(payload, payload) == []
+        assert benchkit.check(bench, payload, payload) == []
         # A faster baseline beyond tolerance must trip the gate.
         baseline = dict(payload)
         baseline["jobs_per_s"] = payload["jobs_per_s"] * 10
-        failures = service_bench.check_regression(payload, baseline)
+        failures = benchkit.check(bench, payload, baseline)
         assert failures and "jobs_per_s" in failures[0]
