@@ -96,7 +96,9 @@ def cmd_run(args) -> int:
         if args.profile:
             from .harness.runner import profile_run, render_profile
 
-            result, breakdown = profile_run(program, config)
+            result, breakdown = profile_run(program, config,
+                                            max_insts=args.max_insts,
+                                            partial_on_watchdog=True)
         else:
             if args.trace:
                 from .obs import PipelineTracer

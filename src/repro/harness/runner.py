@@ -120,9 +120,16 @@ _PROFILE_BUCKETS = (
 
 def profile_run(program: Program, core: CoreConfig | str,
                 max_steps: int | None = None,
-                fast: bool = True) -> tuple[RunResult, dict]:
+                fast: bool = True,
+                max_insts: int | None = None,
+                partial_on_watchdog: bool = False,
+                tier: int | None = None) -> tuple[RunResult, dict]:
     """Run like :func:`run_on_core` under ``cProfile`` and attribute
     wall time to emulation vs timing model vs memory hierarchy.
+
+    ``max_insts``, ``partial_on_watchdog`` and ``tier`` are
+    :func:`run_on_core`'s: a profiled run is bounded by the same
+    watchdog, and profiles the tier it is asked for.
 
     Attribution is by owning subpackage of each profiled frame's file
     (``repro.sim`` / ``repro.uarch`` / ``repro.mem``; everything else is
@@ -138,8 +145,13 @@ def profile_run(program: Program, core: CoreConfig | str,
 
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_on_core(program, core, max_steps=max_steps, fast=fast)
-    profiler.disable()
+    try:
+        result = run_on_core(program, core, max_steps=max_steps, fast=fast,
+                             max_insts=max_insts,
+                             partial_on_watchdog=partial_on_watchdog,
+                             tier=tier)
+    finally:
+        profiler.disable()
 
     sep = os.sep
     breakdown = {name: 0.0 for name, _ in _PROFILE_BUCKETS}

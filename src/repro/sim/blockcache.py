@@ -41,7 +41,7 @@ from ..isa.instructions import InstrClass
 from .exec_scalar import SCALAR_EXEC, EcallShim, Trap
 from .exec_vector import VECTOR_EXEC
 from .syscalls import ExitRequest
-from .trace import DynInst
+from .trace import DynInst, RecordBatch
 
 #: longest straight-line run translated into one block
 MAX_BLOCK_INSTS = 64
@@ -78,7 +78,11 @@ class TranslatedBlock:
     ``entries`` holds ``(handler, inst, pc, fall, flags, rec)`` tuples
     in program order; ``records`` is the parallel list of reusable
     ``DynInst`` slots, so a fully executed block can yield it without
-    any per-instruction list building.
+    any per-instruction list building.  It is a
+    :class:`~repro.sim.trace.RecordBatch` — the same object every time
+    the block runs to its end — so the timing model can keep its static
+    resolution of the block on it; a partially executed block yields a
+    plain-list slice.
     """
 
     __slots__ = ("start", "end", "entries", "records", "run_count",
@@ -88,7 +92,7 @@ class TranslatedBlock:
         self.start = start
         self.end = end          # exclusive byte bound of translated code
         self.entries = entries
-        self.records = [entry[5] for entry in entries]
+        self.records = RecordBatch(entry[5] for entry in entries)
         self.run_count = 0
         #: lazily built repro.analysis.sanitize._BlockSummary
         self.sanitize = None

@@ -46,3 +46,29 @@ class DynInst:
     @property
     def is_store(self) -> bool:
         return self.inst.spec.iclass.value in ("store", "vstore", "amo")
+
+
+class RecordBatch(list):
+    """The persistent record list of one translated block.
+
+    A plain ``list`` of :class:`DynInst` slots plus one opaque
+    ``resolved`` slot for the batch's consumer: the timing model parks
+    its per-position static resolution there
+    (``PipelineModel._run_stream``), so a block that is replayed
+    thousands of times is resolved once.  The slot belongs to whoever
+    wrote it — a consumer must recognise its own value and overwrite
+    anything else — and it dies with the batch: a re-translated block
+    gets a fresh ``RecordBatch``, so whatever invalidates the block
+    invalidates the resolution.  Slices and copies are plain lists (or
+    empty-slot batches): ``resolved`` may reference consumer state and
+    is never pickled or copied.
+    """
+
+    __slots__ = ("resolved",)
+
+    def __init__(self, records=()):
+        super().__init__(records)
+        self.resolved = None
+
+    def __reduce__(self):
+        return RecordBatch, (), None, iter(self)

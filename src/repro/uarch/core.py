@@ -31,8 +31,8 @@ The model has two equivalent execution paths:
   worth of records at a time); :meth:`PipelineModel.run_quantum`
   resumes it for one slice of records, which is how
   :mod:`repro.smp.timing` interleaves the harts of a cluster.  It is a
-  hand-inlined port of the staged accounting over cached per-PC
-  :class:`TimingInfo` records;
+  hand-inlined port of the staged accounting over per-instruction
+  timing *rows* (below);
 * the **staged methods** (`_frontend`/`_dispatch`/`_execute`/`_retire`/
   `_resolve_control`) — the readable specification.  Nothing under
   ``src/`` times instructions through :meth:`PipelineModel.feed`; it
@@ -48,27 +48,45 @@ SMP hierarchy, whose ``access_data`` then sees every store).
 
 Static per-instruction facts (pipe selection, latency, operand register
 ids, store addr/data operand split, branch kind) are resolved once per
-static instruction and cached by PC; the cache validates by
-``Instruction`` object identity, so the same fence.i / icache events
-that rebuild the emulator's decode cache and block cache automatically
-invalidate stale timing entries (a re-decoded PC carries a fresh
-``Instruction``).  Scheduling state lives in flat ring buffers
-(:class:`PipeGroup`, the ROB, the register scoreboard) so the per
-dynamic instruction cost is a short run of array operations.  The two
-paths are locked together by differential tests against the frozen
-:mod:`repro.uarch.refmodel` oracle — see DESIGN.md ("Timing fast
-path") for the equivalence argument.
+static instruction into a :class:`TimingInfo` plus the flat *row* tuple
+of its hot fields, cached by PC; the cache validates by ``Instruction``
+object identity, so the same fence.i / icache events that rebuild the
+emulator's decode cache and block cache automatically invalidate stale
+timing entries (a re-decoded PC carries a fresh ``Instruction``).
+
+That lookup-and-validate runs once per *block*, not once per
+instruction: a translated block always yields the same
+:class:`~repro.sim.trace.RecordBatch`, and the loop parks the block's
+rows on it the first time it sees it.  A re-translated block is a new
+batch, so the rows are invalidated by exactly the events that invalidate
+the block.  Anything else the loop is handed — the partial slice of a
+block cut short by a trap or the step budget, an SMP quantum, a flat
+``DynInst`` stream — has no persistent identity and is resolved record by
+record on the spot (quanta therefore pay the per-instruction lookup);
+both feed the same loop body.  What is a function of the batch rather
+than of the instruction (instruction count, pipe-window prune, eager
+store-queue age prune) runs at the batch boundary.
+
+Scheduling state lives in flat ring buffers (:class:`PipeGroup`, the
+ROB, the register scoreboard) so the per dynamic instruction cost is a
+short run of array operations.  The two paths are locked together by
+differential tests against the frozen :mod:`repro.uarch.refmodel`
+oracle — see DESIGN.md ("Timing fast path") for the equivalence
+argument, and ``tests/uarch/test_hotloop_budget.py`` for the loop's
+executed-lines-per-instruction budget.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from heapq import heappush, heappop
+from operator import length_hint
+from types import SimpleNamespace
 
 from ..isa.instructions import InstrClass
 from ..mem.cache import LineState
 from ..mem.hierarchy import MemoryHierarchy
-from ..sim.trace import DynInst
+from ..sim.trace import DynInst, RecordBatch
 from .branch import HybridDirectionPredictor
 from .btb import BtbLevel, CascadedBtb, IndirectPredictor, ReturnAddressStack
 from .config import CoreConfig
@@ -91,13 +109,25 @@ _NUM_REGS = 96
 K_SIMPLE, K_DIV, K_VEC, K_LOAD, K_VLOAD, K_STORE = range(6)
 #: TimingInfo.pipe codes (indices into PipelineModel._pipe_list).
 P_ALU, P_BJU, P_DIV, P_LOAD, P_STADDR, P_STDATA, P_FPU, P_VEC = range(8)
-_PIPE_NAMES = ("alu", "bju", "div", "load", "staddr", "stdata", "fpu", "vec")
 #: TimingInfo.ctrl codes.
 (C_NONE, C_BRANCH, C_JAL_CALL, C_JAL,
  C_RETURN, C_IND_CALL, C_INDIRECT) = range(7)
 
+#: Bits of a timing row's ``rare`` mask: each one takes an instruction
+#: off the straight-line common path of the stream loop.
+(R_SERIALIZE, R_STORE_Q, R_SRC_REST, R_DEST_REST, R_VEC_STAT,
+ R_OCCUPY, R_INORDER) = (1 << bit for bit in range(7))
+#: The bits tested together where operands are collected / written back.
+_R_READY = R_SRC_REST | R_INORDER
+_R_WRITEBACK = R_DEST_REST | R_VEC_STAT
+
 #: Static timing cache bound (distinct static PCs; cleared when full).
 TCACHE_LIMIT = 1 << 16
+
+
+#: Stands in for "the record before this batch" (see
+#: ``PipelineModel._resolve``): its store-queue age bound prunes nothing.
+_NO_RECORD = SimpleNamespace(seq=-(1 << 62))
 
 
 class SlotAllocator:
@@ -131,8 +161,8 @@ class PipeGroup:
 
     Counters live in a flat ring covering ``[_base, _base + _WINDOW)``;
     bookings outside the window go to the exact ``_far`` dict (normally
-    empty).  :meth:`prune` advances the window floor, recycling slots,
-    so memory stays constant over arbitrarily long runs.
+    empty).  :meth:`advance` moves the window floor up, recycling
+    slots, so memory stays constant over arbitrarily long runs.
     """
 
     __slots__ = ("count", "_ring", "_base", "_limit", "_far")
@@ -210,11 +240,8 @@ class PipeGroup:
                 far = self._far
                 far[c] = far.get(c, 0) + 1
 
-    def prune(self, before: int) -> None:
-        """Forget bookings below *before* and recycle their slots."""
-        self.advance(before)
-
     def advance(self, floor: int) -> None:
+        """Forget bookings below *floor* and recycle their slots."""
         base = self._base
         if floor <= base:
             return
@@ -249,20 +276,24 @@ class TimingInfo:
     ``Instruction`` object, which fails the identity check and forces a
     rebuild — the same invalidation events as the emulator's decode and
     block caches.
+
+    The cache stores each ``TimingInfo`` as the last element of its
+    *row* — the tuple the stream loop unpacks (see
+    :meth:`PipelineModel._build_info`).  Rows end up parked on the
+    emulator's record batches, and a dead emulator is cyclic garbage
+    that lingers until a full collection — so neither a row nor a
+    ``TimingInfo`` may reference the model or its booking rings
+    (2.3 MB a model), and a ``TimingInfo`` does not point back at its
+    row.
     """
 
     __slots__ = ("inst", "kind", "pipe", "latency", "occupy", "base",
                  "is_vdiv", "src_rids", "dest_rids", "addr_rids",
                  "data_rids", "serialize", "is_store_q", "vec_stat",
                  "is_amo", "ctrl", "size",
-                 # Unrolled dependency fields for the stream hot loop:
-                 # s0..s2 are src_rids padded with _NUM_REGS (a spare
-                 # reg-ready slot that is never written, so it always
-                 # reads 0); d0 is the first dest padded with
-                 # _NUM_REGS + 1 (a spare slot that is never read).
-                 # The rare >3-src / >1-dest remainders live in
-                 # src_rest / dest_rest.
-                 "s0", "s1", "s2", "src_rest", "d0", "dest_rest")
+                 # The rare >3-src / >1-dest remainders of the row's
+                 # unrolled s0..s2 / d0 dependency fields.
+                 "src_rest", "dest_rest")
 
 
 class PipelineModel:
@@ -275,7 +306,10 @@ class PipelineModel:
             else MemoryHierarchy(config.mem)
         self.stats = CoreStats()
         self._vec_bits = config.fu.vec_slices * 128
-        self._tcache: dict[int, TimingInfo] = {}
+        self._tcache: dict[int, tuple] = {}   # pc -> timing row
+        #: marks the rows this model parks on record batches as its own
+        #: (not ``self``: see :class:`TimingInfo` on what rows may hold)
+        self._rows_key = object()
         #: opt-in observability hooks (repro.obs): a PipelineTracer /
         #: GuestProfiler, None-guarded in the hot loops like the
         #: sanitizer — None costs nothing and changes nothing.
@@ -415,18 +449,46 @@ class PipelineModel:
                                load, staddr, stdata,
                                PipeGroup(fu.fpu_count),
                                PipeGroup(fu.vec_slices)]
-            self._pipes = dict(zip(_PIPE_NAMES, self._pipe_list))
         self._stores = StoreQueueModel(cfg.lsu.sq_entries * 2)
 
     # -- static timing cache --------------------------------------------------------
 
     def _info(self, dyn: DynInst) -> TimingInfo:
-        info = self._tcache.get(dyn.pc)
-        if info is not None and info.inst is dyn.inst:
-            return info
-        return self._build_info(dyn)
+        row = self._tcache.get(dyn.pc)
+        if row is None or row[-1].inst is not dyn.inst:
+            row = self._build_info(dyn)
+        return row[-1]
 
-    def _build_info(self, dyn: DynInst) -> TimingInfo:
+    def _resolve(self, batch) -> tuple[list[tuple], tuple]:
+        """Resolve *batch* into what the stream loop zips it with:
+        one timing row per record (the per-instruction cache lookup +
+        ``Instruction`` identity check, run here once per position) and
+        each record's predecessor — position 0 has none inside the
+        batch and gets ``_NO_RECORD``.  Both are functions of the record
+        *slots* and their ``inst``, so for a
+        :class:`~repro.sim.trace.RecordBatch` they stay valid for the
+        life of the batch."""
+        tcache_get = self._tcache.get
+        build_info = self._build_info
+        rows = []
+        for dyn in batch:
+            row = tcache_get(dyn.pc)
+            if row is None or row[-1].inst is not dyn.inst:
+                row = build_info(dyn)
+            rows.append(row)
+        return rows, (_NO_RECORD, *batch[:-1])
+
+    def _build_info(self, dyn: DynInst) -> tuple:
+        """Build and cache the timing row of ``dyn.inst``:
+        ``(pc, s0, s1, s2, d0, kind, pipe, latency, ctrl, rare, info)``.
+
+        ``s0..s2`` are the source rids padded with ``_NUM_REGS`` (a
+        spare reg-ready slot that is never written, so it always reads
+        0) and ``d0`` the first dest padded with ``_NUM_REGS + 1`` (a
+        spare slot that is never read).  ``rare`` is the ``R_*`` mask;
+        ``info`` the full :class:`TimingInfo`, read only behind a
+        ``rare`` bit, on a non-simple ``kind`` or for control flow.
+        """
         inst = dyn.inst
         spec = inst.spec
         iclass = spec.iclass
@@ -438,10 +500,7 @@ class PipelineModel:
             _FILE_BASE[r.file] + r.index for r in inst.srcs)
         ti.dest_rids = dests = tuple(_FILE_BASE[r.file] + r.index
                                      for r in inst.dests)
-        pad = (_NUM_REGS, _NUM_REGS, _NUM_REGS)
-        ti.s0, ti.s1, ti.s2 = (srcs + pad)[:3]
         ti.src_rest = srcs[3:]
-        ti.d0 = dests[0] if dests else _NUM_REGS + 1
         ti.dest_rest = dests[1:]
         ti.serialize = iclass is InstrClass.CSR \
             or iclass is InstrClass.SYSTEM
@@ -534,11 +593,22 @@ class PipelineModel:
                        InstrClass.VPERM: fu.vperm_latency}.get(iclass, 3)
             ti.is_vdiv = iclass in (InstrClass.VDIV, InstrClass.VFDIV)
 
+        rare = (R_SERIALIZE * ti.serialize
+                | R_STORE_Q * ti.is_store_q
+                | R_SRC_REST * bool(ti.src_rest)
+                | R_DEST_REST * bool(ti.dest_rest)
+                | R_VEC_STAT * ti.vec_stat
+                | R_OCCUPY * (ti.occupy != 1)
+                | R_INORDER * (not self.config.out_of_order))
+        s0, s1, s2 = (srcs + (_NUM_REGS,) * 3)[:3]
+        row = (dyn.pc, s0, s1, s2, dests[0] if dests else _NUM_REGS + 1,
+               ti.kind, ti.pipe, ti.latency, ti.ctrl, rare, ti)
+
         tcache = self._tcache
         if len(tcache) >= TCACHE_LIMIT:
             tcache.clear()
-        tcache[dyn.pc] = ti
-        return ti
+        tcache[dyn.pc] = row
+        return row
 
     # -- batched hot loop -----------------------------------------------------------
 
@@ -546,10 +616,22 @@ class PipelineModel:
         """Inlined port of the staged per-instruction accounting.
 
         One dynamic instruction costs a short run of array and integer
-        operations over cached :class:`TimingInfo`; all mutable scalar
+        operations over its unpacked timing row; all mutable scalar
         state lives in locals and is written back in ``finally``.  The
         staged methods remain the readable specification; differential
         tests pin this loop to them and to the frozen reference model.
+
+        Work is split by how often its answer can change.  Per *block*:
+        a :class:`~repro.sim.trace.RecordBatch` carries its rows in
+        ``resolved`` as ``(rows_key, rows, prevs)``, written the first
+        time this model meets it (see :meth:`_resolve`); any other sequence
+        is resolved on the spot.  Per *batch*: the instruction count,
+        the pipe-window prune and the store-queue age prune.  Per
+        *instruction*: one body, fed by either entry.  A batch is also
+        the prune granule, so callers should keep hand-made batches to
+        block size (the emulator's are at most 64 records): a batch of
+        many thousands spills bookings past the pipe window into the
+        exact but slow overflow path until it ends.
         """
         cfg = self.config
         fe = cfg.frontend
@@ -589,10 +671,11 @@ class PipelineModel:
         MODIFIED = LineState.MODIFIED
         wstates = (LineState.EXCLUSIVE, LineState.SHARED, LineState.OWNED)
 
-        tcache_get = self._tcache.get
-        build_info = self._build_info
+        resolve = self._resolve
+        rows_key = self._rows_key
         tracer = self.tracer
         profiler = self.profiler
+        hooks = tracer is not None or profiler is not None
         reg_ready = self._reg_ready
         iq_heap = self._iq_heap
         sq_heap = self._sq_heap
@@ -601,15 +684,27 @@ class PipelineModel:
         issue_on = self._issue_on
         issue_bw = self._issue_bw
         bw_ring = issue_bw._ring
-        bw_far = issue_bw._far
-        bw_base = issue_bw._base
-        bw_limit = issue_bw._limit
         bw_cnt = issue_bw.count
-        p_load = pipe_list[P_LOAD]
-        p_staddr = pipe_list[P_STADDR]
-        p_stdata = pipe_list[P_STDATA]
+        rings = [(group._ring, group.count) for group in pipe_list]
+        ld_ring, ld_cnt = rings[P_LOAD]
+        sa_ring, sa_cnt = rings[P_STADDR]
+        sd_ring, sd_cnt = rings[P_STDATA]
+        # One issue window for every ring.  The pipe groups and the
+        # issue-bandwidth group are created, reset and advanced only
+        # together (here and in _prune_pipes, always with one floor),
+        # so they share _base/_limit and one local limit stands for all
+        # of them.  The inline scans below need no lower bound and no
+        # look at the _far overflow dicts:
+        # * they start at ready >= dispatch + 1, dispatch never
+        #   decreases, and the window floor is some earlier dispatch
+        #   - 64, so a scanned cycle is never below the window;
+        # * inside the window a ring slot *is* the booking count —
+        #   book() and advance() keep only out-of-window cycles in
+        #   _far — so a scan that stays under win_limit is exact, and
+        #   one that reaches it hands over to _issue_on, the exact
+        #   ring + overflow search.
+        win_limit = issue_bw._limit
 
-        out_of_order = cfg.out_of_order
         decode_width = cfg.decode_width
         fetch_insts = fe.fetch_insts
         group_shift = self._group_shift
@@ -669,11 +764,9 @@ class PipelineModel:
             else self._pending_redirect
         last_was_branch_cycle = self._last_was_branch_cycle
         last_dispatch = self._last_dispatch
-        last_retire = self._last_retire
         serialize_until = self._serialize_until
         last_issue = self._last_issue
         max_complete = self._max_complete
-        prune_countdown = self._prune_countdown
         dec = self._decode_slots
         dec_cycle, dec_used, dec_width = dec.cycle, dec.used, dec.width
         ren = self._rename_slots
@@ -692,8 +785,12 @@ class PipelineModel:
         rob_count = self._rob_count
 
         # Hot statistics accumulate in locals; written back in finally.
+        # Instructions are counted a batch at a time; uops are derived
+        # on exit as one per retired instruction plus one per store.
         n_inst = 0
-        n_uops = 0
+        n_store_uops = 0
+        unretired = 0
+        prune_at = self._prune_countdown   # in units of n_inst
         n_branch = 0
         n_taken_bub = 0
         n_lbuf = 0
@@ -702,17 +799,30 @@ class PipelineModel:
         dir_preds = 0
         dir_misp = 0
 
+        row_iter = None     # the rows iterator while a batch is in the body
+        dyn = _NO_RECORD    # so that an empty first batch has a boundary
         try:
-            for item in trace:
-                batch = (item,) if type(item) is DynInst else item
-                for dyn in batch:
-                    pc = dyn.pc
-                    inst = dyn.inst
-                    ti = tcache_get(pc)
-                    if ti is None or ti.inst is not inst:
-                        ti = build_info(dyn)
-                    n_inst += 1
-
+            for batch in trace:
+                # ---- batch entry: rows, resolved once per block ----
+                if type(batch) is RecordBatch:
+                    resolved = batch.resolved
+                    if resolved is None or resolved[0] is not rows_key:
+                        # First sight of this block (a re-translation
+                        # is a fresh batch), or another model's rows.
+                        resolved = batch.resolved = (rows_key,
+                                                     *resolve(batch))
+                    _, rows, prevs = resolved
+                else:
+                    # Slices, SMP quanta, flat DynInst streams: nothing
+                    # persistent to keep rows on.
+                    batch = (batch,) if type(batch) is DynInst \
+                        else tuple(batch)
+                    rows, prevs = resolve(batch)
+                n_inst += len(rows)
+                row_iter = iter(rows)
+                for dyn, prev, (pc, s0, s1, s2, d0, kind, pipe, latency,
+                                ctrl, rare, ti) \
+                        in zip(batch, prevs, row_iter):
                     # ---- frontend (IF/IP/IB) ----
                     if pending_redirect >= 0:
                         if pending_redirect > fetch_cycle:
@@ -780,9 +890,13 @@ class PipelineModel:
                     earliest = decode + 2
                     if last_dispatch > earliest:
                         earliest = last_dispatch
-                    floor = earliest
 
-                    if ti.serialize:
+                    # No ``elif serialize_until > earliest`` arm: it is
+                    # dead.  serialize_until is only ever set to the
+                    # ``earliest`` of a serializing instruction, whose
+                    # own dispatch — and so every later last_dispatch,
+                    # which ``earliest`` starts from — is >= that.
+                    if rare & R_SERIALIZE:
                         wait = max_complete \
                             if max_complete > serialize_until \
                             else serialize_until
@@ -790,16 +904,17 @@ class PipelineModel:
                             st.serializations += 1
                             earliest = wait
                         serialize_until = earliest
-                    elif serialize_until > earliest:
-                        earliest = serialize_until
 
                     if rob_count >= rob_entries:
-                        head_complete = rob_buf[rob_head]
+                        # Full: the ring is exactly rob_entries long,
+                        # so the slot the head vacates is the one this
+                        # instruction's completion is written to below
+                        # and rob_count does not move.
+                        slot = rob_head
                         rob_head += 1
                         if rob_head == rob_size:
                             rob_head = 0
-                        rob_count -= 1
-                        e = head_complete + 2
+                        e = rob_buf[slot] + 2
                         if e > ret_cycle:
                             ret_cycle = e
                             ret_used = 1
@@ -811,11 +926,19 @@ class PipelineModel:
                             ret_cycle += 1
                             ret_used = 1
                             head_retire = ret_cycle
-                        if head_retire > last_retire:
-                            last_retire = head_retire
                         if head_retire > earliest:
+                            # The stall is charged from the dispatch
+                            # floor, before any serialization wait.
+                            floor = decode + 2
+                            if last_dispatch > floor:
+                                floor = last_dispatch
                             st.rob_stall_cycles += head_retire - floor
                             earliest = head_retire
+                    else:
+                        slot = rob_head + rob_count
+                        if slot >= rob_size:
+                            slot -= rob_size
+                        rob_count += 1
 
                     while iq_heap and iq_heap[0] <= earliest:
                         heappop(iq_heap)
@@ -825,7 +948,7 @@ class PipelineModel:
                             st.iq_stall_cycles += soonest - earliest
                             earliest = soonest
 
-                    if ti.is_store_q:
+                    if rare & R_STORE_Q:
                         while sq_heap and sq_heap[0] <= earliest:
                             heappop(sq_heap)
                         if len(sq_heap) >= sq_entries:
@@ -861,84 +984,83 @@ class PipelineModel:
 
                     # ---- issue/execute ----
                     ready = dispatch + 1
-                    t = reg_ready[ti.s0]
+                    t = reg_ready[s0]
                     if t > ready:
                         ready = t
-                    t = reg_ready[ti.s1]
+                    t = reg_ready[s1]
                     if t > ready:
                         ready = t
-                    t = reg_ready[ti.s2]
+                    t = reg_ready[s2]
                     if t > ready:
                         ready = t
-                    rest = ti.src_rest
-                    if rest:
-                        for rid in rest:
-                            t = reg_ready[rid]
-                            if t > ready:
-                                ready = t
-                    if not out_of_order:
-                        if last_issue > ready:
-                            ready = last_issue
-                        if ready > io_cycle:
-                            io_cycle = ready
-                            io_used = 1
-                        elif io_used < io_width:
-                            io_used += 1
-                            ready = io_cycle
-                        else:
-                            io_cycle += 1
-                            io_used = 1
-                            ready = io_cycle
-                        last_issue = ready
+                    if rare & _R_READY:
+                        if rare & R_SRC_REST:
+                            for rid in ti.src_rest:
+                                t = reg_ready[rid]
+                                if t > ready:
+                                    ready = t
+                        if rare & R_INORDER:
+                            if last_issue > ready:
+                                ready = last_issue
+                            if ready > io_cycle:
+                                io_cycle = ready
+                                io_used = 1
+                            elif io_used < io_width:
+                                io_used += 1
+                                ready = io_cycle
+                            else:
+                                io_cycle += 1
+                                io_used = 1
+                                ready = io_cycle
+                            last_issue = ready
 
-                    kind = ti.kind
                     if kind == 0:       # K_SIMPLE
-                        occupy = ti.occupy
-                        pipe = pipe_list[ti.pipe]
-                        if occupy == 1 and not pipe._far and not bw_far \
-                                and ready >= pipe._base and ready >= bw_base:
-                            p_ring = pipe._ring
-                            p_cnt = pipe.count
-                            lim = pipe._limit
-                            if bw_limit < lim:
-                                lim = bw_limit
-                            c = ready
-                            while c < lim and (p_ring[c & _MASK] >= p_cnt
-                                               or bw_ring[c & _MASK]
-                                               >= bw_cnt):
-                                c += 1
-                            if c < lim:
-                                p_ring[c & _MASK] += 1
-                                bw_ring[c & _MASK] += 1
-                                issue = c
-                            else:
-                                issue = issue_on(ti.pipe, ready, 1)
+                        if rare & R_OCCUPY:
+                            issue = issue_on(pipe, ready, ti.occupy)
                         else:
-                            issue = issue_on(ti.pipe, ready, occupy)
-                        complete = issue + ti.latency
-                    elif kind == 3 or kind == 4:    # K_LOAD / K_VLOAD
-                        pipe = p_load
-                        if not pipe._far and not bw_far \
-                                and ready >= pipe._base and ready >= bw_base:
-                            p_ring = pipe._ring
-                            p_cnt = pipe.count
-                            lim = pipe._limit
-                            if bw_limit < lim:
-                                lim = bw_limit
+                            p_ring, p_cnt = rings[pipe]
                             c = ready
-                            while c < lim and (p_ring[c & _MASK] >= p_cnt
-                                               or bw_ring[c & _MASK]
-                                               >= bw_cnt):
+                            while c < win_limit and (
+                                    p_ring[i := c & _MASK] >= p_cnt
+                                    or bw_ring[i] >= bw_cnt):
                                 c += 1
-                            if c < lim:
-                                p_ring[c & _MASK] += 1
-                                bw_ring[c & _MASK] += 1
+                            if c < win_limit:
+                                p_ring[i] += 1
+                                bw_ring[i] += 1
                                 issue = c
                             else:
-                                issue = issue_on(P_LOAD, ready, 1)
+                                issue = issue_on(pipe, ready, 1)
+                        complete = issue + latency
+                    elif kind == 3 or kind == 4:    # K_LOAD / K_VLOAD
+                        c = ready
+                        while c < win_limit and (
+                                ld_ring[i := c & _MASK] >= ld_cnt
+                                or bw_ring[i] >= bw_cnt):
+                            c += 1
+                        if c < win_limit:
+                            ld_ring[i] += 1
+                            bw_ring[i] += 1
+                            issue = c
                         else:
                             issue = issue_on(P_LOAD, ready, 1)
 
+                        # Lazy store-queue age prune.  Retiring an
+                        # instruction drops queued stores more than a
+                        # ROB older than it; only a load's two scans, a
+                        # store's append (its capacity check) and the
+                        # written-back deque ever see the result.  seq
+                        # never decreases, so the previous record's
+                        # bound covers every earlier one, and running
+                        # the prune with it here — the batch boundary
+                        # prunes with the last record's, which is why
+                        # position 0's stand-in prunes nothing — leaves
+                        # exactly the deque the per-instruction prune
+                        # would have.
+                        bound = prev.seq - rob_entries
+                        while sq0_seq < bound:
+                            sq_deque.popleft()
+                            sq0_seq = sq_deque[0].seq if sq_deque \
+                                else 1 << 62
                         seq = dyn.seq
                         if memdep_on and md_tagged.get(pc, 0) > 0:
                             barrier = 0
@@ -1035,7 +1157,7 @@ class PipelineModel:
                                     // vec_bits - 1
                             complete = issue + load_to_use + extra
                     elif kind == 5:     # K_STORE
-                        n_uops += 1     # the extra st.data uop
+                        n_store_uops += 1   # the extra st.data uop
                         if pseudo_dual:
                             addr_ready = dispatch + 1
                             for rid in ti.addr_rids:
@@ -1047,58 +1169,32 @@ class PipelineModel:
                                 t = reg_ready[rid]
                                 if t > data_ready:
                                     data_ready = t
-                            if not out_of_order:
+                            if rare & R_INORDER:
                                 if ready > addr_ready:
                                     addr_ready = ready
                                 if ready > data_ready:
                                     data_ready = ready
-                            pipe = p_staddr
-                            if not pipe._far and not bw_far \
-                                    and addr_ready >= pipe._base \
-                                    and addr_ready >= bw_base:
-                                p_ring = pipe._ring
-                                p_cnt = pipe.count
-                                lim = pipe._limit
-                                if bw_limit < lim:
-                                    lim = bw_limit
-                                c = addr_ready
-                                while c < lim \
-                                        and (p_ring[c & _MASK] >= p_cnt
-                                             or bw_ring[c & _MASK]
-                                             >= bw_cnt):
-                                    c += 1
-                                if c < lim:
-                                    p_ring[c & _MASK] += 1
-                                    bw_ring[c & _MASK] += 1
-                                    addr_issue = c
-                                else:
-                                    addr_issue = issue_on(P_STADDR,
-                                                          addr_ready, 1)
+                            c = addr_ready
+                            while c < win_limit and (
+                                    sa_ring[i := c & _MASK] >= sa_cnt
+                                    or bw_ring[i] >= bw_cnt):
+                                c += 1
+                            if c < win_limit:
+                                sa_ring[i] += 1
+                                bw_ring[i] += 1
+                                addr_issue = c
                             else:
                                 addr_issue = issue_on(P_STADDR,
                                                       addr_ready, 1)
-                            pipe = p_stdata
-                            if not pipe._far and not bw_far \
-                                    and data_ready >= pipe._base \
-                                    and data_ready >= bw_base:
-                                p_ring = pipe._ring
-                                p_cnt = pipe.count
-                                lim = pipe._limit
-                                if bw_limit < lim:
-                                    lim = bw_limit
-                                c = data_ready
-                                while c < lim \
-                                        and (p_ring[c & _MASK] >= p_cnt
-                                             or bw_ring[c & _MASK]
-                                             >= bw_cnt):
-                                    c += 1
-                                if c < lim:
-                                    p_ring[c & _MASK] += 1
-                                    bw_ring[c & _MASK] += 1
-                                    data_issue = c
-                                else:
-                                    data_issue = issue_on(P_STDATA,
-                                                          data_ready, 1)
+                            c = data_ready
+                            while c < win_limit and (
+                                    sd_ring[i := c & _MASK] >= sd_cnt
+                                    or bw_ring[i] >= bw_cnt):
+                                c += 1
+                            if c < win_limit:
+                                sd_ring[i] += 1
+                                bw_ring[i] += 1
+                                data_issue = c
                             else:
                                 data_issue = issue_on(P_STDATA,
                                                       data_ready, 1)
@@ -1150,6 +1246,13 @@ class PipelineModel:
                             drain = access_data(addr, complete, True,
                                                 size)
                         heappush(sq_heap, complete + drain)
+                        # The age prune a load runs before its scans
+                        # (see there), here before the capacity check.
+                        bound = prev.seq - rob_entries
+                        while sq0_seq < bound:
+                            sq_deque.popleft()
+                            sq0_seq = sq_deque[0].seq if sq_deque \
+                                else 1 << 62
                         if not sq_deque:
                             sq0_seq = dyn.seq
                         sq_deque.append(StoreRecord(
@@ -1163,15 +1266,13 @@ class PipelineModel:
                             else addr_issue
                     elif kind == 1:     # K_DIV
                         spread = ti.base
-                        if spread <= 0:
-                            latency = ti.latency
-                        else:
+                        if spread > 0:
                             bits = dyn.div_bits
                             if bits < 1:
                                 bits = 1
                             elif bits > 64:
                                 bits = 64
-                            latency = ti.latency + (spread * bits) // 64
+                            latency += (spread * bits) // 64
                         issue = issue_on(P_DIV, ready, latency)
                         complete = issue + latency
                     else:               # K_VEC
@@ -1188,48 +1289,29 @@ class PipelineModel:
                         issue = issue_on(P_VEC, ready, occupy)
                         complete = issue + base + beats - 1
 
-                    if ti.vec_stat:
-                        n_vec += 1
-                    reg_ready[ti.d0] = complete
-                    rest = ti.dest_rest
-                    if rest:
-                        for rid in rest:
+                    reg_ready[d0] = complete
+                    if rare & _R_WRITEBACK:
+                        if rare & R_VEC_STAT:
+                            n_vec += 1
+                        for rid in ti.dest_rest:
                             reg_ready[rid] = complete
                     if complete > max_complete:
                         max_complete = complete
                     heappush(iq_heap, issue)
 
                     # ---- retire bookkeeping ----
-                    n_uops += 1
-                    idx = rob_head + rob_count
-                    if idx >= rob_size:
-                        idx -= rob_size
-                    rob_buf[idx] = complete
-                    rob_count += 1
-                    bound = dyn.seq - rob_entries
-                    while sq0_seq < bound:
-                        sq_deque.popleft()
-                        sq0_seq = sq_deque[0].seq if sq_deque \
-                            else 1 << 62
-                    prune_countdown -= 1
-                    if prune_countdown <= 0:
-                        prune_countdown = 8192
-                        floor_c = dispatch - 64
-                        for pg in pipe_set:
-                            pg.advance(floor_c)
-                        bw_base = issue_bw._base
-                        bw_limit = issue_bw._limit
+                    rob_buf[slot] = complete
 
                     # ---- observability hooks (None = off) ----
-                    if tracer is not None:
-                        tracer.record(dyn, fetch, decode, dispatch,
-                                      issue, complete)
-                    if profiler is not None:
-                        profiler.record(pc, complete, ti.ctrl,
-                                        dyn.target)
+                    if hooks:
+                        if tracer is not None:
+                            tracer.record(dyn, fetch, decode, dispatch,
+                                          issue, complete)
+                        if profiler is not None:
+                            profiler.record(pc, complete, ctrl,
+                                            dyn.target)
 
                     # ---- control resolution ----
-                    ctrl = ti.ctrl
                     if ctrl:
                         n_branch += 1
                         taken = dyn.taken
@@ -1427,6 +1509,37 @@ class PipelineModel:
                                 fetch_cycle += bubbles
                                 n_taken_bub += bubbles
                             fetch_group = -1
+
+                # ---- batch boundary ----
+                row_iter = None
+                # Bring the store queue to its eagerly pruned state, so
+                # the next batch's first record (whose stand-in
+                # predecessor prunes nothing), the staged path and the
+                # written-back deque all start from it.
+                bound = dyn.seq - rob_entries
+                while sq0_seq < bound:
+                    sq_deque.popleft()
+                    sq0_seq = sq_deque[0].seq if sq_deque else 1 << 62
+                if n_inst >= prune_at:
+                    # Any floor that no later scan starts below will
+                    # do, and every later ready is > last_dispatch.
+                    prune_at = n_inst + 8192
+                    floor = last_dispatch - 64
+                    for pg in pipe_set:
+                        pg.advance(floor)
+                    win_limit = issue_bw._limit
+        except BaseException:
+            if row_iter is not None:
+                # Raised inside the body (a faulting hierarchy call,
+                # say), which ends the run.  Rows never started are not
+                # instructions, and the record in flight counts the way
+                # the per-instruction counters had it at that point:
+                # fetched (instructions) but not retired (uops).
+                pending = length_hint(row_iter)
+                n_inst -= pending
+                if pending < len(rows):
+                    unretired = 1
+            raise
         finally:
             self._fetch_cycle = fetch_cycle
             self._fetch_group = None if fetch_group == -1 else fetch_group
@@ -1435,11 +1548,14 @@ class PipelineModel:
                 else pending_redirect
             self._last_was_branch_cycle = last_was_branch_cycle
             self._last_dispatch = last_dispatch
-            self._last_retire = last_retire
+            # The retire allocator is monotone, so its cycle is the
+            # latest retirement granted (-1 before the first).
+            if ret_cycle > self._last_retire:
+                self._last_retire = ret_cycle
             self._serialize_until = serialize_until
             self._last_issue = last_issue
             self._max_complete = max_complete
-            self._prune_countdown = prune_countdown
+            self._prune_countdown = prune_at - n_inst
             dec.cycle, dec.used = dec_cycle, dec_used
             ren.cycle, ren.used = ren_cycle, ren_used
             ret.cycle, ret.used = ret_cycle, ret_used
@@ -1449,7 +1565,7 @@ class PipelineModel:
             self._rob_head = rob_head
             self._rob_count = rob_count
             st.instructions += n_inst
-            st.uops += n_uops
+            st.uops += n_inst - unretired + n_store_uops
             st.branches += n_branch
             st.taken_branch_bubbles += n_taken_bub
             st.lbuf_supplied += n_lbuf
@@ -1532,14 +1648,15 @@ class PipelineModel:
         floor = earliest
 
         if ti.serialize:
-            # Serializing: wait for the machine to drain.
+            # Serializing: wait for the machine to drain.  Younger
+            # instructions need no test against _serialize_until: it is
+            # this ``earliest``, which this instruction's own dispatch —
+            # and so every later _last_dispatch above — is >=.
             wait = max(self._max_complete, self._serialize_until)
             if wait > earliest:
                 self.stats.serializations += 1
                 earliest = wait
             self._serialize_until = earliest
-        elif self._serialize_until > earliest:
-            earliest = self._serialize_until
 
         # ROB occupancy: a full window stalls rename until the oldest
         # entry retires.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import assemble
-from repro.harness.runner import compare_cores, run_on_core
+from repro.harness.runner import compare_cores, profile_run, run_on_core
 from repro.uarch.presets import get_preset
 
 PROGRAM = assemble("""
@@ -53,6 +53,24 @@ class TestRunOnCore:
         emulator = run_program(PROGRAM)
         result = run_on_core(PROGRAM, "xt910")
         assert result.stats.instructions == emulator.state.instret
+
+
+class TestProfileRun:
+    def test_profiles_the_run_it_is_asked_for(self):
+        """Same arguments as run_on_core, same run: the tier is the
+        caller's and the stats are the unprofiled ones."""
+        result, breakdown = profile_run(PROGRAM, "xt910", tier=3)
+        plain = run_on_core(PROGRAM, "xt910", tier=3)
+        assert result.stats.as_comparable() == plain.stats.as_comparable()
+        assert "codegen_blocks_compiled" in result.stats.extra
+        assert breakdown["timing_model"] > 0
+
+    def test_watchdog_bound_reaches_the_profiled_run(self):
+        spin = assemble("_start:\nspin:\n    j spin\n")
+        result, _ = profile_run(spin, "xt910", max_insts=500,
+                                partial_on_watchdog=True)
+        assert result.watchdog is not None
+        assert result.stats.instructions == 500
 
 
 class TestCompareCores:

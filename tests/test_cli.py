@@ -88,6 +88,15 @@ class TestRasCli:
         assert main(["run", program_file, "--max-insts", "100000"]) == 0
         assert "exit 0" in capsys.readouterr().out
 
+    def test_profiled_timed_run_honours_max_insts(self, hang_file, capsys):
+        # --profile used to drop the bound and spin to the 50 M default.
+        assert main(["run", hang_file, "--core", "xt910", "--profile",
+                     "--max-insts", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert "instruction limit 2000" in out
+        assert "stats below cover the bounded prefix" in out
+        assert "timing_model" in out        # and the profile still prints
+
     def test_lockstep_clean(self, program_file, capsys):
         assert main(["run", program_file, "--lockstep"]) == 0
         out = capsys.readouterr().out

@@ -1,0 +1,71 @@
+"""A deterministic budget for the stream loop.
+
+Wall-clock gates cannot see a few statements creeping back into
+``PipelineModel._run_stream`` on a noisy CI runner; a count can.  This
+test counts the ``sys.settrace`` *line* events inside ``_run_stream``
+per simulated instruction on two CoreMark kernels — the number is a
+function of the source and the guest only, not of the host — and fails
+above a committed budget (the measured value + 5 %).
+
+For scale: the loop that re-derived every static and per-batch fact per
+instruction (before rows were resolved per block) ran 116.8 lines per
+instruction on ``coremark-crc`` and 136.0 on ``coremark-list``.
+"""
+
+from __future__ import annotations
+
+import linecache
+import sys
+
+import pytest
+
+from repro.harness.runner import run_on_core
+from repro.uarch.core import PipelineModel
+
+from .test_timing_fastpath import _workload
+
+#: Executed ``_run_stream`` lines per simulated instruction; measured
+#: 87.4 / 106.0 when committed.  Raise it only with the reason in the
+#: commit message — every line here is paid a hundred thousand times a
+#: second.
+BUDGET = {"coremark-crc": 91.8, "coremark-list": 111.3}
+
+
+def _lines_per_instruction(name):
+    """(lines per instruction, {line number: executions})."""
+    code = PipelineModel._run_stream.__code__
+    counts: dict[int, int] = {}
+
+    def count_lines(frame, event, arg):
+        if event == "line":
+            line = frame.f_lineno
+            counts[line] = counts.get(line, 0) + 1
+        return count_lines
+
+    def trace_calls(frame, event, arg):
+        return count_lines if frame.f_code is code else None
+
+    program = _workload(name).program()
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        result = run_on_core(program, "xt910")
+    finally:
+        sys.settrace(previous)
+    return sum(counts.values()) / result.stats.instructions, counts
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET))
+def test_stream_loop_stays_inside_its_line_budget(name):
+    per_instruction, counts = _lines_per_instruction(name)
+    if per_instruction > BUDGET[name]:
+        filename = PipelineModel._run_stream.__code__.co_filename
+        hottest = sorted(counts.items(), key=lambda item: -item[1])[:10]
+        listing = "\n".join(
+            f"  {count:9d}x  {filename}:{line}: "
+            f"{linecache.getline(filename, line).strip()}"
+            for line, count in hottest)
+        pytest.fail(
+            f"{name}: {per_instruction:.1f} executed lines per simulated "
+            f"instruction in _run_stream, budget {BUDGET[name]}; "
+            f"most-executed lines:\n{listing}")

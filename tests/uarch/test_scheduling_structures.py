@@ -75,7 +75,7 @@ class TestPipeGroup:
         pipe = PipeGroup(1)
         for cycle in range(5000):
             pipe.book(cycle)
-        pipe.prune(4000)
+        pipe.advance(4000)
         assert pipe.earliest(4500) == 5000
 
     @given(st.lists(st.tuples(st.integers(0, 300), st.integers(1, 4)),

@@ -245,7 +245,7 @@ def test_pipegroup_memory_bounded_over_one_million_cycles():
         slot = group.earliest(cycle, occupy=2)
         group.book(slot, occupy=2)
         if cycle % 8192 == 0 and cycle:
-            group.prune(cycle - 64)
+            group.advance(cycle - 64)
     assert len(group._ring) == ring_len == _WINDOW
     assert len(group._far) < 64
     # and the window actually advanced with the pruning
