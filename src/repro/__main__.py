@@ -145,11 +145,7 @@ def cmd_run(args) -> int:
         print(f"lockstep: {result.steps} instructions, no divergence; "
               f"exit {emulator.exit_code}")
         return emulator.exit_code or 0
-    try:
-        code = emulator.run(args.max_steps)
-    except WatchdogExpired as exc:
-        print(exc)
-        return 2
+    code = emulator.run(args.max_steps)
     if emulator.stdout:
         print(emulator.stdout, end="")
     print(f"exit {code} after {emulator.state.instret} instructions")
@@ -168,9 +164,6 @@ def _run_sanitized(program, args) -> int:
             print(emulator.stdout, end="")
         print(f"sanitizer: {exc.violation.render()}")
         return 1
-    except WatchdogExpired as exc:
-        print(exc)
-        return 2
     if emulator.stdout:
         print(emulator.stdout, end="")
     stats = emulator.sanitizer.summary()
@@ -737,7 +730,13 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except WatchdogExpired as exc:
+        # A guest that never exits is a result, not a crash: whichever
+        # verb ran it ends with the post-mortem dump and exit status 2.
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Pipeline event trace: per-instruction stage-entry cycles.
 
 :class:`PipelineTracer` is the hook object the timing model calls once
-per instruction from both the batched hot loop and the staged path
+per instruction from its batched hot loop
 (``PipelineModel.tracer``, None-guarded like the sanitizer hooks).
 Records land in a bounded ring buffer — the ``--trace-window`` knob —
 and export in two formats:

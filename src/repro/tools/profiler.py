@@ -20,8 +20,8 @@ from ..asm.program import Program
 from ..isa.disasm import disassemble
 from ..sim.emulator import Emulator
 from ..uarch.config import CoreConfig
-from ..uarch.core import PipelineModel
 from ..uarch.presets import get_preset
+from ..uarch.refmodel import ReferencePipelineModel
 from ..uarch.stats import CoreStats
 
 
@@ -92,7 +92,8 @@ class Profile:
 
 
 class Profiler:
-    """Wraps the pipeline model with per-PC attribution."""
+    """Steps the reference pipeline model stage by stage (the stream
+    loop has no per-stage seam) and attributes the gaps to PCs."""
 
     def __init__(self, config: CoreConfig | str = "xt910"):
         self.config = get_preset(config) if isinstance(config, str) \
@@ -101,7 +102,7 @@ class Profiler:
     def run(self, program: Program,
             max_steps: int | None = None) -> Profile:
         emulator = Emulator(program)
-        pipeline = PipelineModel(self.config)
+        pipeline = ReferencePipelineModel(self.config)
         samples: dict[int, PcSample] = {}
         load_best = self.config.lsu.load_to_use + 1
 

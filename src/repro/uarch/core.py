@@ -23,22 +23,18 @@ DESIGN.md for the accepted approximations).
 Fast path
 ---------
 
-The model has two equivalent execution paths:
-
-* the **batched hot loop** (:meth:`PipelineModel._run_stream`) — the
-  only production path.  :meth:`PipelineModel.run` drives it over a
-  whole trace (``Emulator.fast_trace`` yields one ``TranslatedBlock``
-  worth of records at a time); :meth:`PipelineModel.run_quantum`
-  resumes it for one slice of records, which is how
-  :mod:`repro.smp.timing` interleaves the harts of a cluster.  It is a
-  hand-inlined port of the staged accounting over per-instruction
-  timing *rows* (below);
-* the **staged methods** (`_frontend`/`_dispatch`/`_execute`/`_retire`/
-  `_resolve_control`) — the readable specification.  Nothing under
-  ``src/`` times instructions through :meth:`PipelineModel.feed`; it
-  is the differential oracle the tests replay the stream path against.
-  :mod:`repro.tools.profiler` calls the five stage methods directly so
-  it can attribute stalls between them.
+The model has one execution path, the **batched hot loop**
+(:meth:`PipelineModel._run_stream`).  :meth:`PipelineModel.run` drives
+it over a whole trace (``Emulator.fast_trace`` yields one
+``TranslatedBlock`` worth of records at a time);
+:meth:`PipelineModel.run_quantum` resumes it for one slice of records,
+which is how :mod:`repro.smp.timing` interleaves the harts of a
+cluster.  The loop is the per-stage accounting (frontend, dispatch,
+execute, retire, control resolution) inlined over per-instruction
+timing *rows* (below).  The readable, staged form of the same
+semantics is the frozen :mod:`repro.uarch.refmodel` — the specification
+the tests hold this loop equal to, and the model
+:mod:`repro.tools.profiler` steps stage by stage to attribute stalls.
 
 The hot loop inlines clean L1 hits instead of calling the hierarchy.
 For stores that is only sound when a store hit has no effect outside
@@ -69,15 +65,16 @@ store-queue age prune) runs at the batch boundary.
 
 Scheduling state lives in flat ring buffers (:class:`PipeGroup`, the
 ROB, the register scoreboard) so the per dynamic instruction cost is a
-short run of array operations.  The two paths are locked together by
-differential tests against the frozen :mod:`repro.uarch.refmodel`
-oracle — see DESIGN.md ("Timing fast path") for the equivalence
-argument, and ``tests/uarch/test_hotloop_budget.py`` for the loop's
+short run of array operations.  Differential tests lock the loop to the
+:mod:`repro.uarch.refmodel` oracle — see DESIGN.md ("Timing fast
+path") for the equivalence argument, and
+``tests/uarch/test_hotloop_budget.py`` for the loop's
 executed-lines-per-instruction budget.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
 from heapq import heappush, heappop
 from operator import length_hint
@@ -88,10 +85,10 @@ from ..mem.cache import LineState
 from ..mem.hierarchy import MemoryHierarchy
 from ..sim.trace import DynInst, RecordBatch
 from .branch import HybridDirectionPredictor
-from .btb import BtbLevel, CascadedBtb, IndirectPredictor, ReturnAddressStack
+from .btb import CascadedBtb, IndirectPredictor, ReturnAddressStack
 from .config import CoreConfig
 from .loopbuf import LoopBuffer
-from .lsu import MemDepPredictor, StoreQueueModel, StoreRecord
+from .lsu import MemDepPredictor, StoreRecord
 from .stats import CoreStats
 
 #: Cycle span of the PipeGroup booking window; bookings outside the
@@ -105,11 +102,11 @@ _ZEROS = [0] * _WINDOW
 _FILE_BASE = {"x": 0, "f": 32, "v": 64}
 _NUM_REGS = 96
 
-#: TimingInfo.kind codes.
+#: Timing row ``kind`` codes.
 K_SIMPLE, K_DIV, K_VEC, K_LOAD, K_VLOAD, K_STORE = range(6)
-#: TimingInfo.pipe codes (indices into PipelineModel._pipe_list).
+#: Timing row ``pipe`` codes (indices into PipelineModel._pipe_list).
 P_ALU, P_BJU, P_DIV, P_LOAD, P_STADDR, P_STDATA, P_FPU, P_VEC = range(8)
-#: TimingInfo.ctrl codes.
+#: Timing row ``ctrl`` codes.
 (C_NONE, C_BRANCH, C_JAL_CALL, C_JAL,
  C_RETURN, C_IND_CALL, C_INDIRECT) = range(7)
 
@@ -267,7 +264,9 @@ class PipeGroup:
 
 
 class TimingInfo:
-    """Static timing facts for one decoded instruction, cached by PC.
+    """The cold static timing facts of one decoded instruction, cached
+    by PC; the hot ones (register ids, kind, pipe, latency, control
+    kind, the ``rare`` mask) exist only as fields of its row.
 
     Everything here is a function of the ``Instruction`` alone (plus
     core config), so it is resolved once per static instruction instead
@@ -287,10 +286,8 @@ class TimingInfo:
     row.
     """
 
-    __slots__ = ("inst", "kind", "pipe", "latency", "occupy", "base",
-                 "is_vdiv", "src_rids", "dest_rids", "addr_rids",
-                 "data_rids", "serialize", "is_store_q", "vec_stat",
-                 "is_amo", "ctrl", "size",
+    __slots__ = ("inst", "occupy", "base", "is_vdiv", "addr_rids",
+                 "data_rids", "is_amo", "size",
                  # The rare >3-src / >1-dest remainders of the row's
                  # unrolled s0..s2 / d0 dependency fields.
                  "src_rest", "dest_rest")
@@ -346,15 +343,9 @@ class PipelineModel:
         """
         self._run_stream((records,))
 
-    def feed(self, dyn: DynInst) -> None:
-        """Time one instruction through the staged specification —
-        the differential oracle for the hot loop, not a production
-        path."""
-        self._simulate(dyn)
-
     def finish(self) -> CoreStats:
         """Drain the pipeline and close out the statistics of a run
-        driven by :meth:`run_quantum` (or :meth:`feed`)."""
+        driven by :meth:`run_quantum`."""
         self._drain()
         self._collect_ras()
         return self.stats
@@ -399,7 +390,6 @@ class PipelineModel:
         self._pending_redirect: int | None = None
         self._last_was_branch_cycle = -2
         self._decode_slots = SlotAllocator(cfg.decode_width)
-        self._last_decode = 0
         self._last_dispatch = 0
         self._rename_slots = SlotAllocator(cfg.rename_width)
         self._retire_slots = SlotAllocator(cfg.retire_width)
@@ -449,15 +439,11 @@ class PipelineModel:
                                load, staddr, stdata,
                                PipeGroup(fu.fpu_count),
                                PipeGroup(fu.vec_slices)]
-        self._stores = StoreQueueModel(cfg.lsu.sq_entries * 2)
+        # In-flight stores for the LSU ordering checks, in program
+        # order; the loop bounds it at twice the SQ and by age.
+        self._stores: deque[StoreRecord] = deque()
 
     # -- static timing cache --------------------------------------------------------
-
-    def _info(self, dyn: DynInst) -> TimingInfo:
-        row = self._tcache.get(dyn.pc)
-        if row is None or row[-1].inst is not dyn.inst:
-            row = self._build_info(dyn)
-        return row[-1]
 
     def _resolve(self, batch) -> tuple[list[tuple], tuple]:
         """Resolve *batch* into what the stream loop zips it with:
@@ -496,48 +482,43 @@ class PipelineModel:
         ti = TimingInfo()
         ti.inst = inst
         ti.size = inst.size
-        ti.src_rids = srcs = tuple(
-            _FILE_BASE[r.file] + r.index for r in inst.srcs)
-        ti.dest_rids = dests = tuple(_FILE_BASE[r.file] + r.index
-                                     for r in inst.dests)
+        srcs = tuple(_FILE_BASE[r.file] + r.index for r in inst.srcs)
+        dests = tuple(_FILE_BASE[r.file] + r.index for r in inst.dests)
         ti.src_rest = srcs[3:]
         ti.dest_rest = dests[1:]
-        ti.serialize = iclass is InstrClass.CSR \
-            or iclass is InstrClass.SYSTEM
-        ti.vec_stat = iclass.value[0] == "v"
-        ti.is_store_q = False
+        serialize = iclass is InstrClass.CSR or iclass is InstrClass.SYSTEM
+        vec_stat = iclass.value[0] == "v"
         ti.is_amo = iclass is InstrClass.AMO
         ti.is_vdiv = False
         ti.addr_rids = ti.data_rids = ()
         ti.base = 0
 
         if iclass is InstrClass.BRANCH:
-            ti.ctrl = C_BRANCH
+            ctrl = C_BRANCH
         elif iclass is InstrClass.JUMP:
             if spec.mnemonic == "jal":
-                ti.ctrl = C_JAL_CALL if inst.rd == 1 else C_JAL
+                ctrl = C_JAL_CALL if inst.rd == 1 else C_JAL
             elif inst.rd == 0 and inst.rs1 == 1:
-                ti.ctrl = C_RETURN
+                ctrl = C_RETURN
             elif inst.rd == 1:
-                ti.ctrl = C_IND_CALL
+                ctrl = C_IND_CALL
             else:
-                ti.ctrl = C_INDIRECT
+                ctrl = C_INDIRECT
         else:
-            ti.ctrl = C_NONE
+            ctrl = C_NONE
 
-        ti.kind = K_SIMPLE
-        ti.pipe = P_ALU
-        ti.latency = 1
+        kind = K_SIMPLE
+        pipe = P_ALU
+        latency = 1
         ti.occupy = 1
         if iclass is InstrClass.ALU:
             pass
         elif iclass is InstrClass.LOAD or iclass is InstrClass.AMO:
-            ti.kind = K_LOAD
-            ti.pipe = P_LOAD
+            kind = K_LOAD
+            pipe = P_LOAD
         elif iclass is InstrClass.STORE or iclass is InstrClass.VSTORE:
-            ti.kind = K_STORE
-            ti.pipe = P_STADDR
-            ti.is_store_q = True
+            kind = K_STORE
+            pipe = P_STADDR
             addr_rids: list[int] = []
             data_rids: list[int] = []
             fmt = spec.fmt
@@ -556,33 +537,33 @@ class PipelineModel:
             ti.addr_rids = tuple(addr_rids)
             ti.data_rids = tuple(data_rids)
         elif iclass is InstrClass.BRANCH or iclass is InstrClass.JUMP:
-            ti.pipe = P_BJU
+            pipe = P_BJU
         elif iclass is InstrClass.MUL:
-            ti.latency = fu.mul_latency
+            latency = fu.mul_latency
         elif iclass is InstrClass.DIV:
-            ti.kind = K_DIV
-            ti.pipe = P_DIV
-            ti.latency = fu.div_latency_min
+            kind = K_DIV
+            pipe = P_DIV
+            latency = fu.div_latency_min
             ti.base = fu.div_latency_max - fu.div_latency_min
         elif iclass is InstrClass.FP:
-            ti.pipe = P_FPU
-            ti.latency = fu.fp_latency
+            pipe = P_FPU
+            latency = fu.fp_latency
         elif iclass is InstrClass.FMUL:
-            ti.pipe = P_FPU
-            ti.latency = fu.fmul_latency
+            pipe = P_FPU
+            latency = fu.fmul_latency
         elif iclass is InstrClass.FDIV:
-            ti.pipe = P_FPU
-            ti.latency = fu.fdiv_latency
+            pipe = P_FPU
+            latency = fu.fdiv_latency
             ti.occupy = fu.fdiv_latency
         elif iclass in (InstrClass.CSR, InstrClass.SYSTEM, InstrClass.VSET):
             pass
         elif iclass is InstrClass.VLOAD:
-            ti.kind = K_VLOAD
-            ti.pipe = P_LOAD
+            kind = K_VLOAD
+            pipe = P_LOAD
         else:
             # vector compute classes
-            ti.kind = K_VEC
-            ti.pipe = P_VEC
+            kind = K_VEC
+            pipe = P_VEC
             ti.base = {InstrClass.VALU: fu.valu_latency,
                        InstrClass.VMUL: fu.vmul_latency,
                        InstrClass.VFP: fu.vfp_latency,
@@ -593,16 +574,16 @@ class PipelineModel:
                        InstrClass.VPERM: fu.vperm_latency}.get(iclass, 3)
             ti.is_vdiv = iclass in (InstrClass.VDIV, InstrClass.VFDIV)
 
-        rare = (R_SERIALIZE * ti.serialize
-                | R_STORE_Q * ti.is_store_q
+        rare = (R_SERIALIZE * serialize
+                | R_STORE_Q * (kind == K_STORE)
                 | R_SRC_REST * bool(ti.src_rest)
                 | R_DEST_REST * bool(ti.dest_rest)
-                | R_VEC_STAT * ti.vec_stat
+                | R_VEC_STAT * vec_stat
                 | R_OCCUPY * (ti.occupy != 1)
                 | R_INORDER * (not self.config.out_of_order))
         s0, s1, s2 = (srcs + (_NUM_REGS,) * 3)[:3]
         row = (dyn.pc, s0, s1, s2, dests[0] if dests else _NUM_REGS + 1,
-               ti.kind, ti.pipe, ti.latency, ti.ctrl, rare, ti)
+               kind, pipe, latency, ctrl, rare, ti)
 
         tcache = self._tcache
         if len(tcache) >= TCACHE_LIMIT:
@@ -613,13 +594,14 @@ class PipelineModel:
     # -- batched hot loop -----------------------------------------------------------
 
     def _run_stream(self, trace: Iterable) -> None:
-        """Inlined port of the staged per-instruction accounting.
+        """The timing model: per-stage accounting, inlined.
 
         One dynamic instruction costs a short run of array and integer
         operations over its unpacked timing row; all mutable scalar
         state lives in locals and is written back in ``finally``.  The
-        staged methods remain the readable specification; differential
-        tests pin this loop to them and to the frozen reference model.
+        frozen :mod:`repro.uarch.refmodel` is the readable, staged
+        specification of the same semantics; differential tests pin
+        this loop to it.
 
         Work is split by how often its answer can change.  Per *block*:
         a :class:`~repro.sim.trace.RecordBatch` carries its rows in
@@ -691,7 +673,7 @@ class PipelineModel:
         sd_ring, sd_cnt = rings[P_STDATA]
         # One issue window for every ring.  The pipe groups and the
         # issue-bandwidth group are created, reset and advanced only
-        # together (here and in _prune_pipes, always with one floor),
+        # together (at the batch boundary below, always with one floor),
         # so they share _base/_limit and one local limit stands for all
         # of them.  The inline scans below need no lower bound and no
         # look at the _far overflow dicts:
@@ -749,8 +731,8 @@ class PipelineModel:
         memdep = self.memdep
         memdep_on = memdep.enabled
         md_tagged = memdep._tagged
-        sq_deque = self._stores._stores
-        sq_model_cap = self._stores.capacity
+        sq_deque = self._stores
+        sq_model_cap = lsu.sq_entries * 2
         # Cached seq of the oldest queued store (sentinel when empty):
         # turns the per-instruction age-prune check into one compare.
         sq0_seq = sq_deque[0].seq if sq_deque else 1 << 62
@@ -1512,10 +1494,9 @@ class PipelineModel:
 
                 # ---- batch boundary ----
                 row_iter = None
-                # Bring the store queue to its eagerly pruned state, so
+                # Bring the store queue to its eagerly pruned state:
                 # the next batch's first record (whose stand-in
-                # predecessor prunes nothing), the staged path and the
-                # written-back deque all start from it.
+                # predecessor prunes nothing) starts from it.
                 bound = dyn.seq - rob_entries
                 while sq0_seq < bound:
                     sq_deque.popleft()
@@ -1577,193 +1558,7 @@ class PipelineModel:
             dirp._history = dir_hist
             lbuf.stats.supplied_insts += n_lbuf
 
-    # -- per-instruction simulation (staged specification) ---------------------------
-
-    def _simulate(self, dyn: DynInst) -> None:
-        self.stats.instructions += 1
-        fetch = self._frontend(dyn)
-        dispatch = self._dispatch(dyn, fetch)
-        issue, complete = self._execute(dyn, dispatch)
-        self._retire(dyn, dispatch, complete)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.record(dyn, fetch, self._last_decode, dispatch,
-                          issue, complete)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.record(dyn.pc, complete, self._info(dyn).ctrl,
-                            dyn.target)
-        self._resolve_control(dyn, fetch, complete)
-
-    # -- frontend -------------------------------------------------------------------------
-
-    def _frontend(self, dyn: DynInst) -> int:
-        fe = self.config.frontend
-        pc = dyn.pc
-        if self._pending_redirect is not None:
-            self._fetch_cycle = max(self._fetch_cycle,
-                                    self._pending_redirect)
-            self._fetch_group = None
-            self._pending_redirect = None
-
-        from_lbuf = self.lbuf.active and self.lbuf.covers(pc)
-        if from_lbuf:
-            # LBUF supplies decode-width instructions per cycle with no
-            # I$ access and no taken-branch bubble.
-            if self._fetch_slots >= self.config.decode_width:
-                self._fetch_cycle += 1
-                self._fetch_slots = 0
-            self._fetch_slots += 1
-            self.lbuf.supply()
-            self.stats.lbuf_supplied += 1
-            self._fetch_group = None
-            return self._fetch_cycle
-
-    # Normal path: one 128-bit aligned group per cycle.
-        group = pc >> self._group_shift
-        if group != self._fetch_group or self._fetch_slots >= fe.fetch_insts:
-            if self._fetch_group is not None:
-                self._fetch_cycle += 1
-            extra = self.hier.access_inst(pc, self._fetch_cycle)
-            if extra:
-                self._fetch_cycle += extra
-                self.stats.icache_stall_cycles += extra
-            self._fetch_group = group
-            self._fetch_slots = 0
-        self._fetch_slots += 1
-
-        # IBUF capacity: fetch cannot run further ahead than the buffer.
-        if self._dr_count == self._dr_cap:
-            oldest = self._dr_buf[self._dr_start]
-            if oldest > self._fetch_cycle:
-                self._fetch_cycle = oldest
-        return self._fetch_cycle
-
-    def _dispatch(self, dyn: DynInst, fetch: int) -> int:
-        cfg = self.config
-        ti = self._info(dyn)
-        decode = self._decode_slots.allocate(fetch + 3)      # IF/IP/IB -> ID
-        self._last_decode = decode      # exposed for the tracer hook
-        earliest = max(decode + 2, self._last_dispatch)      # ID/IR -> IS
-        floor = earliest
-
-        if ti.serialize:
-            # Serializing: wait for the machine to drain.  Younger
-            # instructions need no test against _serialize_until: it is
-            # this ``earliest``, which this instruction's own dispatch —
-            # and so every later _last_dispatch above — is >=.
-            wait = max(self._max_complete, self._serialize_until)
-            if wait > earliest:
-                self.stats.serializations += 1
-                earliest = wait
-            self._serialize_until = earliest
-
-        # ROB occupancy: a full window stalls rename until the oldest
-        # entry retires.
-        if self._rob_count >= cfg.rob_entries:
-            head_complete = self._rob_buf[self._rob_head]
-            self._rob_head += 1
-            if self._rob_head == self._rob_size:
-                self._rob_head = 0
-            self._rob_count -= 1
-            head_retire = self._retire_slots.allocate(head_complete + 2)
-            self._last_retire = max(self._last_retire, head_retire)
-            if head_retire > earliest:
-                self.stats.rob_stall_cycles += head_retire - floor
-                earliest = head_retire
-
-        # IQ occupancy (the 8 shared instruction slots + queues).
-        heap = self._iq_heap
-        while heap and heap[0] <= earliest:
-            heappop(heap)
-        if len(heap) >= cfg.iq_entries:
-            soonest = heappop(heap)
-            if soonest > earliest:
-                self.stats.iq_stall_cycles += soonest - earliest
-                earliest = soonest
-
-        # SQ occupancy for stores.
-        if ti.is_store_q:
-            sq = self._sq_heap
-            while sq and sq[0] <= earliest:
-                heappop(sq)
-            if len(sq) >= cfg.lsu.sq_entries:
-                soonest = heappop(sq)
-                if soonest > earliest:
-                    self.stats.sq_stall_cycles += soonest - earliest
-                    earliest = soonest
-
-        # The rename-bandwidth allocation comes last so dispatch times
-        # stay monotonic even after structural stalls.
-        dispatch = self._rename_slots.allocate(earliest)
-        self._last_dispatch = dispatch
-        # Backend pressure reaches the IBUF through the decode ring:
-        # fetch may run at most ibuf_entries instructions ahead of the
-        # point where decode actually drains into rename.
-        if self._dr_count == self._dr_cap:
-            self._dr_buf[self._dr_start] = dispatch - 2
-            self._dr_start += 1
-            if self._dr_start == self._dr_cap:
-                self._dr_start = 0
-        else:
-            idx = self._dr_start + self._dr_count
-            if idx >= self._dr_cap:
-                idx -= self._dr_cap
-            self._dr_buf[idx] = dispatch - 2
-            self._dr_count += 1
-        return dispatch
-
-    # -- execute ---------------------------------------------------------------------------
-
-    def _execute(self, dyn: DynInst, dispatch: int) -> tuple[int, int]:
-        ti = self._info(dyn)
-        reg_ready = self._reg_ready
-        ready = dispatch + 1
-        for rid in ti.src_rids:
-            t = reg_ready[rid]
-            if t > ready:
-                ready = t
-        if not self.config.out_of_order:
-            ready = max(ready, self._last_issue)
-            ready = self._inorder_slots.allocate(ready)
-            self._last_issue = ready
-
-        kind = ti.kind
-        if kind == K_STORE:
-            issue, complete = self._execute_store(dyn, ti, dispatch, ready)
-        elif kind == K_LOAD:
-            issue, complete = self._execute_load(dyn, ti, ready)
-        elif kind == K_VLOAD:
-            issue, complete = self._execute_load(dyn, ti, ready,
-                                                 vector=True)
-        elif kind == K_SIMPLE:
-            issue = self._issue_on(ti.pipe, ready, ti.occupy)
-            complete = issue + ti.latency
-        elif kind == K_DIV:
-            spread = ti.base
-            if spread <= 0:
-                latency = ti.latency
-            else:
-                bits = min(max(dyn.div_bits, 1), 64)
-                latency = ti.latency + (spread * bits) // 64
-            issue = self._issue_on(P_DIV, ready, latency)
-            complete = issue + latency
-        else:   # K_VEC
-            beats = self._vector_beats(dyn)
-            self.stats.vector_beats += beats
-            base = ti.base
-            occupy = base * beats if ti.is_vdiv else beats
-            issue = self._issue_on(P_VEC, ready, occupy)
-            complete = issue + base + beats - 1
-
-        if ti.vec_stat:
-            self.stats.vector_instructions += 1
-        for rid in ti.dest_rids:
-            reg_ready[rid] = complete
-        if complete > self._max_complete:
-            self._max_complete = complete
-        heappush(self._iq_heap, issue)
-        return issue, complete
+    # -- exact issue fallback and drain ------------------------------------------
 
     def _issue_on(self, pipe_index: int, ready: int, occupy: int = 1) -> int:
         """Find the earliest cycle satisfying the pipe and the global
@@ -1780,130 +1575,6 @@ class PipelineModel:
                 return c1
             cycle = c2
 
-    def _prune_pipes(self, before: int) -> None:
-        self._prune_countdown -= 1
-        if self._prune_countdown <= 0:
-            self._prune_countdown = 8192
-            floor = before - 64
-            for pipe in set(self._pipe_list):
-                pipe.advance(floor)
-            self._issue_bw.advance(floor)
-
-    def _vector_beats(self, dyn: DynInst) -> int:
-        """Beats from the slice datapath: 2 slices x 2 pipes x 64 bits =
-        256 result bits per cycle (section VII)."""
-        work = max(dyn.vl, 1) * max(dyn.sew, 8)
-        return max(1, -(-work // self._vec_bits))
-
-    # -- LSU -----------------------------------------------------------------------------------
-
-    def _execute_store(self, dyn: DynInst, ti: TimingInfo, dispatch: int,
-                       ready_all: int) -> tuple[int, int]:
-        lsu = self.config.lsu
-        self.stats.uops += 1  # the extra st.data uop
-        if lsu.pseudo_dual_store:
-            reg_ready = self._reg_ready
-            addr_ready = dispatch + 1
-            for rid in ti.addr_rids:
-                t = reg_ready[rid]
-                if t > addr_ready:
-                    addr_ready = t
-            data_ready = dispatch + 1
-            for rid in ti.data_rids:
-                t = reg_ready[rid]
-                if t > data_ready:
-                    data_ready = t
-            if not self.config.out_of_order:
-                addr_ready = max(addr_ready, ready_all)
-                data_ready = max(data_ready, ready_all)
-            addr_issue = self._issue_on(P_STADDR, addr_ready)
-            data_issue = self._issue_on(P_STDATA, data_ready)
-        else:
-            addr_issue = self._issue_on(P_STADDR, ready_all)
-            data_issue = addr_issue
-        addr_done = addr_issue + 1
-        data_done = data_issue + 1
-        complete = max(addr_done, data_done)
-        # The merged write drains from the SQ's write buffer to the
-        # cache after both halves arrive.
-        drain_latency = self.hier.access_data(
-            dyn.mem_addr, complete, is_write=True,
-            size=max(dyn.mem_size, 1))
-        heappush(self._sq_heap, complete + drain_latency)
-        self._stores.add(StoreRecord(
-            seq=dyn.seq, pc=dyn.pc, addr=dyn.mem_addr,
-            size=max(dyn.mem_size, 1), addr_ready=addr_done,
-            data_ready=data_done))
-        return max(addr_issue, data_issue), complete
-
-    def _execute_load(self, dyn: DynInst, ti: TimingInfo, ready: int,
-                      vector: bool = False) -> tuple[int, int]:
-        lsu = self.config.lsu
-        issue = self._issue_on(P_LOAD, ready)
-
-        # Memory-dependence prediction: tagged loads wait for older
-        # unresolved store addresses instead of speculating.
-        if self.memdep.predicts_conflict(dyn.pc):
-            unresolved = self._stores.unresolved_at(dyn.seq, issue)
-            if unresolved:
-                barrier = max(s.addr_ready for s in unresolved)
-                if barrier > issue:
-                    self.stats.memdep_delays += 1
-                    issue = self._issue_on(P_LOAD, barrier)
-            else:
-                self.memdep.train_no_conflict(dyn.pc)
-
-        conflicts = self._stores.conflicting_stores(
-            dyn.seq, dyn.mem_addr, max(dyn.mem_size, 1))
-        violation_store = None
-        forward_store = None
-        for store in conflicts:
-            if store.addr_ready > issue:
-                violation_store = store
-            else:
-                forward_store = store
-
-        if violation_store is not None:
-            # The load executed before an older same-address store's
-            # address resolved: speculative failure, global flush.
-            self.stats.lsu_violations += 1
-            self.memdep.train_violation(dyn.pc)
-            restart = violation_store.data_ready \
-                + lsu.violation_flush_penalty
-            issue = self._issue_on(P_LOAD, max(issue, restart))
-            forward_store = violation_store
-
-        if forward_store is not None and forward_store.data_ready <= issue + 1:
-            self.stats.lsu_forwards += 1
-            complete = max(issue + lsu.forward_latency + 1,
-                           forward_store.data_ready + lsu.forward_latency)
-            return issue, complete
-        if forward_store is not None:
-            # Data not yet available: wait for it, then forward.
-            self.stats.lsu_forwards += 1
-            complete = forward_store.data_ready + lsu.forward_latency + 1
-            return issue, complete
-
-        extra = self.hier.access_data(dyn.mem_addr, issue,
-                                      is_write=ti.is_amo,
-                                      size=max(dyn.mem_size, 1))
-        if vector:
-            extra += self._vector_beats(dyn) - 1
-        complete = issue + lsu.load_to_use + extra
-        return issue, complete
-
-    # -- retire --------------------------------------------------------------------------------
-
-    def _retire(self, dyn: DynInst, dispatch: int, complete: int) -> None:
-        self.stats.uops += 1
-        idx = self._rob_head + self._rob_count
-        if idx >= self._rob_size:
-            idx -= self._rob_size
-        self._rob_buf[idx] = complete
-        self._rob_count += 1
-        self._stores.retire_older_than(dyn.seq - self.config.rob_entries)
-        self._prune_pipes(dispatch)
-
     def _drain(self) -> None:
         while self._rob_count:
             head_complete = self._rob_buf[self._rob_head]
@@ -1915,95 +1586,3 @@ class PipelineModel:
             self._last_retire = max(self._last_retire, cycle)
         self.stats.cycles = max(self._last_retire, self._fetch_cycle, 1)
         self.hier.drain_pending()
-
-    # -- control resolution ----------------------------------------------------------------------
-
-    def _resolve_control(self, dyn: DynInst, fetch: int,
-                         complete: int) -> None:
-        ti = self._info(dyn)
-        ctrl = ti.ctrl
-        if ctrl == C_NONE:
-            return
-        fe = self.config.frontend
-        self.stats.branches += 1
-        pc = dyn.pc
-
-        # Loop-buffer tracking: distance back to the target in dynamic
-        # instructions approximates the body size.
-        body = 0
-        if dyn.taken and dyn.target <= pc:
-            last_seen = self._last_target_seen.get(dyn.target)
-            if last_seen is not None:
-                body = dyn.seq - last_seen
-        self._last_target_seen[dyn.target if dyn.taken else dyn.next_pc] \
-            = dyn.seq
-        if len(self._last_target_seen) > 4096:
-            self._last_target_seen.clear()
-        in_lbuf = self.lbuf.active and self.lbuf.covers(pc)
-        self.lbuf.observe_branch(pc, dyn.target if dyn.taken else dyn.next_pc,
-                                 dyn.taken, body)
-
-        if ctrl == C_BRANCH:
-            mispredicted = self.direction.update(pc, dyn.taken)
-            if mispredicted:
-                self.stats.direction_mispredicts += 1
-                self._redirect(complete + fe.mispredict_extra)
-                return
-            if dyn.taken:
-                self._taken_bubble(pc, dyn.target, in_lbuf)
-            # Back-to-back conditional branches without the two-level
-            # prefetch buffers cost one dead cycle (section III.A).
-            if not self.direction.consecutive_ok:
-                if fetch - self._last_was_branch_cycle <= 1:
-                    self._fetch_cycle += 1
-                    self.stats.fetch_bubbles += 1
-            self._last_was_branch_cycle = fetch
-            return
-
-        # Jumps.
-        if ctrl == C_JAL_CALL:
-            self.ras.push(pc + ti.size)
-            self._taken_bubble(pc, dyn.target, in_lbuf)
-            return
-        if ctrl == C_JAL:
-            self._taken_bubble(pc, dyn.target, in_lbuf)
-            return
-        if ctrl == C_RETURN:
-            predicted = self.ras.predict_pop()
-            if self.ras.check(predicted, dyn.target):
-                self.stats.ras_mispredicts += 1
-                self._redirect(complete + fe.mispredict_extra)
-            else:
-                self._taken_bubble(pc, dyn.target, in_lbuf)
-            return
-        if ctrl == C_IND_CALL:
-            self.ras.push(pc + ti.size)
-        if self.indirect.update(pc, dyn.target):
-            self.stats.indirect_mispredicts += 1
-            self._redirect(complete + fe.mispredict_extra)
-        else:
-            self._taken_bubble(pc, dyn.target, in_lbuf)
-
-    def _taken_bubble(self, pc: int, target: int, in_lbuf: bool) -> None:
-        """Charge the taken-redirect cost by where the target came from."""
-        fe = self.config.frontend
-        level, predicted = self.btb.predict(pc)
-        if self.btb.update(pc, target, predicted):
-            self.stats.target_mispredicts += 1
-            bubbles = fe.taken_bubble_miss
-        elif in_lbuf:
-            bubbles = 0   # LBUF: last and first instruction co-issue
-        elif level is BtbLevel.L0:
-            bubbles = fe.taken_bubble_l0
-        elif level is BtbLevel.L1:
-            bubbles = fe.taken_bubble_l1
-        else:
-            bubbles = fe.taken_bubble_miss
-        if bubbles:
-            self._fetch_cycle += bubbles
-            self.stats.taken_branch_bubbles += bubbles
-        self._fetch_group = None  # next fetch starts a new group
-
-    def _redirect(self, resume_cycle: int) -> None:
-        self._pending_redirect = max(
-            self._pending_redirect or 0, resume_cycle)

@@ -16,7 +16,6 @@ The model covers the three mechanisms the paper describes:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -61,38 +60,3 @@ class MemDepPredictor:
             if self._tagged[load_pc] <= 0:
                 del self._tagged[load_pc]
 
-
-class StoreQueueModel:
-    """Sliding window over in-flight stores for ordering checks.
-
-    Records are appended in program order (strictly increasing ``seq``),
-    so both eviction paths work from the left end of a deque instead of
-    rebuilding the container — ``retire_older_than`` runs once per
-    retired instruction, which made the old list rebuild the hottest
-    allocation site in the timing model.
-    """
-
-    def __init__(self, capacity: int = 64):
-        self.capacity = capacity
-        self._stores: deque[StoreRecord] = deque()
-
-    def add(self, record: StoreRecord) -> None:
-        self._stores.append(record)
-        if len(self._stores) > self.capacity:
-            self._stores.popleft()
-
-    def retire_older_than(self, seq: int) -> None:
-        stores = self._stores
-        while stores and stores[0].seq < seq:
-            stores.popleft()
-
-    def conflicting_stores(self, seq: int, addr: int,
-                           size: int) -> list[StoreRecord]:
-        """Older stores whose footprint overlaps [addr, addr+size)."""
-        return [s for s in self._stores
-                if s.seq < seq and s.overlaps(addr, size)]
-
-    def unresolved_at(self, seq: int, cycle: int) -> list[StoreRecord]:
-        """Older stores whose address is still unknown at *cycle*."""
-        return [s for s in self._stores
-                if s.seq < seq and s.addr_ready > cycle]

@@ -4,9 +4,10 @@ store-locality contract that makes the stream path usable there.
 ``run_smp_timing`` times every hart through the batched hot loop
 (``PipelineModel.run_quantum``).  The driver it replaced — one staged
 ``feed()`` per instruction — lives on here, and only here, as the
-reference: same functional run, same shared substrate, same 64-record
-round-robin, so per-core statistics and coherence counters must be
-equal, not close.
+reference, built on the frozen ``ReferencePipelineModel`` so it shares
+no timing code with what it checks: same functional run, same shared
+substrate, same 64-record round-robin, so per-core statistics and
+coherence counters must be equal, not close.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.smp.timing import (SmpTimingStats, _CoherentHierarchy,
                               run_smp_timing)
 from repro.uarch.core import PipelineModel
 from repro.uarch.presets import xt910
+from repro.uarch.refmodel import ReferencePipelineModel
 from repro.uarch.stats import CoreStats
 
 from .test_smp_execution import PARALLEL_SUM, SPINLOCK
@@ -45,7 +47,7 @@ PROGRAMS = {
 def staged_smp_timing(program: Program, cores: int
                       ) -> tuple[list[CoreStats], SmpTimingStats]:
     """``run_smp_timing`` as it was before the stream path: identical
-    steps 1 and 2, then one staged ``feed()`` per record."""
+    steps 1 and 2, then one reference-model ``feed()`` per record."""
     config = xt910()
     interleave = 4
     machine = SmpMachine(program, cores=cores, interleave=interleave)
@@ -71,7 +73,7 @@ def staged_smp_timing(program: Program, cores: int
                    for _ in range(cores)]
     for hierarchy in hierarchies:
         hierarchy.set_siblings(hierarchies)
-    pipelines = [PipelineModel(config, hierarchy=hierarchy)
+    pipelines = [ReferencePipelineModel(config, hierarchy=hierarchy)
                  for hierarchy in hierarchies]
 
     positions = [0] * cores

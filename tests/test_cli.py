@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.sim import Emulator
 
 SOURCE = """
 _start:
@@ -96,6 +97,18 @@ class TestRasCli:
         assert "instruction limit 2000" in out
         assert "stats below cover the bounded prefix" in out
         assert "timing_model" in out        # and the profile still prints
+
+    @pytest.mark.parametrize("verb", ["profile", "top", "metrics",
+                                      "compare"])
+    def test_spinning_guest_ends_in_the_watchdog_line(
+            self, verb, hang_file, capsys, monkeypatch):
+        # These verbs take no --max-insts: the default limit bounds
+        # them, and its expiry used to escape main() as a traceback.
+        monkeypatch.setattr(Emulator, "DEFAULT_INSTRUCTION_LIMIT", 5000)
+        assert main([verb, hang_file]) == 2
+        out = capsys.readouterr().out
+        assert "watchdog: instruction limit 5000" in out
+        assert "Traceback" not in out
 
     def test_lockstep_clean(self, program_file, capsys):
         assert main(["run", program_file, "--lockstep"]) == 0

@@ -1,6 +1,7 @@
 """Profiler tests (the CDS tooling reproduction, section IX)."""
 
 from repro.asm import assemble
+from repro.harness.runner import run_on_core
 from repro.tools import profile_program
 
 PROGRAM = assemble("""
@@ -34,6 +35,12 @@ class TestProfiler:
         profile = profile_program(PROGRAM)
         assert profile.stats.instructions == \
             sum(s.executions for s in profile.samples.values())
+
+    def test_stats_equal_a_timed_run(self):
+        # The profiler steps the reference model, ``run --core`` the
+        # stream loop: the totals the two verbs print must not drift.
+        assert profile_program(PROGRAM).stats.as_comparable() \
+            == run_on_core(PROGRAM, "xt910").stats.as_comparable()
 
     def test_hot_load_attributed(self):
         profile = profile_program(PROGRAM)

@@ -3,16 +3,15 @@
 The optimised :class:`repro.uarch.core.PipelineModel` (static timing
 cache, ring-array scheduling structures, block-batched monolith) is
 only allowed to be fast because it is *stats-identical* to the slow
-model.  Three independent oracles pin that down:
+model.  Two independent oracles pin that down:
 
 1. the frozen pre-fast-path copy
    (:class:`repro.uarch.refmodel.ReferencePipelineModel`), replaying
-   the same dynamic trace;
+   the same dynamic trace — on every preset, so the in-order and
+   single-issue-LSU rows are held to it too;
 2. the committed ``golden_stats.json`` snapshot, generated with the
    reference model on every bundled workload — catches drift that a
-   same-commit differential cannot (both models changing together);
-3. the model's own staged per-instruction path (``feed``/``finish``),
-   which the monolith is an inlined port of.
+   same-commit differential cannot (both models changing together).
 
 The monolith is also resumable (``run_quantum``, how SMP timing drives
 it): ``run(trace)`` must equal any chunking of the same trace.
@@ -39,7 +38,7 @@ from repro.harness.runner import run_on_core
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.emulator import Emulator, WatchdogExpired
 from repro.uarch.core import _WINDOW, PipeGroup, PipelineModel
-from repro.uarch.presets import get_preset
+from repro.uarch.presets import PRESETS, get_preset
 from repro.uarch.refmodel import ReferencePipelineModel
 from repro.workloads import all_workloads
 
@@ -51,6 +50,16 @@ GOLDEN = json.loads(
 #: full suite: int-heavy, branchy, memory-heavy and vector kernels).
 DIFF_WORKLOADS = ["coremark-list", "coremark-state", "eembc-canrdr",
                   "vec-mac16"]
+
+#: The smaller sample replayed on every *other* preset: golden stats
+#: cover ``xt910`` only, so this is the one independent check of the
+#: in-order cores (``R_INORDER`` rows) and the single-issue-LSU ones.
+PRESET_WORKLOADS = ["coremark-list", "eembc-canrdr", "vec-mac16"]
+ORACLE_CASES = [pytest.param(name, "xt910", id=name)
+                for name in DIFF_WORKLOADS] \
+    + [pytest.param(name, preset, id=f"{name}@{preset}")
+       for preset in sorted(PRESETS) if preset != "xt910"
+       for name in PRESET_WORKLOADS]
 
 #: Workloads checked against the committed golden snapshot here; all 39
 #: goldens are replayed (hooks attached) by
@@ -70,18 +79,18 @@ def _workload(name: str):
     raise KeyError(name)
 
 
-def _run_model(model_cls, program, max_steps=None):
-    config = get_preset("xt910")
+def _run_model(model_cls, program, max_steps=None, preset="xt910"):
+    config = get_preset(preset)
     model = model_cls(config, MemoryHierarchy(config.mem))
     emulator = Emulator(program)
     return model.run(emulator.fast_trace(max_steps))
 
 
-@pytest.mark.parametrize("name", DIFF_WORKLOADS)
-def test_fast_path_matches_reference_oracle(name):
+@pytest.mark.parametrize("name, preset", ORACLE_CASES)
+def test_fast_path_matches_reference_oracle(name, preset):
     program = _workload(name).program()
-    ref = _run_model(ReferencePipelineModel, program)
-    fast = _run_model(PipelineModel, program)
+    ref = _run_model(ReferencePipelineModel, program, preset=preset)
+    fast = _run_model(PipelineModel, program, preset=preset)
     assert fast.as_comparable() == ref.as_comparable()
 
 
@@ -110,23 +119,6 @@ def test_tier3_matches_committed_golden_stats(name):
 
 def test_golden_file_covers_every_bundled_workload():
     assert sorted(GOLDEN) == sorted(w.name for w in all_workloads())
-
-
-def test_feed_matches_run():
-    """The staged per-instruction path (the readable spec) and the
-    batched monolith must produce identical statistics."""
-    program = _workload("coremark-list").program()
-    config = get_preset("xt910")
-
-    batched = PipelineModel(config, MemoryHierarchy(config.mem))
-    run_stats = batched.run(Emulator(program).fast_trace(None))
-
-    staged = PipelineModel(config, MemoryHierarchy(config.mem))
-    for dyn in Emulator(program).trace(None):
-        staged.feed(dyn)
-    feed_stats = staged.finish()
-
-    assert feed_stats.as_comparable() == run_stats.as_comparable()
 
 
 #: Small enough to replay one instruction per quantum: FP, vector,
@@ -225,15 +217,20 @@ def test_tcache_revalidates_on_new_instruction_object():
     model = PipelineModel(get_preset("xt910"))
     dyn = next(iter(Emulator(program).trace(4)))
 
-    info = model._info(dyn)
-    assert model._info(dyn) is info          # same object: cache hit
+    def row_of(record):
+        (row,), _ = model._resolve([record])
+        return row
+
+    row = row_of(dyn)
+    assert row_of(dyn) is row                # same object: cache hit
 
     redecoded = copy.copy(dyn)
     redecoded.inst = copy.copy(dyn.inst)     # fresh Instruction object
-    rebuilt = model._info(redecoded)
-    assert rebuilt is not info               # identity miss: rebuilt
-    assert rebuilt.src_rids == info.src_rids
-    assert model._info(redecoded) is rebuilt  # and re-cached
+    rebuilt = row_of(redecoded)
+    assert rebuilt is not row                # identity miss: rebuilt
+    assert rebuilt[:-1] == row[:-1]          # same facts, fresh info
+    assert rebuilt[-1].inst is redecoded.inst
+    assert row_of(redecoded) is rebuilt      # and re-cached
 
 
 def test_pipegroup_memory_bounded_over_one_million_cycles():

@@ -151,11 +151,12 @@ def test_retranslated_block_gets_fresh_rows(tier):
     before, after = [batch for batch in resolved
                      if batch[0].pc == patchme]
     assert before is not after
-    old = before.resolved[1][0][-1]
-    new = after.resolved[1][0][-1]
+    # row = (pc, s0, s1, s2, d0, kind, pipe, latency, ctrl, rare, info)
+    *_, old_latency, _, _, old = before.resolved[1][0]
+    *_, new_latency, _, _, new = after.resolved[1][0]
     assert old.inst.spec.mnemonic == "addi"
     assert new.inst.spec.mnemonic == "mul"
-    assert new.latency > old.latency   # stale rows would have shown
+    assert new_latency > old_latency   # stale rows would have shown
 
 
 # -- (iii) rows belong to the model that wrote them --------------------------
