@@ -384,10 +384,10 @@ def cmd_submit(args) -> int:
               file=sys.stderr)
         return 2
     specs = _submit_specs(args)
-    service = JobService(workers=args.jobs,
-                         retry=RetryPolicy(max_attempts=args.max_attempts),
-                         isolation=not args.no_isolation)
-    results = service.run(specs)
+    with JobService(workers=args.jobs,
+                    retry=RetryPolicy(max_attempts=args.max_attempts),
+                    isolation=not args.no_isolation) as service:
+        results = service.run(specs)
     if args.json:
         print(json_mod.dumps({
             "results": [r.to_dict() for r in results],
@@ -440,27 +440,31 @@ def cmd_serve(args) -> int:
     stdout line.  Malformed lines get a rejected result, not a crash."""
     import json as json_mod
 
-    from .service import GuestFault, JobResult, JobService, JobState
+    from .service import (
+        GuestFault,
+        JobResult,
+        JobService,
+        JobSpec,
+        JobState,
+    )
 
-    service = JobService(workers=args.jobs,
-                         isolation=not args.no_isolation)
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            from .service import JobSpec
-
-            spec = JobSpec.from_dict(json_mod.loads(line))
-        except Exception as exc:
-            bad = JobResult(
-                name="?", state=JobState.REJECTED,
-                error=GuestFault(f"unparseable job line: {exc}",
-                                 retryable=False).to_dict())
-            print(json_mod.dumps(bad.to_dict()), flush=True)
-            continue
-        result = service.submit(spec)
-        print(json_mod.dumps(result.to_dict()), flush=True)
+    with JobService(workers=args.jobs,
+                    isolation=not args.no_isolation) as service:
+        for line in sys.stdin:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                spec = JobSpec.from_dict(json_mod.loads(line))
+            except Exception as exc:
+                bad = JobResult(
+                    name="?", state=JobState.REJECTED,
+                    error=GuestFault(f"unparseable job line: {exc}",
+                                     retryable=False).to_dict())
+                print(json_mod.dumps(bad.to_dict()), flush=True)
+                continue
+            result = service.submit(spec)
+            print(json_mod.dumps(result.to_dict()), flush=True)
     return 0
 
 

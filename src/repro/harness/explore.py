@@ -330,15 +330,15 @@ def run_sweep(spec: SweepSpec, jobs: int | None = None,
     if progress is not None:
         progress(f"{spec.name}: {len(points)} point(s), "
                  f"{len(cells)} cell(s) to look up or simulate")
-    service = JobService(
-        workers=jobs, isolation=jobs is not None and jobs > 1,
-        store=store if store is not None else ExploreStore())
-    outcomes = service.run([
-        JobSpec(source=workload.source, compress=workload.compress,
-                name=f"{workload.name}@{point.label}", core=None,
-                uarch=point.doc, mode=TIER_MODES[spec.tier], vet=False,
-                max_insts=spec.max_insts, wall_timeout_s=timeout)
-        for point, workload in cells])
+    with JobService(
+            workers=jobs, isolation=jobs is not None and jobs > 1,
+            store=store if store is not None else ExploreStore()) as service:
+        outcomes = service.run([
+            JobSpec(source=workload.source, compress=workload.compress,
+                    name=f"{workload.name}@{point.label}", core=None,
+                    uarch=point.doc, mode=TIER_MODES[spec.tier], vet=False,
+                    max_insts=spec.max_insts, wall_timeout_s=timeout)
+            for point, workload in cells])
 
     results: list[CellResult] = []
     failures: list[CellError] = []

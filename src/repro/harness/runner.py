@@ -63,14 +63,14 @@ def run_on_core(program: Program, core: CoreConfig | str,
     ``stats.extra["watchdog_expired"] = 1``) instead of raising —
     bounded jobs still return data.
     """
+    if tier is not None and tier not in (1, 2, 3):
+        raise ValueError(f"tier must be 1, 2 or 3, not {tier!r}")
     config = get_preset(core) if isinstance(core, str) else core
     emulator = (Emulator(program, instruction_limit=max_insts)
                 if max_insts is not None else Emulator(program))
     pipeline = PipelineModel(config, hierarchy=hierarchy)
     pipeline.tracer = tracer
     pipeline.profiler = profiler
-    if tier is not None and tier not in (1, 2, 3):
-        raise ValueError(f"tier must be 1, 2 or 3, not {tier!r}")
     if tier == 3:
         trace = emulator.codegen_trace(max_steps)
     elif tier == 1:

@@ -40,12 +40,12 @@ def run(quick: bool = True, jobs: int | None = None,
     """Benchmark the service; returns the BENCH_service.json body."""
     count = jobs if jobs is not None else (32 if quick else 128)
     width = workers if workers is not None else default_workers()
-    service = JobService(workers=width)
     specs = _load(count)
-    (wall_s,), results = benchkit.best_of(
-        1, lambda timed: timed(service.run, specs))
+    with JobService(workers=width) as service:
+        (wall_s,), results = benchkit.best_of(
+            1, lambda timed: timed(service.run, specs))
+        counters = service.counters()
     completed = sum(1 for r in results if r.state is JobState.COMPLETED)
-    counters = service.counters()
     return {
         "jobs": count,
         "workers": width,

@@ -360,13 +360,22 @@ def run_chaos(target_faults: int = 100, seed: int = 2020,
               toxic_submissions: int = 5,
               breaker_threshold: int = 3) -> ChaosReport:
     """Run one full campaign; every gate lives in the returned report."""
-    plan = generate_plan(target_faults, seed)
-    service = JobService(
-        workers=workers, seed=seed + 1,
-        breaker_threshold=breaker_threshold,
-        retry=RetryPolicy(max_attempts=3, backoff_base_s=0.02,
-                          backoff_cap_s=0.25, jitter=0.5))
     report = ChaosReport()
+    with JobService(
+            workers=workers, seed=seed + 1,
+            breaker_threshold=breaker_threshold,
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.02,
+                              backoff_cap_s=0.25, jitter=0.5)) as service:
+        _campaign(service, report, generate_plan(target_faults, seed),
+                  toxic_submissions, breaker_threshold)
+        report.service_counters = service.counters()
+    return report
+
+
+def _campaign(service: JobService, report: ChaosReport,
+              plan: list[PlannedJob], toxic_submissions: int,
+              breaker_threshold: int) -> None:
+    """The three arms of a campaign, on one long-lived service."""
     results = service.run([job.spec for job in plan])
     for job, result in zip(plan, results):
         report.bump(f"kind-{job.kind}")
@@ -406,9 +415,6 @@ def run_chaos(target_faults: int = 100, seed: int = 2020,
     if not second.cache_hit:
         report.unexpected.append("cache-repeat: second submission "
                                  "missed the result cache")
-
-    report.service_counters = service.counters()
-    return report
 
 
 # -- harness integration -----------------------------------------------------

@@ -30,6 +30,7 @@ import heapq
 import os
 import random
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Sequence, cast
 
@@ -68,7 +69,10 @@ class JobService:
     ``isolation=False`` runs jobs inline in this process — no crash
     containment and no wall-clock reaping (chaos crash/hang plans
     would take this process with them), but single-stepping a job
-    under pdb works.  The default is full process isolation.
+    under pdb works.  The default is full process isolation, on one
+    :class:`WorkerPool` that lives as long as the service: use the
+    service as a context manager (or call :meth:`close`) to reap the
+    children of its last jobs at once rather than at interpreter exit.
     """
 
     def __init__(self, *, workers: int | None = None,
@@ -83,17 +87,30 @@ class JobService:
         self.breaker = CircuitBreaker(breaker_threshold)
         self.store = store if store is not None else ResultStore()
         self.isolation = isolation
-        self._start_method = start_method
+        self._pool = WorkerPool(self.workers, execute_job,
+                                start_method=start_method) \
+            if isolation else None
         self._rng = random.Random(seed)
         self._job_seq = 0
-        self.latencies_s: list[float] = []
+        #: terminal latencies of the most recent jobs (bounded window)
+        self.latencies_s: deque[float] = deque(maxlen=4096)
         self._counts: dict[str, int] = {
             "jobs_submitted": 0, "jobs_completed": 0, "jobs_degraded": 0,
             "jobs_timeout": 0, "jobs_failed": 0, "jobs_rejected": 0,
             "jobs_quarantined": 0, "retries": 0, "fallbacks": 0,
             "worker_crashes": 0, "wall_timeouts": 0, "internal_errors": 0,
-            "workers_launched": 0,
         }
+
+    def close(self) -> None:
+        """Release the pool's children; the service stays usable."""
+        if self._pool is not None:
+            self._pool.close()
+
+    def __enter__(self) -> "JobService":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- public API ---------------------------------------------------------
 
@@ -115,8 +132,8 @@ class JobService:
             specs=specs, keys=[self._key(spec) for spec in specs],
             results=[None] * len(specs), started=[now] * len(specs),
             ready=[(now, index, 1) for index in range(len(specs))])
-        if self.isolation:
-            self._run_pooled(batch)
+        if self._pool is not None:
+            self._run_pooled(batch, self._pool)
         else:
             self._run_inline(batch)
         done = [result for result in batch.results if result is not None]
@@ -125,10 +142,9 @@ class JobService:
 
     # -- supervision --------------------------------------------------------
 
-    def _run_pooled(self, batch: _Batch) -> None:
+    def _run_pooled(self, batch: _Batch, pool: WorkerPool) -> None:
         ready = batch.ready
-        with WorkerPool(self.workers, execute_job,
-                        start_method=self._start_method) as pool:
+        try:
             while ready or pool.outstanding:
                 now = time.monotonic()
                 while ready and ready[0][0] <= now:
@@ -146,7 +162,9 @@ class JobService:
                         self._absorb(batch, index, attempt, outcome)
                 elif ready:
                     time.sleep(max(0.0, min(ready[0][0] - now, 0.05)))
-            self._counts["workers_launched"] += pool.launched
+        except BaseException:
+            pool.close()              # kill what this batch left running
+            raise
 
     def _run_inline(self, batch: _Batch) -> None:
         while batch.ready:
@@ -301,6 +319,8 @@ class JobService:
     def counters(self) -> dict[str, Any]:
         """Service-namespace counter snapshot (ints/floats only)."""
         counters: dict[str, Any] = dict(self._counts)
+        pool = self._pool
+        counters["workers_launched"] = pool.launched if pool else 0
         counters["breaker_trips"] = self.breaker.trips
         counters["breaker_open"] = len(self.breaker.open_keys)
         for name, value in self.store.counters().items():

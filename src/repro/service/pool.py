@@ -3,8 +3,8 @@
 The pool runs every task in a **single-shot child process**: the task
 function executes once, ships its result (or serialized exception)
 back over a dedicated pipe, and the process exits.  Compared to a
-persistent-worker executor this trades a cheap ``fork()`` per task for
-three robustness properties the service core is built on:
+persistent-worker executor this trades a ``fork()`` per task for three
+robustness properties the service core is built on:
 
 * **containment** — a task that segfaults, ``os._exit``\\ s, or is
   OOM-killed takes down exactly one process; sibling tasks and the
@@ -21,6 +21,12 @@ The supervisor never raises for task-level problems: every submitted
 task produces exactly one :class:`TaskOutcome` whose ``status`` is
 ``ok``, ``error`` (the function raised; serialized exception payload),
 ``crash`` (process died) or ``timeout`` (deadline exceeded, SIGKILLed).
+
+A child's life is **running → exiting → reaped**.  A child that has
+reported is *exiting*: its outcome is returned at once and the process
+is reaped by a later pool call without blocking (SIGKILLed if still
+alive ``_EXIT_GRACE_S`` later), so the pool may live as long as its
+owner and a slow exit holds up nobody.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import multiprocessing.connection
 import os
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, cast
 
@@ -37,6 +44,9 @@ from .errors import ServiceError
 
 #: traceback tail kept in serialized error payloads
 _TRACEBACK_LIMIT = 20
+
+#: how long a worker that has reported may take to exit before SIGKILL
+_EXIT_GRACE_S = 5.0
 
 
 @dataclass
@@ -56,9 +66,10 @@ class TaskOutcome:
 @dataclass
 class _Running:
     key: Hashable
-    process: Any                      # multiprocessing.Process
+    process: Any                      # multiprocessing.Process; None = reaped
     conn: multiprocessing.connection.Connection
     started: float
+    #: running: the task's wall-clock deadline; exiting: the SIGKILL time
     deadline: float | None
 
 
@@ -111,7 +122,9 @@ class WorkerPool:
 
     Use as a context manager.  ``submit`` queues work; ``wait`` blocks
     until at least one outcome is available (launching queued tasks as
-    slots free up); ``drain`` collects everything outstanding.
+    slots free up); ``drain`` collects everything outstanding.  The
+    pool may live as long as its owner: between tasks it holds nothing
+    but children on their way out.
     """
 
     def __init__(self, workers: int,
@@ -125,8 +138,9 @@ class WorkerPool:
         self._ctx = (multiprocessing.get_context(start_method)
                      if start_method else multiprocessing.get_context())
         self._poll = poll_interval_s
-        self._queue: list[_Queued] = []
+        self._queue: deque[_Queued] = deque()
         self._running: list[_Running] = []
+        self._exiting: list[_Running] = []
         self._outcomes: list[tuple[Hashable, TaskOutcome]] = []
         self.launched = 0
         self.crashes = 0
@@ -141,14 +155,48 @@ class WorkerPool:
         self.close()
 
     def close(self) -> None:
-        """Kill anything still running and drop queued work."""
-        for entry in self._running:
-            if entry.process.is_alive():
-                entry.process.kill()
-            entry.process.join()
-            entry.conn.close()
-        self._running.clear()
+        """SIGKILL every child, running or exiting, and drop queued
+        work and uncollected outcomes.  The pool stays usable.
+
+        Safe after an exception out of ``_step``: an entry that pass
+        had already resolved may still be listed as running.
+        """
+        entries = self._running + self._exiting
+        self._running, self._exiting = [], []
         self._queue.clear()
+        self._outcomes.clear()
+        for entry in entries:
+            self._bury(entry)
+
+    @staticmethod
+    def _bury(entry: _Running, grace_s: float = 0.0) -> int | None:
+        """Reap one child — SIGKILLed if it is still alive ``grace_s``
+        from now — and release its descriptors; returns its exit code
+        (None for an entry that was already reaped)."""
+        process, entry.process = entry.process, None
+        if process is None:
+            return None
+        if grace_s:
+            process.join(grace_s)
+        if process.is_alive():
+            process.kill()
+        process.join()
+        exitcode: int | None = process.exitcode
+        process.close()
+        entry.conn.close()
+        return exitcode
+
+    def _reap_exited(self, now: float) -> None:
+        """Reap reported workers that have exited, without blocking;
+        one that is still alive past its grace is SIGKILLed."""
+        still_exiting: list[_Running] = []
+        for entry in self._exiting:
+            if entry.process.is_alive() \
+                    and now < cast(float, entry.deadline):
+                still_exiting.append(entry)
+            else:
+                self._bury(entry)
+        self._exiting = still_exiting
 
     # -- submission ---------------------------------------------------------
 
@@ -164,8 +212,10 @@ class WorkerPool:
         return len(self._queue) + len(self._running)
 
     def _launch_ready(self) -> None:
+        if self._exiting:
+            self._reap_exited(time.monotonic())
         while self._queue and len(self._running) < self.workers:
-            task = self._queue.pop(0)
+            task = self._queue.popleft()
             parent, child = self._ctx.Pipe(duplex=False)
             process = self._ctx.Process(
                 target=_task_main, args=(child, self.fn, task.payload),
@@ -238,13 +288,11 @@ class WorkerPool:
             status, value = entry.conn.recv()
         except (EOFError, OSError):
             return self._finish_crash(entry, duration)
-        # A worker that reported but wedged on the way out must not
-        # wedge the supervisor: give it a moment, then reap it.
-        entry.process.join(timeout=5.0)
-        if entry.process.is_alive():
-            entry.process.kill()
-            entry.process.join()
-        entry.conn.close()
+        # The outcome does not wait for the process to finish exiting,
+        # so a worker that reported but wedged on the way out holds up
+        # neither its own result nor its siblings' supervision.
+        entry.deadline = now + _EXIT_GRACE_S
+        self._exiting.append(entry)
         return TaskOutcome(status=status, value=value, duration_s=duration)
 
     def _reap_crash(self, entry: _Running, now: float) -> TaskOutcome:
@@ -260,11 +308,11 @@ class WorkerPool:
         return self._finish_crash(entry, now - entry.started)
 
     def _finish_crash(self, entry: _Running, duration: float) -> TaskOutcome:
-        entry.process.join()
-        entry.conn.close()
         self.crashes += 1
+        # EOF can arrive a moment before the exit status does: wait for
+        # the child's own code rather than record our SIGKILL.
         return TaskOutcome(status="crash",
-                           exitcode=entry.process.exitcode,
+                           exitcode=self._bury(entry, grace_s=1.0),
                            duration_s=duration)
 
     def _reap_timeout(self, entry: _Running, now: float) -> TaskOutcome:
@@ -275,9 +323,7 @@ class WorkerPool:
         """
         if entry.conn.poll(0):
             return self._collect(entry, now)
-        entry.process.kill()
-        entry.process.join()
-        entry.conn.close()
+        self._bury(entry)
         self.timeouts += 1
         return TaskOutcome(status="timeout", duration_s=now - entry.started)
 

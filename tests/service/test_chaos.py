@@ -2,6 +2,8 @@
 small end-to-end campaign (CI runs the full 100-fault campaign in its
 own job; this suite keeps the in-tree cost low)."""
 
+import multiprocessing
+
 from repro.harness import benchkit
 from repro.service import JobResult, JobState
 from repro.service import bench as service_bench
@@ -93,6 +95,7 @@ class TestCampaign:
         assert report.definitive == report.jobs
         assert report.silent == []
         assert report.unexpected == []
+        assert multiprocessing.active_children() == []
 
 
 class TestServiceBench:

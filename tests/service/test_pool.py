@@ -1,8 +1,11 @@
 """The crash-isolated worker pool: every task gets exactly one outcome."""
 
+import multiprocessing
+import multiprocessing.util
 import os
 import time
 
+from repro.service import pool as pool_module
 from repro.service.pool import WorkerPool, run_tasks, serialize_exception
 from repro.service.errors import GuestFault
 
@@ -24,11 +27,43 @@ def _hang(x):
         time.sleep(0.05)
 
 
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _wedge_or_hang(x):
+    if x == "wedge":
+        # Runs when the child's multiprocessing bootstrap exits: the
+        # result is already on the pipe, the process is going nowhere.
+        multiprocessing.util.Finalize(None, time.sleep, args=(30,),
+                                      exitpriority=0)
+        return os.getpid()
+    if x == "hang":
+        _hang(x)
+    return x
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _gone(pid: int) -> bool:
+    """True once *pid* is dead and reaped (or was never ours)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
 def _mixed(x):
     if x == "crash":
         os._exit(77)
     if x == "error":
         raise ValueError("bad task")
+    if x == "hang":
+        _hang(x)
     return f"ok:{x}"
 
 
@@ -73,6 +108,85 @@ class TestOutcomes:
             collected = pool.drain()
         assert sorted(key for key, _ in collected) == list(range(5))
         assert pool.outstanding == 0
+
+
+class TestLifecycle:
+    """running → exiting → reaped, and nothing left behind."""
+
+    def test_close_leaves_no_child_and_no_descriptor(self):
+        run_tasks(_double, [0], workers=1)      # multiprocessing warm-up
+        baseline = _open_fds()
+        pool = WorkerPool(2, _double)
+        for i in range(6):
+            pool.submit(i, i)
+        assert len(pool.drain()) == 6
+        pool.close()
+        assert pool.launched == 6
+        assert multiprocessing.active_children() == []
+        assert _open_fds() == baseline
+
+    def test_pool_is_reusable_across_batches_and_after_close(self):
+        with WorkerPool(1, _double, start_method="spawn") as pool:
+            for i in range(2):
+                pool.submit(i, i + 1)
+                [(_, outcome)] = pool.drain()
+                assert outcome.ok and outcome.value == (i + 1) * 2
+            pool.close()
+            pool.submit(2, 21)
+            assert pool.drain()[0][1].value == 42
+        assert multiprocessing.active_children() == []
+
+    def test_close_after_an_exception_inside_a_step(self, monkeypatch):
+        # The pass is abandoned half-way: the entries it had resolved
+        # (one exiting, one already reaped) are still listed as
+        # running, and the outcome it had queued is batch-relative.
+        pool = WorkerPool(3, _mixed)
+        pool.submit("done", 1)
+        pool.submit("dead", "crash")
+        pool.submit("slow", "hang")
+        time.sleep(0.5)                         # the first two are over
+        real_collect = pool._collect
+        calls = []
+
+        def interrupt_after_second(entry, now):
+            real_collect(entry, now)
+            calls.append(entry.key)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+        monkeypatch.setattr(pool, "_collect", interrupt_after_second)
+        try:
+            pool.drain()
+        except KeyboardInterrupt:
+            pass
+        assert calls == ["done", "dead"]
+        assert len(pool._running) == 3 and len(pool._exiting) == 1
+        monkeypatch.undo()
+        pool.close()
+        pool.close()
+        assert multiprocessing.active_children() == []
+        pool.submit("next", 4)                  # no stale outcome surfaces
+        assert [(k, o.value) for k, o in pool.drain()] == [("next", "ok:4")]
+        pool.close()
+
+    def test_wedged_exit_holds_up_nobody(self, monkeypatch):
+        # A worker that reported and then hangs on its way out used to
+        # block the supervisor in join(5.0): no sibling result, no
+        # sibling deadline, for five seconds.
+        monkeypatch.setattr(pool_module, "_EXIT_GRACE_S", 1.0)
+        with WorkerPool(2, _wedge_or_hang) as pool:
+            start = time.monotonic()
+            pool.submit("A", "wedge")
+            pool.submit("B", "hang", timeout=0.3)
+            outcomes = dict(pool.drain())
+            assert time.monotonic() - start < 1.5
+            assert outcomes["B"].status == "timeout"
+            assert outcomes["A"].ok
+            wedged = outcomes["A"].value
+            assert not _gone(wedged)            # still in its finalizer
+            time.sleep(1.0)
+            pool.submit("C", "ok")              # one more supervision step
+            assert pool.drain()[0][1].ok
+            assert _gone(wedged)
 
 
 class TestSerializeException:

@@ -5,7 +5,11 @@ CPU); chaos crash/hang plans only ever run under process isolation —
 inline they would take the test process with them.
 """
 
+import gc
 import json
+import multiprocessing
+import os
+import time
 
 from repro.asm import assemble
 from repro.harness.runner import run_on_core
@@ -177,6 +181,71 @@ class TestDegradation:
         assert not result.downgraded
 
 
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _submit_some(service: JobService, count: int, base: int) -> None:
+    for i in range(count):
+        result = service.submit(
+            JobSpec(source=clean_source(base + i), core=None))
+        assert result.state is JobState.COMPLETED
+
+
+class TestPoolLifetime:
+    """One pool per service; nothing left behind after ``close()``."""
+
+    def test_close_leaves_no_child_and_no_descriptor(self):
+        with _service(workers=1) as warm:       # multiprocessing warm-up
+            _submit_some(warm, 1, base=30)
+        baseline = _open_fds()
+        with _service(workers=1) as service:
+            pool = service._pool
+            _submit_some(service, 4, base=31)
+            assert service._pool is pool
+        assert service.counters()["workers_launched"] == 4
+        assert multiprocessing.active_children() == []
+        assert _open_fds() == baseline
+
+    def test_dropped_service_leaves_nothing_behind(self):
+        # No close(): the last job's child is still exiting when the
+        # service goes away, and finishes on its own.
+        with _service(workers=1) as warm:
+            _submit_some(warm, 1, base=35)
+        baseline = _open_fds()
+        service = _service(workers=1)
+        _submit_some(service, 2, base=36)
+        del service
+        gc.collect()
+        patience = time.monotonic() + 5.0
+        while multiprocessing.active_children() \
+                and time.monotonic() < patience:
+            time.sleep(0.01)
+        assert multiprocessing.active_children() == []
+        assert _open_fds() == baseline
+
+    def test_pool_survives_an_exception_out_of_a_batch(self, monkeypatch):
+        with _service(workers=1) as service:
+            def interrupted(*args, **kwargs):
+                raise KeyboardInterrupt
+            monkeypatch.setattr(service, "_absorb", interrupted)
+            try:
+                service.submit(JobSpec(source=clean_source(40), core=None))
+            except KeyboardInterrupt:
+                pass
+            assert multiprocessing.active_children() == []
+            monkeypatch.undo()
+            _submit_some(service, 1, base=41)
+
+    def test_latency_window_is_bounded(self):
+        service = _service(isolation=False)
+        assert service.latencies_s.maxlen == 4096
+        service.latencies_s.extend([9.0] * 5000)
+        service.submit(JobSpec(source=clean_source(42), core=None))
+        assert len(service.latencies_s) == 4096
+        assert service.counters()["latency_p50_ms"] == 9000.0
+
+
 class TestInvariants:
     def test_no_silent_loss_on_a_mixed_batch(self):
         service = _service(workers=2)
@@ -201,3 +270,4 @@ class TestInvariants:
         registry = collect_service(service)
         assert registry["service.jobs_completed"] == 1
         assert "service.latency_p50_ms" in registry
+        assert registry["service.workers_launched"] == 0

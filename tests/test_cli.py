@@ -303,3 +303,31 @@ class TestExploreCli:
         assert main(["explore", str(spec)]) == 2
         err = capsys.readouterr().err
         assert "frontend.depht" in err and "Traceback" not in err
+
+
+class TestServiceCli:
+    def test_serve_answers_every_line_and_leaves_no_child(
+            self, monkeypatch, capsys):
+        import io
+        import json as _json
+        import multiprocessing
+
+        lines = [_json.dumps({"source": SOURCE, "core": None,
+                              "name": f"job-{i}", "max_insts": 1000 + i})
+                 for i in range(5)]
+        lines.insert(2, "this is not json")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["serve", "--jobs", "1"]) == 0
+        results = [_json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert [r["state"] for r in results] == \
+            ["completed", "completed", "rejected"] + ["completed"] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_submit_json_shows_the_launch_counter(self, program_file,
+                                                  capsys):
+        import json as _json
+
+        assert main(["submit", program_file, "--jobs", "1", "--json"]) == 0
+        counters = _json.loads(capsys.readouterr().out)["counters"]
+        assert counters["workers_launched"] == 1
