@@ -7,15 +7,18 @@ CoreMark matrix kernel and prints the hot spots.
     python examples/profile_hotspots.py
 """
 
-from repro.tools import profile_program
+from repro.harness.runner import run_on_core
+from repro.obs import GuestProfiler
 from repro.workloads.coremark import matrix_kernel
 
 
 def main() -> None:
     workload = matrix_kernel()
     print(f"profiling {workload.name} on xt910...\n")
-    profile = profile_program(workload.program())
-    print(profile.report(top=12))
+    program = workload.program()
+    profiler = GuestProfiler()
+    result = run_on_core(program, "xt910", profiler=profiler)
+    print(profiler.hotspots(program, result.stats, top=12))
 
 
 if __name__ == "__main__":

@@ -31,10 +31,9 @@ import argparse
 import sys
 
 from .asm import assemble
-from .harness.runner import run_on_core
+from .harness.runner import GuestExit, run_on_core
 from .isa.disasm import disassemble_program
 from .sim import Emulator, WatchdogExpired
-from .tools import profile_program
 from .uarch.presets import PRESETS
 
 
@@ -58,6 +57,14 @@ def _core_config(core, extends=()):
     except uconfig.UconfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
+
+
+def _timed(program, config, **options):
+    """:func:`run_on_core`; a guest's non-zero exit is still a result."""
+    try:
+        return run_on_core(program, config, **options)
+    except GuestExit as exc:
+        return exc.result
 
 
 def cmd_run(args) -> int:
@@ -104,9 +111,9 @@ def cmd_run(args) -> int:
                 from .obs import PipelineTracer
 
                 tracer = PipelineTracer(window=args.trace_window)
-            result = run_on_core(program, config, tracer=tracer,
-                                 max_insts=args.max_insts,
-                                 partial_on_watchdog=True)
+            result = _timed(program, config, tracer=tracer,
+                            max_insts=args.max_insts,
+                            partial_on_watchdog=True)
         if result.watchdog is not None:
             first_line = str(result.watchdog.args[0]).splitlines()[0]
             print(f"{first_line}; stats below cover the bounded prefix")
@@ -248,9 +255,17 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    """``profile`` and ``top``: two views of one profiled run."""
+    from .obs import GuestProfiler
+
     program = _load(args.program, not args.no_compress)
-    profile = profile_program(program, core=_core_config(args.core))
-    print(profile.report(top=args.top))
+    profiler = GuestProfiler()
+    result = _timed(program, _core_config(args.core), profiler=profiler)
+    if args.command == "top":
+        print(profiler.attribute(program).render(
+            top=args.top, cumulative=args.cumulative))
+    else:
+        print(profiler.hotspots(program, result.stats, top=args.top))
     return 0
 
 
@@ -273,7 +288,7 @@ def cmd_metrics(args) -> int:
         return 2
     program = _load(args.program, not args.no_compress)
     config = _core_config(args.uarch or args.core, args.extend)
-    result = run_on_core(program, config, tier=args.tier)
+    result = _timed(program, config, tier=args.tier)
     registry = collect_run(result)
     if args.out:
         registry.save(args.out)
@@ -285,23 +300,12 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_top(args) -> int:
-    from .obs import GuestProfiler
-
-    program = _load(args.program, not args.no_compress)
-    profiler = GuestProfiler()
-    run_on_core(program, _core_config(args.core), profiler=profiler)
-    report = profiler.attribute(program)
-    print(report.render(top=args.top, cumulative=args.cumulative))
-    return 0
-
-
 def cmd_compare(args) -> int:
     program = _load(args.program, not args.no_compress)
     rows = []
     for core in args.cores:
         config = _core_config(core, args.extend)
-        result = run_on_core(program, config)
+        result = _timed(program, config)
         rows.append((config.name, result.cycles, result.ipc))
     base = rows[0][1]
     print(f"{'core':14s}{'cycles':>10}{'IPC':>8}{'vs ' + rows[0][0]:>12}")
@@ -571,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="FILE",
                        help="overlay document(s) merged onto the base "
                             "config, in order (repeatable)")
-    p_met.add_argument("--tier", type=int, default=None, choices=[1, 2, 3],
+    p_met.add_argument("--tier", type=int, default=2, choices=[1, 2, 3],
                        help="execution tier for the run; 3 adds the "
                             "sim.codegen.* translator counters")
     p_met.add_argument("--out", default=None, metavar="FILE",
@@ -591,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
     p_top.add_argument("--top", type=int, default=20)
     p_top.add_argument("--cumulative", action="store_true",
                        help="rank by call-period (inclusive) cycles")
-    p_top.set_defaults(fn=cmd_top)
+    p_top.set_defaults(fn=cmd_profile)
 
     p_cmp = sub.add_parser("compare", help="same binary on several cores")
     add_common(p_cmp)
@@ -741,6 +745,11 @@ def main(argv: list[str] | None = None) -> int:
         # verb ran it ends with the post-mortem dump and exit status 2.
         print(exc)
         return 2
+    except GuestExit as exc:
+        # Reached only from a verb with nothing to report on a failed
+        # guest (run --core --profile); the rest go through _timed.
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.result.exit_code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from .fig21 import run_fig21  # noqa: F401
 from .lintsweep import run_lint  # noqa: F401
 from .ras_campaign import run_campaign, run_ras  # noqa: F401
 from .report import ExperimentResult, Row, geomean  # noqa: F401
-from .runner import RunResult, compare_cores, run_on_core  # noqa: F401
+from .runner import RunResult, run_on_core  # noqa: F401
 from .spec import run_spec  # noqa: F401
 from .table1 import run_table1  # noqa: F401
 from .table2 import run_table2  # noqa: F401

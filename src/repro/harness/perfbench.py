@@ -49,9 +49,8 @@ def _time_harness(workload, repeat: int) -> float:
 def bench_workload(name: str, repeat: int = 3) -> dict:
     """Before/after numbers for one kernel."""
     workload = get_workload(name)
-    precise_s, emulator = benchkit.best_emulation(repeat, workload,
-                                                  fast=False)
-    fast_s, _ = benchkit.best_emulation(repeat, workload, fast=True)
+    precise_s, emulator = benchkit.best_emulation(repeat, workload, tier=1)
+    fast_s, _ = benchkit.best_emulation(repeat, workload, tier=2)
     insts = emulator.state.instret
     harness_s = _time_harness(workload, repeat=repeat)
     return {

@@ -35,22 +35,28 @@ class RunResult:
         return self.stats.cycles
 
 
+class GuestExit(RuntimeError):
+    """The guest ran to a non-zero exit code; ``result`` is the
+    finished run, for callers that report it anyway."""
+
+    def __init__(self, message: str, result: RunResult) -> None:
+        super().__init__(message)
+        self.result = result
+
+
 def run_on_core(program: Program, core: CoreConfig | str,
                 max_steps: int | None = None,
                 hierarchy: MemoryHierarchy | None = None,
-                fast: bool = True,
                 tracer=None, profiler=None,
                 max_insts: int | None = None,
                 partial_on_watchdog: bool = False,
-                tier: int | None = None) -> RunResult:
+                tier: int = 2) -> RunResult:
     """Execute *program* functionally and time it on *core*.
 
-    ``fast`` feeds the timing model through the block-translation
-    cache (``Emulator.fast_trace``); the retired stream is identical
-    to the precise interpreter, so timing results do not change.
-    ``tier`` overrides ``fast`` when given: 1 = precise interpreter,
-    2 = block cache, 3 = specializing translator
-    (``Emulator.codegen_trace``); every tier retires the same stream.
+    ``tier`` picks what feeds the timing model: 1 = precise
+    interpreter, 2 = block-translation cache (``Emulator.fast_trace``),
+    3 = specializing translator (``Emulator.codegen_trace``); every
+    tier retires the same stream, so timing results do not change.
 
     ``tracer``/``profiler`` are optional ``repro.obs`` hook objects
     (a :class:`~repro.obs.PipelineTracer` / :class:`~repro.obs.
@@ -62,8 +68,11 @@ def run_on_core(program: Program, core: CoreConfig | str,
     exception attached as ``RunResult.watchdog`` and
     ``stats.extra["watchdog_expired"] = 1``) instead of raising —
     bounded jobs still return data.
+
+    A guest that exits non-zero raises :class:`GuestExit`, which
+    carries the complete :class:`RunResult`.
     """
-    if tier is not None and tier not in (1, 2, 3):
+    if tier not in (1, 2, 3):
         raise ValueError(f"tier must be 1, 2 or 3, not {tier!r}")
     config = get_preset(core) if isinstance(core, str) else core
     emulator = (Emulator(program, instruction_limit=max_insts)
@@ -73,9 +82,7 @@ def run_on_core(program: Program, core: CoreConfig | str,
     pipeline.profiler = profiler
     if tier == 3:
         trace = emulator.codegen_trace(max_steps)
-    elif tier == 1:
-        trace = emulator.trace(max_steps)
-    elif tier == 2 or fast:
+    elif tier == 2:
         trace = emulator.fast_trace(max_steps)
     else:
         trace = emulator.trace(max_steps)
@@ -88,10 +95,6 @@ def run_on_core(program: Program, core: CoreConfig | str,
         watchdog = exc
         stats = pipeline.finish()   # drain in-flight work, fold RAS counters
         stats.extra["watchdog_expired"] = 1
-    if watchdog is None and emulator.exit_code not in (0, None):
-        raise RuntimeError(
-            f"program exited with {emulator.exit_code} on {config.name}; "
-            f"stdout: {emulator.stdout!r}")
     stats.decode_cache_hits = emulator.decode_cache_hits
     stats.decode_cache_misses = emulator.decode_cache_misses
     if emulator._blocks is not None:
@@ -103,10 +106,15 @@ def run_on_core(program: Program, core: CoreConfig | str,
     if any(vec.values()):  # scalar workloads: extra stays unchanged
         stats.extra.update((f"vector_{name}", value)
                            for name, value in vec.items())
-    return RunResult(core=config.name, stats=stats,
-                     exit_code=emulator.exit_code or 0,
-                     stdout=emulator.stdout, pipeline=pipeline,
-                     watchdog=watchdog)
+    result = RunResult(core=config.name, stats=stats,
+                       exit_code=emulator.exit_code or 0,
+                       stdout=emulator.stdout, pipeline=pipeline,
+                       watchdog=watchdog)
+    if watchdog is None and result.exit_code:
+        raise GuestExit(
+            f"program exited with {result.exit_code} on {config.name}; "
+            f"stdout: {emulator.stdout!r}", result)
+    return result
 
 
 #: Component buckets for :func:`profile_run`, keyed by the ``repro``
@@ -120,10 +128,9 @@ _PROFILE_BUCKETS = (
 
 def profile_run(program: Program, core: CoreConfig | str,
                 max_steps: int | None = None,
-                fast: bool = True,
                 max_insts: int | None = None,
                 partial_on_watchdog: bool = False,
-                tier: int | None = None) -> tuple[RunResult, dict]:
+                tier: int = 2) -> tuple[RunResult, dict]:
     """Run like :func:`run_on_core` under ``cProfile`` and attribute
     wall time to emulation vs timing model vs memory hierarchy.
 
@@ -146,7 +153,7 @@ def profile_run(program: Program, core: CoreConfig | str,
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        result = run_on_core(program, core, max_steps=max_steps, fast=fast,
+        result = run_on_core(program, core, max_steps=max_steps,
                              max_insts=max_insts,
                              partial_on_watchdog=partial_on_watchdog,
                              tier=tier)
@@ -182,11 +189,3 @@ def render_profile(breakdown: dict) -> str:
                  "hits are inlined into the timing model)")
     return "\n".join(lines)
 
-
-def compare_cores(program: Program, cores: list[CoreConfig | str],
-                  max_steps: int | None = None,
-                  fast: bool = True) -> dict[str, RunResult]:
-    """Run the same binary on several cores (the paper's methodology)."""
-    return {result.core: result
-            for result in (run_on_core(program, core, max_steps, fast=fast)
-                           for core in cores)}

@@ -13,7 +13,8 @@ bit-identical to the committed golden oracle:
   (``repro metrics``),
 * :class:`GuestProfiler` — cycle attribution binned by guest PC and
   rolled up to the functions ``repro.analysis.cfg`` recovers
-  (``repro top``).
+  (``repro top``), and per-PC executions and stalls rolled up to
+  symbol regions (``repro profile``).
 """
 
 from .guestprof import GuestProfiler, ProfileReport

@@ -1,12 +1,14 @@
-"""Guest profiler: cycle attribution by PC, rolled up to functions.
+"""Guest profiler: one pass of the timing loop, two views by PC.
 
 :class:`GuestProfiler` is the second timing-model hook (``PipelineModel
-.profiler``, None-guarded like the tracer).  Attribution is by
-completion progress: each instruction that advances the maximum
+.profiler``, None-guarded like the tracer).  ``repro top`` attributes
+by completion progress: each instruction that advances the maximum
 completion cycle is charged the delta, binned by its PC — the sum of
 all bins equals the final completion clock, which is within a retire
 skew of ``CoreStats.cycles``, so a whole run's cycles decompose over
-the static code.
+the static code.  ``repro profile`` (the paper's CDS profiler, section
+IX, Fig. 15/16) reads the loop's own dispatch and issue cycles beside
+it: per-PC executions, issue stalls and load memory stalls.
 
 Function roll-up reuses ``repro.analysis.cfg``'s function partitioning
 (blocks → owning function entry).  Cumulative time is tracked with a
@@ -21,8 +23,12 @@ import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..isa.classify import iter_parcels
+from ..isa.disasm import disassemble
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..asm.program import Program
+    from ..uarch.stats import CoreStats
 
 # Control classes from repro.uarch.core (kept numeric: the hot loop
 # passes TimingInfo.ctrl straight through).
@@ -87,21 +93,50 @@ class ProfileReport:
         return "\n".join(lines)
 
 
+@dataclass(slots=True)
+class PcSample:
+    """Aggregated behaviour of one static instruction (or, summed, of
+    one symbol region)."""
+
+    executions: int = 0
+    issue_stall_cycles: int = 0   # issue - earliest-possible-issue
+    mem_stall_cycles: int = 0     # completion beyond the best-case latency
+
+    @property
+    def total_stalls(self) -> int:
+        return self.issue_stall_cycles + self.mem_stall_cycles
+
+
 class GuestProfiler:
-    """Per-PC cycle bins plus a dynamic call stack for cumulative time."""
+    """Per-PC cycle bins and stall samples, plus a dynamic call stack
+    for cumulative time."""
 
     def __init__(self) -> None:
         self._bins: dict[int, int] = {}
+        #: in order of first execution, which is how ties are reported
+        self.samples: dict[int, PcSample] = {}
         self._clock = 0                 # monotonic max completion cycle
         self.recorded = 0
         self._stack: list[tuple[int, int]] = []  # (callee entry, clock)
         self._depth: dict[int, int] = {}         # recursion guard
         self._cum: dict[int, int] = {}
 
-    def record(self, pc: int, complete: int, ctrl: int,
-               target: int) -> None:
-        """Hot-loop hook: charge completion progress to *pc*."""
+    def record(self, pc: int, complete: int, ctrl: int, target: int,
+               dispatch: int, issue: int, mem_stall: int) -> None:
+        """Hot-loop hook: charge completion progress and stalls to *pc*.
+
+        ``mem_stall`` is a load's completion beyond its best-case
+        latency (may be negative; 0 for everything that is not a load).
+        """
         self.recorded += 1
+        sample = self.samples.get(pc)
+        if sample is None:
+            sample = self.samples[pc] = PcSample()
+        sample.executions += 1
+        if issue > dispatch + 1:
+            sample.issue_stall_cycles += issue - dispatch - 1
+        if mem_stall > 0:
+            sample.mem_stall_cycles += mem_stall
         clock = self._clock
         if complete > clock:
             bins = self._bins
@@ -120,6 +155,56 @@ class GuestProfiler:
 
     def bins(self) -> dict[int, int]:
         return dict(self._bins)
+
+    def regions(self, program: "Program") -> dict[str, PcSample]:
+        """The samples summed per text symbol (each runs to the next),
+        in address order."""
+        symbols = sorted(
+            (addr, name) for name, addr in program.symbols.items()
+            if program.text_base <= addr < program.text_end)
+        starts = [addr for addr, _name in symbols]
+        regions = {name: PcSample() for _addr, name in symbols}
+        for pc, sample in self.samples.items():
+            i = bisect.bisect_right(starts, pc) - 1
+            if i >= 0 and pc < program.text_end:
+                region = regions[symbols[i][1]]
+                region.executions += sample.executions
+                region.issue_stall_cycles += sample.issue_stall_cycles
+                region.mem_stall_cycles += sample.mem_stall_cycles
+        return regions
+
+    def hotspots(self, program: "Program", stats: "CoreStats",
+                 top: int = 10) -> str:
+        """The ``repro profile`` report: the *top* instructions by
+        attributed stall cycles, then every executed symbol region."""
+        hottest = sorted(self.samples.items(),
+                         key=lambda item: item[1].total_stalls,
+                         reverse=True)[:top]
+        wanted = dict(hottest)
+        text = {addr: disassemble(inst, pc=addr)
+                for addr, inst, _half in iter_parcels(program)
+                if addr in wanted and inst is not None}
+        lines = [
+            f"cycles {stats.cycles}  instructions "
+            f"{stats.instructions}  IPC {stats.ipc:.3f}",
+            "",
+            "hottest instructions (by attributed stall cycles):",
+            f"{'pc':>10} {'execs':>8} {'stalls':>8}  instruction",
+        ]
+        for pc, sample in hottest:
+            lines.append(f"{pc:#10x} {sample.executions:8d} "
+                         f"{sample.total_stalls:8d}  {text.get(pc, '?')}")
+        regions = self.regions(program)
+        if regions:
+            lines += ["", "by symbol region:"]
+            for name, region in sorted(
+                    regions.items(), key=lambda item: item[1].total_stalls,
+                    reverse=True):
+                if region.executions:
+                    lines.append(
+                        f"  {name:24s} execs={region.executions:8d} "
+                        f"stalls={region.total_stalls:8d}")
+        return "\n".join(lines)
 
     @property
     def total_cycles(self) -> int:

@@ -549,25 +549,23 @@ class Emulator:
         finally:
             engine.persist()
 
-    def run(self, max_steps: int | None = None, fast: bool = False,
-            tier: int | None = None) -> int:
+    def run(self, max_steps: int | None = None, tier: int = 1) -> int:
         """Run to exit (or the watchdog); returns the exit code.
 
         A normal halt returns; a runaway loop raises
-        :class:`WatchdogExpired` with a post-mortem dump.  ``fast=True``
-        dispatches through the block-translation cache when the
-        configuration allows it (see :meth:`_fast_eligible`).
+        :class:`WatchdogExpired` with a post-mortem dump.
 
-        ``tier`` selects the speed tier explicitly: 1 = precise
-        interpreter, 2 = block cache (same as ``fast=True``), 3 =
-        specializing translator.  Each tier silently falls back to the
-        next-safer one when the configuration requires it.
+        ``tier`` selects the speed tier: 1 = precise interpreter, 2 =
+        block-translation cache (when the configuration allows it, see
+        :meth:`_fast_eligible`), 3 = specializing translator.  Each
+        tier silently falls back to the next-safer one when the
+        configuration requires it.
         """
-        if tier is not None and tier not in (1, 2, 3):
+        if tier not in (1, 2, 3):
             raise ValueError(f"unknown execution tier {tier!r}")
         if tier == 3:
             return self.run_codegen(max_steps)
-        if tier == 2 or (tier is None and fast):
+        if tier == 2:
             return self.run_fast(max_steps)
         limit = max_steps if max_steps is not None else self.instruction_limit
         steps = 0

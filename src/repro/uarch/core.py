@@ -33,8 +33,9 @@ cluster.  The loop is the per-stage accounting (frontend, dispatch,
 execute, retire, control resolution) inlined over per-instruction
 timing *rows* (below).  The readable, staged form of the same
 semantics is the frozen :mod:`repro.uarch.refmodel` — the specification
-the tests hold this loop equal to, and the model
-:mod:`repro.tools.profiler` steps stage by stage to attribute stalls.
+the tests hold this loop equal to.  Per-PC stall attribution
+(:mod:`repro.obs.guestprof`) reads this loop's own dispatch, issue and
+completion cycles through the ``profiler`` hook.
 
 The hot loop inlines clean L1 hits instead of calling the hierarchy.
 For stores that is only sound when a store hit has no effect outside
@@ -1290,8 +1291,11 @@ class PipelineModel:
                             tracer.record(dyn, fetch, decode, dispatch,
                                           issue, complete)
                         if profiler is not None:
-                            profiler.record(pc, complete, ctrl,
-                                            dyn.target)
+                            profiler.record(
+                                pc, complete, ctrl, dyn.target,
+                                dispatch, issue,
+                                complete - issue - load_to_use - 1
+                                if kind == 3 or kind == 4 else 0)
 
                     # ---- control resolution ----
                     if ctrl:

@@ -354,7 +354,7 @@ def test_failing_cells_are_named_after_siblings_finish(tmp_path,
     assert "2 of 4 cells failed" in message
     # the service's rendered error chain, per cell
     assert message.count("guest-fault: program exited with 3") == 2
-    assert "<- caused by" in message and "RuntimeError" in message
+    assert "<- caused by" in message and "GuestExit" in message
     # the siblings finished and were stored before the failure surfaced
     spec.workloads = ["blockchain-base"]
     assert explore.run_sweep(spec, store=store).cache_hits == 2

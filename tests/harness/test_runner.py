@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import assemble
-from repro.harness.runner import compare_cores, profile_run, run_on_core
+from repro.harness.runner import GuestExit, profile_run, run_on_core
 from repro.uarch.presets import get_preset
 
 PROGRAM = assemble("""
@@ -44,8 +44,12 @@ class TestRunOnCore:
             run_on_core(PROGRAM, "pentium4")
 
     def test_nonzero_exit_raises(self):
-        with pytest.raises(RuntimeError, match="exited with 7"):
+        with pytest.raises(RuntimeError, match="exited with 7") as caught:
             run_on_core(FAILING, "xt910")
+        # ... as a GuestExit that carries the finished run
+        assert isinstance(caught.value, GuestExit)
+        assert caught.value.result.exit_code == 7
+        assert caught.value.result.stats.instructions == 3
 
     def test_instruction_count_matches_emulator(self):
         from repro.sim import run_program
@@ -71,15 +75,6 @@ class TestProfileRun:
                                 partial_on_watchdog=True)
         assert result.watchdog is not None
         assert result.stats.instructions == 500
-
-
-class TestCompareCores:
-    def test_same_binary_everywhere(self):
-        results = compare_cores(PROGRAM, ["xt910", "u54"])
-        assert set(results) == {"xt910", "u54"}
-        assert results["xt910"].stats.instructions \
-            == results["u54"].stats.instructions
-        assert results["xt910"].cycles < results["u54"].cycles
 
 
 class TestExperimentRegistry:

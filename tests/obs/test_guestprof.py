@@ -1,10 +1,12 @@
-"""Guest profiler: cycle attribution vs the recovered CFG."""
+"""Guest profiler: cycle attribution vs the recovered CFG, and per-PC
+stall attribution (the CDS tooling reproduction, section IX)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.cfg import build_cfg
+from repro.asm import assemble
 from repro.harness.runner import run_on_core
 from repro.obs import GuestProfiler
 from repro.workloads import all_workloads
@@ -82,3 +84,71 @@ def test_single_function_workload_fully_attributed():
     assert report.coverage == 1.0
     assert len(report.rows) == 1
     assert report.rows[0].name == "_start"
+
+
+STRIDING = assemble("""
+    .data
+arr: .zero 65536
+    .text
+_start:
+    li s0, 200
+    la s1, arr
+hot_loop:
+    ld t0, 0(s1)          # cold-missing load: the hot spot
+    add t1, t1, t0
+    addi s1, s1, 256
+    addi s0, s0, -1
+    bnez s0, hot_loop
+    call helper
+    li a0, 0
+    li a7, 93
+    ecall
+helper:
+    li t2, 30
+spin:
+    addi t2, t2, -1
+    bnez t2, spin
+    ret
+""")
+
+
+@pytest.fixture(scope="module")
+def striding():
+    profiler = GuestProfiler()
+    result = run_on_core(STRIDING, "xt910", profiler=profiler)
+    return profiler, result.stats
+
+
+class TestHotspots:
+    def test_executions_sum_to_instructions(self, striding):
+        profiler, stats = striding
+        assert stats.instructions == \
+            sum(s.executions for s in profiler.samples.values())
+
+    def test_hot_load_attributed(self, striding):
+        # The striding load is the loop's first instruction, and it
+        # dominates memory stalls.
+        profiler, _ = striding
+        load = profiler.samples[STRIDING.symbol("hot_loop")]
+        assert load.mem_stall_cycles > 1000
+        assert load in sorted(profiler.samples.values(),
+                              key=lambda s: s.total_stalls)[-3:]
+
+    def test_execution_counts(self, striding):
+        profiler, _ = striding
+        assert profiler.samples[STRIDING.symbol("hot_loop")].executions \
+            == 200
+
+    def test_regions_aggregate(self, striding):
+        profiler, _ = striding
+        regions = profiler.regions(STRIDING)
+        assert "hot_loop" in regions
+        assert "helper" in regions or "spin" in regions
+        assert regions["hot_loop"].executions >= 1000  # 200 x 5 insts
+
+    def test_report_renders(self, striding):
+        profiler, stats = striding
+        report = profiler.hotspots(STRIDING, stats, top=5)
+        assert "IPC" in report
+        assert "ld t0, 0(s1)" in report
+        assert "hot_loop" in report

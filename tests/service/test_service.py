@@ -169,7 +169,7 @@ class TestDegradation:
         degraded = _service(isolation=False).submit(spec)
         assert degraded.downgraded
         program = assemble(spec.source, compress=spec.compress)
-        direct = run_on_core(program, "xt910", fast=False,
+        direct = run_on_core(program, "xt910", tier=1,
                              max_insts=spec.max_insts)
         assert degraded.metrics["stats"] == direct.stats.as_comparable()
 

@@ -90,7 +90,7 @@ class TestInvalidation:
     def test_fence_i_invalidates_blocks(self):
         emulator = Emulator(assemble(_smc_source("fence.i"),
                                      compress=False))
-        assert emulator.run(fast=True) == 2
+        assert emulator.run(tier=2) == 2
         assert emulator._blocks.flushes >= 1
 
     def test_without_fence_matches_precise_staleness(self):
@@ -99,7 +99,7 @@ class TestInvalidation:
         source = _smc_source("nop")
         precise = Emulator(assemble(source, compress=False))
         fast = Emulator(assemble(source, compress=False))
-        assert precise.run() == fast.run(fast=True) == 1
+        assert precise.run() == fast.run(tier=2) == 1
 
     def test_smc_stream_equivalence(self):
         for barrier in ("fence.i", "nop", "icache.iall"):
@@ -132,12 +132,12 @@ class TestFastMode:
 
     def test_run_fast_exit_code(self):
         emulator = Emulator(assemble(_TINY))
-        assert emulator.run(fast=True) == 7
+        assert emulator.run(tier=2) == 7
 
     def test_run_fast_watchdog(self):
         emulator = Emulator(assemble(_TINY))
         with pytest.raises(WatchdogExpired):
-            emulator.run(max_steps=10, fast=True)
+            emulator.run(max_steps=10, tier=2)
 
     def test_fast_trace_watchdog(self):
         emulator = Emulator(assemble(_TINY))
@@ -166,14 +166,14 @@ class TestFastMode:
     def test_block_cache_bounded(self, monkeypatch):
         monkeypatch.setattr(blockcache, "BLOCK_CACHE_LIMIT", 2)
         emulator = Emulator(assemble(_TINY))
-        emulator.run(fast=True)
+        emulator.run(tier=2)
         engine = emulator._blocks
         assert len(engine.blocks) <= 2
         assert engine.flushes >= 1
 
     def test_counters_exposed(self):
         emulator = Emulator(assemble(_TINY))
-        emulator.run(fast=True)
+        emulator.run(tier=2)
         counters = emulator._blocks.counters()
         assert counters["translated_blocks"] >= 2
         assert counters["block_executions"] >= 50

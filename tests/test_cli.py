@@ -52,7 +52,11 @@ class TestCli:
         assert main(["compare", program_file, "--cores", "xt910",
                      "u54"]) == 0
         out = capsys.readouterr().out
-        assert "xt910" in out and "u54" in out
+        # same binary on both cores; the out-of-order one needs fewer cycles
+        cycles = {row.split()[0]: int(row.split()[1])
+                  for row in out.splitlines()[1:]}
+        assert set(cycles) == {"xt910", "u54"}
+        assert cycles["xt910"] < cycles["u54"]
 
     def test_no_compress_flag(self, program_file, capsys):
         assert main(["run", program_file, "--no-compress"]) == 0
@@ -60,6 +64,56 @@ class TestCli:
     def test_bad_core_rejected(self, program_file):
         with pytest.raises(SystemExit):
             main(["run", program_file, "--core", "pentium"])
+
+
+EXIT3_SOURCE = """
+_start:
+    li t0, 5
+loop:
+    addi t0, t0, -1
+    bnez t0, loop
+    li a0, 3
+    li a7, 93
+    ecall
+"""
+
+
+@pytest.fixture
+def exit3_file(tmp_path):
+    path = tmp_path / "exit3.s"
+    path.write_text(EXIT3_SOURCE)
+    return str(path)
+
+
+class TestGuestExitCli:
+    """A guest's non-zero exit code is a result, as it is for the
+    functional ``run``: every timed verb used to die in a traceback."""
+
+    def test_timed_run_prints_its_lines_and_returns_the_code(
+            self, exit3_file, capsys):
+        assert main(["run", exit3_file, "--core", "xt910", "--stats"]) == 3
+        out = capsys.readouterr().out
+        assert "exit 3" in out and "instructions      14" in out
+
+    @pytest.mark.parametrize("verb, expected", [
+        ("profile", "hottest instructions"),
+        ("top", "guest profile (flat)"),
+        ("metrics", '"core.instructions": 14'),
+        ("compare", "vs xt910"),
+    ])
+    def test_reporting_verbs_still_report(self, verb, expected,
+                                          exit3_file, capsys):
+        assert main([verb, exit3_file]) == 0
+        assert expected in capsys.readouterr().out
+
+    def test_verb_with_nothing_to_report_ends_in_one_line(
+            self, exit3_file, capsys):
+        assert main(["run", exit3_file, "--core", "xt910",
+                     "--profile"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: program exited with 3 on xt910; stdout: ''\n"
+        assert captured.out == ""
 
 
 HANG_SOURCE = """

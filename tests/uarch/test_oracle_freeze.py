@@ -9,6 +9,7 @@ edit into a loud, named failure instead of a quietly re-baselined
 oracle.
 """
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -48,3 +49,43 @@ def test_freeze_covers_refmodel_and_golden_stats():
     frozen = json.loads(FROZEN.read_text())
     assert "src/repro/uarch/refmodel.py" in frozen
     assert "tests/uarch/golden_stats.json" in frozen
+
+
+# -- the oracle stays an oracle ---------------------------------------------
+
+SRC = REPO_ROOT / "src" / "repro"
+REFMODEL = SRC / "uarch" / "refmodel.py"
+#: the reference model's per-stage seam; nothing else may step it
+STAGE_METHODS = {"_frontend", "_dispatch", "_execute", "_retire",
+                 "_resolve_control"}
+
+
+def _imports_refmodel(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name
+                                           for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "refmodel" for name in names):
+            return True
+    return False
+
+
+def test_only_the_oracle_bench_imports_the_reference_model():
+    importers = {
+        str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+        if path != REFMODEL
+        and _imports_refmodel(ast.parse(path.read_text()))}
+    assert importers == {"harness/pipebench.py"}
+
+
+def test_nothing_steps_the_reference_models_stages():
+    offenders = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno} .{node.attr}"
+        for path in SRC.rglob("*.py") if path != REFMODEL
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in STAGE_METHODS)
+    assert not offenders, offenders
