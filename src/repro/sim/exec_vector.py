@@ -14,8 +14,9 @@ Two interchangeable engines implement the same architectural contract:
     through cached per-SEW views (``MachineState.vview_u/s/f``) and
     executes one batched numpy expression per instruction.  Masking is
     a boolean index unpacked from v0, tails are left untouched by slice
-    assignment, and unit-stride/strided/indexed memory ops go through
-    ``np.frombuffer`` views onto ``Memory`` pages (guarded cross-page
+    assignment.  An unmasked unit-stride load or store is one byte copy
+    between a ``Memory`` page and ``vbuf``; the other memory ops go
+    through ``np.frombuffer`` views onto the pages (guarded cross-page
     fallbacks stay batched via span copies).  Shapes numpy cannot
     express bit-identically (div/rem, 128-bit widenings, FP reductions,
     wrapped register groups, MMIO-mapped memory) delegate to the
@@ -1062,10 +1063,25 @@ def _np_vload(s: MachineState, i: Instruction) -> None:
     spec = i.spec
     width = spec.mem_bytes
     base = s.regs[i.rs1]
-    strided = spec.fmt == "VLS"
-    stride = s.regs[i.rs2] if strided else width
     vl = s.vl
     mem = s.memory
+    if vl and i.aux and spec.fmt != "VLS":
+        # Unmasked unit-stride: the group's bytes are the span's bytes,
+        # so one slice copy from the page is the whole load.  The end
+        # test is ``_group``'s wrap test; an untouched page, a
+        # page-crossing span or MMIO gives no view and falls through.
+        size = vl * width
+        lo = i.rd * s.vlenb
+        if lo + size <= len(s.vbuf):
+            view = mem.ram_view(base, size)
+            if view is not None:
+                s.vbuf.data[lo:lo + size] = view
+                _begin(s, i, vl)
+                s.side.mem_addr = base
+                s.side.mem_size = size
+                return
+    strided = spec.fmt == "VLS"
+    stride = s.regs[i.rs2] if strided else width
     dst = _group(s, i.rd, width * 8, _mem_group_lmul(s, width))
     span = (vl - 1) * stride + width if vl else 0
     if (dst is None or mem.has_mmio or stride <= 0
@@ -1094,10 +1110,23 @@ def _np_vstore(s: MachineState, i: Instruction) -> None:
     spec = i.spec
     width = spec.mem_bytes
     base = s.regs[i.rs1]
-    strided = spec.fmt == "VSS"
-    stride = s.regs[i.rs2] if strided else width
     vl = s.vl
     mem = s.memory
+    if vl and i.aux and spec.fmt != "VSS" and not mem.has_mmio:
+        # Unmasked unit-stride: one store_bytes of the group's bytes.
+        # Every byte of the span is written, so it allocates exactly the
+        # pages the reference's per-element stores would, and it is the
+        # entry point SmpMachine wraps to break LR reservations.
+        size = vl * width
+        lo = i.rs3 * s.vlenb
+        if lo + size <= len(s.vbuf):
+            mem.store_bytes(base, s.vbuf.data[lo:lo + size])
+            _begin(s, i, vl)
+            s.side.mem_addr = base
+            s.side.mem_size = size
+            return
+    strided = spec.fmt == "VSS"
+    stride = s.regs[i.rs2] if strided else width
     src = _group(s, i.rs3, width * 8, _mem_group_lmul(s, width))
     if src is None or mem.has_mmio or (strided and stride < width):
         _fb(s, i)  # wrapped group / MMIO / overlapping lanes (order!)
@@ -1340,9 +1369,26 @@ for _mn, _op in (("vmand.mm", lambda a, b: a & b),
         return handler
     VECTOR_EXEC_NUMPY[_mn] = _mk_mask(_op)
 
-#: scalar/config ops shared verbatim with the reference engine (no
-#: lanes to batch, no counters).
-_SHARED = ("vsetvli", "vsetvl", "vmv.x.s", "vmv.s.x")
+
+# Element-0 moves touch one lane: index it directly instead of building
+# the LMUL group the reference reads.  Uncounted, like the shared ops.
+def _vmv_x_s_np(s: MachineState, i: Instruction) -> None:
+    sew = s.sew
+    s.write_x(i.rd, int(s.vview_s[sew][i.rs2 * (s.vlenb * 8 // sew)]))
+
+
+def _vmv_s_x_np(s: MachineState, i: Instruction) -> None:
+    sew = s.sew
+    s.vview_u[sew][i.rd * (s.vlenb * 8 // sew)] = (
+        s.regs[i.rs1] & ((1 << sew) - 1))
+
+
+VECTOR_EXEC_NUMPY["vmv.x.s"] = _vmv_x_s_np
+VECTOR_EXEC_NUMPY["vmv.s.x"] = _vmv_s_x_np
+
+#: config ops shared verbatim with the reference engine (no lanes to
+#: batch, no counters).
+_SHARED = ("vsetvli", "vsetvl")
 for _mn in _SHARED:
     VECTOR_EXEC_NUMPY[_mn] = VECTOR_EXEC_REF[_mn]
 

@@ -69,7 +69,7 @@ class Memory:
             offset = 0
         return bytes(out)
 
-    def store_bytes(self, addr: int, data: bytes) -> None:
+    def store_bytes(self, addr: int, data: bytes | memoryview) -> None:
         if self._mmio:
             hit = self._mmio_at(addr)
             if hit is not None:
@@ -136,9 +136,16 @@ class Memory:
 
         With ``allocate=True`` the backing page is materialised, which
         must only be done on store paths (loads from untouched memory
-        read zeros without allocating).
+        read zeros without allocating).  A store through the view
+        bypasses ``store_int``/``store_bytes``, so it is refused (None)
+        while either is wrapped on the instance — ``SmpMachine`` does
+        that to break LR reservations — and the caller takes its
+        per-element path, which goes through the wrapped entry points.
         """
         if self._mmio or size <= 0:
+            return None
+        if allocate and ("store_int" in self.__dict__
+                         or "store_bytes" in self.__dict__):
             return None
         offset = addr & PAGE_MASK
         if offset + size > PAGE_SIZE:

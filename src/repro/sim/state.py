@@ -155,11 +155,12 @@ class MachineState:
 
     def set_vtype(self, vtype: int, avl: int) -> int:
         """Apply a vsetvl and return the granted vl (VLMAX-clamped)."""
-        from ..asm.assembler import decode_vtype
-
+        # Inline ``repro.asm.assembler.decode_vtype``: this runs on every
+        # vsetvl(i), and a per-call import is most of its cost.
         self.vtype = vtype
-        self.sew, self.lmul = decode_vtype(vtype)
-        vlmax = self.vlen * self.lmul // self.sew
+        self.sew = sew = 8 << ((vtype >> 2) & 7)
+        self.lmul = lmul = 1 << (vtype & 3)
+        vlmax = self.vlen * lmul // sew
         self.vl = min(avl, vlmax)
         return self.vl
 

@@ -57,7 +57,7 @@ class SmpMachine:
                         addr <= reservation < addr + max(size, 1):
                     hart.state.reservation = None
 
-        def store_bytes(addr: int, data: bytes) -> None:
+        def store_bytes(addr: int, data: bytes | memoryview) -> None:
             original_store(addr, data)
             break_reservations(addr, len(data))
 
@@ -67,7 +67,9 @@ class SmpMachine:
 
         # Both entry points must be wrapped: store_int has a single-page
         # RAM fast path that writes pages directly without going through
-        # store_bytes.
+        # store_bytes.  Wrapping them also turns off Memory.ram_view's
+        # writable views, so the numpy vector engine's batched stores
+        # come through here too.
         self.memory.store_bytes = store_bytes  # type: ignore[method-assign]
         self.memory.store_int = store_int  # type: ignore[method-assign]
 

@@ -21,11 +21,14 @@ and the ``sim.vector.*`` metrics namespace.
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import workloads
 from repro.asm import assemble
 from repro.harness.runner import run_on_core
 from repro.obs.metrics import collect_run
@@ -154,6 +157,203 @@ def test_random_fp_ops_bit_identical(op, sew, lanes, avl, masked, mask):
     raw = b"".join(struct.pack(fmt, float(v) / 8.0) for v in lanes)
     data = (raw * ((384 // len(raw)) + 1))[:384]
     _differential(_vector_program(op, sew, 2, avl, masked, data, mask))
+
+
+# -- unit-stride load/store differential -------------------------------------
+
+#: never touched by a program's image, stack or heap: loads from here
+#: must read zeros without allocating, stores allocate what they write
+UNTOUCHED = 0x00C0_0000
+
+
+def _mem_program(width: int, sew: int, lmul: int, avl: int, masked: bool,
+                 rd: int, rs3: int, load_addr: str, store_addr: str,
+                 data: bytes, mask: bytes) -> str:
+    """Fill the whole register file, then one ``vle``/``vse`` pair.
+
+    ``load_addr``/``store_addr`` are assembly expressions for t1/t4.
+    ``src`` is two data pages; ``dst`` two more, pre-patterned so an
+    unwritten byte is distinguishable from a written one.
+    """
+    suffix = ", v0.t" if masked else ""
+    src = ", ".join(str(v) for v in data)
+    dst = ", ".join(str((k * 7 + 3) & 0xFF) for k in range(8192))
+    mk = ", ".join(str(v) for v in mask)
+    return f"""
+    .data
+    .align 12
+src:   .byte {src}
+dst:   .byte {dst}
+maskd: .byte {mk}
+    .text
+_start:
+    li t0, 128
+    vsetvli t3, t0, e8, m8
+    la t1, src
+    vle8.v v0, (t1)
+    addi t1, t1, 128
+    vle8.v v8, (t1)
+    addi t1, t1, 128
+    vle8.v v16, (t1)
+    addi t1, t1, 128
+    vle8.v v24, (t1)
+    li t0, 16
+    vsetvli t3, t0, e8, m1
+    la t2, maskd
+    vle8.v v0, (t2)
+    li t0, {avl}
+    vsetvli t3, t0, e{sew}, m{lmul}
+    {load_addr}
+    vle{width}.v v{rd}, (t1){suffix}
+    {store_addr}
+    vse{width}.v v{rs3}, (t4){suffix}
+{EXIT}"""
+
+
+def _mem_fingerprint(program, engine: str) -> tuple:
+    """Register file, both pattern regions (read without allocating),
+    allocated bytes, exit code and every record's memory footprint."""
+    exec_vector.select_engine(engine)
+    try:
+        emulator = Emulator(program)
+        records = [(r.pc, r.mem_addr, r.mem_size)
+                   for r in emulator.trace(10_000)]
+    finally:
+        exec_vector.select_engine("numpy")
+    memory = emulator.state.memory
+    src = emulator.program.symbol("src")
+    return (bytes(emulator.state.vbuf),
+            memory.load_bytes(src, 4 * 4096),
+            memory.load_bytes(UNTOUCHED, 2 * 4096),
+            memory.allocated_bytes, emulator.exit_code, records)
+
+
+def _place(reg: str, region: str, offset: int) -> str:
+    if region == "untouched":
+        return f"li {reg}, {UNTOUCHED + offset}"
+    return f"la {reg}, {region}\n    li t5, {offset}\n    add {reg}, {reg}, t5"
+
+
+#: page offsets biased towards spans that straddle the page boundary
+_OFFSETS = st.one_of(st.integers(min_value=3000, max_value=4095),
+                     st.integers(min_value=0, max_value=7000))
+#: where a group sits: anywhere, ending exactly at v31, or wrapping past
+_PLACEMENT = st.sampled_from(["any", "ends-at-v31", "wraps"])
+
+
+def _group_start(placement: str, any_reg: int, vl: int, eew: int) -> int:
+    count = max(1, -(-vl * eew // 128))   # registers the access spans
+    if placement == "ends-at-v31":
+        return 32 - count
+    if placement == "wraps" and count > 1:
+        return 33 - count
+    return any_reg
+
+
+@settings(max_examples=80, deadline=None)
+@given(width=st.sampled_from([8, 16, 32, 64]),
+       sew=st.sampled_from([8, 16, 32, 64]),
+       lmul=st.sampled_from([1, 2, 4, 8]),
+       avl=st.integers(min_value=0, max_value=160),
+       masked=st.booleans(),
+       rd_at=_PLACEMENT, rs3_at=_PLACEMENT,
+       rd=st.integers(min_value=0, max_value=31),
+       rs3=st.integers(min_value=0, max_value=31),
+       load_from=st.sampled_from(["src", "untouched"]),
+       store_to=st.sampled_from(["dst", "untouched"]),
+       load_off=_OFFSETS, store_off=_OFFSETS,
+       seed=st.binary(min_size=256, max_size=256),
+       mask=st.binary(min_size=16, max_size=16))
+def test_unit_stride_load_store_bit_identical(
+        width, sew, lmul, avl, masked, rd_at, rs3_at, rd, rs3,
+        load_from, store_to, load_off, store_off, seed, mask):
+    """``vle``/``vse`` over every shape the byte-copy branch and the
+    general path split: SEW x EEW x LMUL x avl (0 included), masked or
+    not, page-crossing and misaligned bases, a never-touched page, and
+    register groups ending at v31 or wrapping past it."""
+    # every byte differs from its neighbours whatever the seed, so a lane
+    # loaded from the wrong place (or not at all) shows
+    data = bytes((seed[k & 255] + 37 * k + (k >> 8)) & 0xFF
+                 for k in range(8192))
+    vl = min(avl, 128 * lmul // sew)
+    program = assemble(_mem_program(
+        width, sew, lmul, avl, masked,
+        _group_start(rd_at, rd, vl, width),
+        _group_start(rs3_at, rs3, vl, width),
+        _place("t1", load_from, load_off),
+        _place("t4", store_to, store_off), data, mask), compress=False)
+    assert (_mem_fingerprint(program, "numpy")
+            == _mem_fingerprint(program, "ref"))
+
+
+@pytest.mark.parametrize("offset", [64, 4096 - 24])
+def test_load_from_untouched_page_allocates_nothing(offset):
+    """The byte-copy branch needs a page to copy from; an untouched one
+    (or two, across the boundary) falls through to the general path,
+    which reads zeros without allocating: the run allocates exactly
+    what the same program loading from its own data does."""
+    def fingerprint(load_from: str) -> tuple:
+        program = assemble(_mem_program(
+            64, 64, 2, 4, False, 8, 8, _place("t1", load_from, offset),
+            _place("t4", "dst", 0), bytes(range(256)) * 32, bytes(16)),
+            compress=False)
+        numpy = _mem_fingerprint(program, "numpy")
+        assert numpy == _mem_fingerprint(program, "ref")
+        return numpy
+
+    untouched, src = fingerprint("untouched"), fingerprint("src")
+    assert untouched[0][8 * 16:10 * 16] == bytes(32)  # v8/v9 read zeros
+    assert untouched[3] == src[3]                      # allocated_bytes
+
+
+# -- vec_counters pin --------------------------------------------------------
+
+#: the twelve ``functional-mix`` programs of the repo benchmark
+#: (``bench/ops.py::functional_programs``)
+FUNCTIONAL_MIX = [
+    workloads.dhrystone(iterations=2600),
+    workloads.stream_kernel("triad", elems=2048, passes=36),
+    workloads.blockchain_kernel(xt=True, blocks=380),
+    workloads.scalar_mac16(n=512, unroll_passes=140),
+    workloads.vec_mac16(n=512, unroll_passes=140),
+    workloads.vec_fp16_axpy(n=192, passes=1500),
+    workloads.vec_axpy_f32(n=128, passes=1350),
+    workloads.vec_axpy_f64(n=128, passes=750),
+    workloads.vec_stencil32(n=128, passes=1200),
+    workloads.vec_gather(n=128, passes=600),
+    workloads.vec_memcpy(n=250, passes=3000),
+    workloads.vec_strcmp(n=192, passes=1950),
+]
+
+with open(Path(__file__).with_name("vector_counters.json")) as _handle:
+    PINNED_COUNTERS = json.load(_handle)
+
+_COUNTER_CASES = (
+    [(f"functional-mix/{w.name}", w) for w in FUNCTIONAL_MIX]
+    + [(f"vector-suite/{w.name}", w) for w in workloads.vector_suite()])
+
+
+@pytest.mark.parametrize("key,workload", _COUNTER_CASES,
+                         ids=[key for key, _ in _COUNTER_CASES])
+def test_vec_counters_pinned(key, workload):
+    """``sim.vector.*`` is a per-op count, not a speed: a faster path
+    must bump it exactly as the one it replaces did (tier 3, the tier
+    the benchmark runs)."""
+    emulator = Emulator(workload.program())
+    emulator.run(tier=3)
+    assert emulator.exit_code == 0
+    assert emulator.state.vec_counters == PINNED_COUNTERS[key]
+
+
+def test_set_vtype_matches_decode_vtype():
+    from repro.asm.assembler import decode_vtype
+    from repro.sim.state import MachineState
+
+    state = MachineState()
+    for vtype in range(32):
+        state.set_vtype(vtype, 1 << 20)
+        assert (state.sew, state.lmul) == decode_vtype(vtype)
+        assert state.vl == state.vlmax
 
 
 # -- deterministic fallback edges --------------------------------------------
