@@ -165,7 +165,7 @@ def _run_sanitized(program, args) -> int:
     emulator = Emulator(program, instruction_limit=args.max_insts)
     emulator.sanitizer = Sanitizer(program)
     try:
-        code = emulator.run_fast(args.max_steps)
+        code = emulator.run(args.max_steps, tier=2)
     except SanitizerViolation as exc:
         if emulator.stdout:
             print(emulator.stdout, end="")

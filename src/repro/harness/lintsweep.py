@@ -36,7 +36,7 @@ def run_lint(quick: bool = False) -> ExperimentResult:
         emulator = Emulator(program)
         emulator.sanitizer = Sanitizer(program)
         try:
-            exit_code = emulator.run_fast()
+            exit_code = emulator.run(tier=2)
         except SanitizerViolation as exc:
             sanitize_failures += 1
             result.notes.append(

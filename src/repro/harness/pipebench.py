@@ -40,7 +40,7 @@ def _harness(model_cls, program):
     config = get_preset(CORE)
     model = model_cls(config, MemoryHierarchy(config.mem))
     emulator = Emulator(program)
-    return lambda: model.run(emulator.fast_trace(None))
+    return lambda: model.run(emulator.trace(None, tier=2))
 
 
 def bench_workload(name: str, repeat: int = 3) -> dict:

@@ -161,7 +161,7 @@ def _array_injection(workload, seed: int, window: int, golden_sum: int,
     target = plan.target.value
     mcheck: MachineCheckError | None = None
     try:
-        for dyn in emulator.trace():
+        for (dyn,) in emulator.trace():
             cycle = dyn.seq
             hierarchy.access_inst(dyn.pc, cycle)
             if dyn.mem_addr:

@@ -53,10 +53,13 @@ def run_on_core(program: Program, core: CoreConfig | str,
                 tier: int = 2) -> RunResult:
     """Execute *program* functionally and time it on *core*.
 
-    ``tier`` picks what feeds the timing model: 1 = precise
-    interpreter, 2 = block-translation cache (``Emulator.fast_trace``),
-    3 = specializing translator (``Emulator.codegen_trace``); every
-    tier retires the same stream, so timing results do not change.
+    ``tier`` is the emulator tier asked to feed the timing model
+    (``Emulator.trace(tier=)``: 1 = precise interpreter, 2 =
+    block-translation cache, 3 = specializing translator); every tier
+    retires the same stream, so timing results do not change.  The tier
+    that ran lands in ``stats.extra["tier"]``, with
+    ``stats.extra["tier_reason"]`` when the emulator had to run a lower
+    one.
 
     ``tracer``/``profiler`` are optional ``repro.obs`` hook objects
     (a :class:`~repro.obs.PipelineTracer` / :class:`~repro.obs.
@@ -72,20 +75,13 @@ def run_on_core(program: Program, core: CoreConfig | str,
     A guest that exits non-zero raises :class:`GuestExit`, which
     carries the complete :class:`RunResult`.
     """
-    if tier not in (1, 2, 3):
-        raise ValueError(f"tier must be 1, 2 or 3, not {tier!r}")
     config = get_preset(core) if isinstance(core, str) else core
     emulator = (Emulator(program, instruction_limit=max_insts)
                 if max_insts is not None else Emulator(program))
     pipeline = PipelineModel(config, hierarchy=hierarchy)
     pipeline.tracer = tracer
     pipeline.profiler = profiler
-    if tier == 3:
-        trace = emulator.codegen_trace(max_steps)
-    elif tier == 2:
-        trace = emulator.fast_trace(max_steps)
-    else:
-        trace = emulator.trace(max_steps)
+    trace = emulator.trace(max_steps, tier=tier)
     watchdog = None
     try:
         stats = pipeline.run(trace)
@@ -95,6 +91,9 @@ def run_on_core(program: Program, core: CoreConfig | str,
         watchdog = exc
         stats = pipeline.finish()   # drain in-flight work, fold RAS counters
         stats.extra["watchdog_expired"] = 1
+    stats.extra["tier"] = emulator.tier
+    if emulator.tier_reason is not None:
+        stats.extra["tier_reason"] = emulator.tier_reason
     stats.decode_cache_hits = emulator.decode_cache_hits
     stats.decode_cache_misses = emulator.decode_cache_misses
     if emulator._blocks is not None:
@@ -136,7 +135,8 @@ def profile_run(program: Program, core: CoreConfig | str,
 
     ``max_insts``, ``partial_on_watchdog`` and ``tier`` are
     :func:`run_on_core`'s: a profiled run is bounded by the same
-    watchdog, and profiles the tier it is asked for.
+    watchdog, and profiles the tier that runs (``stats.extra["tier"]``
+    and ``["tier_reason"]`` say which, as for :func:`run_on_core`).
 
     Attribution is by owning subpackage of each profiled frame's file
     (``repro.sim`` / ``repro.uarch`` / ``repro.mem``; everything else is

@@ -116,9 +116,11 @@ def collect_core_stats(stats: Any,
     cache counters the runner copies in) lands under ``emu.*``, except
     the tier-3 translator's ``codegen_*`` counters (own
     ``sim.codegen.*`` namespace: blocks compiled, compile seconds,
-    disk-cache hits/misses, ...) and the batched vector engine's
+    disk-cache hits/misses, ...), the batched vector engine's
     ``vector_*`` counters (``sim.vector.*``: batched/specialized/
-    fallback ops, mask density).
+    fallback ops, mask density) and the emulator tier that ran, with
+    the reason when it is not the one asked for (``sim.tier``,
+    ``sim.tier_reason``).
     """
     registry = registry if registry is not None else MetricsRegistry()
     for name, value in vars(stats).items():
@@ -131,6 +133,8 @@ def collect_core_stats(stats: Any,
             registry.set(f"sim.vector.{name[len('vector_'):]}", value)
         elif name.startswith("codegen_"):
             registry.set(f"sim.codegen.{name[len('codegen_'):]}", value)
+        elif name in ("tier", "tier_reason"):
+            registry.set(f"sim.{name}", value)
         else:
             registry.set(f"emu.{name}", value)
     return registry

@@ -209,8 +209,7 @@ def _run_timed(spec: JobSpec, program: Program,
                     "chaos: injected translated/precise divergence",
                     detail={"injected": True, "tier": tier})
             return _timed_result(
-                spec, run, tier=tier,
-                downgrade_reason="; ".join(reasons) or None)
+                spec, run, downgrade_reason="; ".join(reasons) or None)
         except Exception as exc:
             if last:
                 _raise_classified(exc)
@@ -218,16 +217,18 @@ def _run_timed(spec: JobSpec, program: Program,
     raise AssertionError("unreachable: ladder exhausted without raising")
 
 
-def _timed_result(spec: JobSpec, run: RunResult, tier: int,
+def _timed_result(spec: JobSpec, run: RunResult,
                   downgrade_reason: str | None) -> JobResult:
     stats = run.stats
     metrics: dict[str, Any] = {
         "cycles": stats.cycles,
         "instructions": stats.instructions,
         "ipc": round(stats.ipc, 6),
-        "tier": tier,
+        "tier": stats.extra["tier"],
         "stats": stats.as_comparable(),
     }
+    if "tier_reason" in stats.extra:
+        metrics["tier_reason"] = stats.extra["tier_reason"]
     if run.watchdog is not None:
         return JobResult(
             name=spec.name, state=JobState.TIMEOUT,
@@ -278,16 +279,16 @@ def _functional_attempt(spec: JobSpec, program: Program, tier: int,
     emulator = Emulator(program, instruction_limit=spec.max_insts)
     if tier != 1 and spec.vet:
         # Runtime arm of the vetting layer: the static summaries ride
-        # along as shadow state on the block-cache path.  A sanitizer
-        # makes the emulator tier-3-ineligible, so a vetted tier-3
-        # request transparently executes on the tier-2 engine.
+        # along as shadow state on the block-cache path.
         emulator.sanitizer = Sanitizer(program)
     code = emulator.run(tier=tier)
     metrics: dict[str, Any] = {
         "instret": emulator.state.instret,
         "exit_code": code,
-        "tier": tier,
+        "tier": emulator.tier,
     }
+    if emulator.tier_reason is not None:
+        metrics["tier_reason"] = emulator.tier_reason
     metrics.update(emulator.counters())
     return JobResult(
         name=spec.name, state=JobState.COMPLETED, exit_code=code,

@@ -28,10 +28,11 @@ so the fresh bytes are re-decoded, matching the precise interpreter's
 decode-at-first-execution order (see DESIGN.md for the one accepted
 deviation: SMC without ``fence.i`` after a partial first execution).
 
-Record lifetime contract: the lists yielded by
-``Emulator.fast_trace`` reuse their ``DynInst`` slots — each batch is
-only valid until the next batch is requested.  Consumers that need to
-retain records (e.g. equivalence tests) must copy them.
+Record lifetime contract: the batches ``Emulator.trace`` yields on
+tiers 2 and 3 reuse their ``DynInst`` slots — each batch is only valid
+until the next batch is requested.  Consumers that need to retain
+records (e.g. equivalence tests) must copy them; tier 1's 1-tuples hold
+fresh records.
 """
 
 from __future__ import annotations

@@ -46,12 +46,12 @@ import marshal
 import os
 import tempfile
 import time
+from collections.abc import Iterator, Sequence
 
-from ..isa.instructions import SPECS, InstrClass, Instruction
+from ..isa.instructions import InstrClass
 from .exec_scalar import EcallShim, Trap
 from .exec_vector import active_engine, specialize
 from .syscalls import ExitRequest
-from .trace import DynInst
 from .blockcache import (
     FLAG_FENCE_I,
     FLAG_SFENCE,
@@ -519,16 +519,19 @@ def emit_source(block) -> str:
 
 
 class CompiledBlock:
-    """One specialized block: two code paths plus its tier-2 twin."""
+    """One specialized block: two code paths plus its tier-2 twin.
 
-    __slots__ = ("start", "end", "n", "run", "trace", "records", "block")
+    ``variants`` is ``(run, trace)``: indexed by whether the caller
+    records, so the dispatch loop picks the variant once per call.
+    """
 
-    def __init__(self, block, run_fn, trace_fn):
+    __slots__ = ("start", "end", "n", "variants", "records", "block")
+
+    def __init__(self, block, variants):
         self.start = block.start
         self.end = block.end
         self.n = len(block.entries)
-        self.run = run_fn
-        self.trace = trace_fn
+        self.variants = variants
         self.records = block.records
         self.block = block
 
@@ -537,8 +540,7 @@ def _link(code, block):
     """Exec one generated module and bind it to *block*'s entries."""
     module_globals = {"_EXC": _EXC, "_vspec": specialize}
     exec(code, module_globals)
-    run_fn, trace_fn = module_globals["make"](block.entries)
-    return CompiledBlock(block, run_fn, trace_fn)
+    return CompiledBlock(block, module_globals["make"](block.entries))
 
 
 # -- the engine --------------------------------------------------------------
@@ -727,53 +729,16 @@ class CodegenEngine:
             self.emu._crash_report(entry[2], entry[1].spec.mnemonic,
                                    exc)) from exc
 
-    def run(self, limit: int) -> int:
-        """Run to halt (or the watchdog) without recording."""
-        emu = self.emu
-        state = emu.state
-        memory = state.memory
-        regs, fregs = state.regs, state.fregs
-        load, store = memory.load_int, memory.store_int
-        compiled_map = self.compiled
-        engine = self.blocks
-        translated = engine.blocks
-        steps = 0
-        while not emu.halted:
-            if steps >= limit:
-                raise emu._watchdog(limit)
-            if emu._pending_mcheck is not None:
-                emu._deliver_machine_check()
-            pc = state.pc
-            compiled = compiled_map.get(pc)
-            if compiled is not None and compiled.n <= limit - steps:
-                self.executions += 1
-                before = state.instret
-                try:
-                    steps += compiled.run(emu, state, regs, fregs,
-                                          load, store, _cold, self)
-                except _EXC:
-                    raise
-                except Exception as exc:
-                    self._crash(compiled, before, exc)
-                continue
-            block = translated.get(pc)
-            if block is None:
-                try:
-                    block = engine.translate(pc)
-                except Trap as trap:
-                    emu._take_trap(trap)
-                    state.instret += 1
-                    steps += 1
-                    continue
-            retired, _ = engine.execute(block, limit - steps, record=False)
-            steps += retired
-            if (compiled is None and not emu.halted
-                    and translated.get(pc) is block):
-                self.compile_block(block)
-        return emu.exit_code if emu.exit_code is not None else -1
+    def dispatch(self, limit: int, record: bool) -> Iterator[Sequence]:
+        """Tier 3's dispatch loop: compiled blocks where they exist, the
+        tier-2 engine (which earns a block its compilation) elsewhere.
 
-    def trace(self, limit: int):
-        """Yield the DynInst stream in block batches (slots reused)."""
+        Yields the DynInst batches (slots reused) when *record*; else
+        runs each compiled block's non-recording variant and yields
+        stale batches, for :meth:`Emulator.run` to drain.  Newly
+        compiled blocks are persisted to the on-disk cache on the way
+        out.
+        """
         emu = self.emu
         state = emu.state
         memory = state.memory
@@ -782,47 +747,48 @@ class CodegenEngine:
         compiled_map = self.compiled
         engine = self.blocks
         translated = engine.blocks
+        variant = 1 if record else 0      # CompiledBlock.variants index
         steps = 0
-        while not emu.halted and steps < limit:
-            if emu._pending_mcheck is not None:
-                emu._deliver_machine_check()
-            pc = state.pc
-            compiled = compiled_map.get(pc)
-            if compiled is not None and compiled.n <= limit - steps:
-                self.executions += 1
-                before = state.instret
-                try:
-                    retired = compiled.trace(emu, state, regs, fregs,
-                                             load, store, _cold, self)
-                except _EXC:
-                    raise
-                except Exception as exc:
-                    self._crash(compiled, before, exc)
-                steps += retired
-                yield (compiled.records if retired == compiled.n
-                       else compiled.records[:retired])
-                continue
-            block = translated.get(pc)
-            if block is None:
-                try:
-                    block = engine.translate(pc)
-                except Trap as trap:
-                    emu._take_trap(trap)
-                    state.instret += 1
-                    nop = Instruction(spec=SPECS["addi"])
-                    yield (DynInst(seq=state.instret, pc=pc, inst=nop,
-                                   next_pc=state.pc),)
-                    steps += 1
+        try:
+            while not emu.halted and steps < limit:
+                if emu._pending_mcheck is not None:
+                    emu._deliver_machine_check()
+                pc = state.pc
+                compiled = compiled_map.get(pc)
+                if compiled is not None and compiled.n <= limit - steps:
+                    self.executions += 1
+                    before = state.instret
+                    try:
+                        retired = compiled.variants[variant](
+                            emu, state, regs, fregs, load, store, _cold,
+                            self)
+                    except _EXC:
+                        raise
+                    except Exception as exc:
+                        self._crash(compiled, before, exc)
+                    steps += retired
+                    yield (compiled.records if retired == compiled.n
+                           else compiled.records[:retired])
                     continue
-            retired, batch = engine.execute(block, limit - steps)
-            steps += retired
-            if (compiled is None and not emu.halted
-                    and translated.get(pc) is block):
-                self.compile_block(block)
-            if batch:
-                yield batch
-        if not emu.halted and steps >= limit:
-            raise emu._watchdog(limit)
+                block = translated.get(pc)
+                if block is None:
+                    try:
+                        block = engine.translate(pc)
+                    except Trap as trap:
+                        yield (emu._fetch_trap(pc, trap),)
+                        steps += 1
+                        continue
+                retired, batch = engine.execute(block, limit - steps, record)
+                steps += retired
+                if (compiled is None and not emu.halted
+                        and translated.get(pc) is block):
+                    self.compile_block(block)
+                if batch:
+                    yield batch
+            if not emu.halted:
+                raise emu._watchdog(limit)
+        finally:
+            self.persist()
 
     # -- metrics -------------------------------------------------------------
 

@@ -10,7 +10,7 @@ the assembler and decoder continuously validate each other.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from ..asm.program import STACK_TOP, Program
 from ..isa import compressed
@@ -132,8 +132,12 @@ class Emulator:
         #: on-disk code cache override (None = env/default resolution)
         self.code_cache_dir = code_cache_dir
         #: optional repro.analysis.sanitize.Sanitizer checked at block
-        #: boundaries on the fast path (None = zero overhead)
+        #: boundaries on tier 2 (None = zero overhead)
         self.sanitizer = None
+        #: the tier the last run/trace selected, and why it is not the
+        #: tier asked for (None when it is): see _select_tier
+        self.tier: int | None = None
+        self.tier_reason: str | None = None
 
     # -- fetch/decode -----------------------------------------------------------
 
@@ -187,11 +191,7 @@ class Emulator:
         try:
             inst = self._fetch(pc)
         except Trap as trap:
-            self._take_trap(trap)
-            state.instret += 1
-            nop = Instruction(spec=SPECS["addi"])
-            return DynInst(seq=state.instret, pc=pc, inst=nop,
-                           next_pc=state.pc)
+            return self._fetch_trap(pc, trap)
         side = state.side
         side.reset()
         mnemonic = inst.spec.mnemonic
@@ -257,6 +257,16 @@ class Emulator:
         state.pc = next_pc
         state.instret += 1
         return record
+
+    def _fetch_trap(self, pc: int, trap: Trap) -> DynInst:
+        """Take a trap raised fetching *pc*; returns its retired record
+        (a placeholder ``addi`` whose next PC is the handler)."""
+        self._take_trap(trap)
+        state = self.state
+        state.instret += 1
+        return DynInst(seq=state.instret, pc=pc,
+                       inst=Instruction(spec=SPECS["addi"]),
+                       next_pc=state.pc)
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -382,16 +392,29 @@ class Emulator:
         self.state.priv = PrivMode.MACHINE
         self.state.pc = mtvec & ~3
 
-    # -- fast (block-translated) execution ---------------------------------------
+    # -- tiers ------------------------------------------------------------------
 
-    def _fast_eligible(self) -> bool:
-        """Whether block dispatch preserves exact semantics here.
+    def _select_tier(self, asked: int) -> tuple[int, str | None]:
+        """The tier that can run *asked* exactly here, and why not
+        *asked* (None when it can).
 
-        The fast path elides the per-step fault-injector, interrupt and
-        MMU hooks, so any of those forces the precise interpreter.
+        Block dispatch (tiers 2 and 3) elides the per-step MMU,
+        fault-injector and interrupt hooks, so any of those forces the
+        precise interpreter; compiled blocks (tier 3) also skip the
+        per-block hooks a sanitizer relies on, so a sanitizer caps the
+        run at tier 2.  The reason is the first blocker in that order.
         """
-        return (self.mmu is None and self.fault_injector is None
-                and self.interrupt_fn is None)
+        if asked not in (1, 2, 3):
+            raise ValueError(f"unknown execution tier {asked!r}")
+        if asked > 1:
+            for reason, hook in (("mmu", self.mmu),
+                                 ("fault_injector", self.fault_injector),
+                                 ("interrupts", self.interrupt_fn)):
+                if hook is not None:
+                    return 1, reason
+        if asked == 3 and self.sanitizer is not None:
+            return 2, "sanitizer"
+        return asked, None
 
     def _engine(self):
         if self._blocks is None:
@@ -399,11 +422,6 @@ class Emulator:
 
             self._blocks = BlockEngine(self)
         return self._blocks
-
-    def _tier3_eligible(self) -> bool:
-        """Tier-3 additionally requires no sanitizer: compiled blocks
-        skip the per-block pre/post hooks the sanitizer relies on."""
-        return self._fast_eligible() and self.sanitizer is None
 
     def _codegen_engine(self):
         if self._codegen is None:
@@ -432,30 +450,29 @@ class Emulator:
                          in self.state.vec_counters.items()})
         return counters
 
-    def fast_trace(self, max_steps: int | None = None):
-        """Yield the dynamic instruction stream in block-sized batches.
+    # -- the dispatch loops: one per tier, each serving run and trace ----------
+    #
+    # Each loop is a generator of record batches.  ``trace`` hands it to
+    # the consumer; ``run`` drains it with ``record=False``, in which
+    # case tiers 2 and 3 fill no records (what they yield is stale).
 
-        Batches are lists (or tuples) of :class:`DynInst` whose slots
-        are **reused**: each batch is only valid until the next one is
-        requested, so consumers that retain records must copy them.
-        The retired stream is field-for-field identical to
-        :meth:`trace`; when the configuration is not
-        :meth:`_fast_eligible` this silently degrades to precise
-        single-step batches.
-        """
-        limit = max_steps if max_steps is not None else self.instruction_limit
+    def _interpret(self, limit: int) -> Iterator[tuple[DynInst]]:
+        """Tier 1: the precise interpreter, one 1-tuple per step."""
         steps = 0
-        if not self._fast_eligible():
-            while not self.halted and steps < limit:
-                yield (self.step(),)
-                steps += 1
-            if not self.halted and steps >= limit:
-                raise self._watchdog(limit)
-            return
+        while not self.halted and steps < limit:
+            yield (self.step(),)
+            steps += 1
+        if not self.halted:
+            raise self._watchdog(limit)
+
+    def _dispatch_blocks(self, limit: int,
+                         record: bool) -> Iterator[Sequence[DynInst]]:
+        """Tier 2: translated blocks, with the sanitizer's block hooks."""
         engine = self._engine()
         blocks = engine.blocks
         state = self.state
         sanitizer = self.sanitizer
+        steps = 0
         while not self.halted and steps < limit:
             if self._pending_mcheck is not None:
                 self._deliver_machine_check()
@@ -465,89 +482,35 @@ class Emulator:
                 try:
                     block = engine.translate(pc)
                 except Trap as trap:
-                    # Same fetch-trap record the precise path emits.
-                    self._take_trap(trap)
-                    state.instret += 1
-                    nop = Instruction(spec=SPECS["addi"])
-                    yield (DynInst(seq=state.instret, pc=pc, inst=nop,
-                                   next_pc=state.pc),)
+                    yield (self._fetch_trap(pc, trap),)
                     steps += 1
                     continue
             if sanitizer is not None:
                 sanitizer.pre_block(block)
-            retired, batch = engine.execute(block, limit - steps)
+            retired, batch = engine.execute(block, limit - steps, record)
             if sanitizer is not None:
                 sanitizer.post_block(block, retired, state)
             steps += retired
             if batch:
                 yield batch
-        if not self.halted and steps >= limit:
+        if not self.halted:
             raise self._watchdog(limit)
 
-    def run_fast(self, max_steps: int | None = None) -> int:
-        """:meth:`run` through the block engine, recording nothing."""
-        if not self._fast_eligible():
-            return self.run(max_steps)
-        limit = max_steps if max_steps is not None else self.instruction_limit
-        engine = self._engine()
-        blocks = engine.blocks
-        state = self.state
-        sanitizer = self.sanitizer
-        steps = 0
-        while not self.halted:
-            if steps >= limit:
-                raise self._watchdog(limit)
-            if self._pending_mcheck is not None:
-                self._deliver_machine_check()
-            pc = state.pc
-            block = blocks.get(pc)
-            if block is None:
-                try:
-                    block = engine.translate(pc)
-                except Trap as trap:
-                    self._take_trap(trap)
-                    state.instret += 1
-                    steps += 1
-                    continue
-            if sanitizer is not None:
-                sanitizer.pre_block(block)
-            retired, _ = engine.execute(block, limit - steps, record=False)
-            if sanitizer is not None:
-                sanitizer.post_block(block, retired, state)
-            steps += retired
-        return self.exit_code if self.exit_code is not None else -1
+    def codegen_trace(self, limit: int) -> Iterator[Sequence[DynInst]]:
+        """The tier-3 batch generator behind ``trace(tier=3)``.
 
-    def run_codegen(self, max_steps: int | None = None) -> int:
-        """:meth:`run` through tier-3 compiled blocks, recording nothing.
-
-        Ineligible configurations degrade to :meth:`run_fast` (which
-        itself degrades to the precise interpreter); newly compiled
-        blocks are persisted to the on-disk code cache on the way out.
+        It decides nothing; it is a method of its own so that a
+        subclass can wrap the tier-3 batch stream (the benchmark's layer
+        tracer charges the time spent producing it to emulation).
         """
-        if not self._tier3_eligible():
-            return self.run_fast(max_steps)
-        limit = max_steps if max_steps is not None else self.instruction_limit
-        engine = self._codegen_engine()
-        try:
-            return engine.run(limit)
-        finally:
-            engine.persist()
+        return self._codegen_engine().dispatch(limit, record=True)
 
-    def codegen_trace(self, max_steps: int | None = None):
-        """:meth:`fast_trace` through tier-3 compiled blocks.
+    # -- execution entry points --------------------------------------------------
 
-        Same record-reuse contract as :meth:`fast_trace`: each yielded
-        batch is only valid until the next one is requested.
-        """
-        if not self._tier3_eligible():
-            yield from self.fast_trace(max_steps)
-            return
-        limit = max_steps if max_steps is not None else self.instruction_limit
-        engine = self._codegen_engine()
-        try:
-            yield from engine.trace(limit)
-        finally:
-            engine.persist()
+    def _start(self, max_steps: int | None, tier: int) -> int:
+        """Select and record the tier; returns the step limit."""
+        self.tier, self.tier_reason = self._select_tier(tier)
+        return max_steps if max_steps is not None else self.instruction_limit
 
     def run(self, max_steps: int | None = None, tier: int = 1) -> int:
         """Run to exit (or the watchdog); returns the exit code.
@@ -555,36 +518,39 @@ class Emulator:
         A normal halt returns; a runaway loop raises
         :class:`WatchdogExpired` with a post-mortem dump.
 
-        ``tier`` selects the speed tier: 1 = precise interpreter, 2 =
-        block-translation cache (when the configuration allows it, see
-        :meth:`_fast_eligible`), 3 = specializing translator.  Each
-        tier silently falls back to the next-safer one when the
-        configuration requires it.
+        ``tier`` asks for a speed tier: 1 = precise interpreter, 2 =
+        block-translation cache, 3 = specializing translator.  Every
+        tier retires the same instructions; a configuration a tier
+        cannot run exactly runs on a lower one, and ``tier`` /
+        ``tier_reason`` record which and why (see :meth:`_select_tier`).
         """
-        if tier not in (1, 2, 3):
-            raise ValueError(f"unknown execution tier {tier!r}")
-        if tier == 3:
-            return self.run_codegen(max_steps)
-        if tier == 2:
-            return self.run_fast(max_steps)
-        limit = max_steps if max_steps is not None else self.instruction_limit
-        steps = 0
-        while not self.halted:
-            if steps >= limit:
-                raise self._watchdog(limit)
-            self.step()
-            steps += 1
+        limit = self._start(max_steps, tier)
+        if self.tier == 3:
+            batches = self._codegen_engine().dispatch(limit, record=False)
+        elif self.tier == 2:
+            batches = self._dispatch_blocks(limit, record=False)
+        else:
+            batches = self._interpret(limit)
+        deque(batches, maxlen=0)
         return self.exit_code if self.exit_code is not None else -1
 
-    def trace(self, max_steps: int | None = None) -> Iterator[DynInst]:
-        """Yield the dynamic instruction stream until exit."""
-        limit = max_steps if max_steps is not None else self.instruction_limit
-        steps = 0
-        while not self.halted and steps < limit:
-            yield self.step()
-            steps += 1
-        if not self.halted and steps >= limit:
-            raise self._watchdog(limit)
+    def trace(self, max_steps: int | None = None,
+              tier: int = 1) -> Iterator[Sequence[DynInst]]:
+        """The dynamic instruction stream until exit, in batches.
+
+        Tier 1 yields one fresh record per 1-tuple.  Tiers 2 and 3
+        yield a translated block's worth at a time in **reused** slots:
+        each batch is only valid until the next one is requested, so
+        consumers that retain records must copy them.  The stream is
+        field-for-field identical on every tier; ``tier`` is selected
+        and recorded as in :meth:`run`, when this is called.
+        """
+        limit = self._start(max_steps, tier)
+        if self.tier == 3:
+            return self.codegen_trace(limit)
+        if self.tier == 2:
+            return self._dispatch_blocks(limit, record=True)
+        return self._interpret(limit)
 
     @property
     def stdout(self) -> str:

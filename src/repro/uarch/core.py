@@ -25,8 +25,8 @@ Fast path
 
 The model has one execution path, the **batched hot loop**
 (:meth:`PipelineModel._run_stream`).  :meth:`PipelineModel.run` drives
-it over a whole trace (``Emulator.fast_trace`` yields one
-``TranslatedBlock`` worth of records at a time);
+it over a whole trace (``Emulator.trace`` yields one
+``TranslatedBlock`` worth of records at a time on tiers 2 and 3);
 :meth:`PipelineModel.run_quantum` resumes it for one slice of records,
 which is how :mod:`repro.smp.timing` interleaves the harts of a
 cluster.  The loop is the per-stage accounting (frontend, dispatch,
@@ -57,9 +57,9 @@ instruction: a translated block always yields the same
 rows on it the first time it sees it.  A re-translated block is a new
 batch, so the rows are invalidated by exactly the events that invalidate
 the block.  Anything else the loop is handed — the partial slice of a
-block cut short by a trap or the step budget, an SMP quantum, a flat
-``DynInst`` stream — has no persistent identity and is resolved record by
-record on the spot (quanta therefore pay the per-instruction lookup);
+block cut short by a trap or the step budget, an SMP quantum, a tier-1
+1-tuple — has no persistent identity and is resolved record by record on
+the spot (quanta therefore pay the per-instruction lookup);
 both feed the same loop body.  What is a function of the batch rather
 than of the instruction (instruction count, pipe-window prune, eager
 store-queue age prune) runs at the batch boundary.
@@ -320,11 +320,10 @@ class PipelineModel:
     def run(self, trace: Iterable) -> CoreStats:
         """Consume a dynamic instruction stream; returns the statistics.
 
-        Accepts either a flat :class:`DynInst` iterator
-        (``Emulator.trace``) or a batched one yielding lists/tuples of
-        records (``Emulator.fast_trace``) — the timing result is
-        identical, batching only amortises per-instruction overhead
-        through the inlined hot loop.
+        *trace* yields batches — lists/tuples of records, as
+        ``Emulator.trace`` does on every tier.  The timing result does
+        not depend on how the stream is batched; batching only
+        amortises per-instruction overhead through the inlined hot loop.
         """
         # A model that has timed nothing since its last reset (fresh
         # from the constructor, typically) is already in reset state.
@@ -796,10 +795,9 @@ class PipelineModel:
                                                      *resolve(batch))
                     _, rows, prevs = resolved
                 else:
-                    # Slices, SMP quanta, flat DynInst streams: nothing
+                    # Slices, SMP quanta, tier-1 1-tuples: nothing
                     # persistent to keep rows on.
-                    batch = (batch,) if type(batch) is DynInst \
-                        else tuple(batch)
+                    batch = tuple(batch)
                     rows, prevs = resolve(batch)
                 n_inst += len(rows)
                 row_iter = iter(rows)

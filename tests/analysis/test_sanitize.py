@@ -18,7 +18,7 @@ def sanitized_run(source, strict=True, **kwargs):
     program = assemble(source)
     emulator = Emulator(program, **kwargs)
     emulator.sanitizer = Sanitizer(program, strict=strict)
-    code = emulator.run_fast()
+    code = emulator.run(tier=2)
     return emulator, code
 
 
@@ -40,7 +40,7 @@ _start:
         program = w.program()
         emulator = Emulator(program)
         emulator.sanitizer = Sanitizer(program)
-        assert emulator.run_fast() == 0
+        assert emulator.run(tier=2) == 0
         assert emulator.sanitizer.violations == []
 
     def test_call_stack_tracked(self):
@@ -150,10 +150,10 @@ class TestZeroPerturbation:
     def test_archstate_identical(self):
         program = dhrystone().program()
         plain = Emulator(program)
-        plain.run_fast()
+        plain.run(tier=2)
         checked = Emulator(program)
         checked.sanitizer = Sanitizer(program)
-        checked.run_fast()
+        checked.run(tier=2)
         assert plain.state.instret == checked.state.instret
         assert list(plain.state.regs) == list(checked.state.regs)
         assert plain.exit_code == checked.exit_code
@@ -165,6 +165,6 @@ class TestZeroPerturbation:
         emulator = Emulator(program)
         emulator.sanitizer = Sanitizer(program)
         pipeline = PipelineModel(get_preset("xt910"))
-        stats = pipeline.run(emulator.fast_trace())
+        stats = pipeline.run(emulator.trace(tier=2))
         assert emulator.sanitizer.blocks_checked > 0
         assert stats.as_comparable() == baseline.as_comparable()

@@ -41,11 +41,11 @@ def _digest(emulator):
 @given(short_program(), st.booleans())
 def test_tier3_matches_precise(source, compress):
     precise = Emulator(assemble(source, compress=compress))
-    precise_stream = [_snap(d) for d in precise.trace(100_000)]
+    precise_stream = [_snap(d) for (d,) in precise.trace(100_000)]
 
     tier3 = Emulator(assemble(source, compress=compress))
     tier3_stream = []
-    for batch in tier3.codegen_trace(100_000):
+    for batch in tier3.trace(100_000, tier=3):
         tier3_stream.extend(_snap(d) for d in batch)
 
     assert precise_stream == tier3_stream
@@ -60,7 +60,7 @@ def test_tier3_matches_precise(source, compress):
 @given(short_program())
 def test_tier3_timing_stats_match_precise(source):
     """CoreStats comparables are tier-invariant: the timing model fed
-    by ``codegen_trace`` must count exactly what the precise stream
+    by ``trace(tier=3)`` must count exactly what the precise stream
     produces."""
     config = get_preset("xt910")
 
@@ -68,7 +68,7 @@ def test_tier3_timing_stats_match_precise(source):
     precise_model.run(Emulator(assemble(source)).trace(100_000))
 
     tier3_model = PipelineModel(config)
-    tier3_model.run(Emulator(assemble(source)).codegen_trace(100_000))
+    tier3_model.run(Emulator(assemble(source)).trace(100_000, tier=3))
 
     assert (tier3_model.stats.as_comparable()
             == precise_model.stats.as_comparable())

@@ -101,11 +101,11 @@ def _digest(emulator):
 def test_fast_matches_precise(source, compress):
     program_bytes = assemble(source, compress=compress)
     precise = Emulator(program_bytes)
-    precise_stream = [_snap(d) for d in precise.trace(100_000)]
+    precise_stream = [_snap(d) for (d,) in precise.trace(100_000)]
 
     fast = Emulator(assemble(source, compress=compress))
     fast_stream = []
-    for batch in fast.fast_trace(100_000):
+    for batch in fast.trace(100_000, tier=2):
         fast_stream.extend(_snap(d) for d in batch)
 
     assert precise_stream == fast_stream

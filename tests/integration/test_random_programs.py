@@ -148,7 +148,7 @@ def test_executed_instructions_roundtrip_disasm(source):
     program = assemble(source, compress=False)
     emulator = Emulator(program)
     seen = set()
-    for dyn in emulator.trace(50_000):
+    for (dyn,) in emulator.trace(50_000):
         if dyn.pc in seen:
             continue
         seen.add(dyn.pc)

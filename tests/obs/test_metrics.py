@@ -8,7 +8,8 @@ from repro.harness.report import ExperimentResult
 from repro.harness.runner import run_on_core
 from repro.harness.table1 import run_table1
 from repro.obs import MetricsRegistry, collect_run, diff_metrics, render_diff
-from repro.obs.metrics import _KEY_RE
+from repro.obs.metrics import _KEY_RE, collect_core_stats
+from repro.uarch.stats import CoreStats
 from repro.workloads import coremark_suite
 
 
@@ -64,7 +65,8 @@ def test_collect_run_namespaces():
                     if w.name == "coremark-list")
     registry = collect_run(run_on_core(workload.program(), "xt910"))
     prefixes = {key.split(".", 1)[0] for key in registry.keys()}
-    assert prefixes == {"core", "emu", "mem"}
+    assert prefixes == {"core", "emu", "mem", "sim"}
+    assert registry["sim.tier"] == 2
     assert registry["core.cycles"] > 0
     assert "core.ipc" in registry
     for sub in ("l1i", "l1d", "l2", "tlb", "l1_prefetch",
@@ -91,6 +93,25 @@ def test_codegen_counters_get_their_own_namespace():
                    for key in registry.keys())
     prefixes = {key.split(".", 1)[0] for key in registry.keys()}
     assert prefixes == {"core", "emu", "mem", "sim"}
+
+
+def test_tier_and_its_reason_get_the_sim_namespace():
+    """The emulator tier that fed the timing model is ``sim.tier``; the
+    reason it is not the tier asked for, when there is one, is
+    ``sim.tier_reason`` — neither lands under ``emu.*``."""
+    stats = CoreStats(extra={"tier": 1, "tier_reason": "interrupts",
+                             "translated_blocks": 0})
+    registry = collect_core_stats(stats)
+    assert registry["sim.tier"] == 1
+    assert registry["sim.tier_reason"] == "interrupts"
+    assert registry["emu.translated_blocks"] == 0
+    assert not any(key.startswith("emu.tier") for key in registry)
+
+    workload = next(w for w in coremark_suite()
+                    if w.name == "coremark-crc")
+    ran = collect_run(run_on_core(workload.program(), "xt910", tier=3))
+    assert ran["sim.tier"] == 3
+    assert "sim.tier_reason" not in ran
 
 
 def test_experiment_metric_namespacing():

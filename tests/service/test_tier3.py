@@ -5,7 +5,9 @@ specializing translator (tier 3) and rides down tier 2 (fast) to
 tier 1 (precise); pinned modes never downgrade.  The store key carries
 the mode, so tier-3 results can never be served for a tier-2 request
 (or vice versa) even though both complete successfully on the same
-program + config.
+program + config.  ``metrics["tier"]`` is the tier that ran, with
+``metrics["tier_reason"]`` when the emulator could not run the rung's
+tier exactly — not a ladder downgrade.
 """
 
 from repro.service import JobService, JobSpec, JobState, RetryPolicy
@@ -50,6 +52,7 @@ class TestLadder:
         assert result.state is JobState.COMPLETED
         assert not result.downgraded
         assert result.metrics["tier"] == 3
+        assert "tier_reason" not in result.metrics
 
     def test_tier3_fault_lands_on_fast(self):
         result = _service().submit(
@@ -96,3 +99,26 @@ class TestLadder:
         assert result.downgraded
         assert result.metrics["tier"] == 1
         assert "divergence" in result.downgrade_reason
+
+
+class TestTierReport:
+    def test_vetted_functional_job_reports_the_tier_that_ran(self):
+        # The admission sanitizer rides along on the block-cache path,
+        # whose hooks compiled blocks skip: a default (auto, vetted)
+        # functional job asks for tier 3, runs on tier 2, and says why.
+        result = _service().submit(
+            JobSpec(source=clean_source(9), core=None, name="vetted"))
+        assert result.state is JobState.COMPLETED
+        assert not result.downgraded        # the ladder did not move
+        assert result.metrics["tier"] == 2
+        assert result.metrics["tier_reason"] == "sanitizer"
+        assert "codegen_blocks_compiled" not in result.metrics
+
+    def test_unvetted_functional_job_runs_on_tier3(self):
+        result = _service().submit(
+            JobSpec(source=clean_source(10), core=None, vet=False,
+                    name="unvetted"))
+        assert result.state is JobState.COMPLETED
+        assert result.metrics["tier"] == 3
+        assert "tier_reason" not in result.metrics
+        assert result.metrics["codegen_executions"] > 0

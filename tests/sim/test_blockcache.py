@@ -2,7 +2,7 @@
 
 The equivalence gate for the translation cache: every bundled workload
 retires the same DynInst stream, register file, memory image and exit
-code through ``fast_trace`` as through the precise interpreter, and the
+code through ``trace(tier=2)`` as through the precise interpreter, and the
 invalidation rules (fence.i, bounded caches, ineligible configurations)
 behave exactly like the per-step path.
 """
@@ -40,9 +40,9 @@ def _memory_digest(emulator):
 def _run_both(program_factory, max_steps=None):
     precise = Emulator(program_factory())
     fast = Emulator(program_factory())
-    precise_stream = [_snap(d) for d in precise.trace(max_steps)]
+    precise_stream = [_snap(d) for (d,) in precise.trace(max_steps)]
     fast_stream = []
-    for batch in fast.fast_trace(max_steps):
+    for batch in fast.trace(max_steps, tier=2):
         fast_stream.extend(_snap(d) for d in batch)
     return precise, fast, precise_stream, fast_stream
 
@@ -124,8 +124,8 @@ loop:
 class TestFastMode:
     def test_ineligible_config_falls_back_to_precise(self):
         emulator = Emulator(assemble(_TINY), interrupt_fn=lambda: 0)
-        assert not emulator._fast_eligible()
-        batches = list(emulator.fast_trace())
+        batches = list(emulator.trace(tier=2))
+        assert (emulator.tier, emulator.tier_reason) == (1, "interrupts")
         assert all(len(batch) == 1 for batch in batches)
         assert emulator._blocks is None          # engine never built
         assert emulator.exit_code == 7
@@ -142,7 +142,7 @@ class TestFastMode:
     def test_fast_trace_watchdog(self):
         emulator = Emulator(assemble(_TINY))
         with pytest.raises(WatchdogExpired):
-            for _ in emulator.fast_trace(10):
+            for _ in emulator.trace(10, tier=2):
                 pass
 
     def test_fast_trace_respects_budget_mid_block(self):
@@ -150,13 +150,13 @@ class TestFastMode:
         fast = Emulator(assemble(_TINY))
         precise_stream = []
         try:
-            for dyn in precise.trace(7):
+            for (dyn,) in precise.trace(7):
                 precise_stream.append(_snap(dyn))
         except WatchdogExpired:
             pass
         fast_stream = []
         try:
-            for batch in fast.fast_trace(7):
+            for batch in fast.trace(7, tier=2):
                 fast_stream.extend(_snap(d) for d in batch)
         except WatchdogExpired:
             pass

@@ -2,12 +2,13 @@
 
 The equivalence gate for ``repro.sim.codegen``: every bundled workload
 retires the same DynInst stream, register file, memory image and exit
-code through ``codegen_trace`` as through the precise interpreter —
+code through ``trace(tier=3)`` as through the precise interpreter —
 with the on-disk code cache **cold** (blocks freshly emitted and
 compiled) and **warm** (code objects loaded back via ``marshal``).
 Plus the cache lifecycle rules: version bumps and text mutations miss,
 corrupt cache files are discarded rather than fatal, ``fence.i``
-drops compiled blocks, and ineligible configurations fall back.
+drops compiled blocks, and ineligible configurations run on a lower
+tier that says why.
 """
 
 import hashlib
@@ -43,7 +44,7 @@ def _memory_digest(emulator):
 def _tier3_stream(program, max_steps=None):
     emulator = Emulator(program)
     stream = []
-    for batch in emulator.codegen_trace(max_steps):
+    for batch in emulator.trace(max_steps, tier=3):
         stream.extend(_snap(d) for d in batch)
     return emulator, stream
 
@@ -62,7 +63,7 @@ def _assert_equivalent(precise, other, precise_stream, other_stream):
                          ids=[w.name for w in ALL_WORKLOADS])
 def test_equivalence_cold_and_warm(workload):
     precise = Emulator(workload.program())
-    precise_stream = [_snap(d) for d in precise.trace(None)]
+    precise_stream = [_snap(d) for (d,) in precise.trace(None)]
 
     cold, cold_stream = _tier3_stream(workload.program())
     _assert_equivalent(precise, cold, precise_stream, cold_stream)
@@ -214,7 +215,7 @@ class TestInvalidation:
             program = assemble(_smc_source(barrier), compress=False)
             precise = Emulator(assemble(_smc_source(barrier),
                                         compress=False))
-            precise_stream = [_snap(d) for d in precise.trace(None)]
+            precise_stream = [_snap(d) for (d,) in precise.trace(None)]
             tier3, tier3_stream = _tier3_stream(program)
             _assert_equivalent(precise, tier3, precise_stream,
                                tier3_stream)
@@ -252,16 +253,15 @@ class TestTier3Mode:
         program = assemble(_TINY)
         emulator = Emulator(program)
         emulator.sanitizer = Sanitizer(program)
-        assert not emulator._tier3_eligible()
-        assert emulator._fast_eligible()
         assert emulator.run(tier=3) == 7
+        assert (emulator.tier, emulator.tier_reason) == (2, "sanitizer")
         assert emulator._codegen is None         # engine never built
         assert emulator._blocks is not None      # tier-2 ran instead
 
     def test_interrupt_fn_falls_back_to_precise(self):
         emulator = Emulator(assemble(_TINY), interrupt_fn=lambda: 0)
-        assert not emulator._tier3_eligible()
-        batches = list(emulator.codegen_trace())
+        batches = list(emulator.trace(tier=3))
+        assert (emulator.tier, emulator.tier_reason) == (1, "interrupts")
         assert all(len(batch) == 1 for batch in batches)
         assert emulator._codegen is None
         assert emulator._blocks is None
@@ -276,14 +276,14 @@ class TestTier3Mode:
         precise = Emulator(assemble(_TINY))
         precise_stream = []
         try:
-            for dyn in precise.trace(7):
+            for (dyn,) in precise.trace(7):
                 precise_stream.append(_snap(dyn))
         except WatchdogExpired:
             pass
         tier3 = Emulator(assemble(_TINY))
         tier3_stream = []
         try:
-            for batch in tier3.codegen_trace(7):
+            for batch in tier3.trace(7, tier=3):
                 tier3_stream.extend(_snap(d) for d in batch)
         except WatchdogExpired:
             pass

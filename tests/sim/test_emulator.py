@@ -118,7 +118,7 @@ class TestTrace:
             li a7, 93
             ecall
         """)
-        records = list(Emulator(program).trace())
+        records = [r for (r,) in Emulator(program).trace()]
         assert all(isinstance(r, DynInst) for r in records)
         loads = [r for r in records if r.inst.mnemonic == "ld"]
         assert loads and loads[0].mem_size == 8
@@ -137,13 +137,13 @@ class TestTrace:
             li a7, 93
             ecall
         """)
-        records = list(Emulator(program).trace())
+        records = [r for (r,) in Emulator(program).trace()]
         divs = [r for r in records if r.inst.mnemonic == "div"]
         assert divs[0].div_bits == 8  # |255| needs 8 bits
 
     def test_seq_monotonic(self):
         program = assemble("_start:\nnop\nnop\nli a0, 0\nli a7, 93\necall\n")
-        seqs = [r.seq for r in Emulator(program).trace()]
+        seqs = [r.seq for (r,) in Emulator(program).trace()]
         assert seqs == sorted(seqs)
 
 

@@ -217,7 +217,7 @@ def _mem_fingerprint(program, engine: str) -> tuple:
     try:
         emulator = Emulator(program)
         records = [(r.pc, r.mem_addr, r.mem_size)
-                   for r in emulator.trace(10_000)]
+                   for (r,) in emulator.trace(10_000)]
     finally:
         exec_vector.select_engine("numpy")
     memory = emulator.state.memory

@@ -135,18 +135,18 @@ def test_non_local_store_hits_all_reach_access_data():
     the call do the same accounting."""
     program = assemble(parallel_work(300), compress=True)
     config = xt910()
-    records = list(Emulator(program).trace())
+    records = [dyn for (dyn,) in Emulator(program).trace()]
     writes = sum(dyn.is_store for dyn in records)
     loads = sum(dyn.is_load and not dyn.is_store for dyn in records)
     assert writes >= 300 and loads >= 300
 
     hier = _RecordingHierarchy(config.mem)
-    recorded = PipelineModel(config, hier).run(iter(records))
+    recorded = PipelineModel(config, hier).run((dyn,) for dyn in records)
     assert hier.seen[True] == writes == hier.stats.stores
     assert hier.seen[False] < loads          # the hits went inline
     assert hier.stats.loads >= hier.seen[False]
 
     plain = MemoryHierarchy(config.mem)
-    inlined = PipelineModel(config, plain).run(iter(records))
+    inlined = PipelineModel(config, plain).run((dyn,) for dyn in records)
     assert recorded.as_comparable() == inlined.as_comparable()
     assert plain.stats == hier.stats

@@ -254,7 +254,7 @@ class TestUnrolling:
 
         def branch_count(program):
             emu = Emulator(program)
-            return sum(1 for dyn in emu.trace()
+            return sum(1 for (dyn,) in emu.trace()
                        if dyn.inst.iclass.value == "branch")
 
         assert branch_count(unrolled_prog) < branch_count(rolled_prog)

@@ -83,7 +83,7 @@ def _run_model(model_cls, program, max_steps=None, preset="xt910"):
     config = get_preset(preset)
     model = model_cls(config, MemoryHierarchy(config.mem))
     emulator = Emulator(program)
-    return model.run(emulator.fast_trace(max_steps))
+    return model.run(emulator.trace(max_steps, tier=2))
 
 
 @pytest.mark.parametrize("name, preset", ORACLE_CASES)
@@ -131,11 +131,11 @@ RESUME_WORKLOADS = ["nbench-fourier", "vec-mac16", "nbench-lu",
 @functools.cache
 def _whole_run_and_records(name):
     """``run()`` over the natural block batches, and the same stream
-    as a flat list of retained records (``trace()`` allocates a fresh
-    ``DynInst`` per step; ``fast_trace`` batches are reused slots)."""
+    as a flat list of retained records (tier 1 allocates a fresh
+    ``DynInst`` per step; tier-2 batches are reused slots)."""
     program = _workload(name).program()
     whole = _run_model(PipelineModel, program).as_comparable()
-    return whole, list(Emulator(program).trace(None))
+    return whole, [dyn for (dyn,) in Emulator(program).trace(None)]
 
 
 @settings(max_examples=8, deadline=None)
@@ -166,7 +166,7 @@ def _stats_for(model, program, max_steps):
     try/finally write-back must leave consistent, deterministic stats
     even when the feeding generator raises mid-run."""
     try:
-        model.run(Emulator(program).fast_trace(max_steps))
+        model.run(Emulator(program).trace(max_steps, tier=2))
     except WatchdogExpired:
         model.finish()
     return model.stats.as_comparable()
@@ -203,9 +203,9 @@ def test_reset_is_skipped_only_while_nothing_was_timed():
     program = _workload("nbench-fourier").program()
     model = PipelineModel(get_preset("xt910"))
     built = model.direction
-    model.run(Emulator(program).fast_trace(None))
+    model.run(Emulator(program).trace(None, tier=2))
     assert model.direction is built
-    model.run(Emulator(program).fast_trace(None))
+    model.run(Emulator(program).trace(None, tier=2))
     assert model.direction is not built
 
 
@@ -215,7 +215,7 @@ def test_tcache_revalidates_on_new_instruction_object():
     ``Instruction`` object and must force a rebuild."""
     program = _workload("coremark-list").program()
     model = PipelineModel(get_preset("xt910"))
-    dyn = next(iter(Emulator(program).trace(4)))
+    (dyn,) = next(Emulator(program).trace(4))
 
     def row_of(record):
         (row,), _ = model._resolve([record])

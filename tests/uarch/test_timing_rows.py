@@ -59,7 +59,7 @@ def test_every_trace_shape_gives_the_same_stats(name):
             batches += 1
             yield batch
 
-    want = by_rows.run(counted(Emulator(program).fast_trace(None)))
+    want = by_rows.run(counted(Emulator(program).trace(None, tier=2)))
     want = want.as_comparable()
     # The row path really ran: far fewer resolutions than batches, and
     # never the same block twice.
@@ -67,12 +67,12 @@ def test_every_trace_shape_gives_the_same_stats(name):
     assert len({id(batch) for batch in resolved}) == len(resolved)
 
     plain = PipelineModel(config).run(
-        list(batch) for batch in Emulator(program).fast_trace(None))
+        list(batch) for batch in Emulator(program).trace(None, tier=2))
     assert plain.as_comparable() == want
 
-    records = list(Emulator(program).trace(None))
-    flat = PipelineModel(config).run(iter(records))
-    assert flat.as_comparable() == want
+    records = [dyn for (dyn,) in Emulator(program).trace(None)]
+    singles = PipelineModel(config).run((dyn,) for dyn in records)
+    assert singles.as_comparable() == want
 
     chunked = PipelineModel(config)
     for pos in range(0, len(records), 7):
@@ -83,7 +83,7 @@ def test_every_trace_shape_gives_the_same_stats(name):
 def test_an_empty_batch_is_a_no_op():
     program = _workload("nbench-fourier").program()
     config = get_preset("xt910")
-    want = PipelineModel(config).run(Emulator(program).fast_trace(None))
+    want = PipelineModel(config).run(Emulator(program).trace(None, tier=2))
 
     def with_gaps(trace):
         yield []
@@ -93,7 +93,7 @@ def test_an_empty_batch_is_a_no_op():
 
     model = PipelineModel(config)
     model.run_quantum([])
-    got = model.run(with_gaps(Emulator(program).fast_trace(None)))
+    got = model.run(with_gaps(Emulator(program).trace(None, tier=2)))
     assert got.as_comparable() == want.as_comparable()
 
 
@@ -132,17 +132,17 @@ patchme:
 """
 
 
-@pytest.mark.parametrize("tier", ["fast_trace", "codegen_trace"])
+@pytest.mark.parametrize("tier", [2, 3], ids=["tier2", "tier3"])
 def test_retranslated_block_gets_fresh_rows(tier):
     program = assemble(_SMC, compress=False)
     config = get_preset("xt910")
 
     by_rows = PipelineModel(config)
     resolved = _count_resolves(by_rows)
-    got = by_rows.run(getattr(Emulator(program), tier)(None))
+    got = by_rows.run(Emulator(program).trace(None, tier=tier))
 
-    flat = PipelineModel(config).run(Emulator(program).trace(None))
-    assert got.as_comparable() == flat.as_comparable()
+    precise = PipelineModel(config).run(Emulator(program).trace(None))
+    assert got.as_comparable() == precise.as_comparable()
 
     # Each block was resolved once per translation, and the loop was
     # translated twice: two batch objects, two sets of rows.
@@ -165,13 +165,13 @@ def test_two_models_sharing_one_emulators_batches():
     program = _workload("eembc-canrdr").program()
     configs = [get_preset("xt910"), get_preset("u74")]
 
-    solo = [PipelineModel(config).run(Emulator(program).fast_trace(None))
+    solo = [PipelineModel(config).run(Emulator(program).trace(None, tier=2))
             .as_comparable() for config in configs]
     assert solo[0] != solo[1]
 
     models = [PipelineModel(config) for config in configs]
     resolves = [_count_resolves(model) for model in models]
-    for batch in Emulator(program).fast_trace(None):
+    for batch in Emulator(program).trace(None, tier=2):
         for model in models:
             model.run_quantum(batch)
             if type(batch) is RecordBatch:
@@ -225,13 +225,14 @@ def test_exception_mid_batch_leaves_per_instruction_counts():
         # store had already counted its st.data uop.
         handed = []
 
-        def flat():
-            for dyn in Emulator(program).trace(None):
+        def singles():
+            for batch in Emulator(program).trace(None):
+                (dyn,) = batch
                 handed.append(dyn.inst.spec.iclass.value
                               in ("store", "vstore"))
-                yield dyn
+                yield batch
 
-        want = _run_until_fault(flat(), fail_on)
+        want = _run_until_fault(singles(), fail_on)
         assert want[0] == (len(handed),
                            len(handed) - 1 + sum(handed))
         faulting_stores.add(handed[-1])
@@ -241,7 +242,7 @@ def test_exception_mid_batch_leaves_per_instruction_counts():
 
         def blocks():
             done = 0
-            for batch in Emulator(program).fast_trace(None):
+            for batch in Emulator(program).trace(None, tier=2):
                 done += len(batch)
                 ends.append(done)
                 yield batch
@@ -258,7 +259,7 @@ def test_record_batch_copies_and_pickles_as_a_list():
     program = _workload("nbench-fourier").program()
     model = PipelineModel(get_preset("xt910"))
     emulator = Emulator(program)
-    model.run(emulator.fast_trace(None))
+    model.run(emulator.trace(None, tier=2))
     batch = next(block.records for block in emulator._blocks.blocks.values()
                  if block.records.resolved is not None)
 
