@@ -6,6 +6,8 @@ results; ``python -m repro.harness`` prints them.
 
 from __future__ import annotations
 
+import inspect
+
 from .asid import run_asid  # noqa: F401
 from .blockchain import run_blockchain  # noqa: F401
 from .explore import run_explore  # noqa: F401
@@ -55,19 +57,18 @@ EXPERIMENTS = {
 }
 
 
+def run_experiment(name: str, quick: bool = True,
+                   jobs: int | None = None) -> ExperimentResult:
+    """Run one experiment; ``jobs`` fans its independent cells out over
+    that many worker processes where the experiment supports it."""
+    fn = EXPERIMENTS[name]
+    kwargs: dict = {"quick": quick}
+    if jobs is not None and "jobs" in inspect.signature(fn).parameters:
+        kwargs["jobs"] = jobs
+    return fn(**kwargs)
+
+
 def run_all(quick: bool = True,
             jobs: int | None = None) -> dict[str, ExperimentResult]:
-    """Run every experiment; returns {name: result}.
-
-    ``jobs`` fans each experiment's independent (core, workload) cells
-    out over a process pool where the experiment supports it.
-    """
-    import inspect
-
-    results = {}
-    for name, fn in EXPERIMENTS.items():
-        kwargs = {"quick": quick}
-        if jobs is not None and "jobs" in inspect.signature(fn).parameters:
-            kwargs["jobs"] = jobs
-        results[name] = fn(**kwargs)
-    return results
+    """Run every experiment; returns {name: result}."""
+    return {name: run_experiment(name, quick, jobs) for name in EXPERIMENTS}

@@ -3,20 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
 
-from . import EXPERIMENTS
-
-
-def _run_one(fn, quick: bool, jobs: int | None):
-    """Invoke one experiment, passing ``jobs`` only where supported."""
-    kwargs = {"quick": quick}
-    if jobs is not None and "jobs" in inspect.signature(fn).parameters:
-        kwargs["jobs"] = jobs
-    return fn(**kwargs)
+from . import EXPERIMENTS, run_experiment
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -39,8 +30,7 @@ def main(argv: list[str] | None = None) -> int:
     results = []
     for name in names:
         start = time.time()
-        result = _run_one(EXPERIMENTS[name], quick=not args.full,
-                          jobs=args.jobs)
+        result = run_experiment(name, quick=not args.full, jobs=args.jobs)
         results.append(result)
         if not args.json:
             print(result.render())

@@ -13,7 +13,9 @@ function (``execute_job``), one key (``JobSpec.key``, over the
 *resolved* config digest) and one result store
 (:class:`~repro.service.store.ResultStore`), so a sweep cell and an
 equivalent ``repro submit`` job are the same record, and sweeps inherit
-the service's retry, wall-clock reaping and circuit breaker.
+the service's retry, wall-clock reaping and circuit breaker.  The
+paper's figures run their (workload, core) cells through the same
+batch function, :func:`run_jobs`, by way of :func:`time_cells`.
 
 With a disk-backed store (:class:`ExploreStore`) a cell that was ever
 simulated — this run, a previous run, an interrupted run — is served
@@ -36,18 +38,20 @@ from __future__ import annotations
 
 import itertools
 import os
+import reprlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 # Leaf modules with no way back into repro.harness, so safe at module
 # level; JobService itself (-> worker -> harness.runner) is imported
-# lazily in run_sweep.
-from ..service.job import STORE_VERSION, TIER_MODES
-from ..service.store import ResultStore, storable
+# lazily in run_jobs.
+from ..service.errors import error_from_dict
+from ..service.job import STORE_VERSION, TIER_MODES, JobResult, JobSpec
+from ..service.store import ResultStore
 from ..uarch import uconfig
-from ..workloads import get_workload
+from ..uarch.config import CoreConfig
+from ..workloads import Workload, get_workload
 from . import benchkit
-from .parallel import CellError, CellFailure
 from .report import ExperimentResult
 
 #: Hard ceiling on expanded points: a typo'd range axis should fail
@@ -251,7 +255,7 @@ class ExploreStore(ResultStore):
         super().__init__(root if root is not None else default_store_dir())
 
 
-# -- the sweep runner --------------------------------------------------------
+# -- sweep reports -----------------------------------------------------------
 
 
 @dataclass
@@ -305,21 +309,128 @@ class ExploreReport:
         benchkit.save(self.to_json_dict(), path)
 
 
+# -- the one batch runner: sweep cells and figure cells ----------------------
+
+#: failed cells spelled out in a CellFailure message before truncating
+_REPORT_LIMIT = 8
+
+
+@dataclass
+class CellError:
+    """One failed cell: which cell, which function, what happened."""
+
+    index: int
+    fn: str
+    cell: tuple
+    status: str
+    error: dict = field(default_factory=dict)
+
+    def render(self) -> str:
+        return (f"cell {self.index} {self.fn}{reprlib.repr(self.cell)}: "
+                f"{self.error.get('type', '?')}: "
+                f"{self.error.get('message', '?')}")
+
+
+class CellFailure(RuntimeError):
+    """One or more cells failed; siblings completed first.
+
+    ``failures`` holds a :class:`CellError` per failed cell (input
+    order), so callers can attribute every failure to its workload and
+    configuration instead of seeing only whichever exception happened
+    to surface first.
+    """
+
+    def __init__(self, failures: list[CellError], total: int) -> None:
+        self.failures = failures
+        self.total = total
+        lines = [f"{len(failures)} of {total} cells failed:"]
+        lines += [f"  {f.render()}" for f in failures[:_REPORT_LIMIT]]
+        if len(failures) > _REPORT_LIMIT:
+            lines.append(f"  ... and {len(failures) - _REPORT_LIMIT} more")
+        super().__init__("\n".join(lines))
+
+
+def run_jobs(specs: Sequence[JobSpec], cells: Sequence[tuple],
+             jobs: int | None = None,
+             store: ResultStore | None = None) -> list[JobResult]:
+    """Run *specs* as one :class:`JobService` batch and return the
+    results in input order.
+
+    ``jobs`` > 1 runs the jobs on that many crash-isolated workers;
+    otherwise they run inline in this process.  *store* defaults to the
+    service's private in-memory store.  Every job runs to its own
+    outcome first.  A job stopped by its own ``max_insts`` budget
+    returned the partial record it asked for; if any other job did not
+    complete, one :class:`CellFailure` then names each, ``cells[i]``
+    standing for ``specs[i]``, with its rendered service error chain.
+    """
+    # Lazy: repro.service.core -> worker -> repro.harness.runner, so a
+    # module-level import would be circular.
+    from ..service import JobService
+
+    with JobService(workers=jobs, isolation=jobs is not None and jobs > 1,
+                    store=store) as service:
+        results = service.run(specs)
+    failures = [
+        CellError(index, "execute_job", tuple(cell), "error", {
+            "type": result.state.value,
+            "message": error_from_dict(result.error or {}).render()})
+        for index, (cell, spec, result) in enumerate(
+            zip(cells, specs, results))
+        if not (result.ok or result.partial and spec.max_insts is not None)]
+    if failures:
+        raise CellFailure(failures, len(specs))
+    return results
+
+
+def time_cells(cells: Mapping[tuple, tuple[Workload, str | CoreConfig]],
+               jobs: int | None = None) -> dict[tuple, dict[str, Any]]:
+    """Time each labelled (workload, core) cell of a paper figure and
+    return its ``CoreStats.as_comparable()`` dict under the same label.
+
+    A cell is one job run as :func:`~repro.harness.runner.run_on_core`
+    runs it: tier 2, the emulator's own instruction watchdog, no
+    wall-clock limit, no vetting.  A core is a preset name or a
+    :class:`CoreConfig`, sent as its document.  There is no disk store:
+    its key has no hash of the simulator's source, so it would serve
+    figures from before a timing-model edit.
+    """
+    specs = [
+        JobSpec(source=workload.source, compress=workload.compress,
+                name=f"{workload.name}@{'/'.join(map(str, label))}",
+                core=core if isinstance(core, str) else None,
+                uarch=(None if isinstance(core, str)
+                       else uconfig.config_to_doc(core)),
+                mode=TIER_MODES[2], vet=False, max_insts=None,
+                wall_timeout_s=None)
+        for label, (workload, core) in cells.items()]
+    results = run_jobs(specs, list(cells), jobs=jobs)
+    return {label: result.metrics["stats"]
+            for label, result in zip(cells, results)}
+
+
+def ipc(stats: Mapping[str, Any]) -> float:
+    """``CoreStats.ipc`` of a :func:`time_cells` stats dict (a job's
+    ``metrics["ipc"]`` is rounded)."""
+    return stats["instructions"] / stats["cycles"] if stats["cycles"] \
+        else 0.0
+
+
+# -- the sweep runner --------------------------------------------------------
+
+
 def run_sweep(spec: SweepSpec, jobs: int | None = None,
               store: ResultStore | None = None,
               timeout: float | None = None,
               progress: Callable[[str], None] | None = None
               ) -> ExploreReport:
     """Expand *spec* into one pinned-mode job per (point, workload)
-    cell and run the batch through a :class:`JobService` over *store*:
+    cell and run the batch through :func:`run_jobs` over *store*:
     stored cells are served without simulating, new results are stored
-    as they land.  Every cell runs to its own outcome first; if any
-    failed, one :class:`CellFailure` then names each with its service
-    error chain (the siblings' results are already in the store)."""
-    # Lazy: repro.service.core -> worker -> repro.harness.runner, so a
-    # module-level import would be circular (as in parallel.py).
-    from ..service import JobService, JobSpec, error_from_dict
-
+    as they land.  A cell stopped by the spec's ``max_insts`` budget is
+    a partial record, not a failure; any other failed cell is named in
+    one :class:`CellFailure` after the siblings' results are already in
+    the store."""
     points = expand(spec)
     try:
         workloads = [get_workload(name) for name in spec.workloads]
@@ -330,39 +441,23 @@ def run_sweep(spec: SweepSpec, jobs: int | None = None,
     if progress is not None:
         progress(f"{spec.name}: {len(points)} point(s), "
                  f"{len(cells)} cell(s) to look up or simulate")
-    with JobService(
-            workers=jobs, isolation=jobs is not None and jobs > 1,
-            store=store if store is not None else ExploreStore()) as service:
-        outcomes = service.run([
-            JobSpec(source=workload.source, compress=workload.compress,
-                    name=f"{workload.name}@{point.label}", core=None,
-                    uarch=point.doc, mode=TIER_MODES[spec.tier], vet=False,
-                    max_insts=spec.max_insts, wall_timeout_s=timeout)
-            for point, workload in cells])
-
-    results: list[CellResult] = []
-    failures: list[CellError] = []
-    for index, ((point, workload), outcome) in enumerate(
-            zip(cells, outcomes)):
-        if not storable(outcome):
-            assert outcome.error is not None
-            failures.append(CellError(
-                index, "execute_job", (workload.name, point.label),
-                "error", {"type": outcome.state.value,
-                          "message": error_from_dict(
-                              outcome.error).render()}))
-            continue
-        metrics = outcome.metrics
-        results.append(CellResult(point, workload.name, {
-            "cycles": metrics["cycles"],
-            "instructions": metrics["instructions"],
-            "ipc": metrics["ipc"],
-            "exit_code": outcome.exit_code or 0,
-            "watchdog_expired": int(outcome.partial),
-            "stats": metrics["stats"],
-        }, cached=outcome.cache_hit))
-    if failures:
-        raise CellFailure(failures, len(cells))
+    outcomes = run_jobs(
+        [JobSpec(source=workload.source, compress=workload.compress,
+                 name=f"{workload.name}@{point.label}", core=None,
+                 uarch=point.doc, mode=TIER_MODES[spec.tier], vet=False,
+                 max_insts=spec.max_insts, wall_timeout_s=timeout)
+         for point, workload in cells],
+        [(workload.name, point.label) for point, workload in cells],
+        jobs=jobs, store=store if store is not None else ExploreStore())
+    results = [CellResult(point, workload.name, {
+        "cycles": outcome.metrics["cycles"],
+        "instructions": outcome.metrics["instructions"],
+        "ipc": outcome.metrics["ipc"],
+        "exit_code": outcome.exit_code or 0,
+        "watchdog_expired": int(outcome.partial),
+        "stats": outcome.metrics["stats"],
+    }, cached=outcome.cache_hit)
+        for (point, workload), outcome in zip(cells, outcomes)]
     simulated = sum(1 for cell in results if not cell.cached)
     return ExploreReport(
         name=spec.name, tier=spec.tier, axes=list(spec.axes),
@@ -587,7 +682,8 @@ def run_explore(quick: bool = True,
 __all__ = [
     "ExploreError", "SweepAxis", "SweepSpec", "load_sweep",
     "ExplorePoint", "expand", "ExploreStore", "default_store_dir",
-    "CellResult", "ExploreReport", "run_sweep",
+    "CellResult", "ExploreReport", "CellError", "CellFailure",
+    "run_jobs", "time_cells", "ipc", "run_sweep",
     "depth_sweep_spec", "smoke_spec", "run_depth", "render",
     "invariants", "BENCH", "run_explore", "frequency_scale", "DEPTHS",
 ]

@@ -14,9 +14,8 @@ reproduce is the ladder: the ordering and the ratios between cores.
 from __future__ import annotations
 
 from ..workloads.coremark import coremark_suite
-from .parallel import run_cells
+from .explore import ipc, time_cells
 from .report import ExperimentResult, geomean
-from .runner import run_on_core
 
 # Fig. 17 values as printed in the paper (CoreMark/MHz).
 PAPER_SCORES = {
@@ -31,31 +30,21 @@ PAPER_SCORES = {
 DEFAULT_CORES = ["xt910", "u74", "cortex-a55", "swerv", "cortex-a53", "u54"]
 
 
-def _coremark_cell(core: str, workload_name: str) -> float:
-    """IPC of one CoreMark kernel on one core (picklable cell)."""
-    workload = next(w for w in coremark_suite() if w.name == workload_name)
-    return run_on_core(workload.program(), core).ipc
-
-
-def coremark_ipc(core: str, quick: bool = False,
-                 jobs: int | None = None) -> float:
-    """Geometric-mean IPC over the four CoreMark kernels."""
-    names = [w.name for w in coremark_suite()]
-    return geomean(run_cells(_coremark_cell,
-                             [(core, name) for name in names], jobs))
-
-
 def run_fig17(cores: list[str] | None = None, quick: bool = False,
               jobs: int | None = None) -> ExperimentResult:
     cores = cores if cores is not None else DEFAULT_CORES
+    if "xt910" not in cores:
+        raise ValueError(f"fig17 is scaled to xt910 = "
+                         f"{PAPER_SCORES['xt910']} CoreMark/MHz, so its "
+                         f"cores must include xt910 (got {cores})")
     result = ExperimentResult(
         experiment="fig17",
         title="CoreMark/MHz across embedded cores")
-    names = [w.name for w in coremark_suite()]
-    cells = [(core, name) for core in cores for name in names]
-    cell_ipcs = run_cells(_coremark_cell, cells, jobs)
-    ipcs = {core: geomean(cell_ipcs[i * len(names):(i + 1) * len(names)])
-            for i, core in enumerate(cores)}
+    suite = coremark_suite()
+    stats = time_cells({(core, w.name): (w, core)
+                        for core in cores for w in suite}, jobs)
+    ipcs = {core: geomean([ipc(stats[core, w.name]) for w in suite])
+            for core in cores}
     scale = PAPER_SCORES["xt910"] / ipcs["xt910"]
     for core in cores:
         result.add(core, PAPER_SCORES.get(core),

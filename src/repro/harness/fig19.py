@@ -7,15 +7,8 @@
 from __future__ import annotations
 
 from ..workloads.nbench import nbench_suite
-from .parallel import run_cells
+from .explore import ipc, time_cells
 from .report import ExperimentResult, geomean
-from .runner import run_on_core
-
-
-def _nbench_cell(workload_name: str, core: str) -> float:
-    """IPC of one NBench kernel on one core (picklable cell)."""
-    workload = next(w for w in nbench_suite() if w.name == workload_name)
-    return run_on_core(workload.program(), core).ipc
 
 
 def run_fig19(quick: bool = False,
@@ -23,13 +16,13 @@ def run_fig19(quick: bool = False,
     result = ExperimentResult(
         experiment="fig19",
         title="NBench-like kernels, XT-910 normalized to Cortex-A73")
-    names = [w.name for w in nbench_suite()]
-    cells = [(name, core) for name in names
-             for core in ("xt910", "cortex-a73")]
-    ipcs = run_cells(_nbench_cell, cells, jobs)
+    suite = nbench_suite()
+    stats = time_cells({(w.name, core): (w, core) for w in suite
+                        for core in ("xt910", "cortex-a73")}, jobs)
     ratios = []
-    for i, name in enumerate(names):
-        xt_ipc, a73_ipc = ipcs[2 * i], ipcs[2 * i + 1]
+    for name in (w.name for w in suite):
+        xt_ipc = ipc(stats[name, "xt910"])
+        a73_ipc = ipc(stats[name, "cortex-a73"])
         ratio = xt_ipc / a73_ipc
         ratios.append(ratio)
         result.add(name, None, round(ratio, 3), "x A73",

@@ -11,23 +11,14 @@ is cycles(base) / cycles(optimized).
 
 from __future__ import annotations
 
-from ..toolchain import CodegenOptions, build_program, fig20_kernels
-from .parallel import run_cells
+from ..toolchain import CodegenOptions, compile_function, fig20_kernels
+from ..workloads import Workload
+from .explore import time_cells
 from .report import ExperimentResult, geomean
-from .runner import run_on_core
 
-
-def _fig20_cell(kernel_name: str, optimized: bool) -> int:
-    """Cycles of one kernel under one compiler personality.
-
-    Rebuilds the kernel from scratch (``fig20_kernels`` yields fresh
-    objects), so ``build_program`` may mutate it freely and the cell
-    pickles as two primitives.
-    """
-    kernel = next(k for k in fig20_kernels() if k.name == kernel_name)
-    options = (CodegenOptions.optimized() if optimized
-               else CodegenOptions.base())
-    return run_on_core(build_program(kernel, options), "xt910").cycles
+#: the two compiler personalities, by cell label
+PERSONALITIES = {"base": CodegenOptions.base(),
+                 "optimized": CodegenOptions.optimized()}
 
 
 def run_fig20(quick: bool = False,
@@ -35,13 +26,17 @@ def run_fig20(quick: bool = False,
     result = ExperimentResult(
         experiment="fig20",
         title="instruction extensions + optimized compiler speedup")
-    names = [k.name for k in fig20_kernels()]
-    cells = [(name, optimized) for name in names
-             for optimized in (False, True)]
-    cycles = run_cells(_fig20_cell, cells, jobs)
+    kernels = fig20_kernels()
+    stats = time_cells({
+        (kernel.name, personality): (
+            Workload(f"{kernel.name}-{personality}",
+                     compile_function(kernel, options)), "xt910")
+        for kernel in kernels
+        for personality, options in PERSONALITIES.items()}, jobs)
     speedups = []
-    for i, name in enumerate(names):
-        base_cycles, opt_cycles = cycles[2 * i], cycles[2 * i + 1]
+    for name in (kernel.name for kernel in kernels):
+        base_cycles = stats[name, "base"]["cycles"]
+        opt_cycles = stats[name, "optimized"]["cycles"]
         speedup = base_cycles / opt_cycles
         speedups.append(speedup)
         result.add(name, None, round(speedup, 3), "x",

@@ -20,11 +20,10 @@ from dataclasses import replace
 from ..mem.dram import DramConfig
 from ..mem.hierarchy import MemHierConfig
 from ..mem.prefetch import PrefetchConfig
-from ..workloads.stream import stream_suite
-from .parallel import run_cells
-from .report import ExperimentResult
-from .runner import run_on_core
 from ..uarch.presets import xt910
+from ..workloads.stream import stream_suite
+from .explore import time_cells
+from .report import ExperimentResult
 
 PAPER = {"a": 1.0, "b": 3.8, "c": 4.9, "d": 5.4, "e": 5.4 * (1 - 0.024)}
 
@@ -55,19 +54,6 @@ def _scenario_mem(scenario: str) -> MemHierConfig:
         tlb_prefetch=tlb_pf, model_tlb=True)
 
 
-def run_scenario(scenario: str, elems: int = 24576,
-                 kernels: tuple[str, ...] = ("copy", "triad")) -> int:
-    """Total cycles for the STREAM kernels under one scenario."""
-    config = replace(xt910(), mem=_scenario_mem(scenario))
-    total = 0
-    for workload in stream_suite(elems=elems):
-        if workload.name.split("-", 1)[1] not in kernels:
-            continue
-        result = run_on_core(workload.program(), config)
-        total += result.cycles
-    return total
-
-
 def run_fig21(quick: bool = False, elems: int | None = None,
               jobs: int | None = None) -> ExperimentResult:
     elems = elems if elems is not None else (16384 if quick else 24576)
@@ -75,9 +61,13 @@ def run_fig21(quick: bool = False, elems: int | None = None,
     result = ExperimentResult(
         experiment="fig21",
         title="prefetch ablation on STREAM (200-cycle DRAM)")
-    cells = [(s, elems, kernels) for s in "abcde"]
-    totals = run_cells(run_scenario, cells, jobs)
-    cycles = dict(zip("abcde", totals))
+    suite = [w for w in stream_suite(elems=elems)
+             if w.name.split("-", 1)[1] in kernels]
+    stats = time_cells({(s, w.name): (w, replace(xt910(),
+                                                 mem=_scenario_mem(s)))
+                        for s in "abcde" for w in suite}, jobs)
+    cycles = {s: sum(stats[s, w.name]["cycles"] for w in suite)
+              for s in "abcde"}
     base = cycles["a"]
     for scenario in "abcde":
         speedup = base / cycles[scenario]

@@ -38,9 +38,9 @@ from ..ras.injector import (
     FaultRecord,
 )
 from ..ras.lockstep import LockstepChecker
+from ..service.pool import TaskOutcome, WorkerPool
 from ..sim.emulator import Emulator, EmulatorError, MachineCheckError
 from ..workloads import coremark_suite
-from .parallel import run_cells
 from .report import ExperimentResult
 
 DETECTED = ("detected-parity", "detected-mcheck", "detected-lockstep",
@@ -194,14 +194,14 @@ def _array_injection(workload, seed: int, window: int, golden_sum: int,
     return Injection(seed, target, "vanished", "fault evicted clean")
 
 
-def _campaign_cell(kind: str, workload_name: str, inj_seed: int,
-                   window: int, golden_sum: int, result_addr: int,
-                   double_bit_rate: float) -> Injection:
-    """One seeded injection as a picklable parallel cell.
+def _inject(cell: tuple) -> Injection:
+    """One seeded injection, from primitives (the pool task function).
 
-    Exceptions are contained here (not in the executor) because an
-    unhandled raw exception is itself a campaign outcome to count.
+    Exceptions are contained here because an unhandled raw exception is
+    itself a campaign outcome to count.
     """
+    (kind, workload_name, inj_seed, window, golden_sum, result_addr,
+     double_bit_rate) = cell
     workload = next(w for w in coremark_suite() if w.name == workload_name)
     try:
         if kind == "arch":
@@ -217,6 +217,28 @@ def _campaign_cell(kind: str, workload_name: str, inj_seed: int,
                          f"{type(exc).__name__}: {exc}")
 
 
+def _unreported(inj_seed: int, outcome: TaskOutcome) -> Injection:
+    """A flip whose worker did not report a classification: counted,
+    like a raw exception, instead of discarding its siblings'."""
+    if outcome.status == "crash":
+        detail = f"crash: worker exit code {outcome.exitcode}"
+    else:  # "error": a BaseException got past _inject's containment
+        detail = (f"error: {outcome.value.get('type')}: "
+                  f"{outcome.value.get('message')}")
+    return Injection(inj_seed, "?", "unhandled", detail)
+
+
+def _inject_pooled(cells: list[tuple], jobs: int) -> list[Injection]:
+    """Every cell on a crash-isolated :class:`WorkerPool`, input order."""
+    with WorkerPool(jobs, _inject) as pool:
+        for index, cell in enumerate(cells):
+            pool.submit(index, cell)
+        outcomes = dict(pool.drain())
+    return [outcomes[index].value if outcomes[index].ok
+            else _unreported(cell[2], outcomes[index])
+            for index, cell in enumerate(cells)]
+
+
 def run_campaign(n: int = 100, seed: int = 2020,
                  workload_name: str = "coremark-list",
                  double_bit_rate: float = 0.15,
@@ -224,9 +246,10 @@ def run_campaign(n: int = 100, seed: int = 2020,
                  jobs: int | None = None) -> CampaignResult:
     """Sweep *n* seeded injections; returns the classified results.
 
-    Each flip is an independent seeded run, so the sweep fans out over
-    the shared :func:`repro.harness.parallel.run_cells` executor;
-    ``jobs=None`` keeps the historical serial order bit-for-bit.
+    Each flip is an independent seeded run: ``jobs`` > 1 fans them out
+    over that many crash-isolated workers, where a worker that dies is
+    one ``unhandled`` flip; otherwise they run serially in this
+    process.  Either way the results are identical and in input order.
     """
     workload = next(w for w in coremark_suite() if w.name == workload_name)
     window, golden_sum, result_addr = _golden(workload)
@@ -241,7 +264,8 @@ def run_campaign(n: int = 100, seed: int = 2020,
     cells += [("control", workload.name, seed * 1_000_003 + i * 2,
                window, golden_sum, result_addr, double_bit_rate)
               for i in range(control_n)]
-    outcomes = run_cells(_campaign_cell, cells, jobs)
+    outcomes = (_inject_pooled(cells, jobs) if jobs is not None and jobs > 1
+                else [_inject(cell) for cell in cells])
     result.injections = outcomes[:n]
     result.control = outcomes[n:]
     result.unhandled = sum(1 for inj in outcomes

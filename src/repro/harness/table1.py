@@ -9,19 +9,18 @@ configurations.
 
 from __future__ import annotations
 
-from ..asm import assemble
 from ..smp import CoherenceConfig, CoherentCluster
 from ..uarch.presets import xt910
-from .parallel import run_cells
+from ..workloads import Workload
+from .explore import time_cells
 from .report import ExperimentResult
-from .runner import run_on_core
 
 CORES_PER_CLUSTER = (1, 2, 4)
 L1_SIZES_KB = (32, 64)
 L2_SIZES_KB = (256, 512, 1024, 2048, 4096, 8192)
 VECTOR_OPTIONS = (True, False)
 
-_SMOKE = """
+_SMOKE = Workload("table1-smoke", """
 _start:
     li t0, 100
     li t1, 0
@@ -32,7 +31,7 @@ loop:
     li a0, 0
     li a7, 93
     ecall
-"""
+""", compress=False)
 
 
 def enumerate_configs():
@@ -44,31 +43,25 @@ def enumerate_configs():
                     yield cores, l1, l2, vector
 
 
-def _table1_cell(cores: int, l1: int, l2: int, vector: bool,
-                 quick: bool) -> int:
-    """Build/verify one Table I corner; returns 1 if it was smoke-run."""
-    config = xt910(l1_kb=l1, l2_kb=l2, vector=vector)
-    assert config.mem.l1d_size == l1 << 10
-    assert config.mem.l2_size == l2 << 10
-    cluster = CoherentCluster(CoherenceConfig(
-        cores=cores, l1_size=l1 << 10, l2_size=l2 << 10))
-    assert len(cluster.l1s) == cores
-    if cores == 1 and (not quick or (l1 == 64 and l2 == 2048)):
-        run = run_on_core(assemble(_SMOKE), config)
-        assert run.exit_code == 0
-        return 1
-    return 0
-
-
 def run_table1(quick: bool = False,
                jobs: int | None = None) -> ExperimentResult:
     result = ExperimentResult(
         experiment="table1", title="XT-910 core configurations")
-    cells = [(cores, l1, l2, vector, quick)
-             for cores, l1, l2, vector in enumerate_configs()]
-    smoke_flags = run_cells(_table1_cell, cells, jobs)
-    built = len(smoke_flags)
-    smoked = sum(smoke_flags)
+    smoke = {}
+    built = 0
+    for cores, l1, l2, vector in enumerate_configs():
+        config = xt910(l1_kb=l1, l2_kb=l2, vector=vector)
+        assert config.mem.l1d_size == l1 << 10
+        assert config.mem.l2_size == l2 << 10
+        cluster = CoherentCluster(CoherenceConfig(
+            cores=cores, l1_size=l1 << 10, l2_size=l2 << 10))
+        assert len(cluster.l1s) == cores
+        built += 1
+        if cores == 1 and (not quick or (l1 == 64 and l2 == 2048)):
+            smoke[l1, l2, vector] = (_SMOKE, config)
+    # A smoke run that does not exit 0 fails its cell.
+    time_cells(smoke, jobs)
+    smoked = len(smoke)
     result.add("configurations built", 72, built, "",
                note="3 core counts x 2 L1 x 6 L2 x vec on/off")
     result.add("single-core smoke runs", None, smoked, "")

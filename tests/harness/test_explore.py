@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import benchkit, explore
-from repro.harness.parallel import CellFailure
+from repro.harness.explore import CellFailure
 from repro.service import JobResult, JobService, JobSpec, JobState
 from repro.uarch import uconfig
 from repro.workloads import Workload, get_workload

@@ -242,7 +242,9 @@ _PLACEMENT = st.sampled_from(["any", "ends-at-v31", "wraps"])
 
 
 def _group_start(placement: str, any_reg: int, vl: int, eew: int) -> int:
-    count = max(1, -(-vl * eew // 128))   # registers the access spans
+    # registers the access spans; EEW 64 over SEW 8 at LMUL 8 can ask for
+    # more than the 32 the file holds
+    count = min(32, max(1, -(-vl * eew // 128)))
     if placement == "ends-at-v31":
         return 32 - count
     if placement == "wraps" and count > 1:
