@@ -391,9 +391,10 @@ def time_cells(cells: Mapping[tuple, tuple[Workload, str | CoreConfig]],
     A cell is one job run as :func:`~repro.harness.runner.run_on_core`
     runs it: tier 2, the emulator's own instruction watchdog, no
     wall-clock limit, no vetting.  A core is a preset name or a
-    :class:`CoreConfig`, sent as its document.  There is no disk store:
-    its key has no hash of the simulator's source, so it would serve
-    figures from before a timing-model edit.
+    :class:`CoreConfig`, sent as its document.  The cells run on the
+    service's private in-memory store: ``JobSpec.key`` carries the
+    simulator's source digest, so a disk store would be safe across
+    edits, but the figures do not take one yet.
     """
     specs = [
         JobSpec(source=workload.source, compress=workload.compress,

@@ -13,8 +13,8 @@ Fig. 17 we scale to the paper's axis with one constant (A73 pinned to
 from __future__ import annotations
 
 from ..workloads.specint import specint_workload
+from .explore import ipc, time_cells
 from .report import ExperimentResult
-from .runner import run_on_core
 
 PAPER_XT910 = 6.11
 PAPER_A73 = 6.75
@@ -30,15 +30,17 @@ def run_spec(quick: bool = False) -> ExperimentResult:
                                     chase_steps=12000, hash_ops=4000)
     else:
         workload = specint_workload()
-    xt = run_on_core(workload.program(), "xt910")
-    a73 = run_on_core(workload.program(), "cortex-a73")
-    scale = PAPER_A73 / a73.ipc
-    result.add("cortex-a73", PAPER_A73, round(a73.ipc * scale, 2),
-               "SPECInt/GHz", note=f"model IPC {a73.ipc:.3f} (anchor)")
-    result.add("xt910", PAPER_XT910, round(xt.ipc * scale, 2),
-               "SPECInt/GHz", note=f"model IPC {xt.ipc:.3f}")
+    stats = time_cells({(workload.name, core): (workload, core)
+                        for core in ("xt910", "cortex-a73")})
+    xt_ipc = ipc(stats[workload.name, "xt910"])
+    a73_ipc = ipc(stats[workload.name, "cortex-a73"])
+    scale = PAPER_A73 / a73_ipc
+    result.add("cortex-a73", PAPER_A73, round(a73_ipc * scale, 2),
+               "SPECInt/GHz", note=f"model IPC {a73_ipc:.3f} (anchor)")
+    result.add("xt910", PAPER_XT910, round(xt_ipc * scale, 2),
+               "SPECInt/GHz", note=f"model IPC {xt_ipc:.3f}")
     result.add("xt910 / a73", PAPER_XT910 / PAPER_A73,
-               round(xt.ipc / a73.ipc, 3), "x",
+               round(xt_ipc / a73_ipc, 3), "x",
                note="paper: '10% lower than Cortex-A73'")
-    result.raw = {"xt_ipc": xt.ipc, "a73_ipc": a73.ipc}
+    result.raw = {"xt_ipc": xt_ipc, "a73_ipc": a73_ipc}
     return result

@@ -4,9 +4,9 @@ Times the RVV kernel suite under the per-element reference vector
 engine and under the numpy-batched engine (``repro.sim.exec_vector``),
 on every execution tier the batched engine plugs into, and writes the
 numbers to ``BENCH_vector.json``.  Each batched measurement doubles as
-an equivalence check: the run is only accepted if the full vector
-register file, the touched-memory digest and the exit code are
-bit-identical to the reference engine's run of the same kernel.
+an equivalence check: the run is only accepted if its architectural
+state (:meth:`~repro.sim.emulator.Emulator.fingerprint`) is identical to
+the reference engine's run of the same kernel.
 
 The committed JSON is the CI regression baseline: the bench CI job
 re-runs ``bench --vector --quick`` and fails when the geomean
@@ -18,8 +18,6 @@ tolerance-scaled committed numbers.  The nightly lane runs the full
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from ..sim import exec_vector
 from ..workloads import vector_suite
@@ -45,18 +43,6 @@ def _workloads(quick: bool):
     return suite
 
 
-def _fingerprint(workload, emulator) -> tuple:
-    """Bit-level identity evidence: vregs, result memory, exit code."""
-    program = workload.program()
-    result = emulator.state.memory.load_int(
-        program.symbol(workload.result_symbol), 8)
-    data_len = max(len(program.data), 8)
-    mem = emulator.state.memory.load_bytes(program.data_base, data_len)
-    return (bytes(emulator.state.vbuf),
-            hashlib.sha256(mem).hexdigest(),
-            result, emulator.exit_code or 0)
-
-
 def bench_workload(workload, repeat: int, tiers=(1, 2, 3)) -> dict:
     """Reference vs numpy timings (plus identity proof) for one kernel.
 
@@ -69,11 +55,11 @@ def bench_workload(workload, repeat: int, tiers=(1, 2, 3)) -> dict:
         for tier in tiers:
             exec_vector.select_engine("ref")
             ref_s, ref_emu = benchkit.best_emulation(1, workload, tier=tier)
-            ref_fp = _fingerprint(workload, ref_emu)
+            ref_fp = ref_emu.fingerprint()
             exec_vector.select_engine("numpy")
             best, np_emu = benchkit.best_emulation(repeat, workload,
                                                    tier=tier)
-            np_fp = _fingerprint(workload, np_emu)
+            np_fp = np_emu.fingerprint()
             if np_fp != ref_fp:
                 raise AssertionError(
                     f"{workload.name} tier {tier}: numpy engine diverged "

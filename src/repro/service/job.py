@@ -5,9 +5,11 @@ request — assembly source plus execution knobs.  :meth:`JobSpec.key`
 is its content address — the one key of the one result store
 (:mod:`repro.service.store`): ``program_hash`` covers the guest program
 bytes-to-be, the digest of the *resolved* config covers every timing
-knob however the core was named, and mode, budget and vetting cover the
-rest, so retries, repeat submissions and sweep cells of identical work
-are free.
+knob however the core was named, mode, budget and vetting cover the
+rest of the request, and :func:`repro.source_digest` covers the
+simulator that answers it — so retries, repeat submissions and sweep
+cells of identical work are free, and an edited simulator never reads
+a record the old one wrote.
 
 A :class:`JobResult` is the service's *only* answer shape: every job —
 completed, degraded, timed out, rejected, crashed-out or quarantined —
@@ -24,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any
 
+from .. import source_digest
 from ..uarch import uconfig
 from ..uarch.config import CoreConfig
 
@@ -107,7 +110,7 @@ class JobSpec:
         """The content address of this job's (deterministic) result:
         everything that changes the answer, nothing that does not."""
         core = self.resolve_core()
-        parts = (STORE_VERSION, self.program_hash,
+        parts = (STORE_VERSION, source_digest(), self.program_hash,
                  "functional" if core is None
                  else uconfig.config_digest(core),
                  self.mode, self.max_insts, self.vet)

@@ -19,8 +19,9 @@ handlers, instructions and record slots as default arguments (fast
 locals, zero global lookups in the hot path).
 
 Persistent code cache: compiled module code objects are marshalled to
-disk keyed by (codegen version, interpreter bytecode magic, text
-section sha256, text base, VLEN, block size limit), so a second run of
+disk keyed by (the ``repro`` source digest, interpreter bytecode magic,
+text section sha256, text base, VLEN, block size limit, vector engine),
+so an edit to the emitter or any handler misses, and a second run of
 the same workload skips source generation and ``compile()`` entirely —
 each stored block additionally carries a digest of its code bytes that
 is re-checked at link time, so stale entries miss instead of silently
@@ -48,6 +49,7 @@ import tempfile
 import time
 from collections.abc import Iterator, Sequence
 
+from .. import source_digest
 from ..isa.instructions import InstrClass
 from .exec_scalar import EcallShim, Trap
 from .exec_vector import active_engine, specialize
@@ -59,10 +61,6 @@ from .blockcache import (
     MAX_BLOCK_INSTS,
     _fill,
 )
-
-#: bump on any change to the emitted source or the cold-path helpers —
-#: stale on-disk code must never be reused across emitter revisions.
-CODEGEN_VERSION = 2
 
 #: compiled blocks kept in memory before a wholesale flush
 CODE_CACHE_LIMIT = 4096
@@ -484,7 +482,7 @@ def emit_source(block) -> str:
             static = None
         elif kinds[idx] == "full" and (entry[4] & FLAG_VECTOR):
             kinds[idx] = ("full", static)
-    parts = [f"# generated by repro.sim.codegen v{CODEGEN_VERSION} for "
+    parts = [f"# generated by repro.sim.codegen for "
              f"block {block.start:#x}..{block.end:#x} ({n} insts)",
              "def make(E):"]
     for variant in ("run", "trace"):
@@ -608,7 +606,7 @@ class CodegenEngine:
     def _cache_key(self) -> str:
         program = self.emu.program
         text_hash = hashlib.sha256(bytes(program.text)).hexdigest()
-        raw = (f"{CODEGEN_VERSION}:{importlib.util.MAGIC_NUMBER.hex()}:"
+        raw = (f"{source_digest()}:{importlib.util.MAGIC_NUMBER.hex()}:"
                f"{text_hash}:{program.text_base}:{self.emu.state.vlen}:"
                f"{MAX_BLOCK_INSTS}:{active_engine()}")
         return hashlib.sha256(raw.encode()).hexdigest()[:24]
@@ -626,8 +624,8 @@ class CodegenEngine:
         try:
             with open(path, "rb") as handle:
                 payload = marshal.loads(handle.read())
-            version, magic, blocks = payload
-            if (version != CODEGEN_VERSION
+            source, magic, blocks = payload
+            if (source != source_digest()
                     or magic != importlib.util.MAGIC_NUMBER):
                 raise ValueError("stale codegen cache header")
             self._disk = {int(pc): (int(end), digest, code)
@@ -658,7 +656,7 @@ class CodegenEngine:
             return
         self._dirty = False
         payload = marshal.dumps(
-            (CODEGEN_VERSION, importlib.util.MAGIC_NUMBER,
+            (source_digest(), importlib.util.MAGIC_NUMBER,
              {pc: entry for pc, entry in self._disk.items()}))
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
@@ -808,5 +806,5 @@ class CodegenEngine:
         }
 
 
-__all__ = ["CodegenEngine", "CompiledBlock", "CODEGEN_VERSION",
-           "CODE_CACHE_LIMIT", "emit_source", "default_cache_dir"]
+__all__ = ["CodegenEngine", "CompiledBlock", "CODE_CACHE_LIMIT",
+           "emit_source", "default_cache_dir"]

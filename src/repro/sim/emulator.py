@@ -9,6 +9,7 @@ the assembler and decoder continuously validate each other.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from collections.abc import Iterator, Sequence
 
@@ -34,7 +35,7 @@ from ..isa.encoding import decode_word
 from ..isa.instructions import SPECS, Instruction
 from .exec_scalar import SCALAR_EXEC, EcallShim, Trap
 from .exec_vector import VECTOR_EXEC
-from .memory import Memory
+from .memory import PAGE_SIZE, Memory
 from .state import MASK64, MachineState
 from .syscalls import ExitRequest, SyscallShim
 from .trace import DynInst
@@ -42,6 +43,8 @@ from .trace import DynInst
 
 #: how many retired instructions the crash/watchdog backtrace keeps
 RECENT_WINDOW = 16
+
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class EmulatorError(Exception):
@@ -555,6 +558,36 @@ class Emulator:
     @property
     def stdout(self) -> str:
         return self.syscalls.stdout_text
+
+    def fingerprint(self) -> dict:
+        """The architectural state, one JSON-able value per component,
+        so that two runs compare with ``==`` and a diff names what
+        differs.
+
+        Memory is one sha256 over every page holding a non-zero byte,
+        with its page number, in address order: content-defined, so a
+        zero page one path allocated and another did not is no
+        difference.  ``state.vec_counters`` count work, they are not
+        state, and stay out.
+        """
+        state = self.state
+        memory = self.mmu.physical if self.mmu is not None else state.memory
+        pages = hashlib.sha256()
+        for ppn, page in sorted(memory._pages.items()):
+            if page != _ZERO_PAGE:
+                pages.update(ppn.to_bytes(8, "little"))
+                pages.update(page)
+        return {
+            "pc": state.pc, "instret": state.instret,
+            "exit_code": self.exit_code, "stdout": self.stdout,
+            "priv": int(state.priv),
+            "regs": list(state.regs), "fregs": list(state.fregs),
+            "vbuf": hashlib.sha256(state.vbuf.tobytes()).hexdigest(),
+            "vl": state.vl, "vtype": state.vtype,
+            "csrs": {f"{addr:#x}": value
+                     for addr, value in sorted(state.csrs._regs.items())},
+            "memory": pages.hexdigest(),
+        }
 
 
 def run_program(program: Program, max_steps: int | None = None) -> Emulator:

@@ -10,11 +10,13 @@ execution with working atomics).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..asm.program import Program, STACK_TOP
 from ..sim.emulator import Emulator
 from ..sim.memory import Memory
+from ..sim.trace import DynInst
 
 
 @dataclass
@@ -73,8 +75,12 @@ class SmpMachine:
         self.memory.store_bytes = store_bytes  # type: ignore[method-assign]
         self.memory.store_int = store_int  # type: ignore[method-assign]
 
-    def run(self, max_steps_per_hart: int = 5_000_000) -> SmpResult:
-        """Round-robin step all harts until they all exit."""
+    def steps(self, max_steps_per_hart: int = 5_000_000
+              ) -> Iterator[tuple[int, DynInst]]:
+        """Round-robin step all harts until they all exit, yielding
+        ``(hart index, record)`` per step: ``interleave`` steps of each
+        live hart in turn.  A hart that runs past *max_steps_per_hart*
+        raises ``RuntimeError``."""
         steps = [0] * len(self.harts)
         active = True
         while active:
@@ -85,12 +91,19 @@ class SmpMachine:
                 for _ in range(self.interleave):
                     if hart.halted:
                         break
-                    hart.step()
+                    record = hart.step()
                     steps[index] += 1
                     if steps[index] > max_steps_per_hart:
                         raise RuntimeError(
                             f"hart {index} exceeded {max_steps_per_hart} steps")
+                    yield index, record
                 active = True
+
+    def run(self, max_steps_per_hart: int = 5_000_000) -> SmpResult:
+        """Run :meth:`steps` to the end."""
+        steps = [0] * len(self.harts)
+        for index, _ in self.steps(max_steps_per_hart):
+            steps[index] += 1
         return SmpResult(
             exit_codes=[h.exit_code if h.exit_code is not None else -1
                         for h in self.harts],

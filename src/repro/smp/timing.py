@@ -110,22 +110,8 @@ def run_smp_timing(program: Program, cores: int = 4,
     # 1. Functional SMP run, collecting per-hart traces.
     machine = SmpMachine(program, cores=cores, interleave=interleave)
     traces: list[list[DynInst]] = [[] for _ in range(cores)]
-    steps = [0] * cores
-    active = True
-    while active:
-        active = False
-        for index, hart in enumerate(machine.harts):
-            if hart.halted:
-                continue
-            for _ in range(interleave):
-                if hart.halted:
-                    break
-                traces[index].append(hart.step())
-                steps[index] += 1
-                if steps[index] > max_steps_per_hart:
-                    raise RuntimeError(
-                        f"hart {index} exceeded {max_steps_per_hart} steps")
-            active = True
+    for index, record in machine.steps(max_steps_per_hart):
+        traces[index].append(record)
 
     # 2. Shared memory-system substrate.
     shared_stats = SmpTimingStats()

@@ -1,0 +1,570 @@
+"""The equivalence lattice: every reachable corner against the precise one.
+
+Functional corners must retire the precise corner's records
+(:func:`project`) and end in its ``Emulator.fingerprint()``; timing
+corners must give the frozen oracle's ``CoreStats.as_comparable()``.
+Axes, the reachability rule and the proofs are in DESIGN.md
+("Equivalence lattice").  Tier 1 runs :data:`PLAN` and one hypothesis
+property; older test names elsewhere are views onto plan cells
+(:func:`assert_cells`), each run once per process, or onto one corner
+for random programs (:func:`assert_random`).  As a script it runs
+every reachable cell and exits 1 on any mismatch::
+
+    PYTHONPATH=src python tests/integration/test_lattice.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import dataclasses
+import functools
+import json
+import os
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis import Sanitizer
+from repro.harness.runner import GuestExit, run_on_core
+from repro.mem.hierarchy import MemoryHierarchy
+from repro.obs import GuestProfiler, PipelineTracer
+from repro.service import JobService, JobSpec, ResultStore
+from repro.service.job import TIER_MODES
+from repro.sim import Emulator, WatchdogExpired, exec_vector
+from repro.sim.trace import RecordBatch
+from repro.smp.runner import SmpMachine
+from repro.uarch.core import PipelineModel
+from repro.uarch.presets import PRESETS, get_preset
+from repro.uarch.refmodel import ReferencePipelineModel
+from repro.workloads import Workload, all_workloads, get_workload
+from repro.workloads.vector import vec_gather, vec_memcpy
+
+GOLDEN = json.loads((Path(__file__).parents[1] / "uarch"
+                     / "golden_stats.json").read_text())
+
+FIELDS = ("seq", "pc", "next_pc", "taken", "target", "mem_addr",
+          "mem_size", "vl", "sew", "div_bits")
+
+
+def project(record) -> tuple:
+    """What every corner must retire identically, record by record."""
+    return (record.inst.spec.mnemonic,
+            *(getattr(record, field) for field in FIELDS))
+
+
+def stream(batches, cut: bool = False) -> list[tuple]:
+    """The projected records of a batched trace; ``cut`` keeps those
+    retired before the step watchdog fires."""
+    records: list[tuple] = []
+    try:
+        for batch in batches:
+            records.extend(project(record) for record in batch)
+    except WatchdogExpired:
+        if not cut:
+            raise
+    return records
+
+
+# -- the corner table ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Corner:
+    def __str__(self) -> str:
+        return type(self).__name__.lower() + "".join(
+            f" {field.name}={getattr(self, field.name)}"
+            for field in dataclasses.fields(self)
+            if getattr(self, field.name) != field.default)
+
+
+@dataclass(frozen=True)
+class Functional(Corner):
+    tier: int
+    engine: str = "numpy"
+    cache: str = ""            # tier 3: "cold" or "warm"
+    sanitizer: bool = False    # tier 2 (a sanitizer caps tier 3 there)
+    smp: bool = False          # tier 1: SmpMachine(program, cores=1)
+
+
+@dataclass(frozen=True)
+class Timed(Corner):
+    tier: int = 2
+    feed: str = "batches"      # or "lists", or "chunks" of 7 (run_quantum)
+    hooks: bool = False        # PipelineTracer(window=256) + GuestProfiler
+    model: str = "stream"      # or "reference"
+    path: str = "core"         # run_on_core, or a "job" and a "store" hit
+    preset: str = "xt910"
+
+
+PRECISE = Functional(tier=1)
+TIERS = (1, 2, 3)
+
+#: every corner, in the order a program runs them (a warm corner reads
+#: what its cold one persisted, a store corner what its job stored)
+CORNERS: tuple = tuple(
+    [Functional(tier, engine, cache, sanitizer, smp)
+     for engine in ("numpy", "ref")
+     for tier, cache, sanitizer, smp in (
+         (1, "", False, False), (2, "", False, False),
+         (2, "", True, False), (3, "cold", False, False),
+         (3, "warm", False, False), (1, "", False, True))
+     if (tier, engine, smp) != (1, "numpy", False)]
+    + [Timed(tier, feed, hooks) for tier in TIERS
+       for feed in ("batches", "lists", "chunks") for hooks in (False, True)]
+    + [Timed(tier, model="reference") for tier in TIERS]
+    + [Timed(tier, path=path) for path in ("job", "store") for tier in TIERS]
+    + [Timed(2, preset=preset) for preset in sorted(PRESETS)
+       if preset != "xt910"])
+
+
+def reachable(corner, run: Run) -> bool:
+    """The ref engine only for programs that retire vector code, the
+    reference model only where the oracle is not itself, the service
+    only for guests that exit 0 (a timed job fails on any other)."""
+    if isinstance(corner, Functional):
+        return corner.engine == "numpy" or run.precise["vector records"] > 0
+    if corner.model == "reference":
+        return run.golden(corner.preset) is not None
+    return corner.path == "core" or run.precise["exit_code"] == 0
+
+
+# -- running one corner -------------------------------------------------------
+
+@contextlib.contextmanager
+def _resolutions():
+    """Every ``RecordBatch`` a ``PipelineModel`` resolves, however deep
+    the call that runs the model."""
+    seen, resolve = [], PipelineModel._resolve
+
+    def recording(self, batch):
+        if type(batch) is RecordBatch:
+            seen.append(batch)
+        return resolve(self, batch)
+
+    PipelineModel._resolve = recording
+    try:
+        yield seen
+    finally:
+        PipelineModel._resolve = resolve
+
+
+def _failed(proofs: dict) -> list[str]:
+    """Proofs are keyed by what to report when they do not hold."""
+    return [text for text, holds in proofs.items() if not holds]
+
+
+class Run:
+    """One program: its precise answer and oracles (each computed once),
+    the verdict of each corner, and the scratch its corners share."""
+
+    def __init__(self, workload: Workload, scratch: str):
+        self.workload, self.scratch = workload, scratch
+        self.program = workload.program()
+        self.references: dict[str, dict] = {}
+        #: engine -> the code cache its cold tier-3 run persisted (or None)
+        self.warm: dict[str, str | None] = {}
+        self.verdicts: dict = {}
+
+    @functools.cached_property
+    def precise(self) -> dict:
+        answer, failed = self.functional(PRECISE)
+        assert not failed, failed
+        return answer
+
+    def golden(self, preset: str) -> dict | None:
+        return GOLDEN.get(self.workload.name) if preset == "xt910" else None
+
+    def oracle(self, preset: str) -> dict:
+        if self.golden(preset) is not None:
+            return self.golden(preset)
+        if preset not in self.references:
+            config = get_preset(preset)
+            model = ReferencePipelineModel(config, MemoryHierarchy(config.mem))
+            self.references[preset] = model.run(Emulator(
+                self.program).trace(None, tier=1)).as_comparable()
+        return self.references[preset]
+
+    def verdict(self, corner) -> str | None:
+        """None when *corner* cannot run this program; else every field
+        that differs and every proof that failed ("" when none)."""
+        if corner not in self.verdicts:
+            self.verdicts[corner] = self._judge(corner)
+        return self.verdicts[corner]
+
+    def _judge(self, corner) -> str | None:
+        if not reachable(corner, self):
+            return None
+        if isinstance(corner, Functional):
+            outcome, want = self.functional(corner), self.precise
+            if outcome is None:
+                return None
+        else:
+            outcome, want = self.timed(corner), self.oracle(corner.preset)
+        got, failed = outcome
+        return ", ".join(sorted(key for key in want.keys() | got.keys()
+                                if want.get(key) != got.get(key))
+                         + [f"proof: {text}" for text in failed])
+
+    def functional(self, corner: Functional):
+        """(answer, failed proofs), or None for a warm corner whose cold
+        run persisted nothing."""
+        cache_dir = None
+        if corner.cache == "warm":
+            if corner.engine not in self.warm:
+                self.functional(dataclasses.replace(corner, cache="cold"))
+            cache_dir = self.warm[corner.engine]
+            if cache_dir is None:
+                return None
+        elif corner.cache == "cold":
+            cache_dir = tempfile.mkdtemp(dir=self.scratch)
+        entered = exec_vector.active_engine()
+        exec_vector.select_engine(corner.engine)
+        try:
+            if corner.smp:
+                machine = SmpMachine(self.program, cores=1)
+                emulator = machine.harts[0]
+                records = [project(record) for _, record in machine.steps()]
+            else:
+                emulator = Emulator(self.program, code_cache_dir=cache_dir)
+                if corner.sanitizer:
+                    emulator.sanitizer = Sanitizer(self.program, strict=False)
+                records = stream(emulator.trace(None, tier=corner.tier))
+            engine = exec_vector.active_engine()
+        finally:
+            exec_vector.select_engine(entered)
+        counters = emulator.counters()
+        if corner.cache == "cold":
+            self.warm[corner.engine] = (cache_dir if counters[
+                "codegen_persisted"] else None)
+        # a digest, not the records: plan answers live as long as the process
+        return {"records": len(records), "stream": hash(tuple(records)),
+                "vector records": sum(record[0][0] == "v"
+                                      for record in records),
+                **emulator.fingerprint()}, _failed({
+            f"ran on {engine}": engine == corner.engine,
+            "ref engine counted ops": corner.engine == "numpy"
+            or not any(emulator.state.vec_counters.values()),
+            f"ran tier {emulator.tier}":
+                emulator.tier == (None if corner.smp else corner.tier),
+            "stores not bridged": not corner.smp
+            or "store_int" in emulator.state.memory.__dict__,
+            "sanitizer checked nothing": not corner.sanitizer
+            or emulator.sanitizer.blocks_checked > 0,
+            "cold run hit the disk": corner.cache != "cold"
+            or counters["codegen_disk_hits"] == 0,
+            "warm run compiled or missed": corner.cache != "warm"
+            or counters["codegen_blocks_compiled"] == 0
+            < counters["codegen_disk_hits"]})
+
+    def timed(self, corner: Timed):
+        """(``as_comparable()``, failed proofs)."""
+        if corner.path != "core":
+            return self._served(corner)
+        config = get_preset(corner.preset)
+        tracer = PipelineTracer(window=256) if corner.hooks else None
+        profiler = GuestProfiler() if corner.hooks else None
+        proofs = {}
+        if corner.model == "stream" and corner.feed == "batches":
+            with _resolutions() as resolved:
+                try:
+                    result = run_on_core(self.program, config,
+                                         tier=corner.tier, tracer=tracer,
+                                         profiler=profiler)
+                except GuestExit as exc:
+                    result = exc.result
+            stats, tier = result.stats, result.stats.extra["tier"]
+            proofs["a block resolved twice, or none on tier 2/3"] = (
+                len({id(batch) for batch in resolved}) == len(resolved)
+                and bool(resolved) == (tier > 1))
+        else:
+            emulator = Emulator(self.program)
+            batches = emulator.trace(None, tier=corner.tier)
+            if corner.model == "reference":
+                stats = ReferencePipelineModel(
+                    config, MemoryHierarchy(config.mem)).run(batches)
+            else:
+                model = PipelineModel(config)
+                model.tracer, model.profiler = tracer, profiler
+                if corner.feed == "lists":
+                    stats = model.run(list(batch) for batch in batches)
+                else:
+                    # tiers 2 and 3 reuse their record slots: keep copies
+                    records = [copy.copy(record) if corner.tier > 1
+                               else record
+                               for batch in batches for record in batch]
+                    for pos in range(0, len(records), 7):
+                        model.run_quantum(records[pos:pos + 7])
+                    stats = model.finish()
+            tier = emulator.tier
+        proofs[f"ran tier {tier}"] = tier == corner.tier
+        proofs["hooks missed records"] = not corner.hooks or (
+            tracer.recorded == profiler.recorded == stats.instructions)
+        return stats.as_comparable(), _failed(proofs)
+
+    def _served(self, corner: Timed):
+        """A pinned job on a disk store: the job corner runs it, the
+        store corner serves it to a second service."""
+        spec = JobSpec(source=self.workload.source,
+                       compress=self.workload.compress,
+                       name=self.workload.name, core=corner.preset,
+                       mode=TIER_MODES[corner.tier], vet=False,
+                       max_insts=None, wall_timeout_s=None)
+        root = os.path.join(self.scratch, "store")
+        if corner.path == "store" and not ResultStore(root).get(spec.key()):
+            self._served(dataclasses.replace(corner, path="job"))
+        with JobService(isolation=False, store=ResultStore(root)) as service:
+            result = service.submit(spec)
+        if not result.ok:
+            return {}, [f"job {result.state.value}"]
+        return result.metrics["stats"], _failed({
+            f"ran tier {result.metrics['tier']}":
+                result.metrics["tier"] == corner.tier,
+            f"cache_hit={result.cache_hit}":
+                result.cache_hit == (corner.path == "store")})
+
+
+@contextlib.contextmanager
+def running(workload: Workload):
+    with tempfile.TemporaryDirectory() as scratch:
+        yield Run(workload, scratch)
+
+
+def check(run: Run, corners) -> tuple[int, list[str]]:
+    """The reachable cells of *corners* on *run*'s program, and one line
+    per mismatching corner."""
+    verdicts = [(corner, run.verdict(corner)) for corner in corners]
+    return (sum(verdict is not None for _, verdict in verdicts),
+            [f"{run.workload.name} {corner}: {verdict}"
+             for corner, verdict in verdicts if verdict])
+
+
+# -- the tier-1 plan ----------------------------------------------------------
+
+ALL = sorted(w.name for w in all_workloads())
+KERNELS = [name for name in ALL
+           if name.split("-")[0] in ("coremark", "eembc", "nbench")]
+#: int-heavy, branchy, memory-bound, FP, vector and custom-ISA programs
+GOLDEN_SUBSET = ["coremark-list", "coremark-matrix", "coremark-state",
+                 "coremark-crc", "eembc-canrdr", "eembc-idctrn",
+                 "nbench-idea", "stream-triad", "vec-mac16", "dhrystone-like"]
+#: through the reference model on xt910, and the stream model on the
+#: nine other presets (golden stats are xt910's only)
+REFERENCE_SAMPLE = ["coremark-list", "coremark-state", "eembc-canrdr",
+                    "vec-mac16"]
+PRESET_SAMPLE = ["coremark-list", "eembc-canrdr", "vec-mac16"]
+OTHER_PRESETS = sorted(preset for preset in PRESETS if preset != "xt910")
+VECTOR = [name for name in ALL if name.startswith("vec-")]
+#: small scalar, FP, pointer-chasing and vector programs for the other
+#: axes (vec-gather's indexed store is a path only the SMP bridge takes)
+SAMPLE = ["eembc-canrdr", "nbench-lu", "eembc-pntrch", "vec-gather"]
+SMALL = {"vec-memcpy-40x2": lambda: vec_memcpy(n=40, passes=2),
+         "vec-gather-32x2": lambda: vec_gather(n=32, passes=2)}
+
+
+def smc_source(barrier: str) -> str:
+    """Rewrite ``addi a0, x0, 1`` at ``patchme`` into ``addi a0, x0, 2``
+    on the first trip, then *barrier*, then run it again."""
+    return f"""
+    _start:
+        li s0, 2
+        la t0, patchme
+        li t1, 0x00200513
+    again:
+    patchme:
+        addi a0, x0, 1
+        sw t1, 0(t0)
+        {barrier}
+        addi s0, s0, -1
+        bnez s0, again
+        li a7, 93
+        ecall
+    """
+
+
+SMC = {f"smc-{barrier}": Workload(name=f"smc-{barrier}", compress=False,
+                                  source=smc_source(barrier))
+       for barrier in ("fence.i", "nop", "icache.iall")}
+
+#: masked-off and tail lanes of an LMUL=4 group through arithmetic,
+#: vmerge and masked unit-stride, strided and indexed stores (no bundled
+#: kernel uses ``v0.t``); twice round, so tier 3 compiles the loop
+MASKED = Workload(name="vec-masked", compress=False, source="""
+    .data
+src:  .word 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3
+idx:  .word 60, 4, 52, 12, 44, 20, 36, 28, 0, 56, 8, 48, 16, 40, 24, 32
+mask: .word 0x6cb5, 0, 0, 0
+out:  .zero 256
+    .text
+_start:
+    li s0, 2
+again:
+    li t0, 16
+    vsetvli t1, t0, e8, m1
+    la a0, mask
+    vle8.v v0, (a0)
+    li t0, 13
+    vsetvli t1, t0, e32, m4
+    la a1, src
+    vle32.v v8, (a1)
+    vle32.v v12, (a1), v0.t
+    vadd.vv v16, v8, v12, v0.t
+    vmerge.vvm v20, v8, v16, v0
+    la a2, out
+    vse32.v v16, (a2), v0.t
+    li t2, 8
+    vsse32.v v20, (a2), t2, v0.t
+    la a4, idx
+    vle32.v v4, (a4)
+    vsxei32.v v16, (a2), v4, v0.t
+    addi s0, s0, -1
+    bnez s0, again
+    li a0, 0
+    li a7, 93
+    ecall
+""")
+
+#: (programs, corners): what tier 1 runs
+PLAN_ROWS = [
+    (ALL, [Functional(3, cache="cold"), Functional(3, cache="warm"),
+           Timed(2, hooks=True)]),
+    (KERNELS, [Functional(2)]),
+    (GOLDEN_SUBSET, [Timed(1), Timed(2), Timed(3), Timed(2, feed="lists"),
+                     Timed(1, feed="chunks")]),
+    (REFERENCE_SAMPLE, [Timed(2, model="reference")]),
+    (PRESET_SAMPLE, [Timed(2, preset=preset) for preset in OTHER_PRESETS]),
+    (VECTOR + list(SMALL), [Functional(1, "ref"), Functional(2, "ref"),
+                            Functional(3, "ref", cache="cold")]),
+    (list(SMALL) + list(SMC), [Functional(2), Functional(3, cache="cold")]),
+    ([MASKED.name], [corner for corner in CORNERS
+                     if isinstance(corner, Functional)]),
+    (SAMPLE, [Functional(2, sanitizer=True), Functional(1, smp=True),
+              Timed(1, hooks=True), Timed(3, hooks=True),
+              Timed(3, feed="lists"), Timed(3, feed="chunks"),
+              Timed(2, path="job"), Timed(2, path="store")]),
+    (["vec-gather"], [Timed(tier, path=path) for tier in (1, 3)
+                      for path in ("job", "store")]),
+]
+PLAN = {name: sorted({corner for names, corners in PLAN_ROWS if name in names
+                      for corner in corners}, key=CORNERS.index)
+        for name in dict.fromkeys(name for names, _ in PLAN_ROWS
+                                  for name in names)}
+
+
+def workload(name: str) -> Workload:
+    if name in SMALL:
+        return dataclasses.replace(SMALL[name](), name=name)
+    return {MASKED.name: MASKED, **SMC}.get(name) or get_workload(name)
+
+
+@functools.cache
+def _scratch() -> tempfile.TemporaryDirectory:
+    """Removed when the process exits."""
+    return tempfile.TemporaryDirectory(prefix="lattice-")
+
+
+@functools.cache
+def run_of(name: str) -> Run:
+    """The one :class:`Run` of a plan program in this process."""
+    return Run(workload(name), tempfile.mkdtemp(dir=_scratch().name))
+
+
+def assert_cells(name: str, *corners) -> None:
+    """*corners* are plan cells of *name*, reachable, and match."""
+    assert set(corners) <= set(PLAN[name]), f"{name}: not all in the plan"
+    cells, mismatches = check(run_of(name), corners)
+    assert cells == len(corners) and not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("name", sorted(PLAN))
+def test_plan(name):
+    assert_cells(name, *PLAN[name])
+
+
+# -- random programs ----------------------------------------------------------
+
+_TEMPLATES = [
+    "add {d}, {a}, {b}", "sub {d}, {a}, {b}", "xor {d}, {a}, {b}",
+    "addi {d}, {a}, {imm}", "slli {d}, {a}, {sh}", "mul {d}, {a}, {b}",
+    "div {d}, {a}, {bnz}", "auipc {d}, {upper}", "sd {a}, {moff}(s1)",
+    "ld {d}, {moff}(s1)", "sw {a}, {moff}(s1)", "lbu {d}, {moff}(s1)",
+    "fence.i", "nop",
+]
+_REGS = ["t0", "t1", "t2", "t3", "s2", "s3"]
+
+
+@st.composite
+def short_program(draw):
+    """Forward and backward branches, ``fence.i`` mid-run, stores near
+    code and the ``ecall`` exit shim: where a translated tier could
+    plausibly part from ``step()``."""
+    lines = ["    .data", "    .align 3", "scratch: .zero 256", "    .text",
+             "_start:", "    la s1, scratch"]
+    lines += [f"    li {reg}, {draw(st.integers(-500, 500))}"
+              for reg in _REGS]
+    lines += [f"    li s0, {draw(st.integers(1, 6))}", "loop:"]
+    for _ in range(draw(st.integers(3, 16))):
+        lines.append("    " + draw(st.sampled_from(_TEMPLATES)).format(
+            d=draw(st.sampled_from(_REGS)),
+            a=draw(st.sampled_from(_REGS)),
+            b=draw(st.sampled_from(_REGS)),
+            bnz="s0",
+            imm=draw(st.integers(-512, 511)),
+            sh=draw(st.integers(0, 31)),
+            upper=draw(st.integers(0, 15)),
+            moff=draw(st.integers(0, 31)) * 8,
+        ))
+    if draw(st.booleans()):
+        reg = draw(st.sampled_from(_REGS))
+        lines += [f"    beqz {reg}, skip", f"    addi {reg}, {reg}, 1",
+                  "skip:"]
+    lines += ["    addi s0, s0, -1", "    bnez s0, loop",
+              f"    li a0, {draw(st.integers(0, 3))}", "    li a7, 93",
+              "    ecall"]
+    return "\n".join(lines)
+
+
+def assert_random(source: str, compress: bool, corner) -> None:
+    """*corner* is reachable for the random program *source* and matches."""
+    with running(Workload(name="drawn", source=source,
+                          compress=compress)) as run:
+        cells, mismatches = check(run, [corner])
+    assert cells == 1 and not mismatches, "\n".join(mismatches)
+
+
+#: the pinned-corner views of it run 30 + 30 + 10 examples; a profile's
+#: budget scales this one (HYPOTHESIS_PROFILE=nightly: 700)
+@settings(max_examples=settings.default.max_examples * 70 // 100,
+          deadline=None)
+@given(short_program(), st.booleans(), st.data())
+def test_random_program_in_a_drawn_corner(source, compress, data):
+    with running(Workload(name="drawn", source=source,
+                          compress=compress)) as run:
+        corner = data.draw(st.sampled_from(
+            [corner for corner in CORNERS if reachable(corner, run)]))
+        _, mismatches = check(run, [corner])
+    assert not mismatches, "\n".join(mismatches)
+
+
+if __name__ == "__main__":
+    # timed tier-3 corners use the default code cache: keep it hermetic
+    os.environ["REPRO_CODE_CACHE_DIR"] = os.path.join(_scratch().name, "code")
+    start = time.perf_counter()
+    total, bad = 0, []
+    for each in all_workloads() + [workload(name) for name in PLAN
+                                   if name not in ALL]:
+        with running(each) as run:
+            cells, mismatches = check(run, CORNERS)
+        total += cells
+        bad += mismatches
+        print(f"{each.name}: {cells} cells, {len(mismatches)} mismatches",
+              flush=True)
+    for line in bad:
+        print(f"MISMATCH {line}")
+    print(f"{total} cells, {len(bad)} mismatches "
+          f"({time.perf_counter() - start:.0f} s)")
+    sys.exit(1 if bad else 0)

@@ -4,56 +4,29 @@ The tracer and profiler hooks sit inside the timing model's hot loop;
 the contract (same as ``--sanitize``) is that they only *observe*:
 with both hooks attached, ``CoreStats.as_comparable()`` must stay
 bit-identical to the committed frozen-oracle snapshot
-(``tests/uarch/golden_stats.json``) on every bundled workload.
+(``tests/uarch/golden_stats.json``) on every bundled workload — the
+equivalence lattice's hooks cells (``tests/integration/test_lattice.py``).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.harness.runner import run_on_core
-from repro.obs import GuestProfiler, PipelineTracer
-from repro.workloads import all_workloads
+from repro.workloads import get_workload
 
-GOLDEN = json.loads(
-    (Path(__file__).parent.parent / "uarch" / "golden_stats.json")
-    .read_text())
-
-ALL_WORKLOADS = sorted(w.name for w in all_workloads())
+from ..integration.test_lattice import ALL, Timed, assert_cells
 
 
-def _workload(name: str):
-    for workload in all_workloads():
-        if workload.name == name:
-            return workload
-    raise KeyError(name)
-
-
-@pytest.mark.parametrize("name", ALL_WORKLOADS)
+@pytest.mark.parametrize("name", ALL)
 def test_hooks_do_not_change_stats(name):
-    """Traced + profiled run == golden stats, on every workload.
-
-    A deliberately small ring window exercises the drop path too: the
-    hooks must stay free even when the buffer wraps.
-    """
-    tracer = PipelineTracer(window=256)
-    profiler = GuestProfiler()
-    result = run_on_core(_workload(name).program(), "xt910",
-                         tracer=tracer, profiler=profiler)
-    got = result.stats.as_comparable()
-    want = {key: value for key, value in GOLDEN[name].items()
-            if key in got}
-    assert got == want
-    # and the hooks genuinely observed the run
-    assert tracer.recorded == result.stats.instructions
-    assert profiler.recorded == result.stats.instructions
+    """Traced (a 256-record ring, so it wraps) + profiled tier-2 run ==
+    golden stats, and both hooks saw every instruction."""
+    assert_cells(name, Timed(2, hooks=True))
 
 
 def test_hooks_default_off():
     """A plain run never touches the hook objects (both stay None)."""
-    result = run_on_core(_workload("coremark-list").program(), "xt910")
+    result = run_on_core(get_workload("coremark-list").program(), "xt910")
     assert result.pipeline.tracer is None
     assert result.pipeline.profiler is None

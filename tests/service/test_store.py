@@ -6,10 +6,12 @@ key.  The store keeps a result iff it is deterministic.
 """
 
 import dataclasses
+import shutil
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.service import (
     JobResult,
     JobService,
@@ -103,6 +105,32 @@ def test_store_version_is_in_the_key(monkeypatch):
     before = _spec().key()
     monkeypatch.setattr(job, "STORE_VERSION", job.STORE_VERSION + 1)
     assert _spec().key() != before
+
+
+def test_source_digest_changes_with_one_byte_of_the_simulator(tmp_path):
+    copies = {}
+    for name in ("same", "edited"):
+        copies[name] = tmp_path / name / "repro"
+        shutil.copytree(Path(repro.__file__).parent, copies[name],
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    core = copies["edited"] / "uarch" / "core.py"
+    text = bytearray(core.read_bytes())
+    text[-1] ^= 1
+    core.write_bytes(bytes(text))
+    assert repro.source_digest(str(copies["same"])) == repro.source_digest()
+    assert repro.source_digest(str(copies["edited"])) != repro.source_digest()
+
+
+def test_an_edited_simulator_misses_the_disk_store(monkeypatch, tmp_path):
+    def submit():
+        with JobService(isolation=False,
+                        store=ResultStore(str(tmp_path))) as service:
+            return service.submit(_spec())
+
+    assert not submit().cache_hit
+    assert submit().cache_hit
+    monkeypatch.setattr(job, "source_digest", lambda: "edited")
+    assert not submit().cache_hit
 
 
 def test_unresolvable_core_is_rejected_not_raised():

@@ -1,17 +1,13 @@
-"""Tier-3 (specializing translator) must be bit-identical to step().
+"""Tier 3's own rules: the persistent code cache and its lifecycle.
 
-The equivalence gate for ``repro.sim.codegen``: every bundled workload
-retires the same DynInst stream, register file, memory image and exit
-code through ``trace(tier=3)`` as through the precise interpreter —
-with the on-disk code cache **cold** (blocks freshly emitted and
-compiled) and **warm** (code objects loaded back via ``marshal``).
-Plus the cache lifecycle rules: version bumps and text mutations miss,
-corrupt cache files are discarded rather than fatal, ``fence.i``
-drops compiled blocks, and ineligible configurations run on a lower
-tier that says why.
+A source edit and a text mutation miss, corrupt cache files are
+discarded rather than fatal, ``fence.i`` drops compiled blocks, and
+ineligible configurations run on a lower tier that says why.  That
+tier 3 retires the precise stream and state on every bundled workload,
+cold and warm, is the equivalence lattice's job
+(``tests/integration/test_lattice.py``).
 """
 
-import hashlib
 import os
 
 import pytest
@@ -19,66 +15,23 @@ import pytest
 from repro.asm import assemble
 from repro.sim import Emulator, WatchdogExpired
 from repro.sim import codegen
-from repro.workloads import all_workloads
 
-ALL_WORKLOADS = list(all_workloads())
-
-_FIELDS = ("seq", "pc", "next_pc", "taken", "target", "mem_addr",
-           "mem_size", "vl", "sew", "div_bits")
-
-
-def _snap(dyn):
-    return (dyn.inst.spec.mnemonic,) + tuple(
-        getattr(dyn, f) for f in _FIELDS)
+from ..integration.test_lattice import (
+    ALL,
+    SMC,
+    Functional,
+    assert_cells,
+    smc_source,
+    stream,
+)
 
 
-def _memory_digest(emulator):
-    mem = emulator.state.memory
-    digest = hashlib.sha256()
-    for base in sorted(mem._pages):
-        digest.update(base.to_bytes(8, "little"))
-        digest.update(bytes(mem._pages[base]))
-    return digest.hexdigest()
-
-
-def _tier3_stream(program, max_steps=None):
-    emulator = Emulator(program)
-    stream = []
-    for batch in emulator.trace(max_steps, tier=3):
-        stream.extend(_snap(d) for d in batch)
-    return emulator, stream
-
-
-def _assert_equivalent(precise, other, precise_stream, other_stream):
-    assert precise_stream == other_stream
-    assert list(precise.state.regs) == list(other.state.regs)
-    assert list(precise.state.fregs) == list(other.state.fregs)
-    assert precise.state.pc == other.state.pc
-    assert precise.state.instret == other.state.instret
-    assert precise.exit_code == other.exit_code
-    assert _memory_digest(precise) == _memory_digest(other)
-
-
-@pytest.mark.parametrize("workload", ALL_WORKLOADS,
-                         ids=[w.name for w in ALL_WORKLOADS])
-def test_equivalence_cold_and_warm(workload):
-    precise = Emulator(workload.program())
-    precise_stream = [_snap(d) for (d,) in precise.trace(None)]
-
-    cold, cold_stream = _tier3_stream(workload.program())
-    _assert_equivalent(precise, cold, precise_stream, cold_stream)
-    cold_counters = cold.counters()
-    assert cold_counters["codegen_blocks_compiled"] > 0
-    assert cold_counters["codegen_disk_hits"] == 0
-
-    # The autouse cache-dir fixture is per-test, so this second run
-    # warms from exactly what the cold run persisted.
-    warm, warm_stream = _tier3_stream(workload.program())
-    _assert_equivalent(precise, warm, precise_stream, warm_stream)
-    warm_counters = warm.counters()
-    assert warm_counters["codegen_blocks_compiled"] == 0
-    assert (warm_counters["codegen_disk_hits"]
-            >= cold_counters["codegen_blocks_compiled"])
+@pytest.mark.parametrize("name", ALL)
+def test_equivalence_cold_and_warm(name):
+    """The lattice's tier-3 cells of each bundled workload: a cold
+    code cache, then the warm one it persisted."""
+    assert_cells(name, Functional(3, cache="cold"),
+                 Functional(3, cache="warm"))
 
 
 # -- the persistent code cache ----------------------------------------------
@@ -121,10 +74,9 @@ class TestDiskCache:
         assert counters["codegen_compile_s"] == 0.0
         assert counters["codegen_disk_hits"] > 0
 
-    def test_version_bump_retranslates(self, monkeypatch):
+    def test_source_edit_retranslates(self, monkeypatch):
         Emulator(assemble(_TINY)).run(tier=3)
-        monkeypatch.setattr(codegen, "CODEGEN_VERSION",
-                            codegen.CODEGEN_VERSION + 1)
+        monkeypatch.setattr(codegen, "source_digest", lambda: "edited")
         emulator = Emulator(assemble(_TINY))
         assert emulator.run(tier=3) == 7
         counters = emulator.counters()
@@ -175,55 +127,28 @@ class TestDiskCache:
 
 # -- invalidation ------------------------------------------------------------
 
-_PATCH_WORD = 0x00200513       # "addi a0, x0, 2"
-
-
-def _smc_source(barrier: str) -> str:
-    return f"""
-    _start:
-        li s0, 2
-        la t0, patchme
-        li t1, {_PATCH_WORD:#x}
-    again:
-    patchme:
-        addi a0, x0, 1
-        sw t1, 0(t0)
-        {barrier}
-        addi s0, s0, -1
-        bnez s0, again
-        li a7, 93
-        ecall
-    """
-
-
 class TestInvalidation:
     def test_fence_i_invalidates_compiled_blocks(self):
-        emulator = Emulator(assemble(_smc_source("fence.i"),
+        emulator = Emulator(assemble(smc_source("fence.i"),
                                      compress=False))
         assert emulator.run(tier=3) == 2
 
     def test_without_fence_matches_precise_staleness(self):
         # The precise interpreter keeps the stale decode without a
         # fence (exit 1); tier-3 must reproduce that, not fix it.
-        source = _smc_source("nop")
+        source = smc_source("nop")
         precise = Emulator(assemble(source, compress=False))
         tier3 = Emulator(assemble(source, compress=False))
         assert precise.run() == tier3.run(tier=3) == 1
 
     def test_smc_stream_equivalence(self):
-        for barrier in ("fence.i", "nop", "icache.iall"):
-            program = assemble(_smc_source(barrier), compress=False)
-            precise = Emulator(assemble(_smc_source(barrier),
-                                        compress=False))
-            precise_stream = [_snap(d) for (d,) in precise.trace(None)]
-            tier3, tier3_stream = _tier3_stream(program)
-            _assert_equivalent(precise, tier3, precise_stream,
-                               tier3_stream)
+        for name in SMC:
+            assert_cells(name, Functional(3, cache="cold"))
 
     def test_mutated_run_not_persisted(self):
         # A run that observed code mutation must not seed the disk
         # cache: the entries describe text that no longer holds.
-        emulator = Emulator(assemble(_smc_source("fence.i"),
+        emulator = Emulator(assemble(smc_source("fence.i"),
                                      compress=False))
         assert emulator.run(tier=3) == 2
         assert _cache_files() == []
@@ -273,21 +198,9 @@ class TestTier3Mode:
             emulator.run(max_steps=10, tier=3)
 
     def test_trace_respects_budget_mid_block(self):
-        precise = Emulator(assemble(_TINY))
-        precise_stream = []
-        try:
-            for (dyn,) in precise.trace(7):
-                precise_stream.append(_snap(dyn))
-        except WatchdogExpired:
-            pass
-        tier3 = Emulator(assemble(_TINY))
-        tier3_stream = []
-        try:
-            for batch in tier3.trace(7, tier=3):
-                tier3_stream.extend(_snap(d) for d in batch)
-        except WatchdogExpired:
-            pass
-        assert precise_stream == tier3_stream
+        precise, tier3 = Emulator(assemble(_TINY)), Emulator(assemble(_TINY))
+        assert (stream(tier3.trace(7, tier=3), cut=True)
+                == stream(precise.trace(7), cut=True))
         assert tier3.state.instret == precise.state.instret == 7
 
     def test_code_cache_bounded(self, monkeypatch):

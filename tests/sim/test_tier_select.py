@@ -16,8 +16,7 @@ from repro.asm import assemble
 from repro.ras.injector import FaultInjector
 from repro.sim import Emulator, WatchdogExpired
 
-_FIELDS = ("seq", "pc", "next_pc", "taken", "target", "mem_addr",
-           "mem_size", "vl", "sew", "div_bits")
+from ..integration.test_lattice import stream
 
 #: a loop with loads, stores, a call and a taken branch per trip
 _SOURCE = """
@@ -80,16 +79,6 @@ def _sanitized(program):
     return emulator
 
 
-def _snap(dyn):
-    return (dyn.inst.spec.mnemonic,) + tuple(
-        getattr(dyn, f) for f in _FIELDS)
-
-
-def _stream(emulator, tier):
-    return [_snap(dyn) for batch in emulator.trace(None, tier=tier)
-            for dyn in batch]
-
-
 def _engines(emulator):
     """The tier whose engine the run built (1 = neither)."""
     if emulator._codegen is not None:
@@ -100,7 +89,8 @@ def _engines(emulator):
 @pytest.fixture(scope="module")
 def precise():
     emulator = Emulator(assemble(_SOURCE))
-    return _stream(emulator, 1), list(emulator.state.regs), emulator.exit_code
+    return (stream(emulator.trace(None, tier=1)), list(emulator.state.regs),
+            emulator.exit_code)
 
 
 @pytest.mark.parametrize("asked, blocker", sorted(_EXPECTED),
@@ -117,7 +107,7 @@ def test_selected_tier_and_reason(asked, blocker, precise):
     assert list(ran.state.regs) == precise_regs
 
     traced = _BLOCKERS[blocker](assemble(_SOURCE))
-    assert _stream(traced, asked) == precise_stream
+    assert stream(traced.trace(None, tier=asked)) == precise_stream
     assert (traced.tier, traced.tier_reason) == want
     assert _engines(traced) == want[0]
     assert traced.exit_code == precise_exit

@@ -6,13 +6,14 @@ allowed to exist because it is bit-identical to the per-element
 reference interpreter.  These tests pin that down three ways:
 
 1. a hypothesis differential — random SEW/LMUL/vl/mask/data integer
-   programs run under both engines must leave identical vector
-   register files, memory and exit codes;
+   programs run under both engines must leave identical architectural
+   state (``Emulator.fingerprint``);
 2. deterministic edge cases that force the batched engine's guarded
    fallback paths (cross-page accesses, non-positive strides,
    overlapping scatter indices, wrapped register groups, vl=0);
-3. tier equivalence — the same workload across tiers 1/2/3 under both
-   engines produces one unique fingerprint.
+3. tier equivalence — two small kernels across tiers 1/2/3 under both
+   engines, as cells of the equivalence lattice
+   (``tests/integration/test_lattice.py``).
 
 Plus the plumbing: engine selection, tier-3 SEW/LMUL specialization,
 and the ``sim.vector.*`` metrics namespace.
@@ -20,7 +21,6 @@ and the ``sim.vector.*`` metrics namespace.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -34,7 +34,9 @@ from repro.harness.runner import run_on_core
 from repro.obs.metrics import collect_run
 from repro.sim import Emulator
 from repro.sim import exec_vector
-from repro.workloads import vec_gather, vec_mac16, vec_memcpy
+from repro.workloads import vec_mac16
+
+from ..integration.test_lattice import PLAN, SMALL, assert_cells
 
 EXIT = """
     li a0, 0
@@ -70,20 +72,9 @@ def _run_engine(source: str, engine: str, max_steps: int = 500_000):
     return emulator
 
 
-def _state_fingerprint(emulator) -> tuple:
-    """Vector register file + data memory + exit code."""
-    program = emulator.program
-    data_len = max(len(program.data), 8) + 256
-    mem = emulator.state.memory.load_bytes(program.data_base, data_len)
-    return (bytes(emulator.state.vbuf),
-            hashlib.sha256(bytes(mem)).hexdigest(),
-            emulator.exit_code or 0)
-
-
 def _differential(source: str) -> None:
-    ref = _state_fingerprint(_run_engine(source, "ref"))
-    np_ = _state_fingerprint(_run_engine(source, "numpy"))
-    assert np_ == ref
+    assert (_run_engine(source, "numpy").fingerprint()
+            == _run_engine(source, "ref").fingerprint())
 
 
 # -- hypothesis differential -------------------------------------------------
@@ -533,24 +524,11 @@ _start:
 
 # -- tier equivalence --------------------------------------------------------
 
-@pytest.mark.parametrize("workload_fn", [
-    lambda: vec_memcpy(n=40, passes=2),
-    lambda: vec_gather(n=32, passes=2),
-])
-def test_tiers_and_engines_one_fingerprint(workload_fn):
-    """tiers 1/2/3 x engines {ref, numpy} -> a single fingerprint."""
-    workload = workload_fn()
-    prints = set()
-    for engine in ("ref", "numpy"):
-        for tier in (1, 2, 3):
-            exec_vector.select_engine(engine)
-            try:
-                emulator = Emulator(workload.program())
-                emulator.run(tier=tier)
-            finally:
-                exec_vector.select_engine("numpy")
-            prints.add(_state_fingerprint(emulator))
-    assert len(prints) == 1
+@pytest.mark.parametrize("factory", list(SMALL.values()))
+def test_tiers_and_engines_one_fingerprint(factory):
+    """tiers 1/2/3 x engines {ref, numpy} -> the precise answer."""
+    (name,) = [name for name, each in SMALL.items() if each is factory]
+    assert_cells(name, *PLAN[name])
 
 
 # -- engine selection & specialization ---------------------------------------

@@ -21,8 +21,7 @@ import pytest
 
 from repro.harness.runner import run_on_core
 from repro.uarch.core import PipelineModel
-
-from .test_timing_fastpath import _workload
+from repro.workloads import get_workload
 
 #: Executed ``_run_stream`` lines per simulated instruction; measured
 #: 87.4 / 106.0 when committed.  Raise it only with the reason in the
@@ -45,7 +44,7 @@ def _lines_per_instruction(name):
     def trace_calls(frame, event, arg):
         return count_lines if frame.f_code is code else None
 
-    program = _workload(name).program()
+    program = get_workload(name).program()
     previous = sys.gettrace()
     sys.settrace(trace_calls)
     try:

@@ -3,7 +3,8 @@
 The optimised :class:`repro.uarch.core.PipelineModel` (static timing
 cache, ring-array scheduling structures, block-batched monolith) is
 only allowed to be fast because it is *stats-identical* to the slow
-model.  Two independent oracles pin that down:
+model.  Two independent oracles pin that down, both as cells of the
+equivalence lattice (``tests/integration/test_lattice.py``):
 
 1. the frozen pre-fast-path copy
    (:class:`repro.uarch.refmodel.ReferencePipelineModel`), replaying
@@ -34,87 +35,48 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.harness.runner import run_on_core
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.emulator import Emulator, WatchdogExpired
 from repro.uarch.core import _WINDOW, PipeGroup, PipelineModel
-from repro.uarch.presets import PRESETS, get_preset
-from repro.uarch.refmodel import ReferencePipelineModel
-from repro.workloads import all_workloads
+from repro.uarch.presets import get_preset
+from repro.workloads import all_workloads, get_workload
+
+from ..integration.test_lattice import (
+    GOLDEN_SUBSET,
+    OTHER_PRESETS,
+    PRESET_SAMPLE,
+    REFERENCE_SAMPLE,
+    Timed,
+    assert_cells,
+)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_stats.json").read_text())
 
-#: Workloads replayed through both models in-process (the reference
-#: model is ~3x slower, so this is a representative sample, not the
-#: full suite: int-heavy, branchy, memory-heavy and vector kernels).
-DIFF_WORKLOADS = ["coremark-list", "coremark-state", "eembc-canrdr",
-                  "vec-mac16"]
 
-#: The smaller sample replayed on every *other* preset: golden stats
-#: cover ``xt910`` only, so this is the one independent check of the
-#: in-order cores (``R_INORDER`` rows) and the single-issue-LSU ones.
-PRESET_WORKLOADS = ["coremark-list", "eembc-canrdr", "vec-mac16"]
-ORACLE_CASES = [pytest.param(name, "xt910", id=name)
-                for name in DIFF_WORKLOADS] \
-    + [pytest.param(name, preset, id=f"{name}@{preset}")
-       for preset in sorted(PRESETS) if preset != "xt910"
-       for name in PRESET_WORKLOADS]
-
-#: Workloads checked against the committed golden snapshot here; all 39
-#: goldens are replayed (hooks attached) by
-#: tests/obs/test_trace_differential.py.  The CI bench job is not that
-#: sweep: ``bench --pipeline --quick`` stats-diffs fast vs reference on
-#: the four CoreMark kernels only.
-GOLDEN_SUBSET = ["coremark-list", "coremark-matrix", "coremark-state",
-                 "coremark-crc", "eembc-canrdr", "eembc-idctrn",
-                 "nbench-idea", "stream-triad", "vec-mac16",
-                 "dhrystone-like"]
-
-
-def _workload(name: str):
-    for workload in all_workloads():
-        if workload.name == name:
-            return workload
-    raise KeyError(name)
-
-
-def _run_model(model_cls, program, max_steps=None, preset="xt910"):
-    config = get_preset(preset)
-    model = model_cls(config, MemoryHierarchy(config.mem))
-    emulator = Emulator(program)
-    return model.run(emulator.trace(max_steps, tier=2))
-
-
-@pytest.mark.parametrize("name, preset", ORACLE_CASES)
+@pytest.mark.parametrize("name, preset", [
+    pytest.param(name, "xt910", id=name) for name in REFERENCE_SAMPLE] + [
+    pytest.param(name, preset, id=f"{name}@{preset}")
+    for preset in OTHER_PRESETS for name in PRESET_SAMPLE])
 def test_fast_path_matches_reference_oracle(name, preset):
-    program = _workload(name).program()
-    ref = _run_model(ReferencePipelineModel, program, preset=preset)
-    fast = _run_model(PipelineModel, program, preset=preset)
-    assert fast.as_comparable() == ref.as_comparable()
+    """Stream model == reference model: through the golden snapshot on
+    xt910, in process on the nine other presets."""
+    if preset == "xt910":
+        assert_cells(name, Timed(2), Timed(2, model="reference"))
+    else:
+        assert_cells(name, Timed(2, preset=preset))
 
 
 @pytest.mark.parametrize("name", GOLDEN_SUBSET)
 def test_matches_committed_golden_stats(name):
-    result = run_on_core(_workload(name).program(), "xt910")
-    got = result.stats.as_comparable()
-    want = {key: value for key, value in GOLDEN[name].items()
-            if key in got}
-    assert got == want
+    assert_cells(name, Timed(2))
 
 
 @pytest.mark.parametrize("name", GOLDEN_SUBSET)
 def test_tier3_matches_committed_golden_stats(name):
     """The specializing translator feeds the same timing model the
-    same stream: its stats must hit the frozen oracle exactly, cold
-    (this test's cache dir starts empty) — the warm half lives in
-    tests/sim/test_codegen.py."""
-    result = run_on_core(_workload(name).program(), "xt910", tier=3)
-    got = result.stats.as_comparable()
-    want = {key: value for key, value in GOLDEN[name].items()
-            if key in got}
-    assert got == want
-    assert result.stats.extra["codegen_blocks_compiled"] >= 1
+    same stream: its stats must hit the frozen oracle exactly."""
+    assert_cells(name, Timed(3))
 
 
 def test_golden_file_covers_every_bundled_workload():
@@ -133,8 +95,10 @@ def _whole_run_and_records(name):
     """``run()`` over the natural block batches, and the same stream
     as a flat list of retained records (tier 1 allocates a fresh
     ``DynInst`` per step; tier-2 batches are reused slots)."""
-    program = _workload(name).program()
-    whole = _run_model(PipelineModel, program).as_comparable()
+    program = get_workload(name).program()
+    config = get_preset("xt910")
+    whole = PipelineModel(config, MemoryHierarchy(config.mem)).run(
+        Emulator(program).trace(None, tier=2)).as_comparable()
     return whole, [dyn for (dyn,) in Emulator(program).trace(None)]
 
 
@@ -181,7 +145,7 @@ def test_determinism_and_reset_completeness(name, max_steps):
     """Identical inputs give identical stats — from a fresh model and
     from a reused one (``_reset_run_state`` must forget everything;
     the hierarchy is external state and is swapped fresh)."""
-    program = _workload(name).program()
+    program = get_workload(name).program()
     config = get_preset("xt910")
 
     fresh = PipelineModel(config, MemoryHierarchy(config.mem))
@@ -200,7 +164,7 @@ def test_reset_is_skipped_only_while_nothing_was_timed():
     """``run()`` on a just-constructed model must not rebuild the
     predictors and re-zero the rings a second time; once the model has
     timed anything, the next ``run()`` must."""
-    program = _workload("nbench-fourier").program()
+    program = get_workload("nbench-fourier").program()
     model = PipelineModel(get_preset("xt910"))
     built = model.direction
     model.run(Emulator(program).trace(None, tier=2))
@@ -213,7 +177,7 @@ def test_tcache_revalidates_on_new_instruction_object():
     """The static cache is keyed by PC but validated by ``inst``
     identity: a re-decode (fence.i, icache maintenance) produces a new
     ``Instruction`` object and must force a rebuild."""
-    program = _workload("coremark-list").program()
+    program = get_workload("coremark-list").program()
     model = PipelineModel(get_preset("xt910"))
     (dyn,) = next(Emulator(program).trace(4))
 

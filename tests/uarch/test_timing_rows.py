@@ -4,7 +4,8 @@
 :class:`~repro.sim.trace.RecordBatch` once and keeps the rows on it;
 every other sequence is resolved on the spot, and both feed one body.
 These tests pin what that must not change: the statistics (whatever
-shape the trace arrives in), invalidation (rows die with the block),
+shape the trace arrives in: the equivalence lattice's feed cells),
+invalidation (rows die with the block),
 ownership (one emulator, two models), the counters written back when
 the body is left by an exception, and that a copied or pickled batch
 takes no consumer state with it.
@@ -23,8 +24,9 @@ from repro.sim.emulator import Emulator
 from repro.sim.trace import RecordBatch
 from repro.uarch.core import R_INORDER, PipelineModel
 from repro.uarch.presets import get_preset
+from repro.workloads import get_workload
 
-from .test_timing_fastpath import GOLDEN_SUBSET, _workload
+from ..integration.test_lattice import GOLDEN_SUBSET, Timed, assert_cells
 
 
 def _count_resolves(model):
@@ -46,42 +48,14 @@ def _count_resolves(model):
 
 @pytest.mark.parametrize("name", GOLDEN_SUBSET)
 def test_every_trace_shape_gives_the_same_stats(name):
-    program = _workload(name).program()
-    config = get_preset("xt910")
-
-    by_rows = PipelineModel(config)
-    resolved = _count_resolves(by_rows)
-    batches = 0
-
-    def counted(trace):
-        nonlocal batches
-        for batch in trace:
-            batches += 1
-            yield batch
-
-    want = by_rows.run(counted(Emulator(program).trace(None, tier=2)))
-    want = want.as_comparable()
-    # The row path really ran: far fewer resolutions than batches, and
-    # never the same block twice.
-    assert 0 < len(resolved) < batches
-    assert len({id(batch) for batch in resolved}) == len(resolved)
-
-    plain = PipelineModel(config).run(
-        list(batch) for batch in Emulator(program).trace(None, tier=2))
-    assert plain.as_comparable() == want
-
-    records = [dyn for (dyn,) in Emulator(program).trace(None)]
-    singles = PipelineModel(config).run((dyn,) for dyn in records)
-    assert singles.as_comparable() == want
-
-    chunked = PipelineModel(config)
-    for pos in range(0, len(records), 7):
-        chunked.run_quantum(records[pos:pos + 7])
-    assert chunked.finish().as_comparable() == want
+    """Resolved tier-2 blocks, plain lists, tier-1 singles and chunks
+    of 7 through ``run_quantum``: one answer, the golden one."""
+    assert_cells(name, Timed(2), Timed(2, feed="lists"), Timed(1),
+                 Timed(1, feed="chunks"))
 
 
 def test_an_empty_batch_is_a_no_op():
-    program = _workload("nbench-fourier").program()
+    program = get_workload("nbench-fourier").program()
     config = get_preset("xt910")
     want = PipelineModel(config).run(Emulator(program).trace(None, tier=2))
 
@@ -162,7 +136,7 @@ def test_retranslated_block_gets_fresh_rows(tier):
 # -- (iii) rows belong to the model that wrote them --------------------------
 
 def test_two_models_sharing_one_emulators_batches():
-    program = _workload("eembc-canrdr").program()
+    program = get_workload("eembc-canrdr").program()
     configs = [get_preset("xt910"), get_preset("u74")]
 
     solo = [PipelineModel(config).run(Emulator(program).trace(None, tier=2))
@@ -217,7 +191,7 @@ def test_exception_mid_batch_leaves_per_instruction_counts():
     for name, fail_on in [("dhrystone-like", 1), ("dhrystone-like", 2),
                           ("dhrystone-like", 4), ("stream-triad", 5),
                           ("stream-triad", 13)]:
-        program = _workload(name).program()
+        program = get_workload(name).program()
         # One record per batch: the generator knows which instruction
         # was in flight, so the expected counts need no model — every
         # instruction handed over was fetched; all but the last
@@ -256,7 +230,7 @@ def test_exception_mid_batch_leaves_per_instruction_counts():
 # -- (v) a copied batch takes no consumer state with it ----------------------
 
 def test_record_batch_copies_and_pickles_as_a_list():
-    program = _workload("nbench-fourier").program()
+    program = get_workload("nbench-fourier").program()
     model = PipelineModel(get_preset("xt910"))
     emulator = Emulator(program)
     model.run(emulator.trace(None, tier=2))

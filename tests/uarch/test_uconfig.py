@@ -23,19 +23,12 @@ from repro.harness.runner import run_on_core
 from repro.uarch import uconfig
 from repro.uarch.config import CoreConfig
 from repro.uarch.presets import PRESETS, get_preset
-from repro.workloads import all_workloads
+from repro.workloads import get_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CONFIGS = REPO_ROOT / "configs"
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_stats.json").read_text())
-
-
-def _workload(name: str):
-    for workload in all_workloads():
-        if workload.name == name:
-            return workload
-    raise KeyError(name)
 
 
 # -- schema ------------------------------------------------------------------
@@ -267,7 +260,7 @@ def test_golden_stats_bit_identical_from_committed_config():
     are interchangeable down to the last counter."""
     config = uconfig.load_config(str(CONFIGS / "xt910.yaml"))
     for name in ("coremark-list", "blockchain-base"):
-        result = run_on_core(_workload(name).program(), config)
+        result = run_on_core(get_workload(name).program(), config)
         got = result.stats.as_comparable()
         want = {key: value for key, value in GOLDEN[name].items()
                 if key in got}
