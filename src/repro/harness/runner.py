@@ -76,8 +76,8 @@ def run_on_core(program: Program, core: CoreConfig | str,
     carries the complete :class:`RunResult`.
     """
     config = get_preset(core) if isinstance(core, str) else core
-    emulator = (Emulator(program, instruction_limit=max_insts)
-                if max_insts is not None else Emulator(program))
+    emulator = Emulator(program, instruction_limit=max_insts,
+                        vlen=config.vlen)
     pipeline = PipelineModel(config, hierarchy=hierarchy)
     pipeline.tracer = tracer
     pipeline.profiler = profiler

@@ -95,9 +95,10 @@ class Emulator:
                  load: bool = True, interrupt_fn=None,
                  enable_mmu: bool = False,
                  instruction_limit: int | None = None,
-                 fault_injector=None, code_cache_dir: str | None = None):
+                 fault_injector=None, code_cache_dir: str | None = None,
+                 vlen: int = MachineState.VLEN_DEFAULT):
         self.program = program
-        self.state = MachineState(memory=memory, hart_id=hart_id)
+        self.state = MachineState(memory=memory, hart_id=hart_id, vlen=vlen)
         #: optional zero-arg callable returning pending mip bits
         #: (wired to a CLINT/PLIC via repro.smp.interrupts)
         self.interrupt_fn = interrupt_fn

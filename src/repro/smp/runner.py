@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from ..asm.program import Program, STACK_TOP
 from ..sim.emulator import Emulator
 from ..sim.memory import Memory
+from ..sim.state import MachineState
 from ..sim.trace import DynInst
 
 
@@ -34,13 +35,14 @@ class SmpMachine:
     """N harts, one physical memory, round-robin interleaving."""
 
     def __init__(self, program: Program, cores: int = 4,
-                 interleave: int = 1):
+                 interleave: int = 1,
+                 vlen: int = MachineState.VLEN_DEFAULT):
         self.memory = Memory()
         self.memory.load_program(program)
         self.interleave = interleave
         self.harts = [
             Emulator(program, memory=self.memory, hart_id=i,
-                     stack_top=STACK_TOP, load=False)
+                     stack_top=STACK_TOP, load=False, vlen=vlen)
             for i in range(cores)
         ]
         # Any store by another hart breaks an LR reservation; emulators

@@ -108,7 +108,8 @@ def run_smp_timing(program: Program, cores: int = 4,
     config = config if config is not None else xt910()
 
     # 1. Functional SMP run, collecting per-hart traces.
-    machine = SmpMachine(program, cores=cores, interleave=interleave)
+    machine = SmpMachine(program, cores=cores, interleave=interleave,
+                         vlen=config.vlen)
     traces: list[list[DynInst]] = [[] for _ in range(cores)]
     for index, record in machine.steps(max_steps_per_hart):
         traces[index].append(record)

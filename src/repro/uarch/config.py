@@ -65,7 +65,6 @@ class FuConfig:
 class LsuConfig:
     """Load-store unit (section V.A, V.B)."""
 
-    lq_entries: int = 32
     sq_entries: int = 24
     dual_issue: bool = True        # dedicated load pipe + store pipe
     pseudo_dual_store: bool = True  # st.addr / st.data uop split
@@ -81,7 +80,6 @@ class CoreConfig:
     """One core's complete microarchitecture description."""
 
     name: str = "xt910"
-    frequency_mhz: int = 2500
     out_of_order: bool = True
     decode_width: int = 3
     rename_width: int = 4
@@ -89,16 +87,12 @@ class CoreConfig:
     retire_width: int = 4
     rob_entries: int = 192
     iq_entries: int = 48
-    phys_int_regs: int = 128
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     fu: FuConfig = field(default_factory=FuConfig)
     lsu: LsuConfig = field(default_factory=LsuConfig)
     mem: MemHierConfig = field(default_factory=MemHierConfig)
     vector_enabled: bool = True
     vlen: int = 128
-    # ISA feature switches (Fig. 20: extensions can be disabled for
-    # standard-RISC-V-compatible mode).
-    xt_extensions: bool = True
 
     @property
     def dispatch_width(self) -> int:

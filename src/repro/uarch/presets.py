@@ -38,12 +38,14 @@ def _mem(l1_kb: int = 64, l2_kb: int = 2048, dram_latency: int = 160,
 
 
 def xt910(l1_kb: int = 64, l2_kb: int = 2048,
-          vector: bool = True, xt_extensions: bool = True,
-          dram_latency: int = 160) -> CoreConfig:
-    """The XT-910: 12-stage, 3-decode, 8-issue OoO, RV64GCV (+custom)."""
+          vector: bool = True, dram_latency: int = 160) -> CoreConfig:
+    """The XT-910: 12-stage, 3-decode, 8-issue OoO, RV64GCV (+custom).
+
+    The custom extensions are not a core knob: Fig. 20 switches them
+    off in the compiler personality (``toolchain.CodegenOptions``).
+    """
     return CoreConfig(
         name="xt910" + ("" if vector else "-novec"),
-        frequency_mhz=2500,
         out_of_order=True,
         decode_width=3, rename_width=4, issue_width=8, retire_width=4,
         rob_entries=192, iq_entries=48,
@@ -52,15 +54,7 @@ def xt910(l1_kb: int = 64, l2_kb: int = 2048,
         lsu=LsuConfig(),
         mem=_mem(l1_kb, l2_kb, dram_latency),
         vector_enabled=vector,
-        xt_extensions=xt_extensions,
     )
-
-
-def xt910_base_isa(**kw) -> CoreConfig:
-    """XT-910 with the non-standard extensions disabled (Fig. 20 mode:
-    'fully compatible with the standard RISC-V')."""
-    cfg = xt910(xt_extensions=False, **kw)
-    return replace(cfg, name="xt910-baseisa")
 
 
 def u74(l1_kb: int = 32, l2_kb: int = 2048) -> CoreConfig:
@@ -68,7 +62,6 @@ def u74(l1_kb: int = 32, l2_kb: int = 2048) -> CoreConfig:
     'by far the highest performance RISC-V processor available')."""
     return CoreConfig(
         name="u74",
-        frequency_mhz=1500,
         out_of_order=False,
         decode_width=2, rename_width=2, issue_width=2, retire_width=2,
         rob_entries=8, iq_entries=8,
@@ -82,11 +75,11 @@ def u74(l1_kb: int = 32, l2_kb: int = 2048) -> CoreConfig:
             taken_bubble_l1=1, taken_bubble_miss=2, mispredict_extra=1),
         fu=FuConfig(alu_count=2, fpu_count=1, mul_latency=3,
                     div_latency_min=6, div_latency_max=34),
-        lsu=LsuConfig(lq_entries=4, sq_entries=4, dual_issue=False,
+        lsu=LsuConfig(sq_entries=4, dual_issue=False,
                       pseudo_dual_store=False, memdep_predictor=False,
                       load_to_use=2),
         mem=_mem(l1_kb, l2_kb, prefetch=True, pf_distance=4),
-        vector_enabled=False, xt_extensions=False,
+        vector_enabled=False,
     )
 
 
@@ -115,7 +108,6 @@ def cortex_a73(l1_kb: int = 64, l2_kb: int = 2048) -> CoreConfig:
     system (the paper's primary non-RISC-V reference, section X)."""
     return CoreConfig(
         name="cortex-a73",
-        frequency_mhz=2400,
         out_of_order=True,
         decode_width=2, rename_width=4, issue_width=7, retire_width=4,
         rob_entries=64, iq_entries=40,
@@ -130,13 +122,13 @@ def cortex_a73(l1_kb: int = 64, l2_kb: int = 2048) -> CoreConfig:
         fu=FuConfig(alu_count=2, fpu_count=2, mul_latency=3,
                     div_latency_min=4, div_latency_max=20,
                     fp_latency=3, fmul_latency=4),
-        lsu=LsuConfig(lq_entries=32, sq_entries=16, dual_issue=True,
+        lsu=LsuConfig(sq_entries=16, dual_issue=True,
                       pseudo_dual_store=False, memdep_predictor=True,
                       load_to_use=3),
         # The Kirin-970 testbed's mature mobile memory path: lower
         # effective DRAM latency and the A73's 8-entry linefill buffer.
         mem=_mem(l1_kb, l2_kb, dram_latency=135, pf_distance=12, mshrs=8),
-        vector_enabled=False, xt_extensions=False,
+        vector_enabled=False,
     )
 
 
@@ -204,7 +196,6 @@ def rocket(l1_kb: int = 16, l2_kb: int = 512) -> CoreConfig:
 PRESETS = {
     "xt910": xt910,
     "xt910-novec": lambda **kw: xt910(vector=False, **kw),
-    "xt910-baseisa": xt910_base_isa,
     "u74": u74,
     "u54": u54,
     "cortex-a73": cortex_a73,

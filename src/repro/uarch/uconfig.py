@@ -17,7 +17,7 @@ overwrite, nested mappings merge key-by-key, and a mapping carrying
 
 The bundled Python presets (:mod:`repro.uarch.presets`) remain the
 ground truth; the committed files under ``configs/`` are their dumped
-form, and :func:`load_config` of each is asserted *equal* to the
+form, and :func:`resolve_core` of each is asserted *equal* to the
 constructor output (dataclass equality, hence golden-stats
 bit-identity) by tests and the ``config-validate`` CI job.
 
@@ -46,8 +46,9 @@ except ImportError:  # minimal environments: JSON documents still work
 
 #: Bump when the document schema changes incompatibly; part of every
 #: config digest so stale cached sweep results can never be replayed
-#: against a reinterpreted document.
-SCHEMA_VERSION = 1
+#: against a reinterpreted document.  Version 2 dropped the four knobs
+#: the simulator never read.
+SCHEMA_VERSION = 2
 
 #: Top-level keys that are documentation, not knobs.
 _META_KEYS = frozenset({"description"})
@@ -66,10 +67,10 @@ _WIDTH_FIELDS = frozenset({
 #: Knobs that must be strictly positive (zero would be a degenerate,
 #: not-a-core configuration the timing model does not defend against).
 _POSITIVE_FIELDS = frozenset({
-    "frequency_mhz", "rob_entries", "iq_entries", "phys_int_regs",
+    "rob_entries", "iq_entries",
     "fetch_bytes", "ibuf_entries", "depth", "line_size",
     "l1i_size", "l1i_assoc", "l1d_size", "l1d_assoc",
-    "l2_size", "l2_assoc", "lq_entries", "sq_entries",
+    "l2_size", "l2_assoc", "sq_entries",
     "utlb_entries", "jtlb_entries", "jtlb_ways", "asid_bits",
     "bytes_per_cycle", "streams", "max_depth", "distance",
     "mul_latency", "div_latency_min", "div_latency_max",
@@ -438,12 +439,6 @@ def resolve_core(core: CoreConfig | Mapping[str, Any] | str,
     return config_from_doc(doc, source)
 
 
-def load_config(path: str,
-                extends: tuple[str, ...] | list[str] = ()) -> CoreConfig:
-    """``--uarch path --extend overlay...`` in one call."""
-    return resolve_core(path, extends)
-
-
 # -- committed-config gate ---------------------------------------------------
 
 
@@ -469,7 +464,7 @@ def check_committed_configs(root: str = "configs") -> list[str]:
         stem = filename.rsplit(".", 1)[0]
         seen.add(stem)
         try:
-            loaded = load_config(path)
+            loaded = resolve_core(path)
         except (UconfigError, OSError) as exc:
             problems.append(f"{path}: {exc}")
             continue
@@ -523,6 +518,6 @@ __all__ = [
     "SCHEMA_VERSION", "UconfigError", "schema", "validate",
     "config_to_doc", "config_from_doc", "merge_overlay",
     "apply_overrides", "load_doc", "dump_doc", "dump_config",
-    "canonical_json", "config_digest", "resolve_core", "load_config",
+    "canonical_json", "config_digest", "resolve_core",
     "describe_core_choices", "check_committed_configs",
 ]

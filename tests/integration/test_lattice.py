@@ -39,6 +39,7 @@ from repro.service.job import TIER_MODES
 from repro.sim import Emulator, WatchdogExpired, exec_vector
 from repro.sim.trace import RecordBatch
 from repro.smp.runner import SmpMachine
+from repro.uarch import uconfig
 from repro.uarch.core import PipelineModel
 from repro.uarch.presets import PRESETS, get_preset
 from repro.uarch.refmodel import ReferencePipelineModel
@@ -47,6 +48,7 @@ from repro.workloads.vector import vec_gather, vec_memcpy
 
 GOLDEN = json.loads((Path(__file__).parents[1] / "uarch"
                      / "golden_stats.json").read_text())
+OVERLAYS = Path(__file__).parents[2] / "configs" / "overlays"
 
 FIELDS = ("seq", "pc", "next_pc", "taken", "target", "mem_addr",
           "mem_size", "vl", "sew", "div_bits")
@@ -89,6 +91,7 @@ class Functional(Corner):
     cache: str = ""            # tier 3: "cold" or "warm"
     sanitizer: bool = False    # tier 2 (a sanitizer caps tier 3 there)
     smp: bool = False          # tier 1: SmpMachine(program, cores=1)
+    vlen: int = 128            # oracle: the precise corner at this VLEN
 
 
 @dataclass(frozen=True)
@@ -99,10 +102,12 @@ class Timed(Corner):
     model: str = "stream"      # or "reference"
     path: str = "core"         # run_on_core, or a "job" and a "store" hit
     preset: str = "xt910"
+    vlen: int = 128            # else the preset + configs/overlays/vlen<N>
 
 
 PRECISE = Functional(tier=1)
 TIERS = (1, 2, 3)
+WIDE = 256
 
 #: every corner, in the order a program runs them (a warm corner reads
 #: what its cold one persisted, a store corner what its job stored)
@@ -119,38 +124,53 @@ CORNERS: tuple = tuple(
     + [Timed(tier, model="reference") for tier in TIERS]
     + [Timed(tier, path=path) for path in ("job", "store") for tier in TIERS]
     + [Timed(2, preset=preset) for preset in sorted(PRESETS)
-       if preset != "xt910"])
+       if preset != "xt910"]
+    + [Functional(tier, engine, "cold" if tier == 3 else "", vlen=WIDE)
+       for engine in ("numpy", "ref") for tier in TIERS
+       if (tier, engine) != (1, "numpy")]
+    + [Timed(3, vlen=WIDE)])
 
 
 def reachable(corner, run: Run) -> bool:
-    """The ref engine only for programs that retire vector code, the
-    reference model only where the oracle is not itself, the service
-    only for guests that exit 0 (a timed job fails on any other)."""
+    """The ref engine and another VLEN only for programs that retire
+    vector code, the reference model only where the oracle is not
+    itself, the service only for guests that exit 0 (a timed job fails
+    on any other)."""
+    if (isinstance(corner, Functional) and corner.engine == "ref"
+            or corner.vlen != PRECISE.vlen):
+        return run.precise()["vector records"] > 0
     if isinstance(corner, Functional):
-        return corner.engine == "numpy" or run.precise["vector records"] > 0
+        return True
     if corner.model == "reference":
-        return run.golden(corner.preset) is not None
-    return corner.path == "core" or run.precise["exit_code"] == 0
+        return run.golden(corner) is not None
+    return corner.path == "core" or run.precise()["exit_code"] == 0
 
 
 # -- running one corner -------------------------------------------------------
 
 @contextlib.contextmanager
-def _resolutions():
-    """Every ``RecordBatch`` a ``PipelineModel`` resolves, however deep
-    the call that runs the model."""
-    seen, resolve = [], PipelineModel._resolve
+def _calls(cls, name: str):
+    """(self, first argument) of every ``cls.name`` call, however deep
+    the call that makes it."""
+    seen, method = [], getattr(cls, name)
 
-    def recording(self, batch):
-        if type(batch) is RecordBatch:
-            seen.append(batch)
-        return resolve(self, batch)
+    def recording(self, first, *args, **kwargs):
+        seen.append((self, first))
+        return method(self, first, *args, **kwargs)
 
-    PipelineModel._resolve = recording
+    setattr(cls, name, recording)
     try:
         yield seen
     finally:
-        PipelineModel._resolve = resolve
+        setattr(cls, name, method)
+
+
+def config_of(corner: Timed):
+    """The core a timed corner runs on."""
+    if corner.vlen == PRECISE.vlen:
+        return get_preset(corner.preset)
+    return uconfig.resolve_core(
+        corner.preset, [str(OVERLAYS / f"vlen{corner.vlen}.yaml")])
 
 
 def _failed(proofs: dict) -> list[str]:
@@ -165,29 +185,39 @@ class Run:
     def __init__(self, workload: Workload, scratch: str):
         self.workload, self.scratch = workload, scratch
         self.program = workload.program()
-        self.references: dict[str, dict] = {}
-        #: engine -> the code cache its cold tier-3 run persisted (or None)
-        self.warm: dict[str, str | None] = {}
+        #: VLEN -> the precise corner's answer at that VLEN
+        self.answers: dict[int, dict] = {}
+        #: (preset, VLEN) -> the reference model's stats
+        self.references: dict[tuple[str, int], dict] = {}
+        #: (engine, VLEN) -> the code cache its cold tier-3 run persisted
+        #: (or None)
+        self.warm: dict[tuple[str, int], str | None] = {}
         self.verdicts: dict = {}
 
-    @functools.cached_property
-    def precise(self) -> dict:
-        answer, failed = self.functional(PRECISE)
-        assert not failed, failed
-        return answer
+    def precise(self, vlen: int = PRECISE.vlen) -> dict:
+        if vlen not in self.answers:
+            answer, failed = self.functional(
+                dataclasses.replace(PRECISE, vlen=vlen))
+            assert not failed, failed
+            self.answers[vlen] = answer
+        return self.answers[vlen]
 
-    def golden(self, preset: str) -> dict | None:
-        return GOLDEN.get(self.workload.name) if preset == "xt910" else None
+    def golden(self, corner: Timed) -> dict | None:
+        return (GOLDEN.get(self.workload.name)
+                if (corner.preset, corner.vlen) == ("xt910", PRECISE.vlen)
+                else None)
 
-    def oracle(self, preset: str) -> dict:
-        if self.golden(preset) is not None:
-            return self.golden(preset)
-        if preset not in self.references:
-            config = get_preset(preset)
+    def oracle(self, corner: Timed) -> dict:
+        if self.golden(corner) is not None:
+            return self.golden(corner)
+        key = corner.preset, corner.vlen
+        if key not in self.references:
+            config = config_of(corner)
             model = ReferencePipelineModel(config, MemoryHierarchy(config.mem))
-            self.references[preset] = model.run(Emulator(
-                self.program).trace(None, tier=1)).as_comparable()
-        return self.references[preset]
+            self.references[key] = model.run(Emulator(
+                self.program, vlen=config.vlen).trace(None, tier=1)
+            ).as_comparable()
+        return self.references[key]
 
     def verdict(self, corner) -> str | None:
         """None when *corner* cannot run this program; else every field
@@ -200,11 +230,11 @@ class Run:
         if not reachable(corner, self):
             return None
         if isinstance(corner, Functional):
-            outcome, want = self.functional(corner), self.precise
+            outcome, want = self.functional(corner), self.precise(corner.vlen)
             if outcome is None:
                 return None
         else:
-            outcome, want = self.timed(corner), self.oracle(corner.preset)
+            outcome, want = self.timed(corner), self.oracle(corner)
         got, failed = outcome
         return ", ".join(sorted(key for key in want.keys() | got.keys()
                                 if want.get(key) != got.get(key))
@@ -213,11 +243,11 @@ class Run:
     def functional(self, corner: Functional):
         """(answer, failed proofs), or None for a warm corner whose cold
         run persisted nothing."""
-        cache_dir = None
+        cache_dir, warm = None, (corner.engine, corner.vlen)
         if corner.cache == "warm":
-            if corner.engine not in self.warm:
+            if warm not in self.warm:
                 self.functional(dataclasses.replace(corner, cache="cold"))
-            cache_dir = self.warm[corner.engine]
+            cache_dir = self.warm[warm]
             if cache_dir is None:
                 return None
         elif corner.cache == "cold":
@@ -226,11 +256,12 @@ class Run:
         exec_vector.select_engine(corner.engine)
         try:
             if corner.smp:
-                machine = SmpMachine(self.program, cores=1)
+                machine = SmpMachine(self.program, cores=1, vlen=corner.vlen)
                 emulator = machine.harts[0]
                 records = [project(record) for _, record in machine.steps()]
             else:
-                emulator = Emulator(self.program, code_cache_dir=cache_dir)
+                emulator = Emulator(self.program, code_cache_dir=cache_dir,
+                                    vlen=corner.vlen)
                 if corner.sanitizer:
                     emulator.sanitizer = Sanitizer(self.program, strict=False)
                 records = stream(emulator.trace(None, tier=corner.tier))
@@ -239,8 +270,8 @@ class Run:
             exec_vector.select_engine(entered)
         counters = emulator.counters()
         if corner.cache == "cold":
-            self.warm[corner.engine] = (cache_dir if counters[
-                "codegen_persisted"] else None)
+            self.warm[warm] = (cache_dir if counters["codegen_persisted"]
+                               else None)
         # a digest, not the records: plan answers live as long as the process
         return {"records": len(records), "stream": hash(tuple(records)),
                 "vector records": sum(record[0][0] == "v"
@@ -251,6 +282,8 @@ class Run:
             or not any(emulator.state.vec_counters.values()),
             f"ran tier {emulator.tier}":
                 emulator.tier == (None if corner.smp else corner.tier),
+            f"ran at VLEN {emulator.state.vlen}":
+                emulator.state.vlen == corner.vlen,
             "stores not bridged": not corner.smp
             or "store_int" in emulator.state.memory.__dict__,
             "sanitizer checked nothing": not corner.sanitizer
@@ -265,24 +298,28 @@ class Run:
         """(``as_comparable()``, failed proofs)."""
         if corner.path != "core":
             return self._served(corner)
-        config = get_preset(corner.preset)
+        config = config_of(corner)
         tracer = PipelineTracer(window=256) if corner.hooks else None
         profiler = GuestProfiler() if corner.hooks else None
         proofs = {}
         if corner.model == "stream" and corner.feed == "batches":
-            with _resolutions() as resolved:
+            with _calls(PipelineModel, "_resolve") as resolves, \
+                    _calls(Emulator, "__init__") as built:
                 try:
                     result = run_on_core(self.program, config,
                                          tier=corner.tier, tracer=tracer,
                                          profiler=profiler)
                 except GuestExit as exc:
                     result = exc.result
+            [(emulator, _)] = built
+            resolved = [batch for _, batch in resolves
+                        if type(batch) is RecordBatch]
             stats, tier = result.stats, result.stats.extra["tier"]
             proofs["a block resolved twice, or none on tier 2/3"] = (
                 len({id(batch) for batch in resolved}) == len(resolved)
                 and bool(resolved) == (tier > 1))
         else:
-            emulator = Emulator(self.program)
+            emulator = Emulator(self.program, vlen=config.vlen)
             batches = emulator.trace(None, tier=corner.tier)
             if corner.model == "reference":
                 stats = ReferencePipelineModel(
@@ -302,6 +339,8 @@ class Run:
                     stats = model.finish()
             tier = emulator.tier
         proofs[f"ran tier {tier}"] = tier == corner.tier
+        proofs[f"ran at VLEN {emulator.state.vlen}"] = (
+            emulator.state.vlen == corner.vlen)
         proofs["hooks missed records"] = not corner.hooks or (
             tracer.recorded == profiler.recorded == stats.instructions)
         return stats.as_comparable(), _failed(proofs)
@@ -353,7 +392,7 @@ GOLDEN_SUBSET = ["coremark-list", "coremark-matrix", "coremark-state",
                  "coremark-crc", "eembc-canrdr", "eembc-idctrn",
                  "nbench-idea", "stream-triad", "vec-mac16", "dhrystone-like"]
 #: through the reference model on xt910, and the stream model on the
-#: nine other presets (golden stats are xt910's only)
+#: eight other presets (golden stats are xt910's only)
 REFERENCE_SAMPLE = ["coremark-list", "coremark-state", "eembc-canrdr",
                     "vec-mac16"]
 PRESET_SAMPLE = ["coremark-list", "eembc-canrdr", "vec-mac16"]
@@ -448,6 +487,8 @@ PLAN_ROWS = [
               Timed(2, path="job"), Timed(2, path="store")]),
     (["vec-gather"], [Timed(tier, path=path) for tier in (1, 3)
                       for path in ("job", "store")]),
+    (["vec-axpy-f32", "vec-strcmp", MASKED.name],
+     [corner for corner in CORNERS if corner.vlen == WIDE]),
 ]
 PLAN = {name: sorted({corner for names, corners in PLAN_ROWS if name in names
                       for corner in corners}, key=CORNERS.index)

@@ -60,7 +60,7 @@ GOLDEN = json.loads(
     for preset in OTHER_PRESETS for name in PRESET_SAMPLE])
 def test_fast_path_matches_reference_oracle(name, preset):
     """Stream model == reference model: through the golden snapshot on
-    xt910, in process on the nine other presets."""
+    xt910, in process on the eight other presets."""
     if preset == "xt910":
         assert_cells(name, Timed(2), Timed(2, model="reference"))
     else:

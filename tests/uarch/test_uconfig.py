@@ -5,8 +5,9 @@ wrong type, out-of-range width — each reported with its dotted path),
 overlay precedence and ``replace: true`` semantics, a hypothesis
 round-trip property (document -> CoreConfig -> document is a fixed
 point under random knob edits), preset<->committed-config equivalence,
-and golden-stats bit-identity for a core built from the committed
-``configs/xt910.yaml`` instead of the Python constructor.
+golden-stats bit-identity for a core built from the committed
+``configs/xt910.yaml`` instead of the Python constructor, and the
+``vlen256`` overlay reaching the emulator.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.runner import run_on_core
+from repro.sim import Emulator
 from repro.uarch import uconfig
 from repro.uarch.config import CoreConfig
 from repro.uarch.presets import PRESETS, get_preset
@@ -44,6 +46,14 @@ def test_schema_covers_every_dataclass_leaf():
     # Derived from the dataclass tree: top-level field count matches.
     top = {path.split(".")[0] for path in knobs}
     assert top == {f.name for f in dataclasses.fields(CoreConfig)}
+
+
+def test_validator_rule_tables_name_schema_leaves():
+    """A knob deleted from the model cannot linger in a rule table."""
+    leaves = {path.rsplit(".", 1)[-1] for path in uconfig.schema()}
+    ruled = (uconfig._WIDTH_FIELDS | uconfig._POSITIVE_FIELDS
+             | set(uconfig._CHOICE_FIELDS) | uconfig._POW2_FIELDS)
+    assert ruled <= leaves, sorted(ruled - leaves)
 
 
 def test_unknown_key_names_the_path_and_known_keys():
@@ -205,7 +215,7 @@ def test_json_dump_load_round_trip(tmp_path):
     config = get_preset("u74")
     path = str(tmp_path / "u74.json")
     uconfig.dump_config(config, path, description="round trip")
-    assert uconfig.load_config(path) == config
+    assert uconfig.resolve_core(path) == config
     doc = uconfig.load_doc(path)
     assert doc["description"] == "round trip"
 
@@ -215,7 +225,7 @@ def test_yaml_dump_load_round_trip(tmp_path):
     config = get_preset("xt910")
     path = str(tmp_path / "xt910.yaml")
     uconfig.dump_config(config, path)
-    assert uconfig.load_config(path) == config
+    assert uconfig.resolve_core(path) == config
 
 
 def test_extends_files_merge_in_order(tmp_path):
@@ -250,7 +260,7 @@ def test_each_preset_has_committed_equal_config(name):
     assert path.exists(), f"configs/{name}.yaml is not committed"
     if uconfig.yaml is None:
         pytest.skip("PyYAML not installed")
-    assert uconfig.load_config(str(path)) == get_preset(name)
+    assert uconfig.resolve_core(str(path)) == get_preset(name)
 
 
 @pytest.mark.skipif(uconfig.yaml is None, reason="PyYAML not installed")
@@ -258,7 +268,7 @@ def test_golden_stats_bit_identical_from_committed_config():
     """A core built from configs/xt910.yaml produces the exact
     committed golden stats — file-based and constructor-based configs
     are interchangeable down to the last counter."""
-    config = uconfig.load_config(str(CONFIGS / "xt910.yaml"))
+    config = uconfig.resolve_core(str(CONFIGS / "xt910.yaml"))
     for name in ("coremark-list", "blockchain-base"):
         result = run_on_core(get_workload(name).program(), config)
         got = result.stats.as_comparable()
@@ -274,3 +284,33 @@ def test_committed_overlays_merge_onto_xt910():
     for path in overlays:
         config = uconfig.resolve_core("xt910", extends=(str(path),))
         assert isinstance(config, CoreConfig)
+
+
+@pytest.mark.skipif(uconfig.yaml is None, reason="PyYAML not installed")
+def test_vlen256_overlay_widens_what_the_emulator_executes():
+    """``vlen`` reaches the emulator: a strip-mined kernel takes longer
+    strips, retires fewer instructions and still verifies; scalar
+    programs time exactly as on the base core."""
+    base = get_preset("xt910")
+    wide = uconfig.resolve_core(
+        "xt910", [str(CONFIGS / "overlays" / "vlen256.yaml")])
+    workload = get_workload("vec-axpy-f32")
+    program = workload.program()
+    vls = {}
+    for config in (base, wide):
+        emulator = Emulator(program, vlen=config.vlen)
+        vls[config.vlen] = {record.vl for batch in emulator.trace(None)
+                            for record in batch if record.vl}
+        assert emulator.state.vlen == config.vlen
+        assert emulator.exit_code == 0
+        assert emulator.state.memory.load_int(
+            program.symbol(workload.result_symbol), 8) == workload.reference()
+    assert max(vls[256]) == 2 * max(vls[128])
+    narrow, wider = (run_on_core(program, config, tier=3).stats
+                     for config in (base, wide))
+    assert wider.instructions == 1517 < narrow.instructions
+    assert wider.cycles < narrow.cycles
+    for name in ("coremark-list", "nbench-fourier", "stream-triad"):
+        scalar = get_workload(name).program()
+        assert run_on_core(scalar, base, tier=3).stats.as_comparable() \
+            == run_on_core(scalar, wide, tier=3).stats.as_comparable()
