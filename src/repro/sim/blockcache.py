@@ -8,7 +8,9 @@ actual instruction semantics by ~3:1, so this module translates each
 basic block exactly once into a :class:`TranslatedBlock`:
 
 * handler references are resolved at translation time (no
-  ``SCALAR_EXEC``/``VECTOR_EXEC`` dict lookup per step),
+  ``SCALAR_EXEC``/``VECTOR_EXEC`` dict lookup per step); a vector
+  instruction gets a handler of its own that keeps its operand
+  binding (:func:`~repro.sim.exec_vector.bind_handler`),
 * fall-through PCs are pre-computed per entry,
 * each entry owns a reusable ``DynInst`` slot, pre-filled with every
   field that is constant across executions (pc, inst, and — for pure
@@ -40,7 +42,7 @@ from __future__ import annotations
 from ..isa.csr import PrivMode, TrapCause
 from ..isa.instructions import InstrClass
 from .exec_scalar import SCALAR_EXEC, EcallShim, Trap
-from .exec_vector import VECTOR_EXEC
+from .exec_vector import VECTOR_EXEC, bind_handler
 from .syscalls import ExitRequest
 from .trace import DynInst, RecordBatch
 
@@ -182,12 +184,12 @@ class BlockEngine:
             vector = False
             handler = SCALAR_EXEC.get(mnemonic)
             if handler is None:
-                handler = VECTOR_EXEC.get(mnemonic)
-                if handler is None:
+                if mnemonic not in VECTOR_EXEC:
                     if not entries:
                         raise EmulatorError(
                             f"no semantics for {mnemonic} at pc={cur:#x}")
                     break
+                handler = bind_handler(inst)
                 vector = True
             fall = (cur + inst.size) & _MASK64
             iclass = spec.iclass

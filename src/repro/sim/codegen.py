@@ -52,7 +52,7 @@ from collections.abc import Iterator, Sequence
 from .. import source_digest
 from ..isa.instructions import InstrClass
 from .exec_scalar import EcallShim, Trap
-from .exec_vector import active_engine, specialize
+from .exec_vector import active_engine, bind_handler
 from .syscalls import ExitRequest
 from .blockcache import (
     FLAG_FENCE_I,
@@ -400,21 +400,20 @@ class _Emitter:
             return
         # -- the full step()-equivalent dance --------------------------------
         self.needs_cold_state = True
-        if static_vtype is not None:
-            # vtype is provably static here (a constant-imm vsetvli
-            # dominates this entry inside the block): bind a handler
-            # with SEW/LMUL constant-folded when the active vector
-            # engine offers one, else the generic tier-2 handler.
-            sew_c, lmul_c = static_vtype
-            self.params.append(
-                f"h{k}=_vspec({spec.mnemonic!r}, {sew_c}, {lmul_c})"
-                f" or E[{k}][0]")
+        vector = bool(flags & FLAG_VECTOR)
+        if vector:
+            # A handler of this variant's own for the instruction; a
+            # static vtype (a constant-imm vsetvli dominates the entry
+            # inside the block) is passed on and counted as specialized.
+            # The run variant only runs under Emulator.run's errstate
+            # scope, so its FP handlers open none per op.
+            self.params.append(f"h{k}=_vbind(E[{k}][1], {static_vtype!r}, "
+                               f"{self.trace})")
         else:
             self.params.append(f"h{k}=E[{k}][0]")
         self.params.append(f"i{k}=E[{k}][1]")
         terminator = spec.iclass in (InstrClass.BRANCH, InstrClass.JUMP,
                                      InstrClass.SYSTEM, InstrClass.CSR)
-        vector = bool(flags & FLAG_VECTOR)
         rec = f"r{k}" if self.trace else "None"
         self.out(f"state.pc = {pc}")
         self.out(f"state.instret = n0 + {k}")
@@ -425,22 +424,21 @@ class _Emitter:
         self.out("sd.div_bits = 0")
         self.out(f"rc(({pc}, i{k}))")
         self.out("try:")
-        if vector:
-            self.out(f"    h{k}(state, i{k})")
-            self.out("    np = None")
-        else:
-            self.out(f"    np = h{k}(state, i{k})")
+        # a vector handler's return value is discarded: it falls through
+        self.out(f"    h{k}(state, i{k})" if vector
+                 else f"    np = h{k}(state, i{k})")
         self.out("except X as exc:")
         self.out(f"    cold(emu, exc, {fall}, {rec})")
         self.out(f"    return {k + 1}")
         if flags & (FLAG_FENCE_I | FLAG_SFENCE):
             self.out("emu._decode_cache.clear()")
             self.out("eng.on_fence()")
-        self.out("if np is None:")
-        self.out(f"    np = {fall}")
+        if not vector:
+            self.out("if np is None:")
+            self.out(f"    np = {fall}")
         if self.trace:
             self.out(f"r{k}.seq = state.instret")
-            self.out(f"r{k}.next_pc = np")
+            self.out(f"r{k}.next_pc = {fall if vector else 'np'}")
             self.out(f"r{k}.taken = sd.taken")
             self.out(f"r{k}.target = sd.target")
             self.out(f"r{k}.mem_addr = sd.mem_addr")
@@ -450,13 +448,11 @@ class _Emitter:
             self.out(f"r{k}.vl = vl")
             self.out(f"r{k}.sew = sew")
             self.out(f"r{k}.div_bits = sd.div_bits")
-        elif not terminator:
-            pass  # run variant: vl/sew locals not tracked
         if terminator:
             self.out("state.pc = np")
             self.out(f"state.instret = n0 + {n}")
             self.out(f"return {n}")
-        else:
+        elif not vector:
             self.out(f"if np != {fall}:")
             self.out("    state.pc = np")
             self.out(f"    state.instret = n0 + {k + 1}")
@@ -536,7 +532,7 @@ class CompiledBlock:
 
 def _link(code, block):
     """Exec one generated module and bind it to *block*'s entries."""
-    module_globals = {"_EXC": _EXC, "_vspec": specialize}
+    module_globals = {"_EXC": _EXC, "_vbind": bind_handler}
     exec(code, module_globals)
     return CompiledBlock(block, module_globals["make"](block.entries))
 

@@ -13,6 +13,8 @@ import hashlib
 from collections import deque
 from collections.abc import Iterator, Sequence
 
+import numpy as np
+
 from ..asm.program import STACK_TOP, Program
 from ..isa import compressed
 from ..isa.csr import (
@@ -535,7 +537,11 @@ class Emulator:
             batches = self._dispatch_blocks(limit, record=False)
         else:
             batches = self._interpret(limit)
-        deque(batches, maxlen=0)
+        # One FP error-state scope for the whole run: the non-recording
+        # variant of a compiled block links its vector FP handlers
+        # without a per-op scope of their own (exec_vector.bind_handler).
+        with np.errstate(all="ignore"):
+            deque(batches, maxlen=0)
         return self.exit_code if self.exit_code is not None else -1
 
     def trace(self, max_steps: int | None = None,

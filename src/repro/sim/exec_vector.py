@@ -10,36 +10,46 @@ execution (section VII).
 Two interchangeable engines implement the same architectural contract:
 
 ``numpy`` (default)
-    Whole-register SIMD: every handler reinterprets the register file
+    Whole-register SIMD: every op reinterprets the register file
     through cached per-SEW views (``MachineState.vview_u/s/f``) and
-    executes one batched numpy expression per instruction.  Masking is
-    a boolean index unpacked from v0, tails are left untouched by slice
-    assignment.  An unmasked unit-stride load or store is one byte copy
-    between a ``Memory`` page and ``vbuf``; the other memory ops go
-    through ``np.frombuffer`` views onto the pages (guarded cross-page
-    fallbacks stay batched via span copies).  Shapes numpy cannot
-    express bit-identically (div/rem, 128-bit widenings, FP reductions,
-    wrapped register groups, MMIO-mapped memory) delegate to the
-    reference engine and are counted as fallbacks.
+    executes one batched numpy expression per instruction.  Each op is
+    a *binder*, which slices the instruction's register groups and
+    folds its constants for one vtype, and the *apply* it returns,
+    which evaluates the expression over the first vl lanes.  Masking
+    is a boolean index unpacked from v0, tails are left untouched by
+    slice assignment.  An unmasked unit-stride load or store is one
+    byte copy between a ``Memory`` page and ``vbuf``; the other memory
+    ops go through ``np.frombuffer`` views onto the pages (guarded
+    cross-page fallbacks stay batched via span copies).  Shapes numpy
+    cannot express bit-identically (div/rem, 128-bit widenings, FP
+    reductions, wrapped register groups, MMIO-mapped memory) delegate
+    to the reference engine and are counted as fallbacks.
 
 ``ref``
     The original per-element pure-Python implementation, retained
     verbatim as the differential oracle.  Selected with
     ``REPRO_VECTOR_ENGINE=ref`` (or :func:`select_engine`).
 
-``VECTOR_EXEC`` is the live dispatch table all three execution tiers
-bind against; :func:`select_engine` mutates it in place, so tier-2/3
-engines that resolved handlers at translate time must be rebuilt (a
-fresh :class:`~repro.sim.emulator.Emulator`) after switching.  Tier-3
-additionally calls :func:`specialize` to constant-fold SEW/LMUL into a
-handler once vtype is provably static inside a block.
+``VECTOR_EXEC`` is the live dispatch table; :func:`select_engine`
+mutates it in place.  Tier 1 looks handlers up in it per step, and
+those bind and apply on every call.  Tiers 2 and 3 link
+:func:`bind_handler` per static instruction at translate time: a
+handler that keeps its binding while vtype holds, counted as
+specialized where tier 3 proves SEW/LMUL static inside a block.  They
+must therefore be rebuilt (a fresh
+:class:`~repro.sim.emulator.Emulator`) after switching engines.
+
+FP ops raise no numpy warnings: their handlers open an
+``np.errstate(all="ignore")`` per op, except those tier 3 links into
+the non-recording variant of a compiled block, which only
+``Emulator.run`` runs, inside one scope for the whole run.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -596,6 +606,22 @@ for _w in (8, 16, 32, 64):
 
 # ===========================================================================
 # The numpy-batched engine.
+#
+# Every batched op is split in two.  Its *binder*, ``bind(s, i, sew,
+# lmul)``, slices the instruction's register groups out of the per-SEW
+# views and folds its constants; it returns the op's *apply*, a closure
+# ``apply(vl, m)`` that evaluates the op's one numpy expression over
+# lanes [0, vl) under the active-lane mask m (None = every lane); at
+# vl = 0 it writes no lane (a reduction or vcpop still writes vd[0] or
+# rd, as the reference does).  The
+# binder returns None where the engine cannot run the op exactly at
+# that vtype (a group wrapping past v31, a 128-bit intermediate, a
+# clamped EMUL): the op then falls back to the reference engine.  A
+# binding depends only on the static instruction and the vtype
+# (``vbuf`` and its views are never reallocated), so :func:`bind_handler`
+# gives tiers 2 and 3 one handler per static instruction that binds on
+# first use and again only when vtype changes; the tier-1 handlers in
+# ``VECTOR_EXEC_NUMPY`` bind on every call.
 # ===========================================================================
 
 _DT_U: dict[int, Any] = {8: np.uint8, 16: np.uint16,
@@ -604,8 +630,28 @@ _DT_S: dict[int, Any] = {8: np.int8, 16: np.int16,
                          32: np.int32, 64: np.int64}
 _DT_F: dict[int, Any] = {16: np.float16, 32: np.float32, 64: np.float64}
 
-#: specializable mnemonics: mnemonic -> (sew, lmul) -> handler
-_SPECIALIZE: dict[str, Callable[[int, int], VectorHandler]] = {}
+#: ``apply(vl, m)``: a bound op over lanes [0, vl) under mask m
+Apply = Callable[[int, Any], None]
+#: ``bind(s, i, sew, lmul)``: the instruction's Apply, or None to fall back
+Binder = Callable[[MachineState, Instruction, int, int], "Apply | None"]
+
+
+class _NpOp(NamedTuple):
+    """A batched op: its binder, and how a handler drives its apply."""
+
+    bind: Binder
+    #: the handler counts the op and builds its mask before apply; else
+    #: apply counts, after run-time fallback tests of its own
+    counted: bool = True
+    #: apply may raise FP flags, so it runs under ``np.errstate``
+    fp: bool = False
+    #: counts as ``specialized_ops`` when tier 3 links it under a vtype
+    #: its block proves static
+    specializable: bool = True
+
+
+#: mnemonic -> batched op
+_NP_OPS: dict[str, _NpOp] = {}
 
 
 def _fb(s: MachineState, i: Instruction) -> None:
@@ -656,7 +702,7 @@ def _begin(s: MachineState, i: Instruction, vl: int) -> Any:
         return None
     c["masked_ops"] += 1
     m = _mask_bools(s, vl)
-    c["elems_active"] += int(m.sum())
+    c["elems_active"] += np.count_nonzero(m)
     return m
 
 
@@ -667,342 +713,435 @@ def _masked_store(dst: Any, m: Any, res: Any) -> None:
         np.putmask(dst, m, res)
 
 
-def _np_operand(s: MachineState, i: Instruction, sew: int, count: int,
-                signed: bool) -> Any:
-    """vs1 lanes / x-scalar / immediate as a dtype array or scalar.
-
-    Returns None when a vs1 register group wraps (fallback signal).
+def _rs1_lanes(s: MachineState, i: Instruction, sew: int, lmul: int,
+               signed: bool) -> Any:
+    """vs1's lane view, or a zero-argument reader of the x-register or
+    immediate operand as a dtype scalar; None when the vs1 group wraps.
     """
     spec = i.spec
     if spec.rs1_file == "v":
-        return _group(s, i.rs1, sew, count, signed)
+        return _group(s, i.rs1, sew, lmul, signed)
     dt = _DT_S[sew] if signed else _DT_U[sew]
+
+    def scalar(value: int) -> Any:
+        value &= (1 << sew) - 1
+        if signed and value >= 1 << (sew - 1):
+            value -= 1 << sew
+        return dt(value)
+
     if spec.rs1_file == "x":
-        scalar = s.regs[i.rs1] & ((1 << sew) - 1)
-    else:
-        scalar = i.imm & ((1 << sew) - 1)
-    if signed and scalar >= 1 << (sew - 1):
-        scalar -= 1 << sew
-    return dt(scalar)
+        regs, rs1 = s.regs, i.rs1
+        return lambda: scalar(regs[rs1])
+    imm = scalar(i.imm)
+    return lambda: imm
 
 
-# -- integer cores -----------------------------------------------------------
+def _handler(op: _NpOp, cache: bool,
+             static: tuple[int, int] | None = None,
+             scoped: bool = True) -> VectorHandler:
+    """The one driver of a batched op.
 
-def _int_binop_core(s: MachineState, i: Instruction, sew: int, lmul: int,
-                    op: Callable[[Any, Any, int], Any],
-                    signed: bool) -> None:
-    vl = s.vl
-    dst = _group(s, i.rd, sew, lmul, signed)
-    a = _group(s, i.rs2, sew, lmul, signed)
-    b = _np_operand(s, i, sew, lmul, signed)
-    if dst is None or a is None or b is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl:
-        return
-    if isinstance(b, np.ndarray):
-        b = b[:vl]
-    _masked_store(dst[:vl], m, op(a[:vl], b, sew))
+    With *cache* it serves ONE static instruction: the binding is kept
+    and redone only when ``state.vtype`` differs from the vtype it was
+    made for.  Without, it serves every instruction of its mnemonic and
+    binds on each call (tier 1).  A *static* (SEW, LMUL), proven for
+    the instruction, is bound with and counts each call as a
+    ``specialized_ops``; *scoped* opens an ``np.errstate`` around an FP
+    apply (the caller holds none).
+    """
+    bind, counted = op.bind, op.counted
+    specialized = static is not None and op.specializable
+    guard = op.fp and scoped
+    vtype = -1
+    apply: Apply | None = None
 
-
-def _mulh_core(s: MachineState, i: Instruction, sew: int, lmul: int,
-               signed: bool) -> None:
-    if sew == 64:  # needs a 128-bit intermediate: per-element exact math
-        _fb(s, i)
-        return
-    vl = s.vl
-    dst = _group(s, i.rd, sew, lmul, signed)
-    a = _group(s, i.rs2, sew, lmul, signed)
-    b = _np_operand(s, i, sew, lmul, signed)
-    if dst is None or a is None or b is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl:
-        return
-    wd = _DT_S[sew * 2] if signed else _DT_U[sew * 2]
-    aw = a[:vl].astype(wd)
-    bw = (b[:vl].astype(wd) if isinstance(b, np.ndarray) else wd(int(b)))
-    _masked_store(dst[:vl], m, ((aw * bw) >> wd(sew)).astype(dst.dtype))
-
-
-def _mac_core(s: MachineState, i: Instruction, sew: int, lmul: int,
-              sign: int, dest_is_addend: bool) -> None:
-    vl = s.vl
-    dst = _group(s, i.rd, sew, lmul, True)
-    a = _group(s, i.rs2, sew, lmul, True)
-    b = _np_operand(s, i, sew, lmul, True)
-    if dst is None or a is None or b is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl:
-        return
-    if isinstance(b, np.ndarray):
-        b = b[:vl]
-    d = dst[:vl]
-    dt = dst.dtype
-    if dest_is_addend:  # vmacc/vnmsac: vd += sign * vs1*vs2
-        res = d + dt.type(sign) * (a[:vl] * b)
-    else:               # vmadd: vd = vd*vs1 + vs2
-        res = d * b + dt.type(sign) * a[:vl]
-    _masked_store(d, m, res)
+    def handler(s: MachineState, i: Instruction) -> None:
+        nonlocal vtype, apply
+        if s.vtype != vtype:
+            sew, lmul = static or (s.sew, s.lmul)
+            apply = bind(s, i, sew, lmul)
+            if cache:
+                vtype = s.vtype
+        run = apply
+        if specialized:
+            s.vec_counters["specialized_ops"] += 1
+        if run is None:
+            _fb(s, i)
+            return
+        vl = s.vl
+        m = None
+        if counted:
+            if i.aux:
+                c = s.vec_counters
+                c["batched_ops"] += 1
+                c["elems_total"] += vl
+                c["elems_active"] += vl
+            else:
+                m = _begin(s, i, vl)
+        if guard:
+            with np.errstate(all="ignore"):
+                run(vl, m)
+        else:
+            run(vl, m)
+    return handler
 
 
-def _widening_core(s: MachineState, i: Instruction, sew: int, lmul: int,
-                   mul: bool, mac: bool, signed: bool) -> None:
-    if sew == 64 or lmul * 2 > 8:
-        _fb(s, i)  # 128-bit lanes / clamped EMUL: exact per-element path
-        return
-    vl = s.vl
-    wide, wlm = sew * 2, lmul * 2
-    wd = _DT_S[wide] if signed else _DT_U[wide]
-    dst = _group(s, i.rd, wide, wlm, signed)
-    a = _group(s, i.rs2, sew, lmul, signed)
-    b = _np_operand(s, i, sew, lmul, signed)
-    if dst is None or a is None or b is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl:
-        return
-    aw = a[:vl].astype(wd)
-    bw = (b[:vl].astype(wd) if isinstance(b, np.ndarray) else wd(int(b)))
-    res = aw * bw if mul else aw + bw
-    if mac:
-        res = dst[:vl] + res
-    _masked_store(dst[:vl], m, res)
+def _np_op(names: tuple[str, ...], bind: Binder, **how: bool) -> None:
+    """Register a batched op under *names* (its tier-1 handlers)."""
+    op = _NpOp(bind, **how)
+    for name in names:
+        _NP_OPS[name] = op
+        VECTOR_EXEC_NUMPY[name] = _handler(op, cache=False)
 
 
-def _compare_core(s: MachineState, i: Instruction, sew: int, lmul: int,
-                  op: Callable[[Any, Any], Any], signed: bool) -> None:
-    vl = s.vl
-    a = _group(s, i.rs2, sew, lmul, signed)
-    b = _np_operand(s, i, sew, lmul, signed)
-    if a is None or b is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl:
-        return
-    if isinstance(b, np.ndarray):
-        b = b[:vl]
-    lo = i.rd * s.vlenb
-    bits = np.unpackbits(s.vbuf[lo:lo + s.vlenb], bitorder="little")
-    _masked_store(bits[:vl], m, op(a[:vl], b))
-    s.vbuf[lo:lo + s.vlenb] = np.packbits(bits, bitorder="little")
+# -- integer binders ---------------------------------------------------------
+
+def _int_binop(op_at: Callable[[int], Callable[[Any, Any], Any]],
+               signed: bool) -> Binder:
+    """*op_at(sew)* is the lane operation (a ufunc where one fits)."""
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        dst = _group(s, i.rd, sew, lmul, signed)
+        a = _group(s, i.rs2, sew, lmul, signed)
+        b = _rs1_lanes(s, i, sew, lmul, signed)
+        if dst is None or a is None or b is None:
+            return None
+        vec = isinstance(b, np.ndarray)
+        op = op_at(sew)
+
+        def apply(vl: int, m: Any) -> None:
+            res = op(a[:vl], b[:vl] if vec else b())
+            if m is None:
+                dst[:vl] = res
+            else:
+                np.putmask(dst[:vl], m, res)
+        return apply
+    return bind
 
 
-def _merge_core(s: MachineState, i: Instruction, sew: int,
-                lmul: int) -> None:
-    vl = s.vl
+def _mulh(signed: bool) -> Binder:
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        if sew == 64:  # needs a 128-bit intermediate: per-element math
+            return None
+        dst = _group(s, i.rd, sew, lmul, signed)
+        a = _group(s, i.rs2, sew, lmul, signed)
+        b = _rs1_lanes(s, i, sew, lmul, signed)
+        if dst is None or a is None or b is None:
+            return None
+        vec = isinstance(b, np.ndarray)
+        wd = _DT_S[sew * 2] if signed else _DT_U[sew * 2]
+        shift = wd(sew)
+
+        def apply(vl: int, m: Any) -> None:
+            aw = a[:vl].astype(wd)
+            bw = b[:vl].astype(wd) if vec else wd(int(b()))
+            _masked_store(dst[:vl], m,
+                          ((aw * bw) >> shift).astype(dst.dtype))
+        return apply
+    return bind
+
+
+def _int_mac(sign: int, dest_is_addend: bool) -> Binder:
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        dst = _group(s, i.rd, sew, lmul, True)
+        a = _group(s, i.rs2, sew, lmul, True)
+        b = _rs1_lanes(s, i, sew, lmul, True)
+        if dst is None or a is None or b is None:
+            return None
+        vec = isinstance(b, np.ndarray)
+        sgn = dst.dtype.type(sign)
+
+        def apply(vl: int, m: Any) -> None:
+            d = dst[:vl]
+            bb = b[:vl] if vec else b()
+            if dest_is_addend:  # vmacc/vnmsac: vd += sign * vs1*vs2
+                res = d + sgn * (a[:vl] * bb)
+            else:               # vmadd: vd = vd*vs1 + vs2
+                res = d * bb + sgn * a[:vl]
+            _masked_store(d, m, res)
+        return apply
+    return bind
+
+
+def _widening(mul: bool, mac: bool, signed: bool) -> Binder:
+    """Destination EEW = 2*SEW, EMUL = 2*LMUL."""
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        if sew == 64 or lmul * 2 > 8:
+            return None  # 128-bit lanes / clamped EMUL: per-element path
+        wd = _DT_S[sew * 2] if signed else _DT_U[sew * 2]
+        dst = _group(s, i.rd, sew * 2, lmul * 2, signed)
+        a = _group(s, i.rs2, sew, lmul, signed)
+        b = _rs1_lanes(s, i, sew, lmul, signed)
+        if dst is None or a is None or b is None:
+            return None
+        vec = isinstance(b, np.ndarray)
+        ufunc = np.multiply if mul else np.add
+
+        def apply(vl: int, m: Any) -> None:
+            d = dst[:vl]
+            # dtype=wd widens both operands before the op
+            res = ufunc(a[:vl], b[:vl] if vec else wd(int(b())), dtype=wd)
+            if mac:
+                res += d
+            if m is None:
+                d[:] = res
+            else:
+                np.putmask(d, m, res)
+        return apply
+    return bind
+
+
+def _compare(op: Any, signed: bool) -> Binder:
+    """Mask-producing compares: one bit per lane of v[rd]."""
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        a = _group(s, i.rs2, sew, lmul, signed)
+        b = _rs1_lanes(s, i, sew, lmul, signed)
+        if a is None or b is None:
+            return None
+        vec = isinstance(b, np.ndarray)
+        lo = i.rd * s.vlenb
+        dest = s.vbuf[lo:lo + s.vlenb]
+
+        def apply(vl: int, m: Any) -> None:
+            res = op(a[:vl], b[:vl] if vec else b())
+            if m is None and not vl & 7:
+                # whole bytes: pack the lanes straight into v[rd]
+                dest[:vl >> 3] = np.packbits(res, bitorder="little")
+                return
+            bits = np.unpackbits(dest, bitorder="little")
+            _masked_store(bits[:vl], m, res)
+            dest[:] = np.packbits(bits, bitorder="little")
+        return apply
+    return bind
+
+
+def _bind_merge(s: MachineState, i: Instruction, sew: int,
+                lmul: int) -> Apply | None:
     dst = _group(s, i.rd, sew, lmul)
     a = _group(s, i.rs2, sew, lmul)
-    b = _np_operand(s, i, sew, lmul, False)
+    b = _rs1_lanes(s, i, sew, lmul, False)
     if dst is None or a is None or b is None:
-        _fb(s, i)
-        return
-    c = s.vec_counters
-    c["batched_ops"] += 1
-    c["masked_ops"] += 1
-    c["elems_total"] += vl
-    c["elems_active"] += vl
-    if not vl:
-        return
-    if isinstance(b, np.ndarray):
-        b = b[:vl]
-    dst[:vl] = np.where(_mask_bools(s, vl), b, a[:vl])
+        return None
+    vec = isinstance(b, np.ndarray)
+
+    def apply(vl: int, m: Any) -> None:
+        # v0 selects, so every lane is written: counted masked, all active
+        c = s.vec_counters
+        c["batched_ops"] += 1
+        c["masked_ops"] += 1
+        c["elems_total"] += vl
+        c["elems_active"] += vl
+        if vl:
+            dst[:vl] = np.where(_mask_bools(s, vl),
+                                b[:vl] if vec else b(), a[:vl])
+    return apply
 
 
-def _vmv_v_core(s: MachineState, i: Instruction, sew: int,
-                lmul: int) -> None:
-    vl = s.vl
+def _bind_vmv_v(s: MachineState, i: Instruction, sew: int,
+                lmul: int) -> Apply | None:
     dst = _group(s, i.rd, sew, lmul)
-    b = _np_operand(s, i, sew, lmul, False)
+    b = _rs1_lanes(s, i, sew, lmul, False)
     if dst is None or b is None:
-        _fb(s, i)
-        return
-    _begin(s, i, vl)
-    if not vl:
-        return
-    dst[:vl] = b[:vl] if isinstance(b, np.ndarray) else b
+        return None
+    vec = isinstance(b, np.ndarray)
+
+    def apply(vl: int, m: Any) -> None:
+        dst[:vl] = b[:vl] if vec else b()
+    return apply
 
 
-def _reduce_core(s: MachineState, i: Instruction, sew: int, lmul: int,
-                 kind: str, signed: bool) -> None:
-    vl = s.vl
-    elems = _group(s, i.rs2, sew, lmul, signed)
-    init_g = _group(s, i.rs1, sew, 1, signed)
-    dst = _group(s, i.rd, sew, 1, signed)
-    if elems is None or init_g is None or dst is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    init = init_g[0]
-    sel = elems[:vl] if m is None else elems[:vl][m]
-    if sel.size == 0:
-        acc = init
-    elif kind == "sum":
-        acc = init + np.add.reduce(sel)       # dtype arithmetic: wraps
-    elif kind == "max":
-        acc = max(init, sel.max())
-    elif kind == "min":
-        acc = min(init, sel.min())
-    elif kind == "and":
-        acc = init & np.bitwise_and.reduce(sel)
-    elif kind == "or":
-        acc = init | np.bitwise_or.reduce(sel)
-    else:
-        acc = init ^ np.bitwise_xor.reduce(sel)
-    dst[0] = acc
+def _reduce(fold: Any, signed: bool) -> Binder:
+    """vd[0] = fold(vs2[active lanes], init=vs1[0]), in the lane dtype:
+    a sum wraps at SEW bits, as the reference's masked write does."""
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        elems = _group(s, i.rs2, sew, lmul, signed)
+        init = _group(s, i.rs1, sew, 1, signed)
+        dst = _group(s, i.rd, sew, 1, signed)
+        if elems is None or init is None or dst is None:
+            return None
+        dt = elems.dtype
+
+        def apply(vl: int, m: Any) -> None:
+            sel = elems[:vl] if m is None else elems[:vl][m]
+            dst[0] = fold.reduce(sel, dtype=dt, initial=init[0])
+        return apply
+    return bind
 
 
-def _mask_logical_core(s: MachineState, i: Instruction,
-                       op: Callable[[Any, Any], Any]) -> None:
-    vl = s.vl
-    c = s.vec_counters
-    c["batched_ops"] += 1
-    c["elems_total"] += vl
-    c["elems_active"] += vl
-    if not vl:
-        return
-    vlenb = s.vlenb
-    buf = s.vbuf
-    a = np.unpackbits(buf[i.rs2 * vlenb:(i.rs2 + 1) * vlenb],
-                      bitorder="little")
-    b = np.unpackbits(buf[i.rs1 * vlenb:(i.rs1 + 1) * vlenb],
-                      bitorder="little")
-    d = np.unpackbits(buf[i.rd * vlenb:(i.rd + 1) * vlenb],
-                      bitorder="little")
-    d[:vl] = op(a[:vl], b[:vl]) & 1
-    buf[i.rd * vlenb:(i.rd + 1) * vlenb] = np.packbits(
-        d, bitorder="little")
+def _mask_logical(op: Callable[[Any, Any], Any]) -> Binder:
+    """Mask-register logic: bitwise over the first vl bits."""
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        vlenb, buf = s.vlenb, s.vbuf
+        a = buf[i.rs2 * vlenb:(i.rs2 + 1) * vlenb]
+        b = buf[i.rs1 * vlenb:(i.rs1 + 1) * vlenb]
+        d = buf[i.rd * vlenb:(i.rd + 1) * vlenb]
+
+        def apply(vl: int, m: Any) -> None:
+            c = s.vec_counters
+            c["batched_ops"] += 1
+            c["elems_total"] += vl
+            c["elems_active"] += vl
+            if not vl:
+                return
+            bits = np.unpackbits(d, bitorder="little")
+            bits[:vl] = op(np.unpackbits(a, bitorder="little")[:vl],
+                           np.unpackbits(b, bitorder="little")[:vl]) & 1
+            d[:] = np.packbits(bits, bitorder="little")
+        return apply
+    return bind
 
 
-def _vid_core(s: MachineState, i: Instruction, sew: int,
-              lmul: int) -> None:
-    vl = s.vl
+def _bind_vid(s: MachineState, i: Instruction, sew: int,
+              lmul: int) -> Apply | None:
     dst = _group(s, i.rd, sew, lmul)
     if dst is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl:
-        return
-    _masked_store(dst[:vl], m, np.arange(vl).astype(dst.dtype))
+        return None
+
+    def apply(vl: int, m: Any) -> None:
+        _masked_store(dst[:vl], m, np.arange(vl).astype(dst.dtype))
+    return apply
 
 
-def _vcpop_np(s: MachineState, i: Instruction) -> None:
-    vl = s.vl
-    m = _begin(s, i, vl)
-    lo = i.rs2 * s.vlenb
-    bits = np.unpackbits(s.vbuf[lo:lo + s.vlenb],
-                         bitorder="little")[:vl].astype(bool)
-    if m is not None:
-        bits = bits & m
-    s.write_x(i.rd, int(np.count_nonzero(bits)))
+def _bind_vcpop(s: MachineState, i: Instruction, sew: int,
+                lmul: int) -> Apply | None:
+    vlenb = s.vlenb
+    src = s.vbuf.data[i.rs2 * vlenb:(i.rs2 + 1) * vlenb]
+    v0 = s.vbuf.data[:vlenb]
+    rd = i.rd
+
+    def apply(vl: int, m: Any) -> None:
+        bits = int.from_bytes(src, "little") & ((1 << vl) - 1)
+        if m is not None:
+            bits &= int.from_bytes(v0, "little")
+        s.write_x(rd, bits.bit_count())
+    return apply
 
 
-def _slideup_core(s: MachineState, i: Instruction, sew: int,
-                  lmul: int) -> None:
-    offset = s.regs[i.rs1] if i.spec.rs1_file == "x" else i.imm
-    vl = s.vl
+def _offset(s: MachineState, i: Instruction) -> Callable[[], int] | None:
+    """The slide amount's reader; None for a negative immediate."""
+    if i.spec.rs1_file == "x":
+        regs, rs1 = s.regs, i.rs1
+        return lambda: regs[rs1]
+    imm = i.imm
+    return None if imm < 0 else (lambda: imm)
+
+
+def _bind_slideup(s: MachineState, i: Instruction, sew: int,
+                  lmul: int) -> Apply | None:
     dst = _group(s, i.rd, sew, lmul)
     src = _group(s, i.rs2, sew, lmul)
-    if dst is None or src is None or offset < 0:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl or offset >= vl:
-        return
-    seg = dst[offset:vl]
-    res = src[:vl - offset].copy()  # dst may alias src: snapshot first
-    _masked_store(seg, m if m is None else m[offset:], res)
+    offset = _offset(s, i)
+    if dst is None or src is None or offset is None:
+        return None
+
+    def apply(vl: int, m: Any) -> None:
+        off = offset()
+        if off >= vl:
+            return
+        res = src[:vl - off].copy()  # dst may alias src: snapshot first
+        _masked_store(dst[off:vl], m if m is None else m[off:], res)
+    return apply
 
 
-def _slidedown_core(s: MachineState, i: Instruction, sew: int,
-                    lmul: int) -> None:
-    offset = s.regs[i.rs1] if i.spec.rs1_file == "x" else i.imm
-    vl = s.vl
-    vlmax = (s.vlen * lmul) // sew
+def _bind_slidedown(s: MachineState, i: Instruction, sew: int,
+                    lmul: int) -> Apply | None:
     dst = _group(s, i.rd, sew, lmul)
     src = _group(s, i.rs2, sew, lmul)
-    if dst is None or src is None or offset < 0:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl:
-        return
-    res = np.zeros(vl, dtype=dst.dtype)
-    if offset < vlmax:
-        n = min(vl, vlmax - offset)
-        res[:n] = src[offset:offset + n]
-    _masked_store(dst[:vl], m, res)
-
-
-def _gather_core(s: MachineState, i: Instruction, sew: int,
-                 lmul: int) -> None:
-    vl = s.vl
+    offset = _offset(s, i)
+    if dst is None or src is None or offset is None:
+        return None
     vlmax = (s.vlen * lmul) // sew
+
+    def apply(vl: int, m: Any) -> None:
+        off = offset()
+        res = np.zeros(vl, dtype=dst.dtype)
+        if off < vlmax:
+            n = min(vl, vlmax - off)
+            res[:n] = src[off:off + n]
+        _masked_store(dst[:vl], m, res)
+    return apply
+
+
+def _bind_rgather(s: MachineState, i: Instruction, sew: int,
+                  lmul: int) -> Apply | None:
     dst = _group(s, i.rd, sew, lmul)
     src = _group(s, i.rs2, sew, lmul)
     idx = _group(s, i.rs1, sew, lmul)
     if dst is None or src is None or idx is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if not vl:
-        return
-    lanes = idx[:vl]
-    valid = lanes < _DT_U[sew](vlmax) if vlmax < (1 << sew) else (
-        np.ones(vl, dtype=bool))
-    safe = np.where(valid, lanes, _DT_U[sew](0)).astype(np.int64)
-    res = src[:vlmax][safe]
-    res[~valid] = 0
-    _masked_store(dst[:vl], m, res)
+        return None
+    vlmax = (s.vlen * lmul) // sew
+    dt = _DT_U[sew]
+    table = src[:vlmax]
+
+    def apply(vl: int, m: Any) -> None:
+        lanes = idx[:vl]
+        valid = (lanes < dt(vlmax) if vlmax < (1 << sew)
+                 else np.ones(vl, dtype=bool))
+        safe = np.where(valid, lanes, dt(0)).astype(np.int64)
+        res = table[safe]
+        res[~valid] = 0
+        _masked_store(dst[:vl], m, res)
+    return apply
 
 
-# -- FP cores ----------------------------------------------------------------
+# -- FP binders --------------------------------------------------------------
+#
+# Lanes widen to float64, compute there and round once to the target
+# format: the reference engine's Python-float arithmetic.  An
+# expression's first operand is float64, so numpy widens the float16/32
+# lanes it meets (exactly) instead of an astype per operand.
 
-def _fp_prep(s: MachineState, i: Instruction, sew: int,
-             lmul: int) -> tuple[Any, Any, Any] | None:
-    """(dst_lanes, a64, b64) for an FP op, or None to fall back."""
+def _fp_groups(s: MachineState, i: Instruction, sew: int,
+               lmul: int) -> tuple[Any, Any, Any] | None:
+    """(vd bits, vd lanes, vs2 lanes) of an FP op, or None to fall back."""
     if sew not in _DT_F:
         return None
     dst = _group(s, i.rd, sew, lmul)
+    df = _group_f(s, i.rd, sew, lmul)
     a = _group_f(s, i.rs2, sew, lmul)
     if dst is None or a is None:
         return None
+    return dst, df, a
+
+
+def _fp_rs1(s: MachineState, i: Instruction, sew: int, lmul: int) -> Any:
+    """vs1's float lanes, or a reader of the f-register operand (its raw
+    low *sew* bits) as a float64; None when the vs1 group wraps."""
     if i.spec.rs1_file == "v":
-        bg = _group_f(s, i.rs1, sew, lmul)
-        if bg is None:
+        return _group_f(s, i.rs1, sew, lmul)
+    fregs, rs1, unpack = s.fregs, i.rs1, _FP_UNPACK[sew]
+    return lambda: np.float64(unpack(fregs[rs1]))
+
+
+def _fp_store(dst: Any, df: Any, vl: int, m: Any, res64: Any) -> None:
+    """Round float64 results to the target format and store them."""
+    if m is None:
+        df[:vl] = res64
+    else:
+        np.putmask(dst[:vl], m, res64.astype(df.dtype).view(dst.dtype))
+
+
+def _fp_binop(op: Callable[[Any, Any], Any]) -> Binder:
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        groups = _fp_groups(s, i, sew, lmul)
+        b = _fp_rs1(s, i, sew, lmul)
+        if groups is None or b is None:
             return None
-        b64 = bg[:s.vl].astype(np.float64)
-    else:  # scalar f register broadcast: raw low sew bits
-        b64 = np.float64(_FP_UNPACK[sew](s.fregs[i.rs1]))
-    return dst, a[:s.vl].astype(np.float64), b64
+        dst, df, a = groups
+        vec = isinstance(b, np.ndarray)
 
-
-def _fp_store(s: MachineState, dst: Any, m: Any, sew: int,
-              res64: Any) -> None:
-    """Round float64 results to the target format and store the bits."""
-    bits = res64.astype(_DT_F[sew]).view(_DT_U[sew])
-    _masked_store(dst[:s.vl], m, bits)
-
-
-def _fp_binop_core(s: MachineState, i: Instruction, sew: int, lmul: int,
-                   op: Callable[[Any, Any], Any]) -> None:
-    prep = _fp_prep(s, i, sew, lmul)
-    if prep is None:
-        _fb(s, i)
-        return
-    dst, a64, b64 = prep
-    m = _begin(s, i, s.vl)
-    if not s.vl:
-        return
-    with np.errstate(all="ignore"):
-        _fp_store(s, dst, m, sew, op(a64, b64))
+        def apply(vl: int, m: Any) -> None:
+            _fp_store(dst, df, vl, m, op(a[:vl].astype(np.float64),
+                                         b[:vl] if vec else b()))
+        return apply
+    return bind
 
 
 def _fdiv_op(a: Any, b: Any) -> Any:
@@ -1014,72 +1153,59 @@ def _fdiv_op(a: Any, b: Any) -> Any:
                                        np.float64(-np.inf)), r)
 
 
-def _fp_mac_core(s: MachineState, i: Instruction, sew: int, lmul: int,
-                 sign_prod: int, dest_is_addend: bool) -> None:
-    prep = _fp_prep(s, i, sew, lmul)
-    if prep is None:
-        _fb(s, i)
-        return
-    dst, a64, b64 = prep
-    m = _begin(s, i, s.vl)
-    if not s.vl:
-        return
-    dg = _group_f(s, i.rd, sew, lmul)
-    d64 = dg[:s.vl].astype(np.float64)
+def _fp_mac(sign_prod: int, dest_is_addend: bool) -> Binder:
     sp = np.float64(sign_prod)
-    with np.errstate(all="ignore"):
-        if dest_is_addend:
-            res = sp * a64 * b64 + d64
-        else:
-            res = sp * d64 * b64 + a64
-        _fp_store(s, dst, m, sew, res)
+
+    def bind(s: MachineState, i: Instruction, sew: int,
+             lmul: int) -> Apply | None:
+        groups = _fp_groups(s, i, sew, lmul)
+        b = _fp_rs1(s, i, sew, lmul)
+        if groups is None or b is None:
+            return None
+        dst, df, a = groups
+        vec = isinstance(b, np.ndarray)
+
+        def apply(vl: int, m: Any) -> None:
+            bb = b[:vl] if vec else b()
+            if dest_is_addend:  # vd = sign * vs1*vs2 + vd
+                res = sp * a[:vl] * bb + df[:vl]
+            else:               # vd = sign * vd*vs1 + vs2
+                res = sp * df[:vl] * bb + a[:vl]
+            _fp_store(dst, df, vl, m, res)
+        return apply
+    return bind
 
 
-def _fsqrt_core(s: MachineState, i: Instruction, sew: int,
-                lmul: int) -> None:
-    if sew not in _DT_F:
-        _fb(s, i)
-        return
-    dst = _group(s, i.rd, sew, lmul)
-    a = _group_f(s, i.rs2, sew, lmul)
-    if dst is None or a is None:
-        _fb(s, i)
-        return
-    m = _begin(s, i, s.vl)
-    if not s.vl:
-        return
-    a64 = a[:s.vl].astype(np.float64)
-    with np.errstate(all="ignore"):
-        res = np.sqrt(a64)
-    # negative inputs produce the reference's canonical float("nan");
-    # -0.0 passes the >= 0 test and keeps sqrt(-0.0) == -0.0.
-    res = np.where(a64 >= 0.0, res, np.float64(float("nan")))
-    _fp_store(s, dst, m, sew, res)
+def _bind_fsqrt(s: MachineState, i: Instruction, sew: int,
+                lmul: int) -> Apply | None:
+    groups = _fp_groups(s, i, sew, lmul)
+    if groups is None:
+        return None
+    dst, df, a = groups
+
+    def apply(vl: int, m: Any) -> None:
+        a64 = a[:vl].astype(np.float64)
+        # negative inputs produce the reference's canonical float("nan");
+        # -0.0 passes the >= 0 test and keeps sqrt(-0.0) == -0.0.
+        _fp_store(dst, df, vl, m, np.where(a64 >= 0.0, np.sqrt(a64),
+                                           np.float64(float("nan"))))
+    return apply
 
 
-# -- memory cores ------------------------------------------------------------
+# -- memory binders ----------------------------------------------------------
+#
+# A memory op's register group spans ceil(vl*width / VLENB) registers,
+# which vl decides, not vtype: the binders keep the file's view from the
+# group's first lane on, and each apply tests the group's end against
+# the file (``_group``'s wrap test) and counts the op itself.
 
-def _np_vload(s: MachineState, i: Instruction) -> None:
+def _vload_any(s: MachineState, i: Instruction, vl: int) -> None:
+    """A load no single page copy serves: strided, masked, or a span
+    that is cross-page, unallocated or MMIO."""
     spec = i.spec
     width = spec.mem_bytes
     base = s.regs[i.rs1]
-    vl = s.vl
     mem = s.memory
-    if vl and i.aux and spec.fmt != "VLS":
-        # Unmasked unit-stride: the group's bytes are the span's bytes,
-        # so one slice copy from the page is the whole load.  The end
-        # test is ``_group``'s wrap test; an untouched page, a
-        # page-crossing span or MMIO gives no view and falls through.
-        size = vl * width
-        lo = i.rd * s.vlenb
-        if lo + size <= len(s.vbuf):
-            view = mem.ram_view(base, size)
-            if view is not None:
-                s.vbuf.data[lo:lo + size] = view
-                _begin(s, i, vl)
-                s.side.mem_addr = base
-                s.side.mem_size = size
-                return
     strided = spec.fmt == "VLS"
     stride = s.regs[i.rs2] if strided else width
     dst = _group(s, i.rd, width * 8, _mem_group_lmul(s, width))
@@ -1106,25 +1232,12 @@ def _np_vload(s: MachineState, i: Instruction) -> None:
     s.side.mem_size = max(vl, 1) * (stride if stride > 0 else width)
 
 
-def _np_vstore(s: MachineState, i: Instruction) -> None:
+def _vstore_any(s: MachineState, i: Instruction, vl: int) -> None:
+    """A store no single byte copy serves: strided, masked or MMIO."""
     spec = i.spec
     width = spec.mem_bytes
     base = s.regs[i.rs1]
-    vl = s.vl
     mem = s.memory
-    if vl and i.aux and spec.fmt != "VSS" and not mem.has_mmio:
-        # Unmasked unit-stride: one store_bytes of the group's bytes.
-        # Every byte of the span is written, so it allocates exactly the
-        # pages the reference's per-element stores would, and it is the
-        # entry point SmpMachine wraps to break LR reservations.
-        size = vl * width
-        lo = i.rs3 * s.vlenb
-        if lo + size <= len(s.vbuf):
-            mem.store_bytes(base, s.vbuf.data[lo:lo + size])
-            _begin(s, i, vl)
-            s.side.mem_addr = base
-            s.side.mem_size = size
-            return
     strided = spec.fmt == "VSS"
     stride = s.regs[i.rs2] if strided else width
     src = _group(s, i.rs3, width * 8, _mem_group_lmul(s, width))
@@ -1165,226 +1278,286 @@ def _np_vstore(s: MachineState, i: Instruction) -> None:
     s.side.mem_size = max(vl, 1) * (stride if stride > 0 else width)
 
 
-def _load_indexed_core(s: MachineState, i: Instruction, sew: int,
-                       lmul: int) -> None:
+def _bind_vload(s: MachineState, i: Instruction, sew: int,
+                lmul: int) -> Apply | None:
+    if not i.aux or i.spec.fmt == "VLS":
+        return lambda vl, m: _vload_any(s, i, vl)
+    # Unmasked unit-stride: the group's bytes are the span's bytes, so
+    # one slice copy from the page is the whole load.  An untouched
+    # page, a page-crossing span or MMIO gives no view.
     width = i.spec.mem_bytes
-    base = s.regs[i.rs1]
-    vl = s.vl
-    mem = s.memory
-    idx_g = _group(s, i.rs2, sew, lmul)
-    dst = _group(s, i.rd, width * 8, _mem_group_lmul(s, width))
-    if idx_g is None or dst is None or mem.has_mmio:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if vl:
-        idx = idx_g[:vl]
-        lo = base + int(idx.min())
-        span = base + int(idx.max()) + width - lo
-        view = mem.ram_view(lo, span) if span <= PAGE_SIZE else None
-        if view is not None:
-            buf = np.frombuffer(view, dtype=np.uint8)
-            rel = (idx - idx.min()).astype(np.int64)
-            cols = np.arange(width, dtype=np.int64)
-            vals = buf[rel[:, None] + cols[None, :]].view(
-                _DT_U[width * 8]).ravel()
-            _masked_store(dst[:vl], m, vals)
-        else:  # spans pages / unallocated: exact per-element gather
-            ld = mem.load_int
-            active = range(vl) if m is None else np.nonzero(m)[0]
-            for e in active:
-                dst[int(e)] = _DT_U[width * 8](ld(base + int(idx[e]),
-                                                  width))
-    s.side.mem_addr = base
-    s.side.mem_size = max(vl, 1) * width
+    lo = i.rd * s.vlenb
+    end = len(s.vbuf)
+    data = s.vbuf.data
+    regs, rs1, mem, side = s.regs, i.rs1, s.memory, s.side
+
+    def apply(vl: int, m: Any) -> None:
+        base = regs[rs1]
+        size = vl * width
+        if vl and lo + size <= end:
+            view = mem.ram_view(base, size)
+            if view is not None:
+                data[lo:lo + size] = view
+                c = s.vec_counters
+                c["batched_ops"] += 1
+                c["elems_total"] += vl
+                c["elems_active"] += vl
+                side.mem_addr = base
+                side.mem_size = size
+                return
+        _vload_any(s, i, vl)
+    return apply
 
 
-def _store_indexed_core(s: MachineState, i: Instruction, sew: int,
-                        lmul: int) -> None:
+def _bind_vstore(s: MachineState, i: Instruction, sew: int,
+                 lmul: int) -> Apply | None:
+    if not i.aux or i.spec.fmt == "VSS":
+        return lambda vl, m: _vstore_any(s, i, vl)
+    # Unmasked unit-stride: one store_bytes of the group's bytes.  Every
+    # byte of the span is written, so it allocates exactly the pages the
+    # reference's per-element stores would, and it is the entry point
+    # SmpMachine wraps to break LR reservations.
     width = i.spec.mem_bytes
-    base = s.regs[i.rs1]
-    vl = s.vl
-    mem = s.memory
-    idx_g = _group(s, i.rs2, sew, lmul)
-    src = _group(s, i.rs3, width * 8, _mem_group_lmul(s, width))
-    if idx_g is None or src is None or mem.has_mmio:
-        _fb(s, i)
-        return
-    m = _begin(s, i, vl)
-    if vl and (m is None or m.any()):
-        idx = idx_g[:vl]
-        vals = src[:vl]
-        if m is not None:
-            idx, vals = idx[m], vals[m]
-        lo = base + int(idx.min())
-        span = base + int(idx.max()) + width - lo
-        # Scatter order must match the sequential reference when lanes
-        # overlap (duplicate indices, or elements closer than width).
-        disjoint = (idx.size < 2
-                    or int(np.min(np.diff(np.sort(idx.astype(
-                        np.int64))))) >= width)
-        view = (mem.ram_view(lo, span, allocate=True)
-                if span <= PAGE_SIZE and disjoint else None)
-        if view is not None:
-            lanes = np.frombuffer(view, dtype=np.uint8)
-            rel = (idx - idx.min()).astype(np.int64)
-            cols = np.arange(width, dtype=np.int64)
-            lanes[rel[:, None] + cols[None, :]] = vals.view(
-                np.uint8).reshape(idx.size, width)
-        else:
-            st = mem.store_int
-            for e in range(idx.size):
-                st(base + int(idx[e]), int(vals[e]), width)
-    s.side.mem_addr = base
-    s.side.mem_size = max(vl, 1) * width
+    lo = i.rs3 * s.vlenb
+    end = len(s.vbuf)
+    data = s.vbuf.data
+    regs, rs1, mem, side = s.regs, i.rs1, s.memory, s.side
+
+    def apply(vl: int, m: Any) -> None:
+        size = vl * width
+        if vl and lo + size <= end and not mem.has_mmio:
+            base = regs[rs1]
+            mem.store_bytes(base, data[lo:lo + size])
+            c = s.vec_counters
+            c["batched_ops"] += 1
+            c["elems_total"] += vl
+            c["elems_active"] += vl
+            side.mem_addr = base
+            side.mem_size = size
+            return
+        _vstore_any(s, i, vl)
+    return apply
+
+
+def _bytewise(view: memoryview, dt: Any, width: int) -> Any:
+    """*view* as dtype lanes starting at EVERY byte: lane k holds the
+    *width* bytes from byte k on, so a byte offset indexes it directly.
+    """
+    return np.ndarray((len(view) - width + 1,), dt, view, 0, (1,))
+
+
+def _bind_indexed(s: MachineState, i: Instruction, sew: int, lmul: int,
+                  data_reg: int) -> tuple[Any, Any, int] | None:
+    """(index lanes, data lanes from the group's first on, the group's
+    first byte) of an indexed op; None when the index group wraps."""
+    idx = _group(s, i.rs2, sew, lmul)
+    if idx is None:
+        return None
+    width = i.spec.mem_bytes
+    lo = data_reg * s.vlenb
+    return idx, s.vview_u[width * 8][lo // width:], lo
+
+
+def _bind_vload_indexed(s: MachineState, i: Instruction, sew: int,
+                        lmul: int) -> Apply | None:
+    bound = _bind_indexed(s, i, sew, lmul, i.rd)
+    if bound is None:
+        return None
+    idx_g, dst, lo = bound
+    width = i.spec.mem_bytes
+    dt = _DT_U[width * 8]
+    end = len(s.vbuf)
+    regs, rs1, mem, side = s.regs, i.rs1, s.memory, s.side
+
+    def apply(vl: int, m: Any) -> None:
+        if lo + max(vl * width, 1) > end or mem.has_mmio:
+            _fb(s, i)
+            return
+        m = _begin(s, i, vl)
+        base = regs[rs1]
+        if vl:
+            idx = idx_g[:vl]
+            order = np.sort(idx)
+            low = int(order[0])
+            span = int(order[-1]) + width - low
+            view = (mem.ram_view(base + low, span) if span <= PAGE_SIZE
+                    else None)
+            if view is not None:
+                vals = _bytewise(view, dt, width)[idx - idx.dtype.type(low)]
+                _masked_store(dst[:vl], m, vals)
+            else:  # spans pages / unallocated: exact per-element gather
+                ld = mem.load_int
+                active = range(vl) if m is None else np.nonzero(m)[0]
+                for e in active:
+                    dst[int(e)] = dt(ld(base + int(idx[e]), width))
+        side.mem_addr = base
+        side.mem_size = max(vl, 1) * width
+    return apply
+
+
+def _bind_vstore_indexed(s: MachineState, i: Instruction, sew: int,
+                         lmul: int) -> Apply | None:
+    bound = _bind_indexed(s, i, sew, lmul, i.rs3)
+    if bound is None:
+        return None
+    idx_g, src, lo = bound
+    width = i.spec.mem_bytes
+    dt = _DT_U[width * 8]
+    end = len(s.vbuf)
+    regs, rs1, mem, side = s.regs, i.rs1, s.memory, s.side
+
+    def apply(vl: int, m: Any) -> None:
+        if lo + max(vl * width, 1) > end or mem.has_mmio:
+            _fb(s, i)
+            return
+        m = _begin(s, i, vl)
+        base = regs[rs1]
+        if vl and (m is None or m.any()):
+            idx = idx_g[:vl]
+            vals = src[:vl]
+            if m is not None:
+                idx, vals = idx[m], vals[m]
+            order = np.sort(idx)
+            low = int(order[0])
+            span = int(order[-1]) + width - low
+            # Scatter order must match the sequential reference when
+            # lanes overlap (duplicate indices, or elements closer than
+            # width): only lanes at least width bytes apart scatter at
+            # once.
+            disjoint = (idx.size < 2
+                        or int((order[1:] - order[:-1]).min()) >= width)
+            view = (mem.ram_view(base + low, span, allocate=True)
+                    if span <= PAGE_SIZE and disjoint else None)
+            if view is not None:
+                _bytewise(view, dt, width)[idx - idx.dtype.type(low)] = vals
+            else:
+                st = mem.store_int
+                for e in range(idx.size):
+                    st(base + int(idx[e]), int(vals[e]), width)
+        side.mem_addr = base
+        side.mem_size = max(vl, 1) * width
+    return apply
+
+
+# Element-0 moves touch one lane: index it directly instead of building
+# the LMUL group the reference reads.  Uncounted, like the shared ops.
+def _bind_vmv_x_s(s: MachineState, i: Instruction, sew: int,
+                  lmul: int) -> Apply | None:
+    lanes = s.vview_s[sew]
+    at, rd = i.rs2 * (s.vlenb * 8 // sew), i.rd
+
+    def apply(vl: int, m: Any) -> None:
+        s.write_x(rd, int(lanes[at]))
+    return apply
+
+
+def _bind_vmv_s_x(s: MachineState, i: Instruction, sew: int,
+                  lmul: int) -> Apply | None:
+    lanes = s.vview_u[sew]
+    at, regs, rs1 = i.rd * (s.vlenb * 8 // sew), s.regs, i.rs1
+    mask = (1 << sew) - 1
+
+    def apply(vl: int, m: Any) -> None:
+        lanes[at] = regs[rs1] & mask
+    return apply
 
 
 # -- registration ------------------------------------------------------------
 
-def _np_register(name: str, core: Callable[..., None],
-                 *args: Any) -> None:
-    """Register a generic (runtime sew/lmul) handler plus its
-    SEW/LMUL-specializing factory (the tier-3 constant-fold hook)."""
-    def generic(s: MachineState, i: Instruction) -> None:
-        core(s, i, s.sew, s.lmul, *args)
+def _shift(op: Any) -> Callable[[int], Callable[[Any, Any], Any]]:
+    """A shift by the low log2(SEW) bits of the amount."""
+    return lambda w: lambda a, b: op(a, b & (w - 1))
 
-    def make_specialized(sew: int, lmul: int) -> VectorHandler:
-        def specialized(s: MachineState, i: Instruction) -> None:
-            s.vec_counters["specialized_ops"] += 1
-            core(s, i, sew, lmul, *args)
-        return specialized
 
-    VECTOR_EXEC_NUMPY[name] = generic
-    _SPECIALIZE[name] = make_specialized
+def _ufunc(op: Any) -> Callable[[int], Callable[[Any, Any], Any]]:
+    """The same lane operation at every SEW."""
+    return lambda w: op
 
 
 for _sfx in ("vv", "vx", "vi"):
-    _np_register(f"vadd.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a + b, False)
-    _np_register(f"vsub.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a - b, False)
-    _np_register(f"vrsub.{_sfx}", _int_binop_core,
-                 lambda a, b, w: b - a, False)
-    _np_register(f"vand.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a & b, False)
-    _np_register(f"vor.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a | b, False)
-    _np_register(f"vxor.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a ^ b, False)
-    _np_register(f"vsll.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a << (b & (w - 1)), False)
-    _np_register(f"vsrl.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a >> (b & (w - 1)), False)
-    _np_register(f"vsra.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a >> (b & (w - 1)), True)
+    for _mn, _at, _signed in (
+            ("vadd", _ufunc(np.add), False),
+            ("vsub", _ufunc(np.subtract), False),
+            ("vrsub", _ufunc(lambda a, b: b - a), False),
+            ("vand", _ufunc(np.bitwise_and), False),
+            ("vor", _ufunc(np.bitwise_or), False),
+            ("vxor", _ufunc(np.bitwise_xor), False),
+            ("vsll", _shift(np.left_shift), False),
+            ("vsrl", _shift(np.right_shift), False),
+            ("vsra", _shift(np.right_shift), True)):
+        _np_op((f"{_mn}.{_sfx}",), _int_binop(_at, _signed))
 for _sfx in ("vv", "vx"):
-    _np_register(f"vmin.{_sfx}", _int_binop_core,
-                 lambda a, b, w: np.minimum(a, b), True)
-    _np_register(f"vmax.{_sfx}", _int_binop_core,
-                 lambda a, b, w: np.maximum(a, b), True)
-    _np_register(f"vminu.{_sfx}", _int_binop_core,
-                 lambda a, b, w: np.minimum(a, b), False)
-    _np_register(f"vmaxu.{_sfx}", _int_binop_core,
-                 lambda a, b, w: np.maximum(a, b), False)
-    _np_register(f"vmul.{_sfx}", _int_binop_core,
-                 lambda a, b, w: a * b, True)
-    _np_register(f"vmulh.{_sfx}", _mulh_core, True)
-    _np_register(f"vmulhu.{_sfx}", _mulh_core, False)
-    _np_register(f"vmacc.{_sfx}", _mac_core, 1, True)
-    _np_register(f"vnmsac.{_sfx}", _mac_core, -1, True)
-    _np_register(f"vmadd.{_sfx}", _mac_core, 1, False)
-    _np_register(f"vwmul.{_sfx}", _widening_core, True, False, True)
-    _np_register(f"vwmulu.{_sfx}", _widening_core, True, False, False)
-    _np_register(f"vwmacc.{_sfx}", _widening_core, True, True, True)
-    _np_register(f"vwmaccu.{_sfx}", _widening_core, True, True, False)
-    _np_register(f"vwadd.{_sfx}", _widening_core, False, False, True)
-    _np_register(f"vwaddu.{_sfx}", _widening_core, False, False, False)
-    _np_register(f"vmseq.{_sfx}", _compare_core,
-                 lambda a, b: a == b, False)
-    _np_register(f"vmsne.{_sfx}", _compare_core,
-                 lambda a, b: a != b, False)
-    _np_register(f"vmsltu.{_sfx}", _compare_core,
-                 lambda a, b: a < b, False)
-    _np_register(f"vmslt.{_sfx}", _compare_core,
-                 lambda a, b: a < b, True)
-    _np_register(f"vmsleu.{_sfx}", _compare_core,
-                 lambda a, b: a <= b, False)
-    _np_register(f"vmsle.{_sfx}", _compare_core,
-                 lambda a, b: a <= b, True)
+    for _mn, _at, _signed in (
+            ("vmin", _ufunc(np.minimum), True),
+            ("vmax", _ufunc(np.maximum), True),
+            ("vminu", _ufunc(np.minimum), False),
+            ("vmaxu", _ufunc(np.maximum), False),
+            ("vmul", _ufunc(np.multiply), True)):
+        _np_op((f"{_mn}.{_sfx}",), _int_binop(_at, _signed))
+    _np_op((f"vmulh.{_sfx}",), _mulh(True))
+    _np_op((f"vmulhu.{_sfx}",), _mulh(False))
+    _np_op((f"vmacc.{_sfx}",), _int_mac(1, True))
+    _np_op((f"vnmsac.{_sfx}",), _int_mac(-1, True))
+    _np_op((f"vmadd.{_sfx}",), _int_mac(1, False))
+    _np_op((f"vwmul.{_sfx}",), _widening(True, False, True))
+    _np_op((f"vwmulu.{_sfx}",), _widening(True, False, False))
+    _np_op((f"vwmacc.{_sfx}",), _widening(True, True, True))
+    _np_op((f"vwmaccu.{_sfx}",), _widening(True, True, False))
+    _np_op((f"vwadd.{_sfx}",), _widening(False, False, True))
+    _np_op((f"vwaddu.{_sfx}",), _widening(False, False, False))
+    for _mn, _cmp, _signed in (
+            ("vmseq", np.equal, False), ("vmsne", np.not_equal, False),
+            ("vmsltu", np.less, False), ("vmslt", np.less, True),
+            ("vmsleu", np.less_equal, False),
+            ("vmsle", np.less_equal, True)):
+        _np_op((f"{_mn}.{_sfx}",), _compare(_cmp, _signed))
 
-_np_register("vmerge.vvm", _merge_core)
-_np_register("vmerge.vxm", _merge_core)
-_np_register("vmv.v.v", _vmv_v_core)
-_np_register("vmv.v.x", _vmv_v_core)
-_np_register("vmv.v.i", _vmv_v_core)
-_np_register("vredsum.vs", _reduce_core, "sum", True)
-_np_register("vredmax.vs", _reduce_core, "max", True)
-_np_register("vredmin.vs", _reduce_core, "min", True)
-_np_register("vredmaxu.vs", _reduce_core, "max", False)
-_np_register("vredminu.vs", _reduce_core, "min", False)
-_np_register("vredand.vs", _reduce_core, "and", False)
-_np_register("vredor.vs", _reduce_core, "or", False)
-_np_register("vredxor.vs", _reduce_core, "xor", False)
-_np_register("vid.v", _vid_core)
-_np_register("vslideup.vx", _slideup_core)
-_np_register("vslideup.vi", _slideup_core)
-_np_register("vslidedown.vx", _slidedown_core)
-_np_register("vslidedown.vi", _slidedown_core)
-_np_register("vrgather.vv", _gather_core)
+_np_op(("vmerge.vvm", "vmerge.vxm"), _bind_merge, counted=False)
+_np_op(("vmv.v.v", "vmv.v.x", "vmv.v.i"), _bind_vmv_v)
+for _mn, _fold, _signed in (
+        ("vredsum", np.add, True), ("vredmax", np.maximum, True),
+        ("vredmin", np.minimum, True), ("vredmaxu", np.maximum, False),
+        ("vredminu", np.minimum, False), ("vredand", np.bitwise_and, False),
+        ("vredor", np.bitwise_or, False), ("vredxor", np.bitwise_xor, False)):
+    _np_op((f"{_mn}.vs",), _reduce(_fold, _signed))
+_np_op(("vid.v",), _bind_vid)
+_np_op(("vslideup.vx", "vslideup.vi"), _bind_slideup)
+_np_op(("vslidedown.vx", "vslidedown.vi"), _bind_slidedown)
+_np_op(("vrgather.vv",), _bind_rgather)
 
 for _sfx in ("vv", "vf"):
-    _np_register(f"vfadd.{_sfx}", _fp_binop_core, lambda a, b: a + b)
-    _np_register(f"vfsub.{_sfx}", _fp_binop_core, lambda a, b: a - b)
-    _np_register(f"vfmul.{_sfx}", _fp_binop_core, lambda a, b: a * b)
-    _np_register(f"vfdiv.{_sfx}", _fp_binop_core, _fdiv_op)
-    # min/max replicate the reference's Python min()/max() tie and NaN
-    # behaviour: the SECOND operand wins only on a strict compare.
-    _np_register(f"vfmin.{_sfx}", _fp_binop_core,
-                 lambda a, b: np.where(b < a, b, a))
-    _np_register(f"vfmax.{_sfx}", _fp_binop_core,
-                 lambda a, b: np.where(b > a, b, a))
-    _np_register(f"vfmacc.{_sfx}", _fp_mac_core, 1, True)
-    _np_register(f"vfnmacc.{_sfx}", _fp_mac_core, -1, True)
-    _np_register(f"vfmadd.{_sfx}", _fp_mac_core, 1, False)
-_np_register("vfsqrt.v", _fsqrt_core)
+    for _mn, _fop in (
+            ("vfadd", lambda a, b: a + b), ("vfsub", lambda a, b: a - b),
+            ("vfmul", lambda a, b: a * b), ("vfdiv", _fdiv_op),
+            # min/max replicate the reference's Python min()/max() tie
+            # and NaN behaviour: the SECOND operand wins only on a
+            # strict compare.
+            ("vfmin", lambda a, b: np.where(b < a, b, a)),
+            ("vfmax", lambda a, b: np.where(b > a, b, a))):
+        _np_op((f"{_mn}.{_sfx}",), _fp_binop(_fop), fp=True)
+    _np_op((f"vfmacc.{_sfx}",), _fp_mac(1, True), fp=True)
+    _np_op((f"vfnmacc.{_sfx}",), _fp_mac(-1, True), fp=True)
+    _np_op((f"vfmadd.{_sfx}",), _fp_mac(1, False), fp=True)
+_np_op(("vfsqrt.v",), _bind_fsqrt, fp=True)
 
 for _w in (8, 16, 32, 64):
-    VECTOR_EXEC_NUMPY[f"vle{_w}.v"] = _np_vload
-    VECTOR_EXEC_NUMPY[f"vlse{_w}.v"] = _np_vload
-    VECTOR_EXEC_NUMPY[f"vse{_w}.v"] = _np_vstore
-    VECTOR_EXEC_NUMPY[f"vsse{_w}.v"] = _np_vstore
-    _np_register(f"vlxei{_w}.v", _load_indexed_core)
-    _np_register(f"vsxei{_w}.v", _store_indexed_core)
+    _np_op((f"vle{_w}.v", f"vlse{_w}.v"), _bind_vload, counted=False,
+           specializable=False)
+    _np_op((f"vse{_w}.v", f"vsse{_w}.v"), _bind_vstore, counted=False,
+           specializable=False)
+    _np_op((f"vlxei{_w}.v",), _bind_vload_indexed, counted=False)
+    _np_op((f"vsxei{_w}.v",), _bind_vstore_indexed, counted=False)
 
-VECTOR_EXEC_NUMPY["vcpop.m"] = _vcpop_np
+_np_op(("vcpop.m",), _bind_vcpop, specializable=False)
 for _mn, _op in (("vmand.mm", lambda a, b: a & b),
                  ("vmor.mm", lambda a, b: a | b),
                  ("vmxor.mm", lambda a, b: a ^ b),
                  ("vmnand.mm", lambda a, b: 1 - (a & b)),
                  ("vmnor.mm", lambda a, b: 1 - (a | b)),
                  ("vmxnor.mm", lambda a, b: 1 - (a ^ b))):
-    def _mk_mask(op: Callable[[Any, Any], Any]) -> VectorHandler:
-        def handler(s: MachineState, i: Instruction) -> None:
-            _mask_logical_core(s, i, op)
-        return handler
-    VECTOR_EXEC_NUMPY[_mn] = _mk_mask(_op)
-
-
-# Element-0 moves touch one lane: index it directly instead of building
-# the LMUL group the reference reads.  Uncounted, like the shared ops.
-def _vmv_x_s_np(s: MachineState, i: Instruction) -> None:
-    sew = s.sew
-    s.write_x(i.rd, int(s.vview_s[sew][i.rs2 * (s.vlenb * 8 // sew)]))
-
-
-def _vmv_s_x_np(s: MachineState, i: Instruction) -> None:
-    sew = s.sew
-    s.vview_u[sew][i.rd * (s.vlenb * 8 // sew)] = (
-        s.regs[i.rs1] & ((1 << sew) - 1))
-
-
-VECTOR_EXEC_NUMPY["vmv.x.s"] = _vmv_x_s_np
-VECTOR_EXEC_NUMPY["vmv.s.x"] = _vmv_s_x_np
+    _np_op((_mn,), _mask_logical(_op), counted=False, specializable=False)
+_np_op(("vmv.x.s",), _bind_vmv_x_s, counted=False, specializable=False)
+_np_op(("vmv.s.x",), _bind_vmv_s_x, counted=False, specializable=False)
 
 #: config ops shared verbatim with the reference engine (no lanes to
 #: batch, no counters).
@@ -1411,7 +1584,7 @@ for _mn in VECTOR_EXEC_REF:
 
 
 # ===========================================================================
-# Engine selection.
+# Engine selection and per-instruction binding.
 # ===========================================================================
 
 _ENGINES: dict[str, dict[str, VectorHandler]] = {
@@ -1443,18 +1616,28 @@ def active_engine() -> str:
     return _active_engine
 
 
-def specialize(mnemonic: str, sew: int, lmul: int) -> VectorHandler | None:
-    """A handler with SEW/LMUL constant-folded, for tier-3 blocks where
-    vtype is provably static; None when no specialization applies
-    (reference engine active, or a non-specializable mnemonic)."""
-    if _active_engine != "numpy":
-        return None
-    factory = _SPECIALIZE.get(mnemonic)
-    return factory(sew, lmul) if factory is not None else None
+def bind_handler(inst: Instruction, static: tuple[int, int] | None = None,
+                 scoped: bool = True) -> VectorHandler:
+    """A handler for one static vector instruction (tiers 2 and 3).
+
+    On the numpy engine a batched op gets a handler of its own that
+    binds its operands on first use and rebinds only when vtype
+    changes.  *static* is the (SEW, LMUL) tier 3 proved for it inside
+    its block: the handler binds with it and counts
+    ``specialized_ops``.  *scoped* False leaves FP ops without a per-op
+    ``np.errstate``, for a caller that holds one (``Emulator.run``).
+    Every other op, and every op on the reference engine, gets the
+    shared ``VECTOR_EXEC`` handler.
+    """
+    mnemonic = inst.spec.mnemonic
+    op = _NP_OPS.get(mnemonic) if _active_engine == "numpy" else None
+    if op is None:
+        return VECTOR_EXEC[mnemonic]
+    return _handler(op, cache=True, static=static, scoped=scoped)
 
 
 select_engine(os.environ.get("REPRO_VECTOR_ENGINE", "numpy"))
 
 __all__ = ["VECTOR_EXEC", "VECTOR_EXEC_REF", "VECTOR_EXEC_NUMPY",
            "VectorHandler", "select_engine", "active_engine",
-           "specialize"]
+           "bind_handler"]

@@ -18,6 +18,10 @@ class Memory:
     def __init__(self):
         self._pages: dict[int, bytearray] = {}
         self._mmio: list[tuple[int, int, object]] = []  # (base, size, device)
+        #: True once any MMIO window is mapped: the vector batch paths
+        #: then fall back to per-element accesses (a plain attribute,
+        #: since they test it on every store)
+        self.has_mmio = False
 
     def register_mmio(self, base: int, size: int, device) -> None:
         """Map *device* at [base, base+size).
@@ -27,6 +31,7 @@ class Memory:
         window boundary.
         """
         self._mmio.append((base, size, device))
+        self.has_mmio = True
 
     def _mmio_at(self, addr: int):
         for base, size, device in self._mmio:
@@ -121,12 +126,6 @@ class Memory:
         self.store_bytes(program.text_base, program.text)
         if program.data:
             self.store_bytes(program.data_base, program.data)
-
-    @property
-    def has_mmio(self) -> bool:
-        """True when any MMIO window is mapped (vector batch paths
-        fall back to per-element accesses in that case)."""
-        return bool(self._mmio)
 
     def ram_view(self, addr: int, size: int,
                  allocate: bool = False) -> memoryview | None:

@@ -12,6 +12,7 @@ from ..isa.csr import (
     CSR_INSTRET,
     CSR_TIME,
     CSR_VL,
+    CSR_VLENB,
     CSR_VTYPE,
     CsrFile,
     PrivMode,
@@ -141,6 +142,7 @@ class MachineState:
         self.csrs.bind_counter(CSR_TIME, lambda: self.instret)
         self.csrs.bind_counter(CSR_VL, lambda: self.vl)
         self.csrs.bind_counter(CSR_VTYPE, lambda: self.vtype)
+        self.csrs.bind_counter(CSR_VLENB, lambda: self.vlenb)
 
     # -- integer registers ---------------------------------------------------
 

@@ -467,6 +467,49 @@ again:
     ecall
 """)
 
+#: one subroutine run under two vtypes, e32/m8 then e16/m1, twice
+#: round: every per-instruction handler rebinds on each vtype change.
+#: At m8 the group at v28 wraps past v31 and the widening MAC clamps
+#: its EMUL (both fall back); at m1 both batch.  Masked and unmasked
+#: lanes; v0 is reloaded under the vtype in force
+REBIND = Workload(name="vec-rebind", compress=False, source="""
+    .data
+src:  .word %s
+mask: .word %s
+out:  .zero 512
+    .text
+_start:
+    li s0, 2
+again:
+    li t0, 29
+    vsetvli t1, t0, e32, m8
+    call body
+    li t0, 11
+    vsetvli t1, t0, e16, m1
+    call body
+    addi s0, s0, -1
+    bnez s0, again
+    li a0, 0
+    li a7, 93
+    ecall
+body:
+    la a0, mask
+    vle32.v v0, (a0)
+    la a1, src
+    vle32.v v8, (a1)
+    vle32.v v16, (a1), v0.t
+    vadd.vv v24, v8, v16, v0.t
+    vmsne.vv v5, v8, v24
+    vredsum.vs v6, v8, v24
+    vadd.vv v28, v8, v16
+    vwmacc.vv v24, v8, v16, v0.t
+    la a2, out
+    vse32.v v24, (a2)
+    vse32.v v28, (a2), v0.t
+    ret
+""" % (", ".join(str(k * 2654435761 % 2**32) for k in range(64)),
+       ", ".join(str(k * 0x9E3779B9 % 2**32) for k in range(32))))
+
 #: (programs, corners): what tier 1 runs
 PLAN_ROWS = [
     (ALL, [Functional(3, cache="cold"), Functional(3, cache="warm"),
@@ -479,8 +522,8 @@ PLAN_ROWS = [
     (VECTOR + list(SMALL), [Functional(1, "ref"), Functional(2, "ref"),
                             Functional(3, "ref", cache="cold")]),
     (list(SMALL) + list(SMC), [Functional(2), Functional(3, cache="cold")]),
-    ([MASKED.name], [corner for corner in CORNERS
-                     if isinstance(corner, Functional)]),
+    ([MASKED.name, REBIND.name], [corner for corner in CORNERS
+                                  if isinstance(corner, Functional)]),
     (SAMPLE, [Functional(2, sanitizer=True), Functional(1, smp=True),
               Timed(1, hooks=True), Timed(3, hooks=True),
               Timed(3, feed="lists"), Timed(3, feed="chunks"),
@@ -499,7 +542,8 @@ PLAN = {name: sorted({corner for names, corners in PLAN_ROWS if name in names
 def workload(name: str) -> Workload:
     if name in SMALL:
         return dataclasses.replace(SMALL[name](), name=name)
-    return {MASKED.name: MASKED, **SMC}.get(name) or get_workload(name)
+    return ({MASKED.name: MASKED, REBIND.name: REBIND, **SMC}.get(name)
+            or get_workload(name))
 
 
 @functools.cache

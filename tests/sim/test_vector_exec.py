@@ -2,6 +2,11 @@
 
 import struct
 
+import pytest
+
+from repro.asm import assemble
+from repro.sim import Emulator
+
 def dump_dwords(emu, symbol, count):
     base = emu.program.symbol(symbol)
     return [emu.state.memory.load_int(base + 8 * i, 8, signed=True)
@@ -39,6 +44,24 @@ class TestVsetvl:
         vsetvl a0, t0, t1
         """
         assert run(code).exit_code == 4
+
+
+@pytest.mark.parametrize("tier", [1, 2, 3])
+@pytest.mark.parametrize("vlen", [128, 256])
+def test_csrr_vlenb_reads_the_register_width_in_bytes(vlen, tier, tmp_path):
+    """Read twice round, so tier 3 also reads it from a compiled block."""
+    program = assemble("""
+    li s0, 2
+again:
+    csrr a0, vlenb
+    addi s0, s0, -1
+    bnez s0, again
+    li a7, 93
+    ecall
+""", compress=False)
+    emulator = Emulator(program, vlen=vlen, code_cache_dir=str(tmp_path))
+    assert emulator.run(tier=tier) == vlen // 8
+    assert emulator.tier == tier
 
 
 class TestIntVectorOps:

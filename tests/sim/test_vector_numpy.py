@@ -22,6 +22,7 @@ and the ``sim.vector.*`` metrics namespace.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -61,20 +62,28 @@ def _numpy_engine():
     exec_vector.select_engine("numpy")
 
 
-def _run_engine(source: str, engine: str, max_steps: int = 500_000):
+def _run_engine(source: str, engine: str, max_steps: int = 500_000,
+                tier: int = 1):
     """Assemble and run under *engine*; restore the numpy engine."""
     exec_vector.select_engine(engine)
     try:
         emulator = Emulator(assemble(source, compress=False))
-        emulator.run(max_steps)
+        emulator.run(max_steps, tier=tier)
     finally:
         exec_vector.select_engine("numpy")
     return emulator
 
 
 def _differential(source: str) -> None:
-    assert (_run_engine(source, "numpy").fingerprint()
-            == _run_engine(source, "ref").fingerprint())
+    """The numpy engine at tier 3 against the reference at tier 1, with
+    the program run twice round from one block: the second pass runs
+    the compiled block, whose vector handlers keep their bindings."""
+    assert source.count("_start:") == 1 and source.endswith(EXIT)
+    twice = source.replace(
+        "_start:", "_start:\n    li s9, 2\n    j _pass\n_pass:").replace(
+        EXIT, "\n    addi s9, s9, -1\n    bnez s9, _pass" + EXIT)
+    assert (_run_engine(twice, "numpy", tier=3).fingerprint()
+            == _run_engine(twice, "ref").fingerprint())
 
 
 # -- hypothesis differential -------------------------------------------------
@@ -500,6 +509,30 @@ _start:
     assert emulator.state.memory.load_bytes(base, 16) == b"\xaa" * 16
 
 
+def test_integer_reductions_wrap_at_sew():
+    """A reduction whose sum leaves SEW bits wraps, as the reference's
+    masked write of its Python-integer sum does."""
+    src = f"""
+    .data
+    .align 3
+vals: .word 0x7fffffff, 0x7fffffff, 5, 9
+    .text
+_start:
+    li t0, 4
+    vsetvli t3, t0, e32, m1
+    la t1, vals
+    vle32.v v1, (t1)
+    vmv.v.i v2, 3
+    vredsum.vs v3, v1, v2
+    vredmax.vs v4, v1, v2
+    vredminu.vs v5, v1, v2
+    vredxor.vs v6, v1, v2
+{EXIT}"""
+    _differential(src)
+    emulator = _run_engine(src, "numpy", tier=3)
+    assert emulator.state.vview_u[32][3 * 4] == 15
+
+
 def test_wrapped_register_group_falls_back():
     """An m4 group starting at v30 wraps past v31; the batched engine
     must delegate to the reference handler and still agree with it."""
@@ -547,18 +580,56 @@ def test_select_engine_normalizes_and_round_trips():
 
 
 def test_specialize_only_on_numpy_engine():
-    assert callable(exec_vector.specialize("vadd.vv", 32, 1))
-    assert exec_vector.specialize("not-an-op", 32, 1) is None
+    """``bind_handler`` gives each static instruction a handler of its
+    own on the numpy engine, counted as specialized under a proven
+    vtype; an op the engine does not batch, and every op on the
+    reference engine, gets the table's shared handler."""
+    program = assemble("""
+_start:
+    vadd.vv v1, v2, v3
+    vdiv.vv v1, v2, v3
+""" + EXIT, compress=False)
+    emulator = Emulator(program)
+    vadd = emulator._fetch(program.entry)
+    vdiv = emulator._fetch(program.entry + 4)
+    proven = exec_vector.bind_handler(vadd, (32, 1))
+    plain = exec_vector.bind_handler(vadd)
+    assert len({proven, plain, exec_vector.VECTOR_EXEC["vadd.vv"]}) == 3
+    assert (exec_vector.bind_handler(vdiv, (32, 1))
+            is exec_vector.VECTOR_EXEC["vdiv.vv"])
+    state = emulator.state
+    state.set_vtype(0b01000, 4)            # e32, m1
+    proven(state, vadd)
+    plain(state, vadd)
+    assert state.vec_counters["specialized_ops"] == 1
+    assert state.vec_counters["batched_ops"] == 2
     exec_vector.select_engine("ref")
-    assert exec_vector.specialize("vadd.vv", 32, 1) is None
+    assert (exec_vector.bind_handler(vadd, (32, 1))
+            is exec_vector.VECTOR_EXEC_REF["vadd.vv"])
 
 
-def test_tier3_uses_specialized_handlers():
-    emulator = Emulator(vec_mac16().program())
+def test_tier3_uses_specialized_handlers(monkeypatch):
+    """Tier 3 binds each static vector instruction's operands once per
+    vtype, not once per execution, and counts those its blocks prove
+    static as specialized."""
+    binds = []
+
+    def counted(op):
+        def bind(s, i, sew, lmul):
+            binds.append(i)
+            return op.bind(s, i, sew, lmul)
+        return op._replace(bind=bind)
+
+    for name, op in list(exec_vector._NP_OPS.items()):
+        monkeypatch.setitem(exec_vector._NP_OPS, name, counted(op))
+    emulator = Emulator(vec_mac16(unroll_passes=40).program())
     emulator.run(tier=3)
     counters = emulator.state.vec_counters
     assert counters["specialized_ops"] > 0
     assert counters["fallback_ops"] == 0
+    # a handler per static instruction and block: the count of those
+    # bounds the binds, however long the loop runs
+    assert 0 < len(binds) < counters["batched_ops"] / 50
 
 
 def test_counters_and_metrics_namespace():
@@ -573,6 +644,63 @@ def test_counters_and_metrics_namespace():
     assert "sim.vector.elems_active" in registry.keys()
     assert not any(key.startswith("emu.vector_")
                    for key in registry.keys())
+
+
+#: e32 products that overflow the float64 -> float32 rounding (3e38 *
+#: 10) and one that is invalid (inf * 0): numpy warns on both outside
+#: an ``np.errstate``.  Twice round from one block, so the second pass
+#: runs the compiled block.
+FP_FLAGS = """
+    .data
+    .align 3
+big: .word 0x7f61b1e6, 0x7f61b1e6, 0x7f61b1e6, 0x7f61b1e6
+ten: .word 0x41200000, 0x41200000, 0x41200000, 0x41200000
+inf: .word 0x7f800000, 0x7f800000, 0x7f800000, 0x7f800000
+    .text
+_start:
+    li s0, 2
+    j again
+again:
+    li t0, 4
+    vsetvli t1, t0, e32, m1
+    la a0, big
+    vle32.v v1, (a0)
+    la a1, ten
+    vle32.v v2, (a1)
+    flw fa0, 0(a1)
+    la a2, inf
+    vle32.v v3, (a2)
+    vmv.v.i v4, 0
+    vfmul.vv v5, v1, v2
+    vfmul.vv v6, v3, v4
+    vmv.v.v v7, v1
+    vfmacc.vf v7, fa0, v1
+    addi s0, s0, -1
+    bnez s0, again
+""" + EXIT
+
+
+@pytest.mark.parametrize("tier", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["run", "trace"])
+def test_fp_flags_never_warn(mode, tier, tmp_path):
+    """``Emulator.run`` holds one ``np.errstate`` for the whole run,
+    which the compiled blocks' run variant relies on; every other path
+    (tiers 1 and 2, and ``trace``, a generator that must not leave a
+    scope open across its yields) opens one per FP op."""
+    want = _run_engine(FP_FLAGS, "ref").fingerprint()
+    emulator = Emulator(assemble(FP_FLAGS, compress=False),
+                        code_cache_dir=str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if mode == "run":
+            emulator.run(tier=tier)
+        else:
+            for _ in emulator.trace(tier=tier):
+                pass
+    assert emulator.tier == tier
+    assert emulator.fingerprint() == want
+    if tier == 3:
+        assert emulator.counters()["codegen_executions"] > 0
 
 
 def test_masked_ops_counted():
