@@ -12,9 +12,11 @@ time collapses to a disk ``marshal.load`` + link check).
 The committed JSON doubles as the CI regression baseline: the bench CI
 job re-runs ``bench --tier 3 --quick`` and fails when warm tier-3
 CoreMark MIPS or the tier-3/tier-2 speedup drops more than the
-tolerance (default 30%) below the checked-in numbers.  The nightly lane
-additionally asserts the warm-start invariant directly: a second
-invocation compiles zero blocks.
+tolerance (default 30%) below the checked-in numbers.  Each kernel also
+records ``insts_per_dispatch``: instructions retired per unit the warm
+tier-3 dispatch loop ran (superblocks, plus the tier-2 block runs that
+earn them).  ``tests/sim/test_codegen.py`` asserts the warm-start
+invariant directly: a second invocation compiles zero superblocks.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ def bench_workload(workload, repeat: int, cache_dir: str) -> dict:
         "blocks_compiled_warm": warm.get("codegen_blocks_compiled", 0),
         "compile_s_warm": warm.get("codegen_compile_s", 0.0),
         "disk_hits_warm": warm.get("codegen_disk_hits", 0),
+        "insts_per_dispatch": round(insts / (warm["codegen_executions"]
+                                             + warm["block_executions"]), 2),
     }
 
 
@@ -105,24 +109,25 @@ def invariants(payload: dict, baseline: dict) -> list[str]:
     is absolute: any recompilation is a bug, not noise."""
     warm_compiled = payload["summary"].get("warm_blocks_compiled", 0)
     if warm_compiled:
-        return [f"warm-start violated: {warm_compiled} blocks recompiled "
-                f"with a populated disk cache (expected 0)"]
+        return [f"warm-start violated: {warm_compiled} superblocks "
+                f"recompiled with a populated disk cache (expected 0)"]
     return []
 
 
 def render(payload: dict) -> str:
     """Terminal table for the tier bench payload."""
     lines = [f"{'workload':18s}{'insts':>9}{'tier2':>9}{'t3 cold':>9}"
-             f"{'t3 warm':>9}{'speedup':>9}{'blocks':>8}",
+             f"{'t3 warm':>9}{'speedup':>9}{'units':>8}{'insts':>8}",
              f"{'':18s}{'':>9}{'MIPS':>9}{'MIPS':>9}{'MIPS':>9}"
-             f"{'vs t2':>9}{'':>8}"]
+             f"{'vs t2':>9}{'':>8}{'/disp':>8}"]
     for name, r in payload["workloads"].items():
         cold_mips = r["insts"] / r["tier3_cold_s"] / 1e6
         lines.append(
             f"{name:18s}{r['insts']:>9}{r['tier2_mips']:>9.2f}"
             f"{cold_mips:>9.2f}{r['tier3_mips']:>9.2f}"
             f"{r['speedup_vs_tier2']:>8.2f}x"
-            f"{r['blocks_compiled_cold']:>8}")
+            f"{r['blocks_compiled_cold']:>8}"
+            f"{r['insts_per_dispatch']:>8.1f}")
     s = payload["summary"]
     lines.append(
         f"{'geomean':18s}{'':>9}{s['coremark_tier2_mips']:>9.2f}"
@@ -132,7 +137,7 @@ def render(payload: dict) -> str:
         f"(coremark geomeans; all-kernel geomean speedup "
         f"{s['geomean_speedup_vs_tier2']:.2f}x; cold translation "
         f"{s['cold_compile_s']:.3f}s, warm {s['warm_compile_s']:.3f}s, "
-        f"{s['warm_blocks_compiled']} blocks recompiled warm)")
+        f"{s['warm_blocks_compiled']} superblocks recompiled warm)")
     return "\n".join(lines)
 
 

@@ -39,6 +39,8 @@ fresh records.
 
 from __future__ import annotations
 
+import weakref
+
 from ..isa.csr import PrivMode, TrapCause
 from ..isa.instructions import InstrClass
 from .exec_scalar import SCALAR_EXEC, EcallShim, Trap
@@ -85,11 +87,13 @@ class TranslatedBlock:
     :class:`~repro.sim.trace.RecordBatch` — the same object every time
     the block runs to its end — so the timing model can keep its static
     resolution of the block on it; a partially executed block yields a
-    plain-list slice.
+    plain-list slice.  ``exit`` is the PC the block's last complete
+    run left it for (None before one): tier 3 chains a superblock
+    through a conditional branch in that direction.
     """
 
     __slots__ = ("start", "end", "entries", "records", "run_count",
-                 "sanitize")
+                 "exit", "sanitize")
 
     def __init__(self, start: int, end: int, entries: list):
         self.start = start
@@ -97,6 +101,7 @@ class TranslatedBlock:
         self.entries = entries
         self.records = RecordBatch(entry[5] for entry in entries)
         self.run_count = 0
+        self.exit: int | None = None
         #: lazily built repro.analysis.sanitize._BlockSummary
         self.sanitize = None
 
@@ -115,10 +120,16 @@ def _fill(rec: DynInst, state, side, next_pc: int) -> None:
 
 
 class BlockEngine:
-    """Block cache + dispatcher state for one :class:`Emulator`."""
+    """Block cache + dispatcher state for one :class:`Emulator`.
+
+    The emulator owns the engine and the engine refers back to it
+    weakly, so a finished emulator and everything its translations
+    reach is freed when its last reference goes, not at the next full
+    garbage collection.
+    """
 
     def __init__(self, emulator):
-        self.emu = emulator
+        self._emu = weakref.ref(emulator)
         self.blocks: dict[int, TranslatedBlock] = {}
         # counters (surfaced through CoreStats.extra / bench output)
         self.translated_blocks = 0
@@ -126,6 +137,10 @@ class BlockEngine:
         self.executions = 0
         self.flushes = 0
         self.smc_invalidations = 0
+
+    @property
+    def emu(self):
+        return self._emu()
 
     # -- cache maintenance ---------------------------------------------------
 

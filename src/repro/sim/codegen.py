@@ -1,34 +1,51 @@
-"""Tier-3 specializing translator: per-block Python codegen.
+"""Tier-3 specializing translator: superblocks compiled to Python.
 
 Tier-2 (:mod:`repro.sim.blockcache`) already decodes each basic block
 once, but still pays per retired instruction for the dispatch loop:
 tuple unpacking, a flags test, a handler call through a function
 pointer, and the bookkeeping branches.  This module removes that last
-layer: for every :class:`~repro.sim.blockcache.TranslatedBlock` it
-emits *specialized straight-line Python source* — register indices,
-immediates, fall-through PCs and handler references constant-folded
-into the text — ``compile()``s it once, and runs the code object in
-place of the interpretation loop.
+layer, and most of the per-dispatch one above it: it chains tier-2
+blocks into a *superblock* and emits *specialized straight-line Python
+source* for it — register indices, immediates, fall-through PCs and
+handler references constant-folded into the text — ``compile()``s it
+once, and runs the code object in place of the interpretation loop.
+
+Formation: a block's second dispatch forms the superblock headed by
+it.  The chain follows fall-throughs, ``jal`` targets and each
+conditional branch in the direction its block took on its last
+complete tier-2 run, through blocks tier 2 has already run, and stops
+at ``jalr``, at CSR/SYSTEM/fence terminators, at a block not yet run
+and at ``MAX_BLOCK_INSTS`` instructions; a back-edge to the head
+repeats it (the loop unrolls).  Inside the chain a conditional branch
+is a *guard*: the other direction leaves with ``state.pc`` and
+``state.instret`` synced, after the trace variant filled its record.
+The superblock owns its record slots, with one persistent prefix batch
+per exit position.  There is one unit per start pc.
 
 Translation is two-pass, resolve-then-emit: pass one classifies every
-entry of the tier-2 block (inline-specializable ALU/load/store/branch,
-bare handler call, or the full ``step()``-equivalent "cold dance" for
+entry (inline-specializable ALU/load/store/branch, bare handler call,
+or the full ``step()``-equivalent "cold dance" for
 CSR/AMO/DIV/system/vector instructions); pass two emits the source for
-a ``make(E)`` factory whose inner ``run``/``trace`` functions bind the
-handlers, instructions and record slots as default arguments (fast
-locals, zero global lookups in the hot path).
+a ``make(E, records)`` factory whose inner function — ``run``, or
+``trace``, which fills the record slots — binds the handlers,
+instructions and record slots as default arguments (fast locals, zero
+global lookups in the hot path).  Each variant is compiled and linked
+the first time a dispatch needs it.
 
 Persistent code cache: compiled module code objects are marshalled to
 disk keyed by (the ``repro`` source digest, interpreter bytecode magic,
 text section sha256, text base, VLEN, block size limit, vector engine),
 so an edit to the emitter or any handler misses, and a second run of
 the same workload skips source generation and ``compile()`` entirely —
-each stored block additionally carries a digest of its code bytes that
-is re-checked at link time, so stale entries miss instead of silently
-reusing.  A corrupt cache file is discarded (and counted), never
-fatal.  ``fence.i``/``sfence.vma`` invalidate compiled blocks exactly
-like tier-2, and nothing is persisted from a run that observed any
-code mutation.
+each stored superblock is filed under its constituent ranges and
+carries a digest of their bytes that is re-checked at link time, so
+stale entries miss instead of silently reusing.  Formation is
+deterministic, so a warm run forms the same chains and links them all.
+A corrupt cache file is discarded (and counted), never fatal.
+``fence.i``/``sfence.vma`` drop every superblock exactly like tier-2
+drops its blocks, a tier-2 first-run SMC hit drops every superblock
+containing the block, and nothing is persisted from a run that
+observed any code mutation.
 
 Semantics contract: the retired ``DynInst`` stream, architectural
 state, exit code and memory image are bit-identical to tier-2 (and
@@ -47,22 +64,24 @@ import marshal
 import os
 import tempfile
 import time
+import weakref
 from collections.abc import Iterator, Sequence
 
 from .. import source_digest
-from ..isa.instructions import InstrClass
 from .exec_scalar import EcallShim, Trap
 from .exec_vector import active_engine, bind_handler
 from .syscalls import ExitRequest
 from .blockcache import (
+    _TERMINATORS,
     FLAG_FENCE_I,
     FLAG_SFENCE,
     FLAG_VECTOR,
     MAX_BLOCK_INSTS,
     _fill,
 )
+from .trace import DynInst, RecordBatch
 
-#: compiled blocks kept in memory before a wholesale flush
+#: superblocks kept in memory before a wholesale flush
 CODE_CACHE_LIMIT = 4096
 #: on-disk cache files kept before mtime-based pruning
 DISK_CACHE_FILES = 64
@@ -268,6 +287,38 @@ def _resolve(entry) -> str:
     return "full"
 
 
+# -- formation ---------------------------------------------------------------
+
+def _successor(block) -> int | None:
+    """The PC a superblock goes on at after *block*.
+
+    A block that ends without a terminator (the size limit) falls
+    through, a ``jal`` goes to its target, a conditional branch the way
+    it went on the block's last complete tier-2 run; ``jalr`` and the
+    CSR/SYSTEM/fence terminators end the chain (None), as does a branch
+    never seen to complete.
+    """
+    _handler, inst, pc, fall, _flags, _rec = block.entries[-1]
+    mnemonic = inst.spec.mnemonic
+    if mnemonic in _BRANCH_COND:
+        if block.exit in ((pc + inst.imm) & _M64, fall):
+            return block.exit
+        return None
+    if mnemonic == "jal":
+        return (pc + inst.imm) & _M64
+    if inst.spec.iclass in _TERMINATORS:
+        return None
+    return fall
+
+
+def _guarded(block) -> bool:
+    """Whether *block* ends in a guard when a superblock goes on after
+    it: a conditional branch whose two directions differ."""
+    _handler, inst, pc, fall, _flags, _rec = block.entries[-1]
+    return (inst.spec.mnemonic in _BRANCH_COND
+            and (pc + inst.imm) & _M64 != fall)
+
+
 # -- pass 2: emit ------------------------------------------------------------
 
 class _Emitter:
@@ -282,57 +333,61 @@ class _Emitter:
     def out(self, line: str) -> None:
         self.lines.append("        " + line)
 
-    def _simple_fill(self, k: int) -> None:
-        """Record fill for tier-2 short-path entries (prefill intact)."""
-        self.out(f"r{k}.seq = n0 + {k}")
-        self.out(f"r{k}.vl = vl")
-        self.out(f"r{k}.sew = sew")
+    def _fill(self, k: int, **fields: str) -> None:
+        """One run's record writes: seq, *fields*, vl and sew.
 
-    def _const_fill(self, k: int, fall: int, *, taken: str = "False",
-                    target: str = "0", next_pc: str | None = None,
-                    mem_addr: str = "0", mem_size: str = "0") -> None:
-        """Record fill for inlined tier-2 full-path entries.
-
-        Every field is written: the record may have been clobbered by
-        a tier-2 execution of the same block (budget-cut dispatch).
+        The record slot belongs to the superblock alone, so the fields
+        that are the same on every run (``next_pc`` of a straight-line
+        entry, a load's ``mem_size``, a branch's ``target``...) were
+        written once, when ``make`` linked it (:func:`_prefill`).
         """
         self.out(f"r{k}.seq = n0 + {k}")
-        self.out(f"r{k}.next_pc = {next_pc if next_pc is not None else fall}")
-        self.out(f"r{k}.taken = {taken}")
-        self.out(f"r{k}.target = {target}")
-        self.out(f"r{k}.mem_addr = {mem_addr}")
-        self.out(f"r{k}.mem_size = {mem_size}")
+        for name, expr in fields.items():
+            self.out(f"r{k}.{name} = {expr}")
         self.out(f"r{k}.vl = vl")
         self.out(f"r{k}.sew = sew")
-        self.out(f"r{k}.div_bits = 0")
 
-    def emit(self, k: int, entry, kind, n: int) -> None:
+    def _leave(self, retired: int, pc: str, indent: str = "") -> None:
+        self.out(f"{indent}state.instret = n0 + {retired}")
+        self.out(f"{indent}state.pc = {pc}")
+        self.out(f"{indent}return {retired}")
+
+    def emit(self, k: int, entry, kind, n: int,
+             follow: int | None) -> None:
+        """Emit position *k* of an *n*-instruction superblock.
+
+        *follow* is the PC the superblock goes on at when *entry* ends
+        a constituent before the last (None otherwise): a conditional
+        branch there becomes a guard that leaves on the other
+        direction, a ``jal`` links and continues.
+        """
         handler, inst, pc, fall, flags, _rec = entry
         spec = inst.spec
         static_vtype = None
         if isinstance(kind, tuple):  # ("full", (sew, lmul) | None)
             kind, static_vtype = kind
+        self.out(f"# @{k}")          # _position() maps lines back to k
         if self.trace:
-            self.params.append(f"r{k}=E[{k}][5]")
+            self.params.append(f"r{k}=records[{k}]")
         if kind == "alu":
             if inst.rd:
                 for line in _alu_lines(inst):
                     self.out(line)
             if self.trace:
-                self._simple_fill(k)
+                self._fill(k)
             return
         if kind == "bare":
             self.params.append(f"h{k}=E[{k}][0]")
             self.params.append(f"i{k}=E[{k}][1]")
             self.out(f"h{k}(state, i{k})")
             if self.trace:
-                self._simple_fill(k)
+                self._fill(k)
             return
         if kind == "auipc":
             if inst.rd:
                 self.out(f"R[{inst.rd}] = {(pc + inst.imm) & _M64}")
             if self.trace:
-                self._const_fill(k, fall)
+                self._fill(k)
             return
         if kind == "load":
             signed = not spec.mem_unsigned
@@ -352,7 +407,7 @@ class _Emitter:
             else:
                 self.out(call)  # keep the access (MMIO side effects)
             if self.trace:
-                self._const_fill(k, fall, mem_addr="a", mem_size=str(size))
+                self._fill(k, mem_addr="a")
             return
         if kind == "store":
             size = spec.mem_bytes
@@ -361,30 +416,42 @@ class _Emitter:
             self.out(f"a = ({_rx(inst.rs1)} + {inst.imm}) & {_MHEX}")
             self.out(f"st(a, {value}, {size})")
             if self.trace:
-                self._const_fill(k, fall, mem_addr="a", mem_size=str(size))
+                self._fill(k, mem_addr="a")
             return
         if kind == "branch":
             target = (pc + inst.imm) & _M64
             cond = _BRANCH_COND[spec.mnemonic].format(
                 a=_rx(inst.rs1), b=_rx(inst.rs2))
-            self.out(f"t = {cond}")
+            next_pc = f"{target} if t else {fall}"
+            if follow is None:
+                self.out(f"t = {cond}")
+                if self.trace:
+                    self._fill(k, taken="t", next_pc=next_pc)
+                self._leave(n, next_pc)
+                return
+            if target == fall:              # both ways go on
+                if self.trace:
+                    self.out(f"r{k}.taken = {cond}")
+                    self._fill(k)
+                return
+            other = fall if follow == target else target
             if self.trace:
-                self._const_fill(k, fall, taken="t", target=str(target),
-                                 next_pc=f"{target} if t else {fall}")
-            self.out(f"state.instret = n0 + {n}")
-            self.out(f"state.pc = {target} if t else {fall}")
-            self.out(f"return {n}")
+                self.out(f"t = {cond}")
+                self._fill(k, taken="t", next_pc=next_pc)
+                self.out("if t:" if other == target else "if not t:")
+            else:
+                self.out(f"if {cond}:" if other == target
+                         else f"if not ({cond}):")
+            self._leave(k + 1, str(other), indent="    ")
             return
         if kind == "jal":
             target = (pc + inst.imm) & _M64
             if inst.rd:
                 self.out(f"R[{inst.rd}] = {(pc + inst.size) & _M64}")
             if self.trace:
-                self._const_fill(k, fall, taken="True", target=str(target),
-                                 next_pc=str(target))
-            self.out(f"state.instret = n0 + {n}")
-            self.out(f"state.pc = {target}")
-            self.out(f"return {n}")
+                self._fill(k)
+            if follow is None:
+                self._leave(n, str(target))
             return
         if kind == "jalr":
             self.out(f"t = ({_rx(inst.rs1)} + {inst.imm})"
@@ -392,11 +459,8 @@ class _Emitter:
             if inst.rd:
                 self.out(f"R[{inst.rd}] = {(pc + inst.size) & _M64}")
             if self.trace:
-                self._const_fill(k, fall, taken="True", target="t",
-                                 next_pc="t")
-            self.out(f"state.instret = n0 + {n}")
-            self.out("state.pc = t")
-            self.out(f"return {n}")
+                self._fill(k, target="t", next_pc="t")
+            self._leave(n, "t")
             return
         # -- the full step()-equivalent dance --------------------------------
         self.needs_cold_state = True
@@ -404,7 +468,7 @@ class _Emitter:
         if vector:
             # A handler of this variant's own for the instruction; a
             # static vtype (a constant-imm vsetvli dominates the entry
-            # inside the block) is passed on and counted as specialized.
+            # inside its block) is passed on and counted as specialized.
             # The run variant only runs under Emulator.run's errstate
             # scope, so its FP handlers open none per op.
             self.params.append(f"h{k}=_vbind(E[{k}][1], {static_vtype!r}, "
@@ -412,8 +476,7 @@ class _Emitter:
         else:
             self.params.append(f"h{k}=E[{k}][0]")
         self.params.append(f"i{k}=E[{k}][1]")
-        terminator = spec.iclass in (InstrClass.BRANCH, InstrClass.JUMP,
-                                     InstrClass.SYSTEM, InstrClass.CSR)
+        terminator = spec.iclass in _TERMINATORS
         rec = f"r{k}" if self.trace else "None"
         self.out(f"state.pc = {pc}")
         self.out(f"state.instret = n0 + {k}")
@@ -449,27 +512,41 @@ class _Emitter:
             self.out(f"r{k}.sew = sew")
             self.out(f"r{k}.div_bits = sd.div_bits")
         if terminator:
-            self.out("state.pc = np")
-            self.out(f"state.instret = n0 + {n}")
-            self.out(f"return {n}")
+            self._leave(n, "np")
         elif not vector:
             self.out(f"if np != {fall}:")
-            self.out("    state.pc = np")
-            self.out(f"    state.instret = n0 + {k + 1}")
-            self.out(f"    return {k + 1}")
+            self._leave(k + 1, "np", indent="    ")
 
 
-def emit_source(block) -> str:
-    """Emit the ``make(E)`` factory module for one tier-2 block."""
-    entries = block.entries
-    n = len(entries)
-    kinds: list = [_resolve(entry) for entry in entries]
-    # Static-vtype scan: inside one straight-line block, a constant-imm
-    # vsetvli fixes SEW/LMUL for every later vector entry (vsetvl takes
-    # vtype from a register, so it resets the knowledge; jumps into the
-    # middle of a block start a new block and never see these kinds).
+def _prefill(entry, kind) -> list[tuple[str, object]]:
+    """The record fields of *entry* that every run leaves the same and
+    the slot's constructor does not already hold (it has ``next_pc`` =
+    the fall-through and zeros elsewhere): ``make`` writes them once."""
+    _handler, inst, pc, _fall, _flags, _rec = entry
+    if kind in ("load", "store"):
+        return [("mem_size", inst.spec.mem_bytes)]
+    if kind == "branch":
+        return [("target", (pc + inst.imm) & _M64)]
+    if kind == "jal":
+        target = (pc + inst.imm) & _M64
+        return [("next_pc", target), ("taken", True), ("target", target)]
+    if kind == "jalr":
+        return [("taken", True)]
+    return []
+
+
+def _kinds(block) -> list:
+    """Pass 1 over one constituent, with its static vtypes.
+
+    Inside one straight-line block, a constant-imm vsetvli fixes
+    SEW/LMUL for every later vector entry (vsetvl takes vtype from a
+    register, so it resets the knowledge).  The scan restarts at every
+    constituent, so a vector op is specialized exactly where its own
+    block proves it.
+    """
+    kinds: list = [_resolve(entry) for entry in block.entries]
     static = None
-    for idx, entry in enumerate(entries):
+    for idx, entry in enumerate(block.entries):
         mn = entry[1].spec.mnemonic
         if mn == "vsetvli":
             from ..asm.assembler import decode_vtype
@@ -478,63 +555,149 @@ def emit_source(block) -> str:
             static = None
         elif kinds[idx] == "full" and (entry[4] & FLAG_VECTOR):
             kinds[idx] = ("full", static)
-    parts = [f"# generated by repro.sim.codegen for "
-             f"block {block.start:#x}..{block.end:#x} ({n} insts)",
-             "def make(E):"]
-    for variant in ("run", "trace"):
-        emitter = _Emitter(trace=variant == "trace")
-        for k, (entry, kind) in enumerate(zip(entries, kinds)):
-            emitter.emit(k, entry, kind, n)
-        last_kind = kinds[-1]
-        if last_kind not in ("branch", "jal", "jalr") and not (
-                last_kind == "full" and entries[-1][1].spec.iclass in (
-                    InstrClass.BRANCH, InstrClass.JUMP,
-                    InstrClass.SYSTEM, InstrClass.CSR)):
-            # fell off the end of a straight-line (or truncated) block
-            emitter.out(f"state.pc = {entries[-1][3]}")
-            emitter.out(f"state.instret = n0 + {n}")
-            emitter.out(f"return {n}")
-        params = "".join(f", {p}" for p in emitter.params)
-        if emitter.needs_cold_state:
-            params += ", X=_EXC"
-        parts.append(f"    def {variant}(emu, state, R, F, ld, st, "
-                     f"cold, eng{params}):")
-        parts.append("        n0 = state.instret")
-        if emitter.trace:
-            parts.append("        vl = state.vl")
-            parts.append("        sew = state.sew")
-        if emitter.needs_cold_state:
-            parts.append("        sd = state.side")
-            parts.append("        rc = emu._recent.append")
-        parts.extend(emitter.lines)
-    parts.append("    return run, trace")
+    return kinds
+
+
+def emit_source(chain: Sequence, trace: bool) -> str:
+    """Emit the ``make(E, records)`` factory module of one variant of
+    the superblock that runs the tier-2 blocks *chain* in order,
+    entered at the first: ``trace`` fills *records*, ``run`` does not
+    record."""
+    entries: list = []
+    kinds: list = []
+    follows: list = []
+    for index, block in enumerate(chain):
+        entries += block.entries
+        kinds += _kinds(block)
+        follows += [None] * (len(block.entries) - 1)
+        follows.append(chain[index + 1].start if index + 1 < len(chain)
+                       else None)
+    n = len(entries)
+    variant = "trace" if trace else "run"
+    parts = [f"# generated by repro.sim.codegen: {variant} of the "
+             f"superblock at {chain[0].start:#x} ({len(chain)} blocks, "
+             f"{n} insts)",
+             "def make(E, records):"]
+    emitter = _Emitter(trace)
+    for k, (entry, kind, follow) in enumerate(zip(entries, kinds, follows)):
+        emitter.emit(k, entry, kind, n, follow)
+    last_kind = kinds[-1]
+    if last_kind not in ("branch", "jal", "jalr") and not (
+            last_kind == "full"
+            and entries[-1][1].spec.iclass in _TERMINATORS):
+        # fell off the end of a straight-line (or truncated) block
+        emitter._leave(n, str(entries[-1][3]))
+    params = "".join(f", {p}" for p in emitter.params)
+    if emitter.needs_cold_state:
+        params += ", X=_EXC"
+    if trace:
+        prefill = tuple((k, name, value)
+                        for k, (entry, kind) in enumerate(zip(entries, kinds))
+                        for name, value in _prefill(entry, kind))
+        if prefill:
+            parts.append(f"    for k, name, value in {prefill!r}:")
+            parts.append("        setattr(records[k], name, value)")
+    parts.append(f"    def {variant}(emu, state, R, F, ld, st, "
+                 f"cold, eng{params}):")
+    parts.append("        n0 = state.instret")
+    if trace:
+        parts.append("        vl = state.vl")
+        parts.append("        sew = state.sew")
+    if emitter.needs_cold_state:
+        parts.append("        sd = state.side")
+        parts.append("        rc = emu._recent.append")
+    parts.extend(emitter.lines)
+    parts.append(f"    return {variant}")
     parts.append("")
     return "\n".join(parts)
 
 
-class CompiledBlock:
-    """One specialized block: two code paths plus its tier-2 twin.
+def _filename(start: int) -> str:
+    return f"<codegen:{start:#x}>"
 
-    ``variants`` is ``(run, trace)``: indexed by whether the caller
-    records, so the dispatch loop picks the variant once per call.
+
+class Superblock:
+    """One compiled unit: a chain of tier-2 blocks entered at its head.
+
+    ``entries`` are the constituents' tier-2 entries in order.
+    ``variants`` holds ``[run, trace]``, indexed by whether the caller
+    records, each linked on first use.  The trace variant fills record
+    slots of the unit's own: ``records`` is the batch of a run to the
+    end, and a run that leaves after *k* instructions yields
+    ``prefix(k)`` — one persistent
+    :class:`~repro.sim.trace.RecordBatch` per exit position, so a
+    timing model keeps its per-batch resolution across side exits.
+    ``guards`` are the exit positions of the internal conditional
+    branches.
     """
 
-    __slots__ = ("start", "end", "n", "variants", "records", "block")
+    __slots__ = ("start", "n", "blocks", "ranges", "entries", "records",
+                 "variants", "guards", "_prefixes")
 
-    def __init__(self, block, variants):
-        self.start = block.start
-        self.end = block.end
-        self.n = len(block.entries)
-        self.variants = variants
-        self.records = block.records
-        self.block = block
+    def __init__(self, blocks: list):
+        self.start = blocks[0].start
+        self.blocks = blocks
+        self.ranges = tuple((block.start, block.end) for block in blocks)
+        self.entries = [entry for block in blocks for entry in block.entries]
+        self.n = len(self.entries)
+        self.records: RecordBatch | None = None
+        self.variants: list = [None, None]
+        guards = set()
+        position = 0
+        for block in blocks[:-1]:
+            position += len(block.entries)
+            if _guarded(block):
+                guards.add(position)
+        self.guards = frozenset(guards)
+        self._prefixes: dict[int, RecordBatch] = {}
+
+    def link(self, variant: int, code) -> None:
+        """Exec one generated module and bind its function."""
+        if variant and self.records is None:
+            self.records = RecordBatch(
+                DynInst(seq=0, pc=pc, inst=inst, next_pc=fall)
+                for _handler, inst, pc, fall, _flags, _rec in self.entries)
+        module_globals = {"_EXC": _EXC, "_vbind": bind_handler}
+        exec(code, module_globals)
+        self.variants[variant] = module_globals["make"](self.entries,
+                                                        self.records)
+
+    def prefix(self, retired: int) -> RecordBatch:
+        """The batch of a run that left after *retired* instructions."""
+        batch = self._prefixes.get(retired)
+        if batch is None:
+            batch = self._prefixes[retired] = RecordBatch(
+                self.records[:retired])
+        return batch
+
+    def constituent(self, index: int):
+        """The block position *index* belongs to."""
+        for block in self.blocks:
+            if index < len(block.entries):
+                return block
+            index -= len(block.entries)
+        return self.blocks[-1]
 
 
-def _link(code, block):
-    """Exec one generated module and bind it to *block*'s entries."""
-    module_globals = {"_EXC": _EXC, "_vbind": bind_handler}
-    exec(code, module_globals)
-    return CompiledBlock(block, module_globals["make"](block.entries))
+def _position(unit: Superblock, variant: int, exc: Exception) -> int:
+    """The position of *unit* that raised *exc* in *variant*: the
+    generated frame's line, mapped back through the ``# @k`` markers of
+    its source (which :func:`emit_source` reproduces exactly; this is
+    the crash path)."""
+    name = _filename(unit.start)
+    line = 0
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == name:
+            line = tb.tb_lineno
+        tb = tb.tb_next
+    index = 0
+    source = emit_source(unit.blocks, trace=bool(variant))
+    for text in source.splitlines()[:line]:
+        text = text.strip()
+        if text.startswith("# @"):
+            index = int(text[3:])
+    return index
 
 
 # -- the engine --------------------------------------------------------------
@@ -551,16 +714,20 @@ def default_cache_dir() -> str | None:
 
 
 class CodegenEngine:
-    """Compiled-block cache + dispatcher for one :class:`Emulator`."""
+    """Superblock cache + dispatcher for one :class:`Emulator`, which
+    it refers back to weakly (as :class:`BlockEngine` does)."""
 
     def __init__(self, emulator, cache_dir: str | None = None):
-        self.emu = emulator
+        self._emu = weakref.ref(emulator)
         self.blocks = emulator._engine()     # the tier-2 BlockEngine
-        self.compiled: dict[int, CompiledBlock] = {}
+        #: head pc -> its superblock (one unit per start pc)
+        self.compiled: dict[int, Superblock] = {}
+        #: block start -> heads of the superblocks that contain it
+        self._containing: dict[int, set[int]] = {}
         self.cache_dir = (cache_dir if cache_dir is not None
                           else default_cache_dir())
-        #: pc -> (end, code_digest, module code object)
-        self._disk: dict[int, tuple[int, bytes, object]] = {}
+        #: (constituent ranges, variant) -> (code digest, module code)
+        self._disk: dict[tuple, tuple[bytes, object]] = {}
         self._disk_loaded = False
         self._dirty = False
         self._mutated = False
@@ -568,6 +735,8 @@ class CodegenEngine:
         self.blocks_compiled = 0
         self.compile_s = 0.0
         self.executions = 0
+        self.superblocks = 0
+        self.side_exits = 0
         self.disk_hits = 0
         self.disk_misses = 0
         self.disk_corrupt = 0
@@ -576,20 +745,27 @@ class CodegenEngine:
         self.evictions = 0
         self.persisted = 0
 
+    @property
+    def emu(self):
+        return self._emu()
+
     # -- invalidation (wired from BlockEngine) -------------------------------
 
     def invalidate(self) -> None:
-        """``fence.i``/``sfence.vma``: drop every compiled block."""
+        """``fence.i``/``sfence.vma``: drop every superblock."""
         if self.compiled:
             self.compiled.clear()
             self.invalidations += 1
+        self._containing.clear()
         self._disk.clear()
         self._mutated = True
 
     def drop(self, start: int) -> None:
-        """Tier-2 detected self-modified code in the block at *start*."""
-        self.compiled.pop(start, None)
-        self._disk.pop(start, None)
+        """Tier 2 detected self-modified code in the block at *start*:
+        drop every superblock that contains it.  Stored code for it
+        misses on its own, on the digest of the constituent bytes."""
+        for head in self._containing.pop(start, ()):
+            self.compiled.pop(head, None)
         self.smc_drops += 1
         self._mutated = True
 
@@ -620,12 +796,12 @@ class CodegenEngine:
         try:
             with open(path, "rb") as handle:
                 payload = marshal.loads(handle.read())
-            source, magic, blocks = payload
+            source, magic, units = payload
             if (source != source_digest()
                     or magic != importlib.util.MAGIC_NUMBER):
                 raise ValueError("stale codegen cache header")
-            self._disk = {int(pc): (int(end), digest, code)
-                          for pc, (end, digest, code) in blocks.items()}
+            self._disk = {key: (digest, code)
+                          for key, (digest, code) in units.items()}
         except FileNotFoundError:
             pass
         except Exception:
@@ -637,12 +813,16 @@ class CodegenEngine:
             except OSError:
                 pass
 
-    def _code_digest(self, start: int, end: int) -> bytes:
-        memory = self.emu.state.memory
-        return hashlib.sha256(memory.load_bytes(start, end - start)).digest()
+    def _code_digest(self, ranges: tuple) -> bytes:
+        """One sha256 over the bytes of every constituent range."""
+        load = self.emu.state.memory.load_bytes
+        digest = hashlib.sha256()
+        for start, end in dict.fromkeys(ranges):
+            digest.update(load(start, end - start))
+        return digest.digest()
 
     def persist(self) -> None:
-        """Write newly compiled blocks to disk (atomic, prunable).
+        """Write newly compiled superblocks to disk (atomic, prunable).
 
         Skipped when the run observed any code mutation — a cache
         entry must only describe immutable text.
@@ -652,8 +832,7 @@ class CodegenEngine:
             return
         self._dirty = False
         payload = marshal.dumps(
-            (source_digest(), importlib.util.MAGIC_NUMBER,
-             {pc: entry for pc, entry in self._disk.items()}))
+            (source_digest(), importlib.util.MAGIC_NUMBER, dict(self._disk)))
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(dir=self.cache_dir,
@@ -679,61 +858,91 @@ class CodegenEngine:
         except OSError:
             pass
 
-    # -- compilation ---------------------------------------------------------
+    # -- formation and compilation -------------------------------------------
 
-    def compile_block(self, block) -> CompiledBlock:
-        """Compile (or warm-link) *block* and cache the result."""
-        if not self._disk_loaded:
-            self._load_disk()
+    def _chain(self, head) -> list:
+        """The blocks of the superblock entered at *head*: each block's
+        successor in turn, while it is a block tier 2 has already run
+        and the total stays within ``MAX_BLOCK_INSTS``.  A successor may
+        be a block already chained — a back-edge to the head unrolls
+        the loop."""
+        translated = self.blocks.blocks
+        chain = [head]
+        size = len(head.entries)
+        while True:
+            block = translated.get(_successor(chain[-1]))
+            if (block is None or not block.run_count
+                    or size + len(block.entries) > MAX_BLOCK_INSTS):
+                return chain
+            chain.append(block)
+            size += len(block.entries)
+
+    def form(self, head) -> Superblock:
+        """Form the superblock at *head* and cache it."""
         if len(self.compiled) >= CODE_CACHE_LIMIT:
             self.compiled.clear()
+            self._containing.clear()
             self.evictions += 1
-        start = block.start
-        digest = self._code_digest(start, block.end)
-        stored = self._disk.get(start)
-        if (stored is not None and stored[0] == block.end
-                and stored[1] == digest):
+        chain = self._chain(head)
+        unit = self.compiled[head.start] = Superblock(chain)
+        for block in chain:
+            self._containing.setdefault(block.start, set()).add(head.start)
+        if len(chain) > 1:
+            self.superblocks += 1
+        return unit
+
+    def link(self, unit: Superblock, variant: int):
+        """Compile (or warm-link) one variant of *unit*."""
+        if not self._disk_loaded:
+            self._load_disk()
+        key = (unit.ranges, variant)
+        digest = self._code_digest(unit.ranges)
+        stored = self._disk.get(key)
+        if stored is not None and stored[0] == digest:
             self.disk_hits += 1
-            code = stored[2]
+            code = stored[1]
         else:
             self.disk_misses += 1
             began = time.perf_counter()
-            source = emit_source(block)
-            code = compile(source, f"<codegen:{start:#x}>", "exec")
+            source = emit_source(unit.blocks, trace=bool(variant))
+            code = compile(source, _filename(unit.start), "exec")
             self.compile_s += time.perf_counter() - began
             self.blocks_compiled += 1
-            self._disk[start] = (block.end, digest, code)
+            self._disk[key] = (digest, code)
             self._dirty = True
-        compiled = _link(code, block)
-        self.compiled[start] = compiled
-        return compiled
+        unit.link(variant, code)
+        return unit.variants[variant]
 
     # -- dispatch ------------------------------------------------------------
 
-    def _crash(self, compiled: CompiledBlock, before: int, exc: Exception):
+    def _crash(self, unit: Superblock, variant: int, exc: Exception):
         from .emulator import EmulatorError
 
-        state = self.emu.state
         if isinstance(exc, EmulatorError):
             raise exc
-        retired = max(0, state.instret - before)
-        index = min(retired, compiled.n - 1)
-        entry = compiled.block.entries[index]
-        raise EmulatorError(
-            self.emu._crash_report(entry[2], entry[1].spec.mnemonic,
-                                   exc)) from exc
+        index = _position(unit, variant, exc)
+        _handler, inst, pc, _fall, _flags, _rec = unit.entries[index]
+        where = (f"{inst.spec.mnemonic} (block "
+                 f"{unit.constituent(index).start:#x} of the superblock at "
+                 f"{unit.start:#x})")
+        raise EmulatorError(self.emu._crash_report(pc, where, exc)) from exc
 
     def dispatch(self, limit: int, record: bool) -> Iterator[Sequence]:
-        """Tier 3's dispatch loop: compiled blocks where they exist, the
-        tier-2 engine (which earns a block its compilation) elsewhere.
+        """Tier 3's dispatch loop: superblocks where they exist, the
+        tier-2 engine (whose first run of a block earns it a place in
+        superblocks) elsewhere.
 
+        A block's second dispatch forms the superblock headed by it.
         Yields the DynInst batches (slots reused) when *record*; else
-        runs each compiled block's non-recording variant and yields
-        stale batches, for :meth:`Emulator.run` to drain.  Newly
-        compiled blocks are persisted to the on-disk cache on the way
-        out.
+        runs each superblock's non-recording variant and yields nothing
+        for it, for :meth:`Emulator.run` to drain.  Newly compiled
+        superblocks are persisted to the on-disk cache on the way out.
         """
-        emu = self.emu
+        # the generator holds the emulator; the engine's reference is weak
+        return self._batches(self.emu, limit, record)
+
+    def _batches(self, emu, limit: int,
+                 record: bool) -> Iterator[Sequence]:
         state = emu.state
         memory = state.memory
         regs, fregs = state.regs, state.fregs
@@ -741,28 +950,38 @@ class CodegenEngine:
         compiled_map = self.compiled
         engine = self.blocks
         translated = engine.blocks
-        variant = 1 if record else 0      # CompiledBlock.variants index
+        variant = 1 if record else 0      # Superblock.variants index
         steps = 0
         try:
             while not emu.halted and steps < limit:
                 if emu._pending_mcheck is not None:
                     emu._deliver_machine_check()
                 pc = state.pc
-                compiled = compiled_map.get(pc)
-                if compiled is not None and compiled.n <= limit - steps:
+                unit = compiled_map.get(pc)
+                if unit is None:
+                    block = translated.get(pc)
+                    if block is not None and block.run_count:
+                        unit = self.form(block)
+                if unit is not None and unit.n <= limit - steps:
+                    run = unit.variants[variant]
+                    if run is None:
+                        run = self.link(unit, variant)
                     self.executions += 1
-                    before = state.instret
                     try:
-                        retired = compiled.variants[variant](
-                            emu, state, regs, fregs, load, store, _cold,
-                            self)
+                        retired = run(emu, state, regs, fregs, load, store,
+                                      _cold, self)
                     except _EXC:
                         raise
                     except Exception as exc:
-                        self._crash(compiled, before, exc)
+                        self._crash(unit, variant, exc)
                     steps += retired
-                    yield (compiled.records if retired == compiled.n
-                           else compiled.records[:retired])
+                    if retired != unit.n:
+                        if retired in unit.guards:
+                            self.side_exits += 1
+                        if record:
+                            yield unit.prefix(retired)
+                    elif record:
+                        yield unit.records
                     continue
                 block = translated.get(pc)
                 if block is None:
@@ -774,9 +993,8 @@ class CodegenEngine:
                         continue
                 retired, batch = engine.execute(block, limit - steps, record)
                 steps += retired
-                if (compiled is None and not emu.halted
-                        and translated.get(pc) is block):
-                    self.compile_block(block)
+                if retired == len(block.entries):
+                    block.exit = state.pc
                 if batch:
                     yield batch
             if not emu.halted:
@@ -792,6 +1010,8 @@ class CodegenEngine:
             "compile_s": round(self.compile_s, 6),
             "compiled_blocks": len(self.compiled),
             "executions": self.executions,
+            "superblocks": self.superblocks,
+            "side_exits": self.side_exits,
             "disk_hits": self.disk_hits,
             "disk_misses": self.disk_misses,
             "disk_corrupt": self.disk_corrupt,
@@ -802,5 +1022,5 @@ class CodegenEngine:
         }
 
 
-__all__ = ["CodegenEngine", "CompiledBlock", "CODE_CACHE_LIMIT",
+__all__ = ["CodegenEngine", "Superblock", "CODE_CACHE_LIMIT",
            "emit_source", "default_cache_dir"]

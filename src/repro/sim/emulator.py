@@ -460,7 +460,7 @@ class Emulator:
     #
     # Each loop is a generator of record batches.  ``trace`` hands it to
     # the consumer; ``run`` drains it with ``record=False``, in which
-    # case tiers 2 and 3 fill no records (what they yield is stale).
+    # case tiers 2 and 3 fill no records and yield only fetch traps.
 
     def _interpret(self, limit: int) -> Iterator[tuple[DynInst]]:
         """Tier 1: the precise interpreter, one 1-tuple per step."""

@@ -20,6 +20,8 @@ class TestBenchRun:
         # The warm runs hit the disk cache the cold run persisted.
         assert result["blocks_compiled_warm"] == 0
         assert result["disk_hits_warm"] >= result["blocks_compiled_cold"]
+        # superblocks: a dispatch retires more than one basic block
+        assert result["insts_per_dispatch"] > 10
 
 
 class TestCommittedBaseline:
@@ -36,3 +38,4 @@ class TestCommittedBaseline:
         for result in payload["workloads"].values():
             assert result["insts"] > 0
             assert result["blocks_compiled_warm"] == 0
+            assert result["insts_per_dispatch"] > 0

@@ -431,7 +431,8 @@ SMC = {f"smc-{barrier}": Workload(name=f"smc-{barrier}", compress=False,
 
 #: masked-off and tail lanes of an LMUL=4 group through arithmetic,
 #: vmerge and masked unit-stride, strided and indexed stores (no bundled
-#: kernel uses ``v0.t``); twice round, so tier 3 compiles the loop
+#: kernel uses ``v0.t``); three times round, so tier 3 runs the loop
+#: as a superblock (a block's second dispatch forms one)
 MASKED = Workload(name="vec-masked", compress=False, source="""
     .data
 src:  .word 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3
@@ -440,7 +441,7 @@ mask: .word 0x6cb5, 0, 0, 0
 out:  .zero 256
     .text
 _start:
-    li s0, 2
+    li s0, 3
 again:
     li t0, 16
     vsetvli t1, t0, e8, m1
@@ -510,6 +511,48 @@ body:
 """ % (", ".join(str(k * 2654435761 % 2**32) for k in range(64)),
        ", ".join(str(k * 0x9E3779B9 % 2**32) for k in range(32))))
 
+#: tier 3's superblocks: a data-dependent if/else inside a loop, whose
+#: direction alternates against the one the chain follows (guards leave
+#: both ways), then a loop of two 21- and 22-instruction blocks, whose
+#: unrolled chain passes 64 instructions and stops at a block boundary
+SUPERBLOCKS = Workload(name="superblocks", compress=False, source="""
+    .data
+vals: .word 3, 8, 5, 6, 1, 2, 9, 4
+    .text
+_start:
+    li s0, 24
+    la s1, vals
+loop:
+    andi t1, s0, 7
+    slli t1, t1, 2
+    add t1, s1, t1
+    lw t2, 0(t1)
+    andi t3, t2, 1
+    beqz t3, even
+    add a0, a0, t2
+    j join
+even:
+    sub a0, a0, t2
+join:
+    addi s0, s0, -1
+    bnez s0, loop
+    li s0, 7
+long:
+%s
+    j mid
+mid:
+%s
+    addi s0, s0, -1
+    bnez s0, long
+    sd a0, 0(s1)
+    li a0, 0
+    li a7, 93
+    ecall
+""" % ("\n".join(f"    addi a{1 + k % 6}, a{1 + (k + 1) % 6}, {k}"
+                 for k in range(20)),
+       "\n".join(f"    xor a{1 + k % 6}, a{1 + (k + 2) % 6}, s0"
+                 for k in range(20))))
+
 #: (programs, corners): what tier 1 runs
 PLAN_ROWS = [
     (ALL, [Functional(3, cache="cold"), Functional(3, cache="warm"),
@@ -522,6 +565,9 @@ PLAN_ROWS = [
     (VECTOR + list(SMALL), [Functional(1, "ref"), Functional(2, "ref"),
                             Functional(3, "ref", cache="cold")]),
     (list(SMALL) + list(SMC), [Functional(2), Functional(3, cache="cold")]),
+    ([SUPERBLOCKS.name], [Functional(2), Functional(3, cache="cold"),
+                          Functional(3, cache="warm"), Timed(3),
+                          Timed(3, feed="chunks")]),
     ([MASKED.name, REBIND.name], [corner for corner in CORNERS
                                   if isinstance(corner, Functional)]),
     (SAMPLE, [Functional(2, sanitizer=True), Functional(1, smp=True),
@@ -542,7 +588,8 @@ PLAN = {name: sorted({corner for names, corners in PLAN_ROWS if name in names
 def workload(name: str) -> Workload:
     if name in SMALL:
         return dataclasses.replace(SMALL[name](), name=name)
-    return ({MASKED.name: MASKED, REBIND.name: REBIND, **SMC}.get(name)
+    return ({MASKED.name: MASKED, REBIND.name: REBIND,
+             SUPERBLOCKS.name: SUPERBLOCKS, **SMC}.get(name)
             or get_workload(name))
 
 
@@ -584,16 +631,17 @@ _REGS = ["t0", "t1", "t2", "t3", "s2", "s3"]
 
 @st.composite
 def short_program(draw):
-    """Forward and backward branches, ``fence.i`` mid-run, stores near
-    code and the ``ecall`` exit shim: where a translated tier could
-    plausibly part from ``step()``."""
+    """Forward and backward branches, nested loops, ``fence.i`` mid-run,
+    stores near code and the ``ecall`` exit shim: where a translated
+    tier could plausibly part from ``step()``."""
     lines = ["    .data", "    .align 3", "scratch: .zero 256", "    .text",
              "_start:", "    la s1, scratch"]
     lines += [f"    li {reg}, {draw(st.integers(-500, 500))}"
               for reg in _REGS]
     lines += [f"    li s0, {draw(st.integers(1, 6))}", "loop:"]
+    body = []
     for _ in range(draw(st.integers(3, 16))):
-        lines.append("    " + draw(st.sampled_from(_TEMPLATES)).format(
+        body.append("    " + draw(st.sampled_from(_TEMPLATES)).format(
             d=draw(st.sampled_from(_REGS)),
             a=draw(st.sampled_from(_REGS)),
             b=draw(st.sampled_from(_REGS)),
@@ -603,6 +651,15 @@ def short_program(draw):
             upper=draw(st.integers(0, 15)),
             moff=draw(st.integers(0, 31)) * 8,
         ))
+    if draw(st.booleans()):
+        # an inner loop round a slice of the body: its blocks run more
+        # than twice, so tier 3 chains them into superblocks
+        low = draw(st.integers(0, len(body)))
+        high = draw(st.integers(low, len(body)))
+        body[low:high] = [f"    li s4, {draw(st.integers(2, 5))}", "inner:",
+                          *body[low:high], "    addi s4, s4, -1",
+                          "    bnez s4, inner"]
+    lines += body
     if draw(st.booleans()):
         reg = draw(st.sampled_from(_REGS))
         lines += [f"    beqz {reg}, skip", f"    addi {reg}, {reg}, 1",

@@ -85,7 +85,8 @@ def test_codegen_counters_get_their_own_namespace():
         run_on_core(workload.program(), "xt910", tier=3))
     for key in ("sim.codegen.blocks_compiled", "sim.codegen.compile_s",
                 "sim.codegen.disk_hits", "sim.codegen.disk_misses",
-                "sim.codegen.executions", "sim.codegen.persisted"):
+                "sim.codegen.executions", "sim.codegen.superblocks",
+                "sim.codegen.side_exits", "sim.codegen.persisted"):
         assert key in registry.keys()
         assert _KEY_RE.match(key)
     assert registry["sim.codegen.blocks_compiled"] >= 1
@@ -93,6 +94,26 @@ def test_codegen_counters_get_their_own_namespace():
                    for key in registry.keys())
     prefixes = {key.split(".", 1)[0] for key in registry.keys()}
     assert prefixes == {"core", "emu", "mem", "sim"}
+
+
+def test_superblocks_cut_dispatches_per_kinst():
+    """Tier 3 runs coremark-crc as superblocks, so a dispatch retires
+    several basic blocks: its dispatches per kinst (superblock runs plus
+    the tier-2 runs that earn them) fall to under a third of tier 2's,
+    one per basic block."""
+    program = next(w for w in coremark_suite()
+                   if w.name == "coremark-crc").program()
+
+    def per_kinst(registry, *keys):
+        return (1000 * sum(registry[key] for key in keys)
+                / registry["core.instructions"])
+
+    tier2 = collect_run(run_on_core(program, "xt910", tier=2))
+    tier3 = collect_run(run_on_core(program, "xt910", tier=3))
+    assert tier3["sim.codegen.superblocks"] >= 1
+    assert (3 * per_kinst(tier3, "sim.codegen.executions",
+                          "emu.block_executions")
+            < per_kinst(tier2, "emu.block_executions"))
 
 
 def test_tier_and_its_reason_get_the_sim_namespace():

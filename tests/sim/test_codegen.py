@@ -1,26 +1,35 @@
-"""Tier 3's own rules: the persistent code cache and its lifecycle.
+"""Tier 3's own rules: superblocks, the persistent code cache and its
+lifecycle.
 
-A source edit and a text mutation miss, corrupt cache files are
-discarded rather than fatal, ``fence.i`` drops compiled blocks, and
-ineligible configurations run on a lower tier that says why.  That
+Superblocks leave at their guards with the precise records, in one
+persistent batch per exit position; a source edit, a text mutation and
+a mutated constituent miss, corrupt cache files are discarded rather
+than fatal, ``fence.i`` and self-modifying stores drop superblocks,
+and ineligible configurations run on a lower tier that says why.  That
 tier 3 retires the precise stream and state on every bundled workload,
 cold and warm, is the equivalence lattice's job
 (``tests/integration/test_lattice.py``).
 """
 
+import collections
+import gc
 import os
+import weakref
 
 import pytest
 
 from repro.asm import assemble
-from repro.sim import Emulator, WatchdogExpired
-from repro.sim import codegen
+from repro.sim import Emulator, EmulatorError, WatchdogExpired
+from repro.sim import blockcache, codegen, exec_scalar
+from repro.sim.trace import RecordBatch
+from repro.workloads import coremark_suite
 
 from ..integration.test_lattice import (
     ALL,
     SMC,
     Functional,
     assert_cells,
+    project,
     smc_source,
     stream,
 )
@@ -215,14 +224,36 @@ class TestTier3Mode:
         emulator.run(tier=3)
         counters = emulator.counters()
         for key in ("codegen_blocks_compiled", "codegen_compile_s",
-                    "codegen_executions", "codegen_disk_hits",
+                    "codegen_executions", "codegen_superblocks",
+                    "codegen_side_exits", "codegen_disk_hits",
                     "codegen_disk_misses", "codegen_persisted"):
             assert key in counters
-        # The loop block's first iterations run on tier-2 (compile is
-        # deferred until a block has proven itself once), so the
-        # compiled execution count is a little under the trip count.
-        assert counters["codegen_executions"] >= 40
+        # The loop's first trip runs on tier 2; its second dispatch
+        # links one superblock, the loop unrolled 32 times.  It runs
+        # trips 2-33 to the end, then trips 34-50 and leaves at the
+        # 17th copy's guard when the loop exits.
+        assert counters["codegen_superblocks"] == 1
+        assert counters["codegen_executions"] == 2
+        assert counters["codegen_side_exits"] == 1
         assert counters["codegen_persisted"] == 1
+
+    @pytest.mark.parametrize("tier", [2, 3])
+    def test_finished_emulator_freed_without_a_collection(self, tier):
+        # the engines refer back to their emulator weakly: no cycle
+        # keeps its superblocks and record slots until a full collection
+        emulator = Emulator(assemble(_TINY))
+        list(emulator.trace(tier=tier))
+        emulator.run(tier=tier)
+        ref = weakref.ref(emulator)
+        gc.disable()
+        try:
+            del emulator
+            assert ref() is None
+        finally:
+            gc.enable()
+        # and a trace keeps the emulator it came from alive
+        assert stream(Emulator(assemble(_TINY)).trace(tier=tier)) == stream(
+            Emulator(assemble(_TINY)).trace())
 
     def test_surfaced_in_core_stats(self):
         from repro.harness.runner import run_on_core
@@ -232,3 +263,258 @@ class TestTier3Mode:
             tier=3)
         assert result.stats.extra["codegen_blocks_compiled"] >= 1
         assert "codegen_disk_hits" in result.stats.extra
+
+
+# -- superblocks --------------------------------------------------------------
+
+#: an if/else whose direction alternates with the trip count's parity,
+#: inside a loop: superblocks leave at guards in both directions
+_ALTERNATE = """
+_start:
+    li s0, 9
+    j loop
+loop:
+    andi t0, s0, 1
+    beqz t0, even
+    addi a1, a1, 1
+    j join
+even:
+    addi a2, a2, 1
+join:
+    addi s0, s0, -1
+    bnez s0, loop
+    li a0, 0
+    li a7, 93
+    ecall
+"""
+
+
+def _precise_and_tier3(source: str, max_steps: int | None = None):
+    """Tier 3's run of *source*, after checking its records and final
+    state against the precise interpreter's."""
+    program = assemble(source, compress=False)
+    precise, tier3 = Emulator(program), Emulator(program)
+    cut = max_steps is not None
+    assert (stream(tier3.trace(max_steps, tier=3), cut=cut)
+            == stream(precise.trace(max_steps), cut=cut))
+    assert tier3.fingerprint() == precise.fingerprint()
+    return tier3
+
+
+class TestSuperblocks:
+    def test_side_exits_in_both_directions_match_precise(self):
+        program = assemble(_ALTERNATE, compress=False)
+        precise, tier3 = Emulator(program), Emulator(program)
+        records, yielded = [], []
+        for batch in tier3.trace(tier=3):
+            records.extend(project(record) for record in batch)
+            # the guard's outcome, read before the slots are reused
+            yielded.append((batch, batch[-1].taken))
+        assert records == stream(precise.trace())
+        assert tier3.fingerprint() == precise.fingerprint()
+        exits = {id(batch) for unit in tier3._codegen.compiled.values()
+                 for position, batch in unit._prefixes.items()
+                 if position in unit.guards}
+        # left taken where the chain went on untaken, and the reverse
+        assert {taken for batch, taken in yielded
+                if id(batch) in exits} == {True, False}
+        counters = tier3.counters()
+        assert counters["codegen_superblocks"] >= 1
+        assert counters["codegen_side_exits"] >= 2
+
+    def test_repeated_exit_at_one_position_is_one_batch(self):
+        emulator = Emulator(assemble(_ALTERNATE.replace("li s0, 9",
+                                                        "li s0, 41"),
+                                     compress=False))
+        batches = list(emulator.trace(tier=3))   # kept alive: ids unique
+        objects = collections.defaultdict(set)
+        for batch in batches:
+            if type(batch) is RecordBatch:
+                objects[id(batch[0]), len(batch)].add(id(batch))
+        assert all(len(ids) == 1 for ids in objects.values())
+        exits = {id(batch)
+                 for unit in emulator._codegen.compiled.values()
+                 for position, batch in unit._prefixes.items()
+                 if position in unit.guards}
+        # the superblock at `even` leaves at one guard every other trip
+        repeats = collections.Counter(id(batch) for batch in batches
+                                      if id(batch) in exits)
+        assert max(repeats.values()) >= 10
+
+    @pytest.mark.parametrize("limit", [40, 100])
+    def test_budget_cut_inside_a_superblock(self, limit):
+        # 100: the loop's superblock (the body unrolled to 64) runs
+        # once, then the 31 instructions left fall back to tier 2
+        tier3 = _precise_and_tier3(_TINY, limit)
+        assert tier3.state.instret == limit
+        assert tier3.counters()["codegen_superblocks"] == 1
+        assert tier3.counters()["codegen_executions"] == (limit > 69)
+
+    def test_smc_into_a_non_head_constituent_drops_the_superblock(
+            self, monkeypatch):
+        # The loop's superblock chains `loop` into `body`.  Past the
+        # loop, a four-block tier-2 bound has flushed `body`'s
+        # translation when the epilogue jumps back to it: on that
+        # re-translation's first run its store hits its own tail
+        # (rewriting the instruction with its own encoding), and every
+        # superblock containing `body` must go.
+        source = """
+            .data
+        scratch: .zero 8
+            .text
+        _start:
+            li s0, 8
+            la t0, scratch
+            la t2, tail
+            lw t1, 0(t2)
+            j loop
+        loop:
+            addi s0, s0, -1
+            j body
+        body:
+            sw t1, 0(t0)
+        tail:
+            addi a0, a0, 1
+            bnez s0, loop
+            bnez s1, done
+            li s1, 1
+            mv t0, t2
+            j body
+        done:
+            li a7, 93
+            ecall
+        """
+        monkeypatch.setattr(blockcache, "BLOCK_CACHE_LIMIT", 4)
+        dropped = []
+        drop = codegen.CodegenEngine.drop
+
+        def spy(engine, start):
+            dropped.append((start, set(engine._containing.get(start, ()))))
+            drop(engine, start)
+            dropped.append(set(engine.compiled))
+
+        monkeypatch.setattr(codegen.CodegenEngine, "drop", spy)
+        tier3 = _precise_and_tier3(source)
+        program = tier3.program
+        body, loop = program.symbol("body"), program.symbol("loop")
+        assert dropped == [(body, {loop}), set()]
+        assert tier3.counters()["codegen_smc_drops"] == 1
+
+    def test_fence_i_inside_a_chain_drops_everything(self):
+        # Every fourth trip leaves the loop's superblock at a guard for
+        # a fence.i, which drops every translation; the loop re-forms.
+        # A block ending in a fence never joins a chain: running it
+        # drops it with everything else.
+        source = """
+        _start:
+            li s0, 40
+            j loop
+        loop:
+            addi s0, s0, -1
+            andi t0, s0, 3
+            bnez t0, skip
+            fence.i
+        skip:
+            addi a0, a0, 1
+            bnez s0, loop
+            li a7, 93
+            ecall
+        """
+        formed = []
+        form = codegen.CodegenEngine.form
+
+        def spy(engine, head):
+            unit = form(engine, head)
+            formed.append(unit)
+            return unit
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codegen.CodegenEngine, "form", spy)
+            tier3 = _precise_and_tier3(source)
+        counters = tier3.counters()
+        assert counters["codegen_invalidations"] >= 5
+        assert counters["codegen_superblocks"] >= 5
+        assert not any(entry[4] & blockcache.FLAG_FENCE_I
+                       for unit in formed for entry in unit.entries)
+
+    def test_crash_names_the_faulting_constituent(self, monkeypatch):
+        source = """
+        _start:
+            li s0, 8
+            j loop
+        loop:
+            addi s0, s0, -1
+            j body
+        body:
+            fadd.d f0, f1, f2
+            bnez s0, loop
+            li a7, 93
+            ecall
+        """
+        calls = []
+        fadd = exec_scalar.SCALAR_EXEC["fadd.d"]
+
+        def failing(state, inst):
+            calls.append(None)
+            if len(calls) == 4:     # inside the loop's superblock
+                raise ValueError("injected")
+            return fadd(state, inst)
+
+        monkeypatch.setitem(exec_scalar.SCALAR_EXEC, "fadd.d", failing)
+        emulator = Emulator(assemble(source, compress=False))
+        with pytest.raises(EmulatorError) as excinfo:
+            emulator.run(tier=3)
+        body = emulator.program.symbol("body")
+        loop = emulator.program.symbol("loop")
+        assert (f"fadd.d (block {body:#x} of the superblock at {loop:#x})"
+                f" at pc={body:#x}") in str(excinfo.value)
+
+
+class TestSuperblockDiskCache:
+    def test_coremark_warm_start_links_superblocks_from_disk(self):
+        for workload in coremark_suite():
+            Emulator(workload.program()).run(tier=3)     # cold: persist
+        for workload in coremark_suite():
+            emulator = Emulator(workload.program())
+            emulator.run(tier=3)                         # warm: link only
+            counters = emulator.counters()
+            assert counters["codegen_blocks_compiled"] == 0, workload.name
+            assert counters["codegen_compile_s"] == 0.0, workload.name
+            assert counters["codegen_disk_hits"] > 0, workload.name
+            assert counters["codegen_superblocks"] > 0, workload.name
+
+    def test_mutated_constituent_misses(self):
+        # Two loops, one superblock each; `body` is a non-head
+        # constituent of the first.  The warm run patches it in memory
+        # (the text, and so the cache file, is the same): its
+        # superblock misses on the constituent digest, the other links.
+        source = """
+        _start:
+            li s0, 6
+            j loop
+        loop:
+            addi s0, s0, -1
+            j body
+        body:
+            addi a0, a0, 1
+            bnez s0, loop
+            li s0, 6
+        again:
+            addi a0, a0, 3
+            addi s0, s0, -1
+            bnez s0, again
+            li a7, 93
+            ecall
+        """
+        program = assemble(source, compress=False)
+        patched = assemble(source.replace("addi a0, a0, 1",
+                                          "addi a0, a0, 2"), compress=False)
+        assert Emulator(program).run(tier=3) == 6 + 18
+        warm, precise = Emulator(program), Emulator(patched)
+        warm.state.memory.store_bytes(program.text_base, bytes(patched.text))
+        assert warm.run(tier=3) == precise.run() == 12 + 18
+        assert warm.fingerprint() == precise.fingerprint()
+        counters = warm.counters()
+        assert counters["codegen_disk_misses"] == 1
+        assert counters["codegen_blocks_compiled"] == 1
+        assert counters["codegen_disk_hits"] >= 1
