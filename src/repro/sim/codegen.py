@@ -23,9 +23,14 @@ The superblock owns its record slots, with one persistent prefix batch
 per exit position.  There is one unit per start pc.
 
 Translation is two-pass, resolve-then-emit: pass one classifies every
-entry (inline-specializable ALU/load/store/branch, bare handler call,
-or the full ``step()``-equivalent "cold dance" for
-CSR/AMO/DIV/system/vector instructions); pass two emits the source for
+entry into one emission kind — inline: ``alu`` (RV64IM and the XT-910
+register extensions), ``load``/``store`` (straight into the page when
+``Memory`` allows direct access and the access stays inside one
+existing page, else ``load_int``/``store_int``), ``branch``, ``jal``,
+``jalr``, ``auipc`` and ``vsetvli`` (its vtype and VLMAX folded); a
+``bare`` handler call for the other simple entries; or the full
+``step()``-equivalent "cold dance" for CSR/AMO/DIV/system/fence and
+the other vector instructions — and pass two emits the source for
 a ``make(E, records)`` factory whose inner function — ``run``, or
 ``trace``, which fills the record slots — binds the handlers,
 instructions and record slots as default arguments (fast locals, zero
@@ -50,10 +55,10 @@ observed any code mutation.
 Semantics contract: the retired ``DynInst`` stream, architectural
 state, exit code and memory image are bit-identical to tier-2 (and
 therefore to ``Emulator.step``).  Two accepted diagnostic deviations,
-mirroring tier-2's own envelope: inlined instructions do not append to
-the crash-backtrace ring, and self-modifying stores are only detected
-by the tier-2 first-run check (tier-3 only executes blocks tier-2 has
-already run once) or an explicit ``fence.i``.
+mirroring tier-2's own envelope: instructions outside the cold dance
+do not append to the crash-backtrace ring, and self-modifying stores
+are only detected by the tier-2 first-run check (tier-3 only executes
+blocks tier-2 has already run once) or an explicit ``fence.i``.
 """
 
 from __future__ import annotations
@@ -68,8 +73,10 @@ import weakref
 from collections.abc import Iterator, Sequence
 
 from .. import source_digest
+from ..asm.assembler import decode_vtype
 from .exec_scalar import EcallShim, Trap
 from .exec_vector import active_engine, bind_handler
+from .memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from .syscalls import ExitRequest
 from .blockcache import (
     _TERMINATORS,
@@ -94,6 +101,7 @@ _S64 = 0x8000000000000000
 _LOADS = frozenset({"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu",
                     "flw", "fld"})
 _STORES = frozenset({"sb", "sh", "sw", "sd", "fsw", "fsd"})
+_XT_MAC = frozenset({"mula", "muls", "mulaw", "mulsw", "mulah", "mulsh"})
 _BRANCH_COND = {
     "beq": "{a} == {b}",
     "bne": "{a} != {b}",
@@ -156,6 +164,14 @@ def _cold(emu, exc, fall, rec):
 def _rx(index: int) -> str:
     """Integer-register read with the x0 constant folded."""
     return "0" if index == 0 else f"R[{index}]"
+
+
+def _address(inst) -> str:
+    """A load's or store's effective address, ``rs1 + imm`` masked;
+    a register alone is already masked."""
+    if inst.imm == 0 and inst.rs1:
+        return f"R[{inst.rs1}]"
+    return f"({_rx(inst.rs1)} + {inst.imm}) & {_MHEX}"
 
 
 def _sxw(dst: str, expr: str) -> list[str]:
@@ -258,6 +274,54 @@ def _alu_lines(inst) -> list[str] | None:
         return [f"{dst} = ({a} * {b}) & {_MHEX}"]
     if mn == "mulw":
         return _sxw(dst, f"{a} * {b}")
+    # -- the XT-910 register ALU extensions (paper section VIII) --
+    if mn in _XT_MAC:
+        op = "+" if mn[3] == "a" else "-"
+        if mn.endswith("h"):         # to_signed(x, 16), inlined
+            prod = (f"((({a} & 0xFFFF) ^ 0x8000) - 0x8000) * "
+                    f"((({b} & 0xFFFF) ^ 0x8000) - 0x8000)")
+        else:
+            prod = f"{a} * {b}"
+        if mn in ("mula", "muls"):
+            return [f"{dst} = ({dst} {op} {prod}) & {_MHEX}"]
+        return _sxw(dst, f"{dst} {op} {prod}")
+    if mn == "srri":
+        amount = imm & 63
+        return [f"v = {a}",
+                f"{dst} = (v >> {amount} | v << {64 - amount}) & {_MHEX}"]
+    if mn == "srriw":
+        amount = imm & 31
+        return [f"v = {a} & 0xFFFFFFFF",
+                *_sxw(dst, f"v >> {amount} | v << {32 - amount}")]
+    if mn == "addsl":
+        return [f"{dst} = ({a} + ({b} << {inst.aux})) & {_MHEX}"]
+    if mn in ("ext", "extu"):
+        lsb = imm & 0x3F
+        width = (imm >> 6 & 0x3F) - lsb + 1
+        if width <= 0:
+            return None              # the handler raises
+        field = f"({a} >> {lsb}) & {(1 << width) - 1}"
+        if mn == "extu":
+            return [f"{dst} = {field}"]
+        sign = 1 << (width - 1)      # to_signed(field, width), inlined
+        return [f"{dst} = ((({field}) ^ {sign}) - {sign}) & {_MHEX}"]
+    if mn == "ff0":                  # x's highest clear bit is ~x's highest set
+        return [f"{dst} = 64 - ({a} ^ {_MHEX}).bit_length()"]
+    if mn == "ff1":
+        return [f"{dst} = 64 - ({a}).bit_length()"]
+    if mn == "rev":
+        return [f"{dst} = int.from_bytes(({a}).to_bytes(8, 'little'), "
+                f"'big')"]
+    if mn == "revw":
+        return _sxw(dst, f"int.from_bytes(({a} & 0xFFFFFFFF).to_bytes("
+                         f"4, 'little'), 'big')")
+    if mn == "tstnbz":
+        # bit 7 of (x & 0x7F) + 0x7F | x is set exactly when byte x is
+        # non-zero (no byte carries into the next); each clear one,
+        # shifted to bit 0 and times 0xFF, is a zero byte's 0xFF
+        return [f"v = {a}",
+                f"{dst} = ((~(((v & 0x7F7F7F7F7F7F7F7F) + 0x7F7F7F7F7F7F7F7F)"
+                f" | v) & 0x8080808080808080) >> 7) * 0xFF"]
     return None
 
 
@@ -270,6 +334,8 @@ def _resolve(entry) -> str:
         if _alu_lines(inst) is not None:
             return "alu"
         return "bare"
+    if mn == "vsetvli":
+        return "vsetvli"
     if flags & (FLAG_FENCE_I | FLAG_SFENCE | FLAG_VECTOR):
         return "full"
     if mn == "auipc":
@@ -324,11 +390,13 @@ def _guarded(block) -> bool:
 class _Emitter:
     """Builds one ``run``/``trace`` function body."""
 
-    def __init__(self, trace: bool):
+    def __init__(self, trace: bool, vlen: int):
         self.trace = trace
+        self.vlen = vlen
         self.lines: list[str] = []
         self.params: list[str] = []
         self.needs_cold_state = False  # sd/rc locals required
+        self.needs_from_bytes = False  # the B local required
 
     def out(self, line: str) -> None:
         self.lines.append("        " + line)
@@ -346,6 +414,61 @@ class _Emitter:
             self.out(f"r{k}.{name} = {expr}")
         self.out(f"r{k}.vl = vl")
         self.out(f"r{k}.sew = sew")
+
+    def _load(self, inst) -> None:
+        """A load from address ``a``: its bytes sliced straight out of
+        its page ``P[a >> 12]`` when that page exists and holds the
+        whole access, else read by ``ld`` (``Memory.load_int``), which
+        also serves MMIO and wrapped entry points (``P`` is then empty).
+        Both read the unsigned field; a narrow signed load extends it
+        after."""
+        spec = inst.spec
+        size = spec.mem_bytes
+        call = f"ld(a, {size})"
+        if spec.rd_file != "f" and not inst.rd:
+            self.out(call)  # keep the access (MMIO side effects)
+            return
+        if size == 1:
+            self.out(f"p = P.get(a >> {PAGE_SHIFT})")
+            field = f"p[a & {PAGE_MASK}] if p else {call}"
+        else:
+            self.needs_from_bytes = True
+            self.out(f"o = a & {PAGE_MASK}")
+            self.out(f"p = P.get(a >> {PAGE_SHIFT})")
+            field = (f"B(p[o:o + {size}], 'little') if p and "
+                     f"o <= {PAGE_SIZE - size} else {call}")
+        if spec.rd_file == "f":
+            # a single is NaN-boxed; a double is the 64-bit pattern
+            self.out(f"F[{inst.rd}] = ({field}) | 0xFFFFFFFF00000000"
+                     if size == 4 else f"F[{inst.rd}] = {field}")
+        elif spec.mem_unsigned or size == 8:
+            self.out(f"R[{inst.rd}] = {field}")
+        else:
+            bits = size * 8
+            self.out(f"v = {field}")
+            self.out(f"R[{inst.rd}] = v + 0x{_M64 + 1 - (1 << bits):X} "
+                     f"if v > 0x{(1 << bits - 1) - 1:X} else v")
+
+    def _store(self, inst) -> None:
+        """A store to address ``a``, into its page when it exists and
+        holds the whole access, else through ``st``
+        (``Memory.store_int``, which allocates an untouched page)."""
+        spec = inst.spec
+        size = spec.mem_bytes
+        value = (f"F[{inst.rs2}]" if spec.rs2_file == "f"
+                 else _rx(inst.rs2))
+        if size == 1:
+            self.out(f"p = P.get(a >> {PAGE_SHIFT})")
+            self.out(f"if p: p[a & {PAGE_MASK}] = {value} & 255")
+        else:
+            data = (repr(bytes(size)) if value == "0" else
+                    f"({value} & 0x{(1 << size * 8) - 1:X}).to_bytes("
+                    f"{size}, 'little')")
+            self.out(f"o = a & {PAGE_MASK}")
+            self.out(f"p = P.get(a >> {PAGE_SHIFT})")
+            self.out(f"if p and o <= {PAGE_SIZE - size}: "
+                     f"p[o:o + {size}] = {data}")
+        self.out(f"else: st(a, {value}, {size})")
 
     def _leave(self, retired: int, pc: str, indent: str = "") -> None:
         self.out(f"{indent}state.instret = n0 + {retired}")
@@ -390,33 +513,37 @@ class _Emitter:
                 self._fill(k)
             return
         if kind == "load":
-            signed = not spec.mem_unsigned
-            size = spec.mem_bytes
-            self.out(f"a = ({_rx(inst.rs1)} + {inst.imm}) & {_MHEX}")
-            call = f"ld(a, {size}, True)" if signed else f"ld(a, {size})"
-            if spec.rd_file == "f":
-                if size == 4:
-                    self.out(f"F[{inst.rd}] = ({call} & 0xFFFFFFFF)"
-                             f" | 0xFFFFFFFF00000000")
-                else:
-                    self.out(f"F[{inst.rd}] = {call} & {_MHEX}")
-            elif inst.rd:
-                # write_x masks: a signed load_int result is negative
-                mask = f" & {_MHEX}" if signed else ""
-                self.out(f"R[{inst.rd}] = {call}{mask}")
-            else:
-                self.out(call)  # keep the access (MMIO side effects)
+            self.out(f"a = {_address(inst)}")
+            self._load(inst)
             if self.trace:
                 self._fill(k, mem_addr="a")
             return
         if kind == "store":
-            size = spec.mem_bytes
-            value = (f"F[{inst.rs2}]" if spec.rs2_file == "f"
-                     else _rx(inst.rs2))
-            self.out(f"a = ({_rx(inst.rs1)} + {inst.imm}) & {_MHEX}")
-            self.out(f"st(a, {value}, {size})")
+            self.out(f"a = {_address(inst)}")
+            self._store(inst)
             if self.trace:
                 self._fill(k, mem_addr="a")
+            return
+        if kind == "vsetvli":
+            # MachineState.set_vtype with the vtype literal folded in
+            sew, lmul = decode_vtype(inst.imm)
+            vlmax = self.vlen * lmul // sew
+            self.out(f"state.vtype = {inst.imm}")
+            self.out(f"state.sew = {sew}")
+            self.out(f"state.lmul = {lmul}")
+            if inst.rs1:
+                self.out(f"v = R[{inst.rs1}]")
+                granted = "v"
+                self.out(f"state.vl = v = v if v < {vlmax} else {vlmax}")
+            else:                    # AVL = VLEN * 8 >= VLMAX
+                granted = str(vlmax)
+                self.out(f"state.vl = {vlmax}")
+            if inst.rd:
+                self.out(f"R[{inst.rd}] = {granted}")
+            if self.trace:
+                self.out(f"vl = {granted}")
+                self.out(f"sew = {sew}")
+                self._fill(k)
             return
         if kind == "branch":
             target = (pc + inst.imm) & _M64
@@ -549,7 +676,6 @@ def _kinds(block) -> list:
     for idx, entry in enumerate(block.entries):
         mn = entry[1].spec.mnemonic
         if mn == "vsetvli":
-            from ..asm.assembler import decode_vtype
             static = decode_vtype(entry[1].imm)
         elif mn == "vsetvl":
             static = None
@@ -558,11 +684,11 @@ def _kinds(block) -> list:
     return kinds
 
 
-def emit_source(chain: Sequence, trace: bool) -> str:
+def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
     """Emit the ``make(E, records)`` factory module of one variant of
     the superblock that runs the tier-2 blocks *chain* in order,
     entered at the first: ``trace`` fills *records*, ``run`` does not
-    record."""
+    record.  *vlen* folds into each ``vsetvli``'s VLMAX."""
     entries: list = []
     kinds: list = []
     follows: list = []
@@ -578,7 +704,7 @@ def emit_source(chain: Sequence, trace: bool) -> str:
              f"superblock at {chain[0].start:#x} ({len(chain)} blocks, "
              f"{n} insts)",
              "def make(E, records):"]
-    emitter = _Emitter(trace)
+    emitter = _Emitter(trace, vlen)
     for k, (entry, kind, follow) in enumerate(zip(entries, kinds, follows)):
         emitter.emit(k, entry, kind, n, follow)
     last_kind = kinds[-1]
@@ -588,6 +714,8 @@ def emit_source(chain: Sequence, trace: bool) -> str:
         # fell off the end of a straight-line (or truncated) block
         emitter._leave(n, str(entries[-1][3]))
     params = "".join(f", {p}" for p in emitter.params)
+    if emitter.needs_from_bytes:
+        params += ", B=int.from_bytes"
     if emitter.needs_cold_state:
         params += ", X=_EXC"
     if trace:
@@ -597,7 +725,7 @@ def emit_source(chain: Sequence, trace: bool) -> str:
         if prefill:
             parts.append(f"    for k, name, value in {prefill!r}:")
             parts.append("        setattr(records[k], name, value)")
-    parts.append(f"    def {variant}(emu, state, R, F, ld, st, "
+    parts.append(f"    def {variant}(emu, state, R, F, ld, st, P, "
                  f"cold, eng{params}):")
     parts.append("        n0 = state.instret")
     if trace:
@@ -679,7 +807,8 @@ class Superblock:
         return self.blocks[-1]
 
 
-def _position(unit: Superblock, variant: int, exc: Exception) -> int:
+def _position(unit: Superblock, variant: int, exc: Exception,
+              vlen: int) -> int:
     """The position of *unit* that raised *exc* in *variant*: the
     generated frame's line, mapped back through the ``# @k`` markers of
     its source (which :func:`emit_source` reproduces exactly; this is
@@ -692,7 +821,7 @@ def _position(unit: Superblock, variant: int, exc: Exception) -> int:
             line = tb.tb_lineno
         tb = tb.tb_next
     index = 0
-    source = emit_source(unit.blocks, trace=bool(variant))
+    source = emit_source(unit.blocks, bool(variant), vlen)
     for text in source.splitlines()[:line]:
         text = text.strip()
         if text.startswith("# @"):
@@ -904,7 +1033,8 @@ class CodegenEngine:
         else:
             self.disk_misses += 1
             began = time.perf_counter()
-            source = emit_source(unit.blocks, trace=bool(variant))
+            source = emit_source(unit.blocks, bool(variant),
+                                 self.emu.state.vlen)
             code = compile(source, _filename(unit.start), "exec")
             self.compile_s += time.perf_counter() - began
             self.blocks_compiled += 1
@@ -920,7 +1050,7 @@ class CodegenEngine:
 
         if isinstance(exc, EmulatorError):
             raise exc
-        index = _position(unit, variant, exc)
+        index = _position(unit, variant, exc, self.emu.state.vlen)
         _handler, inst, pc, _fall, _flags, _rec = unit.entries[index]
         where = (f"{inst.spec.mnemonic} (block "
                  f"{unit.constituent(index).start:#x} of the superblock at "
@@ -947,6 +1077,12 @@ class CodegenEngine:
         memory = state.memory
         regs, fregs = state.regs, state.fregs
         load, store = memory.load_int, memory.store_int
+        # the pages generated loads and stores slice directly, read once
+        # per dispatch like load/store; none (so every access goes
+        # through those) where Memory refuses direct access
+        pages = memory.store_pages
+        if pages is None:
+            pages = {}
         compiled_map = self.compiled
         engine = self.blocks
         translated = engine.blocks
@@ -969,7 +1105,7 @@ class CodegenEngine:
                     self.executions += 1
                     try:
                         retired = run(emu, state, regs, fregs, load, store,
-                                      _cold, self)
+                                      pages, _cold, self)
                     except _EXC:
                         raise
                     except Exception as exc:

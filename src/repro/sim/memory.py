@@ -11,6 +11,10 @@ PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 
+#: the entry points a direct page access bypasses
+_ENTRY_POINTS = frozenset({"load_int", "load_bytes", "store_int",
+                           "store_bytes"})
+
 
 class Memory:
     """Byte-addressable sparse memory with optional MMIO windows."""
@@ -22,6 +26,42 @@ class Memory:
         #: then fall back to per-element accesses (a plain attribute,
         #: since they test it on every store)
         self.has_mmio = False
+        self._direct()
+
+    # -- direct page access ------------------------------------------------
+
+    def _direct(self) -> None:
+        """The one rule for slicing RAM pages directly rather than
+        going through the entry points.
+
+        ``load_pages`` (for loads) and ``store_pages`` (for loads and
+        stores) are the page map, page number -> 4 KiB ``bytearray``,
+        or None while MMIO is mapped or an entry point the access would
+        bypass is wrapped on the instance (``SmpMachine`` wraps the
+        stores to break LR reservations); the caller then takes its
+        per-access path through them.  A direct caller still leaves a
+        page-crossing access, and a load from a page missing from the
+        map (it reads zeros without allocating), to the entry points.
+        Plain attributes, read on every vector memory op and once per
+        tier-3 dispatch.
+        """
+        wrapped = self.__dict__
+        loads = not (self._mmio or "load_int" in wrapped
+                     or "load_bytes" in wrapped)
+        stores = loads and not ("store_int" in wrapped
+                                or "store_bytes" in wrapped)
+        self.load_pages = self._pages if loads else None
+        self.store_pages = self._pages if stores else None
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _ENTRY_POINTS:
+            self._direct()
+
+    def __delattr__(self, name: str) -> None:
+        object.__delattr__(self, name)
+        if name in _ENTRY_POINTS:
+            self._direct()
 
     def register_mmio(self, base: int, size: int, device) -> None:
         """Map *device* at [base, base+size).
@@ -32,6 +72,7 @@ class Memory:
         """
         self._mmio.append((base, size, device))
         self.has_mmio = True
+        self._direct()
 
     def _mmio_at(self, addr: int):
         for base, size, device in self._mmio:
@@ -130,27 +171,23 @@ class Memory:
     def ram_view(self, addr: int, size: int,
                  allocate: bool = False) -> memoryview | None:
         """Writable view of [addr, addr+size) when it sits inside ONE
-        RAM page; None otherwise (MMIO mapped, page-crossing span, or
-        — unless *allocate* — a page that was never touched).
+        RAM page; None otherwise (page-crossing span, direct access
+        refused — see :meth:`_direct` — or, unless *allocate*, a page
+        that was never touched).
 
         With ``allocate=True`` the backing page is materialised, which
         must only be done on store paths (loads from untouched memory
-        read zeros without allocating).  A store through the view
-        bypasses ``store_int``/``store_bytes``, so it is refused (None)
-        while either is wrapped on the instance — ``SmpMachine`` does
-        that to break LR reservations — and the caller takes its
-        per-element path, which goes through the wrapped entry points.
+        read zeros without allocating); a store through the view needs
+        direct stores allowed.
         """
-        if self._mmio or size <= 0:
-            return None
-        if allocate and ("store_int" in self.__dict__
-                         or "store_bytes" in self.__dict__):
+        pages = self.store_pages if allocate else self.load_pages
+        if pages is None or size <= 0:
             return None
         offset = addr & PAGE_MASK
         if offset + size > PAGE_SIZE:
             return None
         ppn = addr >> PAGE_SHIFT
-        page = self._page(ppn) if allocate else self._pages.get(ppn)
+        page = self._page(ppn) if allocate else pages.get(ppn)
         if page is None:
             return None
         return memoryview(page)[offset:offset + size]

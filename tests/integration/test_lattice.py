@@ -553,6 +553,137 @@ mid:
        "\n".join(f"    xor a{1 + k % 6}, a{1 + (k + 2) % 6}, s0"
                  for k in range(20))))
 
+#: what tier 3 runs inline instead of calling out: every load and
+#: store width and signedness (odd offsets, ``rd = x0``, F registers,
+#: sign bits at the edge), 2-, 4- and 8-byte accesses straddling a
+#: 4 KiB page, loads from pages never touched and stores into fresh
+#: ones, the XT MAC/rotate/bit ops (negative halves, rotate amounts 0,
+#: 1 and 31) and ``vsetvli`` with ``rs1 = x0``, AVL above VLMAX and
+#: ``rd = x0``; four times round
+INLINE = Workload(name="tier3-inline", compress=False, source="""
+    .data
+    .align 3
+vals: .dword 0x8091A2B3C4D5E6F7, 0x7F00FF0180FE017F, 0x7FFFFFFF7FFF807F
+      .dword 0x123456789ABCDEF0
+out:  .zero 256
+    .text
+_start:
+    li s0, 4
+    la s1, vals
+    la s2, out
+    li s3, 0x201FFC
+    li s4, 0x400000
+    li s5, 0x600000
+    li s11, 4096
+again:
+    lb t0, 7(s1)
+    lbu t1, 15(s1)
+    lh t2, 5(s1)
+    lhu t3, 9(s1)
+    lw t4, 3(s1)
+    lwu t5, 11(s1)
+    ld t6, 1(s1)
+    lw zero, 0(s1)
+    sb t0, 1(s2)
+    sh t2, 3(s2)
+    sw t4, 5(s2)
+    sd t6, 9(s2)
+    sd zero, 17(s2)
+    sb zero, 25(s2)
+    flw ft0, 4(s1)
+    fld ft1, 16(s1)
+    fsw ft0, 30(s2)
+    fsd ft1, 34(s2)
+    sd t6, 0(s3)
+    ld a0, 0(s3)
+    sw t4, 2(s3)
+    lw a1, 2(s3)
+    sh t2, 3(s3)
+    lh a2, 3(s3)
+    lhu a3, 3(s3)
+    fld ft2, 1(s3)
+    fsd ft2, 4(s3)
+    ld a4, 0(s4)
+    lb a5, 2047(s4)
+    lw zero, 8(s4)
+    flw ft3, 12(s4)
+    sd t6, 0(s5)
+    sh t2, -1(s5)
+    sb t0, 2047(s5)
+    add s4, s4, s11
+    add s5, s5, s11
+    sd a0, 48(s2)
+    sd a1, 56(s2)
+    sd a2, 64(s2)
+    sd a3, 72(s2)
+    sd a4, 80(s2)
+    sd a5, 88(s2)
+    lb s6, 16(s1)
+    lh s7, 18(s1)
+    lw s8, 20(s1)
+    lb s9, 17(s1)
+    li a6, 0xFFFF8003
+    li a7, 0x7FFFFFFFFFFF8001
+    mulah s6, a6, a7
+    mulsh s7, a7, a6
+    mula s8, t6, a7
+    muls s9, t6, a6
+    mulaw s10, t4, a7
+    mulsw s10, t6, t4
+    srri t0, t6, 0
+    srri t1, t6, 1
+    srri t2, t6, 31
+    srriw t3, t6, 0
+    srriw t4, t6, 1
+    srriw t5, t6, 31
+    sd t0, 96(s2)
+    sd t1, 104(s2)
+    sd t2, 112(s2)
+    sd t3, 120(s2)
+    sd t4, 128(s2)
+    sd t5, 136(s2)
+    addsl t0, s1, t6, 3
+    ext t1, t6, 39, 4
+    extu t2, t6, 39, 4
+    ext t3, a7, 63, 0
+    ff0 t4, t6
+    ff1 t5, t6
+    sd t0, 144(s2)
+    sd t1, 152(s2)
+    sd t2, 160(s2)
+    sd t3, 168(s2)
+    sd t4, 176(s2)
+    sd t5, 184(s2)
+    rev t0, t6
+    revw t1, t6
+    tstnbz t2, a7
+    ff0 t3, a6
+    ff1 t4, zero
+    tstnbz t5, zero
+    sd t0, 192(s2)
+    sd t1, 200(s2)
+    sd t2, 208(s2)
+    sd t3, 216(s2)
+    sd t4, 224(s2)
+    sd t5, 232(s2)
+    vsetvli t0, x0, e32, m2
+    li t1, 1000
+    vsetvli t2, t1, e16, m1
+    vsetvli zero, t1, e8, m4
+    li t1, 3
+    vsetvli t3, t1, e64, m1
+    vle64.v v4, (s1)
+    vsetvli t4, t1, e32, m8
+    vadd.vv v8, v16, v24
+    sd t0, 240(s2)
+    sd t2, 248(s2)
+    addi s0, s0, -1
+    bnez s0, again
+    li a0, 0
+    li a7, 93
+    ecall
+""")
+
 #: (programs, corners): what tier 1 runs
 PLAN_ROWS = [
     (ALL, [Functional(3, cache="cold"), Functional(3, cache="warm"),
@@ -578,6 +709,9 @@ PLAN_ROWS = [
                       for path in ("job", "store")]),
     (["vec-axpy-f32", "vec-strcmp", MASKED.name],
      [corner for corner in CORNERS if corner.vlen == WIDE]),
+    ([INLINE.name], [corner for corner in CORNERS
+                     if isinstance(corner, Functional)]
+     + [Timed(3), Timed(3, vlen=WIDE)]),
 ]
 PLAN = {name: sorted({corner for names, corners in PLAN_ROWS if name in names
                       for corner in corners}, key=CORNERS.index)
@@ -589,7 +723,8 @@ def workload(name: str) -> Workload:
     if name in SMALL:
         return dataclasses.replace(SMALL[name](), name=name)
     return ({MASKED.name: MASKED, REBIND.name: REBIND,
-             SUPERBLOCKS.name: SUPERBLOCKS, **SMC}.get(name)
+             SUPERBLOCKS.name: SUPERBLOCKS, INLINE.name: INLINE,
+             **SMC}.get(name)
             or get_workload(name))
 
 
@@ -624,6 +759,8 @@ _TEMPLATES = [
     "addi {d}, {a}, {imm}", "slli {d}, {a}, {sh}", "mul {d}, {a}, {b}",
     "div {d}, {a}, {bnz}", "auipc {d}, {upper}", "sd {a}, {moff}(s1)",
     "ld {d}, {moff}(s1)", "sw {a}, {moff}(s1)", "lbu {d}, {moff}(s1)",
+    "lb {d}, {odd}(s1)", "lh {d}, {odd}(s1)", "lw {d}, {odd}(s1)",
+    "sh {a}, {odd}(s1)", "mula {d}, {a}, {b}", "srriw {d}, {a}, {sh}",
     "fence.i", "nop",
 ]
 _REGS = ["t0", "t1", "t2", "t3", "s2", "s3"]
@@ -632,8 +769,9 @@ _REGS = ["t0", "t1", "t2", "t3", "s2", "s3"]
 @st.composite
 def short_program(draw):
     """Forward and backward branches, nested loops, ``fence.i`` mid-run,
-    stores near code and the ``ecall`` exit shim: where a translated
-    tier could plausibly part from ``step()``."""
+    stores near code, unaligned narrow loads and stores, XT MAC and
+    rotate ops and the ``ecall`` exit shim: where a translated tier
+    could plausibly part from ``step()``."""
     lines = ["    .data", "    .align 3", "scratch: .zero 256", "    .text",
              "_start:", "    la s1, scratch"]
     lines += [f"    li {reg}, {draw(st.integers(-500, 500))}"
@@ -650,6 +788,7 @@ def short_program(draw):
             sh=draw(st.integers(0, 31)),
             upper=draw(st.integers(0, 15)),
             moff=draw(st.integers(0, 31)) * 8,
+            odd=draw(st.integers(0, 252)),
         ))
     if draw(st.booleans()):
         # an inner loop round a slice of the body: its blocks run more

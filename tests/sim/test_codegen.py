@@ -19,13 +19,16 @@ import weakref
 import pytest
 
 from repro.asm import assemble
+from repro.isa.instructions import SPECS, Instruction
 from repro.sim import Emulator, EmulatorError, WatchdogExpired
 from repro.sim import blockcache, codegen, exec_scalar
+from repro.sim.state import MachineState
 from repro.sim.trace import RecordBatch
 from repro.workloads import coremark_suite
 
 from ..integration.test_lattice import (
     ALL,
+    INLINE,
     SMC,
     Functional,
     assert_cells,
@@ -289,11 +292,15 @@ join:
 """
 
 
-def _precise_and_tier3(source: str, max_steps: int | None = None):
+def _precise_and_tier3(source: str, max_steps: int | None = None,
+                       prepare=lambda emulator: None):
     """Tier 3's run of *source*, after checking its records and final
-    state against the precise interpreter's."""
+    state against the precise interpreter's; *prepare* sees each fresh
+    emulator, the precise one first, before it runs."""
     program = assemble(source, compress=False)
     precise, tier3 = Emulator(program), Emulator(program)
+    prepare(precise)
+    prepare(tier3)
     cut = max_steps is not None
     assert (stream(tier3.trace(max_steps, tier=3), cut=cut)
             == stream(precise.trace(max_steps), cut=cut))
@@ -518,3 +525,150 @@ class TestSuperblockDiskCache:
         assert counters["codegen_disk_misses"] == 1
         assert counters["codegen_blocks_compiled"] == 1
         assert counters["codegen_disk_hits"] >= 1
+
+
+# -- inline kinds and their fallback ------------------------------------------
+
+_EDGES = [0, 1, 0x7F, 0x80, 0xFF, 0x7FFF, 0x8000, 0xFFFF, 0x8001,
+          0x7FFFFFFF, 0x80000000, 0xFFFFFFFF, 0x0123456789ABCDEF,
+          0x00FF00FF00FF0000, 0x8000000000000000, 0xFFFFFFFFFFFF8003,
+          0xFFFFFFFFFFFFFFFF]
+#: (imm, aux) operands of each inlined XT mnemonic
+_XT_OPERANDS = {
+    **{mn: [(0, 0)] for mn in ("mula", "muls", "mulaw", "mulsw", "mulah",
+                               "mulsh", "ff0", "ff1", "rev", "revw",
+                               "tstnbz")},
+    "srri": [(amount, 0) for amount in (0, 1, 31, 32, 63)],
+    "srriw": [(amount, 0) for amount in (0, 1, 31)],
+    "addsl": [(0, aux) for aux in range(4)],
+    "ext": [(msb << 6 | lsb, 0) for msb, lsb in ((63, 0), (39, 4),
+                                                 (7, 7), (31, 16))],
+}
+_XT_OPERANDS["extu"] = _XT_OPERANDS["ext"]
+
+
+@pytest.mark.parametrize("mnemonic", sorted(_XT_OPERANDS))
+def test_xt_template_is_its_handler(mnemonic):
+    """Each inlined XT template against its ``exec_scalar`` handler on
+    edge values, with rd also a source (the MAC accumulator)."""
+    handler = exec_scalar.SCALAR_EXEC[mnemonic]
+    state = MachineState()
+    for imm, aux in _XT_OPERANDS[mnemonic]:
+        inst = Instruction(spec=SPECS[mnemonic], rd=3, rs1=1, rs2=2,
+                           imm=imm, aux=aux)
+        lines = codegen._alu_lines(inst)
+        scope: dict = {}
+        exec("def template(R):\n" + "".join(f"    {line}\n"
+                                             for line in lines), scope)
+        for a in _EDGES:
+            for b in _EDGES:
+                regs = [0, a, b, a ^ b] + [0] * 28
+                state.regs[:] = regs
+                handler(state, inst)
+                scope["template"](regs)
+                assert regs == state.regs, (mnemonic, imm, aux, a, b)
+
+
+class _Device:
+    """An MMIO toy: logs every access; a load reads the access count."""
+
+    def __init__(self):
+        self.log: list[tuple] = []
+
+    def load(self, offset, size):
+        self.log.append(("load", offset, size))
+        return len(self.log) * 0x0101010101010101 & ((1 << size * 8) - 1)
+
+    def store(self, offset, value, size):
+        self.log.append(("store", offset, value, size))
+
+
+class TestInlineFallback:
+    """Tier 3 slices pages directly; everything else keeps calling
+    ``Memory.load_int``/``store_int``.  Each program runs superblocks."""
+
+    def test_instance_wrapped_store_int_sees_every_store(self):
+        stores = []
+
+        def wrap(emulator):
+            memory = emulator.state.memory
+            calls, original = [], memory.store_int
+            stores.append(calls)
+
+            def store_int(addr, value, size):
+                calls.append((addr, value, size))
+                original(addr, value, size)
+            memory.store_int = store_int
+
+        tier3 = _precise_and_tier3(INLINE.source, prepare=wrap)
+        assert tier3.counters()["codegen_executions"] > 0
+        precise_stores, tier3_stores = stores
+        assert len(tier3_stores) > 100
+        assert tier3_stores == precise_stores
+
+    def test_mmio_device_sees_its_loads_and_stores(self):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x10000000
+        loop:
+            lw t0, 4(s1)
+            lb t1, 1(s1)
+            ld t2, 8(s1)
+            lw zero, 0(s1)
+            sw t0, 16(s1)
+            sd t2, 24(s1)
+            sb t1, 3(s1)
+            add a0, a0, t1
+            addi s0, s0, -1
+            bnez s0, loop
+            andi a0, a0, 127
+            li a7, 93
+            ecall
+        """
+        logs = []
+
+        def mmio(emulator):
+            device = _Device()
+            logs.append(device.log)
+            emulator.state.memory.register_mmio(0x10000000, 0x1000, device)
+
+        tier3 = _precise_and_tier3(source, prepare=mmio)
+        assert tier3.counters()["codegen_executions"] > 0
+        precise_log, tier3_log = logs
+        assert len(tier3_log) == 5 * 7
+        assert tier3_log == precise_log
+
+    def test_untouched_page_loads_allocate_nothing(self):
+        # the fingerprint ignores zero pages, so it cannot see this
+        emulators = []
+        _precise_and_tier3(INLINE.source, prepare=emulators.append)
+        precise, tier3 = emulators
+        assert tier3.counters()["codegen_executions"] > 0
+        assert (tier3.state.memory.allocated_bytes
+                == precise.state.memory.allocated_bytes)
+
+    def test_page_straddling_accesses_match(self):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x201FFC
+            li t0, 0x1122334455667788
+        loop:
+            sd t0, 0(s1)
+            ld t1, 0(s1)
+            sw t1, 2(s1)
+            lw t2, 2(s1)
+            sh t2, 3(s1)
+            lh t3, 3(s1)
+            lhu t4, 3(s1)
+            add t0, t0, t3
+            xor t0, t0, t4
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        tier3 = _precise_and_tier3(source)
+        assert tier3.counters()["codegen_executions"] > 0

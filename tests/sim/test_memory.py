@@ -42,6 +42,37 @@ class TestSparseMemory:
         assert m.load_int(1 << 40, 8) == 42
 
 
+class TestDirectPages:
+    """The one rule for slicing pages directly (tier 3's loads and
+    stores, the vector engine's ``ram_view``): refused while MMIO is
+    mapped or an entry point is wrapped on the instance."""
+
+    def test_direct_by_default(self):
+        m = Memory()
+        assert m.load_pages is m.store_pages is m._pages
+
+    def test_wrapped_store_refuses_stores_until_unwrapped(self):
+        m = Memory()
+        m.store_int = lambda addr, value, size: None
+        assert m.store_pages is None and m.load_pages is m._pages
+        assert m.ram_view(0x1000, 8, allocate=True) is None
+        del m.store_int
+        assert m.store_pages is m._pages
+        assert m.ram_view(0x1000, 8, allocate=True) is not None
+
+    def test_wrapped_load_refuses_both(self):
+        m = Memory()
+        m.store_int(0x1000, 7, 8)
+        m.load_int = lambda addr, size, signed=False: 0
+        assert m.load_pages is m.store_pages is None
+        assert m.ram_view(0x1000, 8) is None
+
+    def test_mmio_refuses_both(self):
+        m = Memory()
+        m.register_mmio(0x1000_0000, 0x1000, _ScratchDevice())
+        assert m.load_pages is m.store_pages is None
+
+
 class _ScratchDevice:
     def __init__(self):
         self.regs = {}

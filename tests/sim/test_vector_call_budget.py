@@ -1,19 +1,25 @@
-"""A deterministic budget for the vector engine's per-op cost.
+"""A deterministic budget for the per-instruction cost of tier 3.
 
 On 2-16 lanes a vector op costs its Python calls, not its lane work,
-and a wall-clock gate cannot see a helper call creeping back into the
-per-op path on a noisy runner; a count can.  This test counts the
-Python ``call`` events of a warm tier-3 run (every block compiled, read
-from the code cache) per batched vector op on each vector kernel and
-fails above a committed budget (the measured value + 5 %).  The count
-covers the whole run, scalar blocks included, but only calls into this
+and an inlined scalar instruction costs none; a wall-clock gate cannot
+see a helper call creeping back into either per-op path on a noisy
+runner, but a count can.  These tests count the Python ``call`` events
+of a warm tier-3 run (every block compiled, read from the code cache)
+per batched vector op on each vector kernel, and per retired
+instruction on five scalar kernels, and fail above a committed budget
+(the measured value + 5 %).  The count covers the whole run, tier-2
+first runs and scalar blocks included, but only calls into this
 package and its generated blocks: it is a function of the source and
 the guest only, not of the host or the interpreter's version.
 
 For scale: with one generic handler per mnemonic, which re-sliced its
 register groups on every execution, ``vec-mac16`` ran 6.40 calls per
 batched op, ``vec-axpy-f32`` 8.81 and ``vec-stencil32`` 7.79; bound
-once per static instruction they run 4.87, 7.25 and 5.49.
+once per static instruction they ran 4.87, 7.25 and 5.49.  With
+``vsetvli`` still a handler call and scalar loads, stores and the XT
+MAC/rotate instructions calling out, ``vec-memcpy`` ran 13.07 calls
+per batched op, ``dhrystone-like`` 0.543 calls per instruction,
+``scalar-mac16`` 0.925 and ``blockchain-xt`` 1.091.
 """
 
 from __future__ import annotations
@@ -25,19 +31,29 @@ import pytest
 
 import repro
 from repro.sim import Emulator, exec_vector
+from repro.workloads import get_workload
 from repro.workloads.vector import vector_suite
 
 #: Python calls per batched vector op at tier 3, warm; measured values
 #: + 5 %.  Raise one only with the reason in the commit message.
 BUDGET = {
-    "vec-mac16": 5.11,
-    "vec-fp16-axpy": 9.02,
-    "vec-axpy-f32": 7.61,
-    "vec-axpy-f64": 6.35,
-    "vec-stencil32": 5.76,
-    "vec-gather": 8.15,
-    "vec-memcpy": 18.46,
-    "vec-strcmp": 11.03,
+    "vec-mac16": 4.87,
+    "vec-fp16-axpy": 6.79,
+    "vec-axpy-f32": 6.11,
+    "vec-axpy-f64": 5.14,
+    "vec-stencil32": 4.60,
+    "vec-gather": 6.78,
+    "vec-memcpy": 10.14,
+    "vec-strcmp": 7.13,
+}
+#: Python calls per retired instruction at tier 3, warm, on scalar
+#: kernels; measured values + 5 %.  Same rule.
+SCALAR_BUDGET = {
+    "dhrystone-like": 0.266,
+    "stream-triad": 0.105,
+    "scalar-mac16": 0.058,
+    "blockchain-xt": 0.654,
+    "coremark-list": 0.242,
 }
 
 KERNELS = {w.name: w for w in vector_suite() if w.name in BUDGET}
@@ -45,8 +61,8 @@ KERNELS = {w.name: w for w in vector_suite() if w.name in BUDGET}
 OURS = (os.path.dirname(repro.__file__), "<codegen:")
 
 
-def calls_per_op(workload, cache_dir: str) -> float:
-    """Python calls per batched vector op of a warm tier-3 run: calls
+def warm_calls(workload, cache_dir: str) -> tuple[int, Emulator]:
+    """The Python calls of a warm tier-3 run, and its emulator: calls
     into this package's source and its generated blocks, not into the
     standard library or numpy, whose Python layers vary by version."""
     program = workload.program()
@@ -66,6 +82,12 @@ def calls_per_op(workload, cache_dir: str) -> float:
     finally:
         sys.setprofile(previous)
     assert emulator.counters()["codegen_blocks_compiled"] == 0
+    return calls, emulator
+
+
+def calls_per_op(workload, cache_dir: str) -> float:
+    """Python calls per batched vector op of a warm tier-3 run."""
+    calls, emulator = warm_calls(workload, cache_dir)
     return calls / emulator.state.vec_counters["batched_ops"]
 
 
@@ -83,3 +105,12 @@ def test_vector_op_stays_inside_its_call_budget(name, tmp_path):
     assert per_op <= BUDGET[name], (
         f"{name}: {per_op:.2f} Python calls per batched vector op at "
         f"tier 3, budget {BUDGET[name]}")
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_BUDGET))
+def test_scalar_instruction_stays_inside_its_call_budget(name, tmp_path):
+    calls, emulator = warm_calls(get_workload(name), str(tmp_path))
+    per_inst = calls / emulator.state.instret
+    assert per_inst <= SCALAR_BUDGET[name], (
+        f"{name}: {per_inst:.3f} Python calls per retired instruction at "
+        f"tier 3, budget {SCALAR_BUDGET[name]}")
