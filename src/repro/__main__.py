@@ -381,7 +381,7 @@ def _submit_specs(args) -> list:
 def cmd_submit(args) -> int:
     import json as json_mod
 
-    from .service import JobService, RetryPolicy
+    from .service import JobService, ResultStore, RetryPolicy
 
     if not args.workloads and not args.targets:
         print("error: submit needs program files or --workloads",
@@ -390,6 +390,7 @@ def cmd_submit(args) -> int:
     specs = _submit_specs(args)
     with JobService(workers=args.jobs,
                     retry=RetryPolicy(max_attempts=args.max_attempts),
+                    store=ResultStore(args.store),
                     isolation=not args.no_isolation) as service:
         results = service.run(specs)
     if args.json:
@@ -450,9 +451,10 @@ def cmd_serve(args) -> int:
         JobService,
         JobSpec,
         JobState,
+        ResultStore,
     )
 
-    with JobService(workers=args.jobs,
+    with JobService(workers=args.jobs, store=ResultStore(args.store),
                     isolation=not args.no_isolation) as service:
         for line in sys.stdin:
             line = line.strip()
@@ -488,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
     #: list, so config files work everywhere a preset does.
     core_help = (f"preset ({', '.join(sorted(PRESETS))}) or config "
                  f"document path (.yaml/.json)")
+    #: help text of the --store option of submit and serve
+    store_help = ("result store directory, shared across runs "
+                  "(default: an in-memory store for this run)")
 
     p_run = sub.add_parser("run", help="assemble and execute / time")
     add_common(p_run)
@@ -650,6 +655,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="disable RVC compression")
     p_sub.add_argument("--json", action="store_true",
                        help="machine-readable results on stdout")
+    p_sub.add_argument("--store", default=None, metavar="DIR",
+                       help=store_help)
     p_sub.set_defaults(fn=cmd_submit)
 
     p_srv = sub.add_parser(
@@ -659,6 +666,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="worker-pool width (default: up to 8)")
     p_srv.add_argument("--no-isolation", action="store_true",
                        help="run jobs inline (no crash containment)")
+    p_srv.add_argument("--store", default=None, metavar="DIR",
+                       help=store_help)
     p_srv.set_defaults(fn=cmd_serve)
 
     p_exp = sub.add_parser(

@@ -9,6 +9,7 @@ backs both the single-core hierarchy and the SMP cluster (section VI).
 from __future__ import annotations
 
 import enum
+import types
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -61,7 +62,7 @@ class CacheStats:
         return dict(vars(self))
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     tag: int
     state: LineState = LineState.EXCLUSIVE
@@ -73,12 +74,26 @@ class CacheLine:
     tag_fault: bool = False     # flipped bit pending in the tag array
 
 
+#: What every set of a new cache holds until its first fill: one
+#: shared, read-only empty mapping, so building a cache allocates no
+#: per-set structure (an L2 has 2048 sets).
+_EMPTY_SET = types.MappingProxyType({})
+
+
 class Cache:
     """An LRU set-associative cache.
 
     Addresses are split as ``| tag | set | offset |``.  The model tracks
     line presence and state only (data lives in the functional memory),
     which is exactly what the timing model needs.
+
+    A set is made on first fill: until then its ``_sets`` entry is the
+    shared read-only ``_EMPTY_SET``, which answers every probe
+    (``get``, ``in``, ``len``, iteration) as an empty set would.
+    Only :meth:`fill` stores into a set, and it gives the set its own
+    ``OrderedDict`` first; every other mutation (LRU update, drop,
+    clear) is reached only through a line the set holds, or skips the
+    shared mapping.
     """
 
     #: correctable errors on one (set, way) before it is quarantined
@@ -96,8 +111,8 @@ class Cache:
         self.line_size = line_size
         self.num_sets = size // (assoc * line_size)
         self._offset_bits = line_size.bit_length() - 1
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for _ in range(self.num_sets)]
+        self._sets: list[OrderedDict[int, CacheLine]] = \
+            [_EMPTY_SET] * self.num_sets  # type: ignore[list-item]
         self.stats = CacheStats()
         # RAS: per-(set, way) correctable-error history, quarantined ways,
         # and callbacks into the machine-check path.
@@ -294,6 +309,8 @@ class Cache:
         laddr = self.line_addr(addr)
         index = self._index(laddr)
         cache_set = self._sets[index]
+        if cache_set is _EMPTY_SET:
+            cache_set = self._sets[index] = OrderedDict()
         victim: CacheLine | None = None
         if laddr in cache_set:
             line = cache_set[laddr]
@@ -325,6 +342,8 @@ class Cache:
         """Drop the line containing *addr*; returns it if present."""
         laddr = self.line_addr(addr)
         cache_set = self._sets[self._index(laddr)]
+        if cache_set is _EMPTY_SET:
+            return None
         line = cache_set.pop(laddr, None)
         if line is not None:
             self._ways_dense = False
@@ -337,8 +356,9 @@ class Cache:
         """Invalidate everything; returns the number of dirty lines."""
         dirty = 0
         for cache_set in self._sets:
-            dirty += sum(1 for line in cache_set.values() if line.dirty)
-            cache_set.clear()
+            if cache_set is not _EMPTY_SET:
+                dirty += sum(1 for line in cache_set.values() if line.dirty)
+                cache_set.clear()
         if not self._disabled_ways:
             self._ways_dense = True      # empty sets are trivially dense
         return dirty

@@ -94,8 +94,10 @@ from .stats import CoreStats
 
 #: Cycle span of the PipeGroup booking window; bookings outside the
 #: window spill to an exact overflow dict, so the window size is a
-#: performance knob, not a correctness bound.
-_WINDOW = 1 << 15
+#: performance knob, not a correctness bound.  The stream loop moves
+#: the window up every ``_WINDOW // 4`` dispatch cycles, so it follows
+#: simulated time at any IPC.
+_WINDOW = 1 << 12
 _MASK = _WINDOW - 1
 _ZEROS = [0] * _WINDOW
 
@@ -157,10 +159,12 @@ class PipeGroup:
     cycle an older long-waiting instruction left idle — what an age-
     vector scheduler actually does.
 
-    Counters live in a flat ring covering ``[_base, _base + _WINDOW)``;
-    bookings outside the window go to the exact ``_far`` dict (normally
-    empty).  :meth:`advance` moves the window floor up, recycling
-    slots, so memory stays constant over arbitrarily long runs.
+    Counters live in a flat ring covering ``[_base, _base + _WINDOW)``
+    (4096 cycles, 32 KB a ring); bookings outside the window go to the
+    exact ``_far`` dict (normally empty).  :meth:`advance` moves the
+    window floor up, recycling slots, so memory stays constant over
+    arbitrarily long runs; the stream loop calls it every
+    ``_WINDOW // 4`` dispatch cycles.
     """
 
     __slots__ = ("count", "_ring", "_base", "_limit", "_far")
@@ -283,7 +287,7 @@ class TimingInfo:
     emulator's record batches, and a dead emulator is cyclic garbage
     that lingers until a full collection — so neither a row nor a
     ``TimingInfo`` may reference the model or its booking rings
-    (2.3 MB a model), and a ``TimingInfo`` does not point back at its
+    (0.3 MB a model), and a ``TimingInfo`` does not point back at its
     row.
     """
 
@@ -417,7 +421,9 @@ class PipelineModel:
         self._inorder_slots = SlotAllocator(cfg.issue_width)
         self._max_complete = 0
         self._last_target_seen: dict[int, int] = {}
-        self._prune_countdown = 8192
+        #: dispatch cycle at which the stream loop next advances the
+        #: booking windows
+        self._next_prune = _WINDOW // 4
         fu = cfg.fu
         pipes = getattr(self, "_pipe_list", None)
         if pipes is not None:
@@ -772,7 +778,7 @@ class PipelineModel:
         n_inst = 0
         n_store_uops = 0
         unretired = 0
-        prune_at = self._prune_countdown   # in units of n_inst
+        next_prune = self._next_prune      # a dispatch cycle
         n_branch = 0
         n_taken_bub = 0
         n_lbuf = 0
@@ -1503,10 +1509,10 @@ class PipelineModel:
                 while sq0_seq < bound:
                     sq_deque.popleft()
                     sq0_seq = sq_deque[0].seq if sq_deque else 1 << 62
-                if n_inst >= prune_at:
+                if last_dispatch >= next_prune:
                     # Any floor that no later scan starts below will
                     # do, and every later ready is > last_dispatch.
-                    prune_at = n_inst + 8192
+                    next_prune = last_dispatch + _WINDOW // 4
                     floor = last_dispatch - 64
                     for pg in pipe_set:
                         pg.advance(floor)
@@ -1538,7 +1544,7 @@ class PipelineModel:
             self._serialize_until = serialize_until
             self._last_issue = last_issue
             self._max_complete = max_complete
-            self._prune_countdown = prune_at - n_inst
+            self._next_prune = next_prune
             dec.cycle, dec.used = dec_cycle, dec_used
             ren.cycle, ren.used = ren_cycle, ren_used
             ret.cycle, ret.used = ret_cycle, ret_used

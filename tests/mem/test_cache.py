@@ -1,9 +1,13 @@
 """Cache model tests: indexing, LRU, states, stats."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem import Cache, LineState
+from repro.mem.cache import CacheLine
 
 
 def make_cache(size=1024, assoc=2, line=64):
@@ -135,3 +139,68 @@ def test_fill_then_immediate_access_hits(addresses):
     for addr in addresses:
         c.fill(addr)
         assert c.access(addr)
+
+
+class _EagerCache(Cache):
+    """The reference for lazily made sets: every set is its own
+    ``OrderedDict`` from the start, as before sets were made on first
+    fill."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+
+
+_ADDR = st.integers(0, 4095)
+_OPS = st.one_of(
+    st.tuples(st.just("access"), _ADDR, st.booleans()),
+    st.tuples(st.just("fill"), _ADDR, st.sampled_from(list(LineState)),
+              st.booleans()),
+    st.tuples(st.just("invalidate"), _ADDR),
+    st.tuples(st.just("contains"), _ADDR),
+    st.tuples(st.just("flush_all"),),
+    st.tuples(st.just("inject_data_fault"), st.none() | _ADDR,
+              st.integers(1, 2), st.integers(0, 3)),
+    st.tuples(st.just("inject_tag_fault"), st.none() | _ADDR,
+              st.integers(0, 3)),
+    st.tuples(st.just("scrub"),),
+)
+
+
+def _apply(cache, op):
+    name, *args = op
+    if name == "inject_data_fault":
+        addr, bits, seed = args
+        return cache.inject_data_fault(addr, bits, random.Random(seed))
+    if name == "inject_tag_fault":
+        addr, seed = args
+        return cache.inject_tag_fault(addr, random.Random(seed))
+    return getattr(cache, name)(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPS, max_size=80))
+def test_lazy_sets_behave_like_eager_sets(ops):
+    """A set made on first fill is indistinguishable from one made up
+    front: same answers, statistics, contents and quarantined ways
+    after every operation (8 sets of 2 ways, quarantine after 2
+    corrections, so evictions, faults and quarantine all happen)."""
+    lazy = Cache("lazy", size=1024, assoc=2, quarantine_threshold=2)
+    eager = _EagerCache("eager", size=1024, assoc=2,
+                        quarantine_threshold=2)
+    for op in ops:
+        assert _apply(lazy, op) == _apply(eager, op), op
+        assert lazy.stats == eager.stats, op
+        assert lazy.occupancy == eager.occupancy
+        assert list(lazy.lines()) == list(eager.lines())
+        assert lazy.disabled_way_count() == eager.disabled_way_count()
+
+
+def test_unfilled_sets_share_one_read_only_mapping():
+    c = make_cache()
+    assert len({id(s) for s in c._sets}) == 1
+    with pytest.raises(TypeError):
+        c._sets[0][0] = CacheLine(tag=0)
+    c.fill(0)
+    assert c._sets[0] is not c._sets[1]
+    assert len(c._sets[1]) == 0 and c.occupancy == 1

@@ -385,3 +385,43 @@ class TestServiceCli:
         assert main(["submit", program_file, "--jobs", "1", "--json"]) == 0
         counters = _json.loads(capsys.readouterr().out)["counters"]
         assert counters["workers_launched"] == 1
+
+    def test_submit_store_is_reused_by_a_fresh_process(self, program_file,
+                                                       tmp_path):
+        """``--store DIR`` puts results on disk: the same job submitted
+        again from a new process is answered from the store."""
+        import json as _json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(pathlib.Path(repro.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "repro", "submit", program_file,
+                   "--no-isolation", "--json",
+                   "--store", str(tmp_path / "store")]
+        hits = []
+        for _ in range(2):
+            done = subprocess.run(command, capture_output=True, text=True,
+                                  env=env, timeout=120)
+            assert done.returncode == 0, done.stderr[-2000:]
+            hits.append(_json.loads(done.stdout)["counters"]["cache_hits"])
+        assert hits == [0, 1]
+
+    def test_serve_store_answers_a_repeat_from_disk(self, monkeypatch,
+                                                   capsys, tmp_path):
+        import io
+        import json as _json
+
+        line = _json.dumps({"source": SOURCE, "core": None, "name": "j"})
+        hits = []
+        for _ in range(2):
+            monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+            assert main(["serve", "--no-isolation",
+                         "--store", str(tmp_path / "store")]) == 0
+            hits.append(_json.loads(capsys.readouterr().out)["cache_hit"])
+        assert hits == [False, True]

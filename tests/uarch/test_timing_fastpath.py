@@ -19,8 +19,9 @@ it): ``run(trace)`` must equal any chunking of the same trace.
 
 Plus the operational properties the fast path must not break:
 determinism across runs, ``_reset_run_state`` completeness on model
-reuse, static-cache revalidation by instruction identity, and bounded
-``PipeGroup`` memory over long runs.
+reuse, static-cache revalidation by instruction identity, bounded
+``PipeGroup`` memory over long runs, and exact bookings past the
+booking window.
 """
 
 from __future__ import annotations
@@ -29,16 +30,19 @@ import copy
 import functools
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.asm import assemble
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.sim.emulator import Emulator, WatchdogExpired
 from repro.uarch.core import _WINDOW, PipeGroup, PipelineModel
 from repro.uarch.presets import get_preset
+from repro.uarch.refmodel import ReferencePipelineModel
 from repro.workloads import all_workloads, get_workload
 
 from ..integration.test_lattice import (
@@ -85,7 +89,7 @@ def test_golden_file_covers_every_bundled_workload():
 
 #: Small enough to replay one instruction per quantum: FP, vector,
 #: load/store-heavy and branchy integer code; coremark-list is long
-#: enough to cross the 8192-instruction pipe-window prune.
+#: enough to cross many booking-window prunes.
 RESUME_WORKLOADS = ["nbench-fourier", "vec-mac16", "nbench-lu",
                     "eembc-canrdr", "coremark-list"]
 
@@ -205,9 +209,76 @@ def test_pipegroup_memory_bounded_over_one_million_cycles():
     for cycle in range(0, 1_000_000, 5):
         slot = group.earliest(cycle, occupy=2)
         group.book(slot, occupy=2)
-        if cycle % 8192 == 0 and cycle:
+        if cycle % (_WINDOW // 4) == 0 and cycle:
             group.advance(cycle - 64)
     assert len(group._ring) == ring_len == _WINDOW
     assert len(group._far) < 64
     # and the window actually advanced with the pruning
     assert group._base > 0
+
+
+def _cold_chase_program(chain=28, trips=4):
+    """A pointer chase through never-touched lines in random order,
+    unrolled *chain* deep inside one block, with a tail of two ``div``
+    on the last value (they contend for the one divider) and an
+    ``fdiv.d``.  Every load is a DRAM miss that waits for the one
+    before it, so a block's dependants issue thousands of cycles after
+    their dispatch: bookings land, and contend, past the booking
+    window."""
+    nodes = chain * trips + 1
+    order = list(range(nodes))
+    random.Random(7).shuffle(order)
+    deltas = [0] * nodes
+    for here, succ in zip(order, order[1:]):
+        deltas[here] = (succ - here) * 64
+    chase = "\n".join(["    ld t0, 0(t1)\n    add t1, t1, t0"] * chain)
+    data = "\n".join(f"    .dword {delta}\n    .zero 56"
+                     for delta in deltas)
+    return assemble(f"""
+_start:
+    la    t1, nodes
+    li    t2, {order[0] * 64}
+    add   t1, t1, t2
+    li    s3, {trips}
+loop:
+{chase}
+    div   t3, t0, s3
+    div   t4, t0, s3
+    add   t3, t3, t4
+    fcvt.d.l ft1, t3
+    fdiv.d ft0, ft1, ft1
+    addi  s3, s3, -1
+    bnez  s3, loop
+    li    a0, 0
+    li    a7, 93
+    ecall
+    .data
+    .align 6
+nodes:
+{data}
+""")
+
+
+def test_bookings_past_the_window_spill_exactly(monkeypatch):
+    """The stream loop's inline scans stop at the window limit and hand
+    over to the exact ring + ``_far`` search: a run that books past
+    the window must use ``_far`` and still equal the reference model."""
+    program = _cold_chase_program()
+    config = get_preset("xt910")
+    far_peak = 0
+    book = PipeGroup.book
+
+    def spying_book(self, cycle, occupy=1):
+        nonlocal far_peak
+        book(self, cycle, occupy)
+        far_peak = max(far_peak, len(self._far))
+
+    monkeypatch.setattr(PipeGroup, "book", spying_book)
+    stats = PipelineModel(config, MemoryHierarchy(config.mem)).run(
+        Emulator(program).trace(None, tier=2)).as_comparable()
+    monkeypatch.undo()
+    assert far_peak > 0
+    reference = ReferencePipelineModel(
+        config, MemoryHierarchy(config.mem)).run(
+        Emulator(program).trace(None, tier=1)).as_comparable()
+    assert stats == reference
