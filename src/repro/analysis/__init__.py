@@ -1,9 +1,9 @@
 """Static analysis for guest RISC-V programs.
 
 Recovers a whole-program CFG from the decoded text section, runs
-classic dataflow passes (definite initialization, liveness, reaching
-definitions) and a checker suite on top: maybe-uninitialized register
-reads, ABI violations, vector-configuration hazards, LR/SC pairing and
+classic dataflow passes (definite initialization, liveness) and a
+checker suite on top: maybe-uninitialized register reads, ABI
+violations, vector-configuration hazards, LR/SC pairing and
 statically-wild memory addressing.  ``python -m repro lint`` is the
 command-line entry point; :mod:`repro.analysis.sanitize` feeds the
 static facts back into the emulator at run time.

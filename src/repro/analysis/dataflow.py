@@ -7,18 +7,16 @@ vector registers, and bit 96 records "vector unit configured by
 analyses with OR — big-int bitwise ops keep the worklist iterations
 cheap even for whole-program runs.
 
-Three passes live here:
+Two passes live here:
 
 * :func:`must_init` — interprocedural definite-initialization over the
   supergraph (call and return edges included),
-* :func:`liveness` — per-function backward live-register analysis,
-* :func:`reaching_definitions` — per-function reaching defs with
-  def-use chains.
+* :func:`liveness` — per-function backward live-register analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..isa.classify import needs_vector_config
 from ..isa.instructions import Instruction, InstrClass
@@ -182,94 +180,3 @@ def live_at(block: BasicBlock, live_out: int) -> dict[int, int]:
         state = use_mask(di.inst) | (state & ~def_mask(di.inst))
     return after
 
-
-# -- reaching definitions ---------------------------------------------------
-
-@dataclass
-class ReachingDefs:
-    """Reaching definitions and def-use chains for one function.
-
-    Definition sites are numbered densely; per-block in/out sets are
-    bitmasks over site ids.
-    """
-
-    #: site id -> (instruction address, state-word bit defined)
-    sites: list[tuple[int, int]] = field(default_factory=list)
-    #: block start -> mask of sites reaching block entry
-    reach_in: dict[int, int] = field(default_factory=dict)
-    #: use address -> {state bit -> list of defining site addresses}
-    use_defs: dict[int, dict[int, list[int]]] = field(default_factory=dict)
-    #: definition address -> list of use addresses it reaches
-    def_uses: dict[int, list[int]] = field(default_factory=dict)
-
-
-def reaching_definitions(cfg: CFG, func: Function) -> ReachingDefs:
-    result = ReachingDefs()
-    members = set(func.blocks)
-
-    sites: list[tuple[int, int]] = []
-    sites_by_bit: dict[int, list[int]] = {}
-    site_at: dict[int, list[int]] = {}
-    for start in func.blocks:
-        for di in cfg.blocks[start].insts:
-            mask = def_mask(di.inst)
-            ids: list[int] = []
-            bit = 0
-            while mask >> bit:
-                if mask >> bit & 1:
-                    site_id = len(sites)
-                    sites.append((di.addr, bit))
-                    sites_by_bit.setdefault(bit, []).append(site_id)
-                    ids.append(site_id)
-                bit += 1
-            if ids:
-                site_at[di.addr] = ids
-    result.sites = sites
-
-    kill_mask = {bit: sum(1 << s for s in ids)
-                 for bit, ids in sites_by_bit.items()}
-
-    gen: dict[int, int] = {}
-    kill: dict[int, int] = {}
-    for start in func.blocks:
-        g = 0
-        k = 0
-        for di in cfg.blocks[start].insts:
-            for site_id in site_at.get(di.addr, ()):
-                _, bit = sites[site_id]
-                k |= kill_mask[bit]
-                g = (g & ~kill_mask[bit]) | (1 << site_id)
-        gen[start] = g
-        kill[start] = k
-
-    reach_in = dict.fromkeys(members, 0)
-    changed = True
-    while changed:
-        changed = False
-        for start in func.blocks:
-            block = cfg.blocks[start]
-            in_mask = 0
-            for pred in block.preds:
-                if pred in members:
-                    in_mask |= (reach_in[pred] & ~kill[pred]) | gen[pred]
-            if in_mask != reach_in[start]:
-                reach_in[start] = in_mask
-                changed = True
-    result.reach_in = reach_in
-
-    for start in func.blocks:
-        state = reach_in[start]
-        for di in cfg.blocks[start].insts:
-            uses = use_mask(di.inst)
-            if uses:
-                per_bit: dict[int, list[int]] = {}
-                for site_id, (addr, bit) in enumerate(sites):
-                    if state >> site_id & 1 and uses >> bit & 1:
-                        per_bit.setdefault(bit, []).append(addr)
-                        result.def_uses.setdefault(addr, []).append(di.addr)
-                if per_bit:
-                    result.use_defs[di.addr] = per_bit
-            for site_id in site_at.get(di.addr, ()):
-                _, bit = sites[site_id]
-                state = (state & ~kill_mask[bit]) | (1 << site_id)
-    return result

@@ -1,7 +1,7 @@
 """Experiment harness: one runner per paper table/figure.
 
-``run_all(quick=True)`` regenerates every experiment and returns the
-results; ``python -m repro.harness`` prints them.
+``run_experiment(name)`` runs one entry of ``EXPERIMENTS``;
+``python -m repro.harness`` runs and prints them.
 """
 
 from __future__ import annotations
@@ -66,9 +66,3 @@ def run_experiment(name: str, quick: bool = True,
     if jobs is not None and "jobs" in inspect.signature(fn).parameters:
         kwargs["jobs"] = jobs
     return fn(**kwargs)
-
-
-def run_all(quick: bool = True,
-            jobs: int | None = None) -> dict[str, ExperimentResult]:
-    """Run every experiment; returns {name: result}."""
-    return {name: run_experiment(name, quick, jobs) for name in EXPERIMENTS}

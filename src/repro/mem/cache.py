@@ -45,18 +45,6 @@ class CacheStats:
     parity_errors: int = 0      # tag parity hits -> line dropped, refetched
     ways_disabled: int = 0      # ways quarantined after repeated correctables
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.hit_rate if self.accesses else 0.0
-
     def counters(self) -> dict[str, int]:
         """Flat counter dict (the repro.obs metrics surface)."""
         return dict(vars(self))

@@ -3,7 +3,6 @@
 A commercial core survives soft errors; this package gives the model
 the same story:
 
-* :mod:`repro.ras.ecc` — SEC-DED codec and parity primitives,
 * :mod:`repro.ras.injector` — deterministic seeded fault injection
   into registers, PC, cache data/tag arrays, and TLB entries,
 * :mod:`repro.ras.lockstep` — a golden shadow emulator diffing
@@ -15,14 +14,6 @@ the same story:
 """
 
 from ..sim.emulator import MachineCheckError, WatchdogExpired  # noqa: F401
-from .ecc import (  # noqa: F401
-    EccStatus,
-    codeword_bits,
-    flip_bits,
-    parity,
-    secded_decode,
-    secded_encode,
-)
 from .injector import (  # noqa: F401
     ALL_TARGETS,
     ARCH_TARGETS,

@@ -28,10 +28,6 @@ def to_signed(value: int, bits: int = 64) -> int:
     return value - (1 << bits) if value >= 1 << (bits - 1) else value
 
 
-def to_unsigned(value: int, bits: int = 64) -> int:
-    return value & ((1 << bits) - 1)
-
-
 def sext32(value: int) -> int:
     """Sign-extend the low 32 bits of *value* into a 64-bit value."""
     value &= MASK32
@@ -146,9 +142,6 @@ class MachineState:
 
     # -- integer registers ---------------------------------------------------
 
-    def read_x(self, index: int) -> int:
-        return self.regs[index]
-
     def write_x(self, index: int, value: int) -> None:
         if index:
             self.regs[index] = value & MASK64
@@ -169,21 +162,6 @@ class MachineState:
     @property
     def vlmax(self) -> int:
         return self.vlen * self.lmul // self.sew
-
-    def vreg_group(self, start: int) -> bytearray:
-        """Concatenated bytes of the LMUL register group starting at *start*."""
-        out = bytearray()
-        for i in range(self.lmul):
-            out += self.vregs[(start + i) % 32]
-        return out
-
-    def write_vreg_group(self, start: int, data: bytearray) -> None:
-        """Write a group back IN PLACE (the numpy views must see it)."""
-        for i in range(self.lmul):
-            chunk = bytes(data[i * self.vlenb:(i + 1) * self.vlenb])
-            if len(chunk) < self.vlenb:
-                chunk = chunk + bytes(self.vlenb - len(chunk))
-            self.vregs[(start + i) % 32][:] = chunk
 
     def mask_bit(self, element: int) -> bool:
         """Bit *element* of the mask register v0."""

@@ -1,7 +1,6 @@
-"""SMP: cluster coherence, Ncore interconnect, multi-hart execution."""
+"""SMP: cluster coherence, interrupt controllers, multi-hart execution."""
 
 from .coherence import CoherenceConfig, CoherenceStats, CoherentCluster  # noqa: F401
-from .ncore import NcoreConfig, NcoreSystem  # noqa: F401
 from .interrupts import Clint, Plic, attach_interrupt_controllers  # noqa: F401
 from .runner import SmpMachine, SmpResult, run_smp  # noqa: F401
 from .timing import SmpTimingResult, run_smp_timing  # noqa: F401

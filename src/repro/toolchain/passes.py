@@ -18,7 +18,7 @@ Constant folding is included as the baseline cleanup both compilers do.
 from __future__ import annotations
 
 from .ir import Bin, Const, Expr, For, Function, Let, Load, Store, Stmt
-from .ir import Interpreter, LoadGlobal, StoreGlobal, U32, Var
+from .ir import Interpreter, LoadGlobal, StoreGlobal, U32
 
 
 def constant_fold(expr: Expr) -> Expr:
@@ -156,50 +156,3 @@ def dead_store_elimination(function: Function) -> tuple[Function, int]:
     function.body = process(function.body)
     return function, removed
 
-
-# --------------------------------------------------------------------------
-# Loop unrolling
-# --------------------------------------------------------------------------
-
-def unroll_loops(function: Function, factor: int = 4) -> tuple[Function, int]:
-    """Unroll constant-trip-count loops by *factor*.
-
-    Applies to ``For`` loops whose count is a ``Const`` divisible by
-    the factor and whose body contains no nested loop.  The loop
-    variable is re-derived per unrolled block
-    (``v = v_outer*factor + k``), so semantics are preserved exactly —
-    verified against the interpreter in the test suite.
-
-    The paper discusses how unrolling interacts badly with the stock
-    compiler's induction-variable handling (section IX item 1); this
-    pass exists so that interaction can be measured.
-    """
-    unrolled = 0
-
-    def process(block) -> list[Stmt]:
-        nonlocal unrolled
-        out: list[Stmt] = []
-        for stmt in block:
-            if isinstance(stmt, For):
-                body = tuple(process(stmt.body))
-                stmt = For(stmt.var, stmt.count, body)
-                if (isinstance(stmt.count, Const)
-                        and stmt.count.value % factor == 0
-                        and stmt.count.value >= factor
-                        and not any(isinstance(s, For) for s in body)):
-                    outer = f"{stmt.var}__u"
-                    new_body: list[Stmt] = []
-                    for k in range(factor):
-                        new_body.append(Let(stmt.var, Bin(
-                            "add",
-                            Bin("mul", Var(outer), Const(factor)),
-                            Const(k))))
-                        new_body.extend(body)
-                    stmt = For(outer, Const(stmt.count.value // factor),
-                               tuple(new_body))
-                    unrolled += 1
-            out.append(stmt)
-        return out
-
-    function.body = process(function.body)
-    return function, unrolled

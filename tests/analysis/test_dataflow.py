@@ -1,4 +1,4 @@
-"""Dataflow passes: definite init, liveness, reaching definitions."""
+"""Dataflow passes: definite init, liveness."""
 
 from repro.analysis import build_cfg
 from repro.analysis.dataflow import (
@@ -10,7 +10,6 @@ from repro.analysis.dataflow import (
     def_mask,
     liveness,
     must_init,
-    reaching_definitions,
     use_mask,
 )
 from repro.asm import assemble
@@ -155,33 +154,3 @@ loop:
         assert not live_in[cfg.entry] & (1 << 7)
         assert live_in[skip] & (1 << 6)  # t1 read at skip
 
-
-class TestReachingDefs:
-    def test_def_use_chains(self):
-        cfg = cfg_of(BRANCHY)
-        func = cfg.functions[cfg.entry]
-        rd = reaching_definitions(cfg, func)
-        skip = cfg.program.symbol("skip")
-        add = cfg.blocks[skip].insts[0]
-        # the add's t1 operand has exactly one reaching def (the li)
-        per_bit = rd.use_defs[add.addr]
-        assert len(per_bit[6]) == 1
-        li_t1_addr = per_bit[6][0]
-        assert add.addr in rd.def_uses[li_t1_addr]
-
-    def test_loop_merges_two_defs(self):
-        cfg = cfg_of("""
-_start:
-    li t0, 10
-loop:
-    addi t0, t0, -1
-    bnez t0, loop
-    li a7, 93
-    ecall
-""")
-        func = cfg.functions[cfg.entry]
-        rd = reaching_definitions(cfg, func)
-        loop = cfg.program.symbol("loop")
-        addi = cfg.blocks[loop].insts[0]
-        # both the initial li and the loop addi reach the addi's read
-        assert len(rd.use_defs[addi.addr][5]) == 2

@@ -1,10 +1,7 @@
 """Functional SMP tests: real parallel programs over shared memory."""
 
-import pytest
-
 from repro.asm import assemble
-from repro.smp import NcoreConfig, NcoreSystem, run_smp
-from repro.smp.coherence import CoherenceConfig
+from repro.smp import run_smp
 
 
 ATOMIC_COUNTER = """
@@ -185,33 +182,3 @@ class TestParallelKernel:
         counter = result.memory.load_int(program.symbol("counter"), 8)
         assert counter == 200
 
-
-class TestNcore:
-    def test_cross_cluster_transfer_costs_more(self):
-        system = NcoreSystem(NcoreConfig(
-            clusters=2,
-            cluster=CoherenceConfig(cores=2, l1_size=4096, l1_assoc=2,
-                                    l2_size=65536, l2_assoc=4)))
-        system.access(0, 0x1000, True)          # cluster 0 writes
-        system.access(1, 0x1000, False)          # same-cluster read
-        remote = system.access(2, 0x1000, False)  # other-cluster read
-        assert remote > system.config.cross_cluster_latency
-        assert system.stats.cross_cluster_transfers >= 1
-
-    def test_write_invalidates_remote_cluster(self):
-        system = NcoreSystem(NcoreConfig(clusters=2))
-        system.access(0, 0x1000, False)
-        system.access(4, 0x1000, False)   # core 4 = cluster 1
-        system.access(0, 0x1000, True)
-        from repro.mem.cache import LineState
-
-        assert system.clusters[1].state_of(0, 0x1000) is LineState.INVALID
-
-    def test_core_count(self):
-        system = NcoreSystem(NcoreConfig(
-            clusters=4, cluster=CoherenceConfig(cores=4)))
-        assert system.total_cores == 16  # the paper's 16-core XT-910
-
-    def test_cluster_limits(self):
-        with pytest.raises(ValueError):
-            NcoreSystem(NcoreConfig(clusters=5))

@@ -425,3 +425,102 @@ class TestServiceCli:
                          "--store", str(tmp_path / "store")]) == 0
             hits.append(_json.loads(capsys.readouterr().out)["cache_hit"])
         assert hits == [False, True]
+
+
+# tests/sim/test_vm.py's boot stub, with the guest building its own SV39
+# root table (the CLI loads no host-side tables): two 1 GiB leaves map
+# VA 0 and VA 0x40000000 onto physical 0.  The S-mode payload stores
+# through the alias and loads through the identity mapping, so the exit
+# code is 42 only when translation is on.
+SV39_SOURCE = """
+_start:
+    la t0, mhandler
+    csrw mtvec, t0
+    li t0, 0x80000000   # root table
+    li t1, 0xCF         # V|R|W|X|A|D
+    sd t1, 0(t0)
+    sd t1, 8(t0)
+    li t1, 8            # satp: mode=8 (SV39), root ppn 0x80000
+    slli t1, t1, 60
+    li t2, 0x80000
+    or t1, t1, t2
+    csrw satp, t1
+    li t3, 0x800        # mstatus.MPP = supervisor
+    csrs mstatus, t3
+    la t4, payload
+    csrw mepc, t4
+    mret
+payload:
+    la t0, cell
+    li t1, 0x40000000
+    add t1, t1, t0
+    li t2, 42
+    sd t2, 0(t1)
+    ld s1, 0(t0)
+    ecall               # from S-mode: traps to mhandler
+mhandler:
+    csrr t0, mcause
+    li t1, 9            # ECALL_FROM_S
+    mv a0, s1
+    beq t0, t1, done
+    li a0, 1
+done:
+    li a7, 93
+    ecall
+    .data
+cell:
+    .dword 0
+"""
+
+
+class TestEntryPoints:
+    """CLI paths that are the only product route into their modules:
+    ``--mmu`` (``repro.sim.vm``), ``--trace`` (``repro.obs.trace``) and
+    ``python -m repro.harness --json``."""
+
+    def test_run_mmu_translates_an_sv39_guest(self, tmp_path, capsys):
+        path = tmp_path / "sv39.s"
+        path.write_text(SV39_SOURCE)
+        assert main(["run", str(path), "--mmu"]) == 42
+        assert "exit 42" in capsys.readouterr().out
+        # without --mmu the alias store lands elsewhere in physical memory
+        assert main(["run", str(path)]) == 0
+
+    @staticmethod
+    def _traced_run(program_file, trace, capsys) -> int:
+        assert main(["run", program_file, "--core", "xt910", "--stats",
+                     "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {trace}" in out
+        line = next(line for line in out.splitlines()
+                    if line.startswith("instructions"))
+        return int(line.split()[1])
+
+    def test_run_trace_kanata_has_one_record_per_retired_inst(
+            self, program_file, tmp_path, capsys):
+        from repro.obs.trace import read_kanata
+
+        trace = tmp_path / "run.kanata"
+        retired = self._traced_run(program_file, trace, capsys)
+        assert retired == 35
+        assert len(read_kanata(str(trace))) == retired
+
+    def test_run_trace_jsonl_has_one_record_per_retired_inst(
+            self, program_file, tmp_path, capsys):
+        import json as _json
+
+        trace = tmp_path / "run.jsonl"
+        retired = self._traced_run(program_file, trace, capsys)
+        records = [_json.loads(line)
+                   for line in trace.read_text().splitlines()]
+        assert len(records) == retired == 35
+
+    def test_harness_json_runs_one_experiment(self, capsys):
+        import json as _json
+
+        from repro.harness.__main__ import main as harness_main
+
+        assert harness_main(["table2", "--json"]) == 0
+        results = _json.loads(capsys.readouterr().out)
+        assert isinstance(results, list) and len(results) == 1
+        assert results[0]["experiment"] == "table2"

@@ -184,77 +184,3 @@ class TestGeneratedCodeShape:
                                CodegenOptions.optimized())
         assert "srriw" in asm
 
-
-class TestUnrolling:
-    def _loop_kernel(self, n=32):
-        from repro.toolchain import ArrayDecl
-
-        data = tuple((i * 5 + 1) % 97 for i in range(n))
-        return Function(
-            name="t", arrays=[ArrayDecl("a", n, 4, True, data)],
-            body=[For("i", Const(n), (
-                Let("acc", Bin("add", Var("acc"),
-                               Load("a", Var("i")))),
-                Let("acc", Bin("xor", Var("acc"),
-                               Bin("shl", Var("i"), Const(1)))),
-            ))])
-
-    def test_unroll_preserves_semantics(self):
-        from repro.toolchain.passes import unroll_loops
-
-        kernel = self._loop_kernel()
-        expected = Interpreter(copy.deepcopy(kernel)).run()
-        unrolled, count = unroll_loops(copy.deepcopy(kernel), factor=4)
-        assert count == 1
-        assert Interpreter(unrolled).run() == expected
-
-    def test_unrolled_code_compiles_and_matches(self):
-        from repro.toolchain.passes import unroll_loops
-
-        kernel = self._loop_kernel()
-        expected = Interpreter(copy.deepcopy(kernel)).run()
-        unrolled, _ = unroll_loops(copy.deepcopy(kernel), factor=4)
-        assert run_compiled(unrolled, CodegenOptions.optimized()) == expected
-        assert run_compiled(unrolled, CodegenOptions.base()) == expected
-
-    def test_non_divisible_count_untouched(self):
-        from repro.toolchain.passes import unroll_loops
-
-        kernel = self._loop_kernel(n=30)
-        _, count = unroll_loops(kernel, factor=4)
-        assert count == 0
-
-    def test_nested_loops_inner_only(self):
-        from repro.toolchain import ArrayDecl
-        from repro.toolchain.passes import unroll_loops
-
-        fn = Function(name="t", arrays=[ArrayDecl("a", 16, 8)], body=[
-            For("i", Const(4), (
-                For("j", Const(4), (
-                    Let("acc", Bin("add", Var("acc"),
-                                   Bin("mul", Var("i"), Var("j")))),
-                )),
-            ))])
-        expected = Interpreter(copy.deepcopy(fn)).run()
-        unrolled, count = unroll_loops(copy.deepcopy(fn), factor=4)
-        assert count == 1  # only the inner loop (the outer now nests one)
-        assert Interpreter(unrolled).run() == expected
-
-    def test_unroll_reduces_dynamic_branches(self):
-        from repro.sim import Emulator
-        from repro.toolchain import build_program
-        from repro.toolchain.passes import unroll_loops
-
-        kernel = self._loop_kernel(n=64)
-        rolled_prog = build_program(copy.deepcopy(kernel),
-                                    CodegenOptions.optimized())
-        unrolled_fn, _ = unroll_loops(copy.deepcopy(kernel), factor=4)
-        unrolled_prog = build_program(unrolled_fn,
-                                      CodegenOptions.optimized())
-
-        def branch_count(program):
-            emu = Emulator(program)
-            return sum(1 for (dyn,) in emu.trace()
-                       if dyn.inst.iclass.value == "branch")
-
-        assert branch_count(unrolled_prog) < branch_count(rolled_prog)
