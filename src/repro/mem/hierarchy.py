@@ -64,15 +64,15 @@ class HierarchyStats:
 class MemoryHierarchy:
     """One core's view of the memory system."""
 
-    #: Contract with the timing model's inlined L1 fast path: a store
-    #: that hits a clean, writable-or-owned L1D line has no effect
-    #: outside this hierarchy, so ``PipelineModel._run_stream`` may
-    #: account it in place without calling :meth:`access_data`.  A
-    #: subclass whose stores are visible elsewhere (write-invalidate
-    #: coherence) sets this False and then sees every store in
-    #: ``access_data``; load and fetch hits stay inlined either way.
-    #: A fact about the class, not a tuning knob.
-    store_hits_are_local = True
+    #: The store-hit hook of the timing model's inlined L1 fast path.
+    #: ``PipelineModel._run_stream`` completes a store or AMO that hits
+    #: a clean, valid L1D line in place, without :meth:`access_data`,
+    #: and then calls ``snoop_store_hit(vaddr)`` if it is set, adding
+    #: the latency it returns.  A subclass whose stores are visible outside
+    #: this hierarchy (write-invalidate coherence) defines it as a
+    #: method and calls it from its own ``access_data`` for the stores
+    #: that take the slow path.  ``None`` here: a store hit is local.
+    snoop_store_hit = None
 
     def __init__(self, config: MemHierConfig | None = None,
                  l2: Cache | None = None, dram: Dram | None = None):

@@ -282,8 +282,7 @@ class BlockEngine:
                 # -- full, step()-equivalent path -----------------------
                 state.instret = instret
                 state.pc = pc
-                # side.reset() spelled out: one method call per
-                # non-simple instruction adds up on branchy code.
+                # The SideEffects reset, spelled out as in step().
                 side.mem_addr = 0
                 side.mem_size = 0
                 side.taken = False

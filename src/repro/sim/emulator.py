@@ -48,6 +48,11 @@ RECENT_WINDOW = 16
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
+#: mnemonics after which no decode (and, for ``sfence.vma``, no
+#: translation) made before them may be reused
+_SYNC_MNEMONICS = frozenset(("fence.i", "icache.iall", "icache.iva",
+                             "sfence.vma"))
+
 
 class EmulatorError(Exception):
     """Raised for unrecoverable emulation problems (bad fetch etc.)."""
@@ -185,7 +190,14 @@ class Emulator:
     # -- execution --------------------------------------------------------------
 
     def step(self) -> DynInst:
-        """Execute one instruction and return its dynamic record."""
+        """Execute one instruction and return its dynamic record.
+
+        The common path is spelled out here: the decode-cache hit
+        (:meth:`_fetch` runs only on a miss), the ``SideEffects`` reset
+        and the record itself.  :meth:`_record` builds the record on the
+        trap paths.  Multi-hart runs step every hart through this method,
+        so each opcode here is paid once per simulated SMP instruction.
+        """
         state = self.state
         if self._pending_mcheck is not None:
             self._deliver_machine_check()
@@ -194,12 +206,20 @@ class Emulator:
         if self.interrupt_fn is not None:
             self._check_interrupts()
         pc = state.pc
-        try:
-            inst = self._fetch(pc)
-        except Trap as trap:
-            return self._fetch_trap(pc, trap)
+        inst = self._decode_cache.get(pc)
+        if inst is not None:
+            self.decode_cache_hits += 1
+        else:
+            try:
+                inst = self._fetch(pc)
+            except Trap as trap:
+                return self._fetch_trap(pc, trap)
         side = state.side
-        side.reset()
+        side.mem_addr = 0
+        side.mem_size = 0
+        side.taken = False
+        side.target = 0
+        side.div_bits = 0
         mnemonic = inst.spec.mnemonic
         self._recent.append((pc, inst))
 
@@ -245,24 +265,22 @@ class Emulator:
             raise EmulatorError(
                 self._crash_report(pc, mnemonic, exc)) from exc
 
-        if mnemonic in ("fence.i", "icache.iall", "icache.iva"):
+        if mnemonic in _SYNC_MNEMONICS:
             # Instruction-stream synchronisation: stale decodes of
             # self-modified code must not survive the fence.
             self._decode_cache.clear()
             if self._blocks is not None:
                 self._blocks.invalidate()
-        elif mnemonic == "sfence.vma":
-            self._decode_cache.clear()
-            if self._blocks is not None:
-                self._blocks.invalidate()
-            if self.mmu is not None:
+            if mnemonic == "sfence.vma" and self.mmu is not None:
                 self.mmu.flush_tlb()
         if next_pc is None:
             next_pc = (pc + inst.size) & MASK64
-        record = self._record(pc, inst, next_pc)
+        seq = state.instret
         state.pc = next_pc
-        state.instret += 1
-        return record
+        state.instret = seq + 1
+        return DynInst(seq, pc, inst, next_pc, side.taken, side.target,
+                       side.mem_addr, side.mem_size, state.vl, state.sew,
+                       side.div_bits)
 
     def _fetch_trap(self, pc: int, trap: Trap) -> DynInst:
         """Take a trap raised fetching *pc*; returns its retired record

@@ -74,13 +74,6 @@ class SideEffects:
     target: int = 0
     div_bits: int = 0      # dividend magnitude for early-out dividers
 
-    def reset(self) -> None:
-        self.mem_addr = 0
-        self.mem_size = 0
-        self.taken = False
-        self.target = 0
-        self.div_bits = 0
-
 
 class MachineState:
     """Registers, CSRs, vector state, and memory for one hart."""

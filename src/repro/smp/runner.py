@@ -6,11 +6,17 @@ round-robin; LR/SC reservations and AMOs provide synchronization, and
 kernels (the section VI claim that each cluster's cores boot one
 coherent OS reduces, at this modeling level, to coherent shared-memory
 execution with working atomics).
+
+Every multi-hart run goes through one loop, :meth:`SmpMachine.traces`:
+each turn it calls each live hart's tier-1 ``Emulator.step``
+``interleave`` times and appends the records to that hart's trace.
+Functional runs (:meth:`SmpMachine.run`) and timed ones
+(:func:`~repro.smp.timing.run_smp_timing`) differ only in what they do
+with the traces afterwards.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..asm.program import Program, STACK_TOP
@@ -25,10 +31,6 @@ class SmpResult:
     exit_codes: list[int]
     steps: list[int]
     memory: Memory
-
-    @property
-    def all_succeeded(self) -> bool:
-        return all(code == 0 for code in self.exit_codes)
 
 
 class SmpMachine:
@@ -77,39 +79,46 @@ class SmpMachine:
         self.memory.store_bytes = store_bytes  # type: ignore[method-assign]
         self.memory.store_int = store_int  # type: ignore[method-assign]
 
-    def steps(self, max_steps_per_hart: int = 5_000_000
-              ) -> Iterator[tuple[int, DynInst]]:
-        """Round-robin step all harts until they all exit, yielding
-        ``(hart index, record)`` per step: ``interleave`` steps of each
-        live hart in turn.  A hart that runs past *max_steps_per_hart*
-        raises ``RuntimeError``."""
-        steps = [0] * len(self.harts)
-        active = True
-        while active:
-            active = False
-            for index, hart in enumerate(self.harts):
-                if hart.halted:
-                    continue
-                for _ in range(self.interleave):
+    def traces(self, max_steps_per_hart: int = 5_000_000
+               ) -> list[list[DynInst]]:
+        """Round-robin step all harts until they all exit; returns each
+        hart's dynamic records in retirement order.
+
+        Every turn steps each live hart ``interleave`` times (fewer if
+        it exits), appending straight to its trace.  This is the one
+        multi-hart loop: :meth:`run` and
+        :func:`~repro.smp.timing.run_smp_timing` both drive it.  A hart
+        whose step *max_steps_per_hart* + 1 retires raises
+        ``RuntimeError`` naming it.
+        """
+        interleave = self.interleave
+        traces: list[list[DynInst]] = [[] for _ in self.harts]
+        live = list(zip(range(len(self.harts)), self.harts, traces))
+        while live:
+            for index, hart, trace in live:
+                count = interleave
+                room = max_steps_per_hart - len(trace)
+                if room < count:
+                    count = room + 1
+                step = hart.step
+                append = trace.append
+                for _ in range(count):
+                    append(step())
                     if hart.halted:
                         break
-                    record = hart.step()
-                    steps[index] += 1
-                    if steps[index] > max_steps_per_hart:
-                        raise RuntimeError(
-                            f"hart {index} exceeded {max_steps_per_hart} steps")
-                    yield index, record
-                active = True
+                if len(trace) > max_steps_per_hart:
+                    raise RuntimeError(
+                        f"hart {index} exceeded {max_steps_per_hart} steps")
+            live = [entry for entry in live if not entry[1].halted]
+        return traces
 
     def run(self, max_steps_per_hart: int = 5_000_000) -> SmpResult:
-        """Run :meth:`steps` to the end."""
-        steps = [0] * len(self.harts)
-        for index, _ in self.steps(max_steps_per_hart):
-            steps[index] += 1
+        """Run :meth:`traces` to the end."""
+        traces = self.traces(max_steps_per_hart)
         return SmpResult(
             exit_codes=[h.exit_code if h.exit_code is not None else -1
                         for h in self.harts],
-            steps=steps, memory=self.memory)
+            steps=[len(trace) for trace in traces], memory=self.memory)
 
 
 def run_smp(program: Program, cores: int = 4,

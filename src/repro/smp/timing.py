@@ -1,12 +1,20 @@
 """Multi-core timing: per-core pipelines over one shared L2 (section VI).
 
 Methodology: the functional SMP machine runs all harts round-robin
-(real atomics, shared memory) while recording each hart's dynamic
-trace; each trace then drives its own pipeline model.  The cores share
-the L2 cache and the DRAM bandwidth model, and writes invalidate other
-cores' L1 copies (write-invalidate coherence), so capacity contention,
+(real atomics, shared memory) through its one loop,
+:meth:`~repro.smp.runner.SmpMachine.traces`, which returns each hart's
+dynamic trace; each trace then drives its own pipeline model, in
+64-record quanta taken round-robin (``PipelineModel.run_quantum``: the
+same batched loop that times a single core).  The cores share the L2
+cache and the DRAM bandwidth model, and writes invalidate other cores'
+L1 copies (write-invalidate coherence), so capacity contention,
 bandwidth contention and sharing misses are all represented.  The
 makespan is the slowest core's cycle count.
+
+Each store that reaches the hierarchy snoops the siblings once,
+whichever path it takes through the timing loop: one the loop completes
+inline as an L1D hit calls the hierarchy's ``snoop_store_hit`` hook,
+and any other reaches ``access_data``, which calls the same method.
 
 Approximation: the per-core cycle clocks are not lock-stepped, so
 fine-grained timing interleavings (e.g. lock convoy dynamics) are
@@ -21,7 +29,6 @@ from ..asm.program import Program
 from ..mem.cache import Cache
 from ..mem.dram import Dram
 from ..mem.hierarchy import MemHierConfig, MemoryHierarchy
-from ..sim.trace import DynInst
 from ..uarch.config import CoreConfig
 from ..uarch.core import PipelineModel
 from ..uarch.presets import xt910
@@ -42,33 +49,44 @@ class SmpTimingStats:
 class _CoherentHierarchy(MemoryHierarchy):
     """A per-core hierarchy whose writes invalidate sibling L1 copies."""
 
-    #: Every store must reach access_data: a hit in this core's L1D
-    #: still has to invalidate the siblings' copies.
-    store_hits_are_local = False
-
     def __init__(self, config: MemHierConfig, l2: Cache, dram: Dram,
                  shared_stats: SmpTimingStats, snoop_latency: int = 8):
         super().__init__(config, l2=l2, dram=dram)
-        self._siblings: list[_CoherentHierarchy] = []
+        self._sibling_l1ds: list[Cache] = []
         self._shared = shared_stats
         self._snoop_latency = snoop_latency
 
     def set_siblings(self, siblings: list["_CoherentHierarchy"]) -> None:
-        self._siblings = [s for s in siblings if s is not self]
+        self._sibling_l1ds = [s.l1d for s in siblings if s is not self]
 
     def access_data(self, vaddr: int, cycle: int, is_write: bool = False,
                     size: int = 8) -> int:
         latency = super().access_data(vaddr, cycle, is_write, size)
         if is_write:
-            snooped = False
-            for sibling in self._siblings:
-                if sibling.l1d.invalidate(vaddr) is not None:
-                    self._shared.sharing_invalidations += 1
-                    snooped = True
-            if snooped:
-                latency += self._snoop_latency
-                self._shared.snoop_stall_cycles += self._snoop_latency
+            latency += self.snoop_store_hit(vaddr)
         return latency
+
+    def snoop_store_hit(self, vaddr: int) -> int:
+        """Invalidate every sibling L1D copy of *vaddr*'s line; returns
+        the snoop latency, 0 when no sibling held the line.
+
+        The timing loop calls this for each store or AMO it completes
+        inline as an L1D hit, and :meth:`access_data` for every other
+        store that reaches the hierarchy, so each of those snoops
+        exactly once whichever path it takes."""
+        laddr = vaddr >> self._line_shift
+        index = laddr % self.l1d.num_sets
+        invalidated = 0
+        for l1d in self._sibling_l1ds:
+            if laddr in l1d._sets[index]:
+                l1d.invalidate(vaddr)
+                invalidated += 1
+        if not invalidated:
+            return 0
+        shared = self._shared
+        shared.sharing_invalidations += invalidated
+        shared.snoop_stall_cycles += self._snoop_latency
+        return self._snoop_latency
 
 
 @dataclass
@@ -84,9 +102,6 @@ class SmpTimingResult:
     @property
     def total_instructions(self) -> int:
         return sum(stats.instructions for stats in self.per_core)
-
-    def speedup_vs(self, single_core_cycles: int) -> float:
-        return single_core_cycles / self.makespan if self.makespan else 0.0
 
     def metrics(self) -> "MetricsRegistry":  # noqa: F821
         """Coherence + per-core counters as one metrics registry."""
@@ -110,9 +125,7 @@ def run_smp_timing(program: Program, cores: int = 4,
     # 1. Functional SMP run, collecting per-hart traces.
     machine = SmpMachine(program, cores=cores, interleave=interleave,
                          vlen=config.vlen)
-    traces: list[list[DynInst]] = [[] for _ in range(cores)]
-    for index, record in machine.steps(max_steps_per_hart):
-        traces[index].append(record)
+    traces = machine.traces(max_steps_per_hart)
 
     # 2. Shared memory-system substrate.
     shared_stats = SmpTimingStats()

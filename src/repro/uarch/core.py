@@ -38,10 +38,12 @@ the tests hold this loop equal to.  Per-PC stall attribution
 completion cycles through the ``profiler`` hook.
 
 The hot loop inlines clean L1 hits instead of calling the hierarchy.
-For stores that is only sound when a store hit has no effect outside
-the core's own hierarchy; the hierarchy says so through the class fact
-``MemoryHierarchy.store_hits_are_local`` (False for the write-invalidate
-SMP hierarchy, whose ``access_data`` then sees every store).
+A store hit (a store's, or an AMO's) may have an effect outside the
+core's own hierarchy: the write-invalidate SMP hierarchy must
+invalidate the siblings' copies.  So after each inlined store hit the
+loop calls the hierarchy's ``snoop_store_hit`` hook when it is set,
+and adds the latency it returns; ``MemoryHierarchy.snoop_store_hit``
+is ``None``.
 
 Static per-instruction facts (pipe selection, latency, operand register
 ids, store addr/data operand split, branch kind) are resolved once per
@@ -640,9 +642,9 @@ class PipelineModel:
         tlb_stats = tlb.stats
         mem_tlb = h_cfg.model_tlb
         mem_inline = (not mem_tlb) or h_cfg.tlb.utlb_latency == 0
-        # Store hits are inlined only when the hierarchy declares them
-        # invisible outside itself (see MemoryHierarchy).
-        store_inline = mem_inline and hier.store_hits_are_local
+        # An inlined store hit ends with the hierarchy's snoop, if it
+        # has one (see MemoryHierarchy.snoop_store_hit).
+        snoop_store_hit = hier.snoop_store_hit
         l1_latency = h_cfg.l1_latency
         l1d = hier.l1d
         l1d_shift = l1d._offset_bits
@@ -1101,7 +1103,7 @@ class PipelineModel:
                         else:
                             extra = -1
                             laddr = addr >> l1d_shift
-                            if mem_inline and not ti.is_amo \
+                            if mem_inline \
                                     and (addr + size - 1) >> l1d_shift \
                                     == laddr:
                                 if mem_tlb:
@@ -1127,9 +1129,17 @@ class PipelineModel:
                                         if line.prefetched:
                                             l1d_stats.prefetch_hits += 1
                                             line.prefetched = False
-                                        h_stats.loads += 1
                                         observe_l1(addr, issue)
                                         extra = l1_latency
+                                        if ti.is_amo:   # a store hit
+                                            line.dirty = True
+                                            if line.state in wstates:
+                                                line.state = MODIFIED
+                                            h_stats.stores += 1
+                                            if snoop_store_hit is not None:
+                                                extra += snoop_store_hit(addr)
+                                        else:
+                                            h_stats.loads += 1
                             if extra < 0:
                                 extra = access_data(addr, issue,
                                                     ti.is_amo, size)
@@ -1198,7 +1208,7 @@ class PipelineModel:
                         addr = dyn.mem_addr
                         drain = -1
                         laddr = addr >> l1d_shift
-                        if store_inline \
+                        if mem_inline \
                                 and (addr + size - 1) >> l1d_shift == laddr:
                             if mem_tlb:
                                 tkey = (addr >> 12, 4096, tlb.asid)
@@ -1229,6 +1239,8 @@ class PipelineModel:
                                     h_stats.stores += 1
                                     observe_l1(addr, complete)
                                     drain = l1_latency
+                                    if snoop_store_hit is not None:
+                                        drain += snoop_store_hit(addr)
                         if drain < 0:
                             drain = access_data(addr, complete, True,
                                                 size)

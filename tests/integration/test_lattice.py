@@ -258,7 +258,8 @@ class Run:
             if corner.smp:
                 machine = SmpMachine(self.program, cores=1, vlen=corner.vlen)
                 emulator = machine.harts[0]
-                records = [project(record) for _, record in machine.steps()]
+                records = [project(record)
+                           for record in machine.traces()[0]]
             else:
                 emulator = Emulator(self.program, code_cache_dir=cache_dir,
                                     vlen=corner.vlen)

@@ -1,7 +1,12 @@
 """Functional SMP tests: real parallel programs over shared memory."""
 
+import pytest
+
 from repro.asm import assemble
-from repro.smp import run_smp
+from repro.sim.emulator import Emulator
+from repro.smp import run_smp, runner
+from repro.smp.runner import SmpMachine
+from repro.smp.timing import run_smp_timing
 
 
 ATOMIC_COUNTER = """
@@ -138,14 +143,14 @@ class TestAtomics:
     def test_amoadd_counter_exact(self):
         program = assemble(ATOMIC_COUNTER)
         result = run_smp(program, cores=4, interleave=3)
-        assert result.all_succeeded
+        assert result.exit_codes == [0] * 4
         counter = result.memory.load_int(program.symbol("counter"), 8)
         assert counter == 4 * 200
 
     def test_lrsc_counter_exact(self):
         program = assemble(LRSC_COUNTER)
         result = run_smp(program, cores=4, interleave=2)
-        assert result.all_succeeded
+        assert result.exit_codes == [0] * 4
         counter = result.memory.load_int(program.symbol("counter"), 8)
         assert counter == 4 * 100
 
@@ -161,7 +166,7 @@ class TestSpinlock:
     def test_mutual_exclusion(self):
         program = assemble(SPINLOCK)
         result = run_smp(program, cores=4, interleave=7)
-        assert result.all_succeeded
+        assert result.exit_codes == [0] * 4
         shared = result.memory.load_int(program.symbol("shared"), 8)
         assert shared == 4 * 60
         lock = result.memory.load_int(program.symbol("lock"), 8)
@@ -172,7 +177,7 @@ class TestParallelKernel:
     def test_parallel_sum(self):
         program = assemble(PARALLEL_SUM)
         result = run_smp(program, cores=4, interleave=4)
-        assert result.all_succeeded
+        assert result.exit_codes == [0] * 4
         total = result.memory.load_int(program.symbol("total"), 8)
         assert total == 1024 * 1025 // 2
 
@@ -182,3 +187,39 @@ class TestParallelKernel:
         counter = result.memory.load_int(program.symbol("counter"), 8)
         assert counter == 200
 
+
+
+SPIN_FOREVER = """
+    .text
+_start:
+    addi t0, t0, 1
+    j _start
+"""
+
+
+class TestStepLimit:
+    """``max_steps_per_hart`` stops a guest that never exits: the hart
+    that first retires step limit + 1 raises, named, in the middle of
+    its turn, and the harts after it have not yet had theirs."""
+
+    @pytest.mark.parametrize("entry", ["SmpMachine.run", "run_smp_timing"])
+    def test_runaway_hart_raises_on_the_step_past_the_limit(
+            self, entry, monkeypatch):
+        harts = []
+
+        class Recorded(Emulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                harts.append(self)
+
+        monkeypatch.setattr(runner, "Emulator", Recorded)
+        program = assemble(SPIN_FOREVER)
+        limit = 50
+        with pytest.raises(RuntimeError, match="hart 0 exceeded 50 steps"):
+            if entry == "SmpMachine.run":
+                SmpMachine(program, cores=4, interleave=4).run(limit)
+            else:
+                run_smp_timing(program, cores=4, interleave=4,
+                               max_steps_per_hart=limit)
+        # 12 full turns of 4 steps, then steps 49, 50 and 51 of hart 0
+        assert [hart.state.instret for hart in harts] == [51, 48, 48, 48]

@@ -1,7 +1,5 @@
 """Multi-core timing tests: scaling, sharing costs."""
 
-import pytest
-
 from repro.asm import assemble
 from repro.smp.timing import run_smp_timing
 
@@ -90,10 +88,11 @@ class TestSharing:
 
 
 class TestResultShape:
-    def test_speedup_helper(self):
+    def test_makespan_is_slowest_core(self):
         program = assemble(parallel_work(500), compress=True)
         result = run_smp_timing(program, cores=2)
-        assert result.speedup_vs(result.makespan * 2) == pytest.approx(2.0)
+        assert result.makespan == max(stats.cycles
+                                      for stats in result.per_core) > 0
 
     def test_per_core_stats_populated(self):
         program = assemble(parallel_work(500), compress=True)

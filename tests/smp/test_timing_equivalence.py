@@ -1,5 +1,5 @@
 """SMP timing: the stream path against the staged oracle, and the
-store-locality contract that makes the stream path usable there.
+store-hit snoop hook that makes the stream path usable there.
 
 ``run_smp_timing`` times every hart through the batched hot loop
 (``PipelineModel.run_quantum``).  The driver it replaced — one staged
@@ -114,39 +114,80 @@ def test_false_sharing_invalidations_pinned():
     assert result.coherence.snoop_stall_cycles == 8 * 199
 
 
-class _RecordingHierarchy(MemoryHierarchy):
-    """Counts what reaches the slow path, split by direction."""
+#: per iteration: an AMO and a store into the line the load just
+#: brought in, and a store that opens a fresh line (the AMO comes
+#: first: an AMO that forwards from a queued store reaches neither path)
+STORE_HITS_AND_MISSES = """
+    .text
+_start:
+    li s1, 0x100000
+    li s3, 0x200000
+    li s2, 300
+loop:
+    andi t2, s2, 0x3F
+    slli t3, t2, 3
+    add t3, s1, t3
+    ld t4, 0(t3)
+    addi t4, t4, 1
+    amoadd.d x0, t4, (t3)
+    sd t4, 0(t3)
+    sd t4, 0(s3)
+    addi s3, s3, 64
+    addi s2, s2, -1
+    bnez s2, loop
+    li a0, 0
+    li a7, 93
+    ecall
+"""
 
-    store_hits_are_local = False
+
+class _RecordingHierarchy(MemoryHierarchy):
+    """A snoop hook that adds nothing and logs the stores it sees,
+    beside a log of the stores that reach the slow path."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.seen = {True: 0, False: 0}
+        self.snooped: list[int] = []
+        self.snooped_resident: list[bool] = []
+        self.slow: list[int] = []
+        self.slow_resident: list[bool] = []
+
+    def snoop_store_hit(self, vaddr):
+        self.snooped.append(vaddr)
+        self.snooped_resident.append(self.l1d.contains(vaddr))
+        return 0
 
     def access_data(self, vaddr, cycle, is_write=False, size=8):
-        self.seen[is_write] += 1
+        if is_write:
+            self.slow.append(vaddr)
+            self.slow_resident.append(self.l1d.contains(vaddr))
         return super().access_data(vaddr, cycle, is_write, size)
 
 
-def test_non_local_store_hits_all_reach_access_data():
-    """``store_hits_are_local = False`` turns off the store-hit inline
-    and nothing else: every store is seen by ``access_data``, load hits
-    still bypass it, and the timing is unchanged because the inline and
-    the call do the same accounting."""
-    program = assemble(parallel_work(300), compress=True)
+def test_store_hits_call_the_snoop_hook_once():
+    """The store-hit contract: every store (AMOs included) the loop
+    completes inline calls ``snoop_store_hit`` once and skips
+    ``access_data``, every other store (the misses among them) reaches
+    ``access_data``, and a hook that adds no latency leaves the timing
+    and the hierarchy's counters as a plain ``MemoryHierarchy`` (no
+    hook) has them."""
+    program = assemble(STORE_HITS_AND_MISSES, compress=True)
     config = xt910()
     records = [dyn for (dyn,) in Emulator(program).trace()]
-    writes = sum(dyn.is_store for dyn in records)
-    loads = sum(dyn.is_load and not dyn.is_store for dyn in records)
-    assert writes >= 300 and loads >= 300
+    stores = sorted(dyn.mem_addr for dyn in records if dyn.is_store)
+    assert len(stores) == 900
 
     hier = _RecordingHierarchy(config.mem)
     recorded = PipelineModel(config, hier).run((dyn,) for dyn in records)
-    assert hier.seen[True] == writes == hier.stats.stores
-    assert hier.seen[False] < loads          # the hits went inline
-    assert hier.stats.loads >= hier.seen[False]
+    # each store took exactly one of the two paths
+    assert sorted(hier.snooped + hier.slow) == stores
+    assert hier.stats.stores == len(stores)
+    # the hook saw only hits, and both paths were taken
+    assert all(hier.snooped_resident) and len(hier.snooped) >= 600
+    assert not all(hier.slow_resident)
 
     plain = MemoryHierarchy(config.mem)
     inlined = PipelineModel(config, plain).run((dyn,) for dyn in records)
     assert recorded.as_comparable() == inlined.as_comparable()
     assert plain.stats == hier.stats
+    assert plain.l1d.stats == hier.l1d.stats

@@ -39,49 +39,65 @@ OPCODE_BUDGET = {"coremark-crc": 401.8, "coremark-list": 487.7}
 OPCODE_PYTHON = (3, 11)
 
 
-@functools.cache
-def _events_per_instruction(name):
-    """{event: (per instruction, {line number: executions})} of one
-    traced run, for the ``line`` and ``opcode`` events."""
-    code = PipelineModel._run_stream.__code__
-    counts: dict[str, dict[int, int]] = {"line": {}, "opcode": {}}
+def count_events(codes, run):
+    """Call *run* under ``sys.settrace`` and count the ``line`` and
+    ``opcode`` events of every frame whose code object is in *codes*.
+
+    Returns ``(run(), {event: {(file, line): executions}})``.
+    """
+    counts: dict[str, dict[tuple[str, int], int]] = {"line": {},
+                                                     "opcode": {}}
 
     def count(frame, event, arg):
         if event in counts:
-            line = frame.f_lineno
-            counts[event][line] = counts[event].get(line, 0) + 1
+            key = (frame.f_code.co_filename, frame.f_lineno)
+            counts[event][key] = counts[event].get(key, 0) + 1
         return count
 
     def trace_calls(frame, event, arg):
-        if frame.f_code is not code:
+        if frame.f_code not in codes:
             return None
         frame.f_trace_opcodes = True
         return count
 
-    program = get_workload(name).program()
     previous = sys.gettrace()
     sys.settrace(trace_calls)
     try:
-        result = run_on_core(program, "xt910")
+        result = run()
     finally:
         sys.settrace(previous)
-    return {event: (sum(lines.values()) / result.stats.instructions, lines)
-            for event, lines in counts.items()}
+    return result, counts
 
 
-def _check(name, event, budget):
-    per_instruction, counts = _events_per_instruction(name)[event]
-    if per_instruction > budget:
-        filename = PipelineModel._run_stream.__code__.co_filename
+def check_budget(what, counts, units, budget):
+    """Fail, listing the most-executed lines, when *counts* (one
+    event's, from :func:`count_events`) exceed *budget* per unit of
+    work; *what* names the event and the unit."""
+    per_unit = sum(counts.values()) / units
+    if per_unit > budget:
         hottest = sorted(counts.items(), key=lambda item: -item[1])[:10]
         listing = "\n".join(
             f"  {count:9d}x  {filename}:{line}: "
             f"{linecache.getline(filename, line).strip()}"
-            for line, count in hottest)
-        pytest.fail(
-            f"{name}: {per_instruction:.1f} executed {event}s per simulated "
-            f"instruction in _run_stream, budget {budget}; "
-            f"most-executed lines:\n{listing}")
+            for (filename, line), count in hottest)
+        pytest.fail(f"{what}: {per_unit:.1f}, budget {budget}; "
+                    f"most-executed lines:\n{listing}")
+
+
+@functools.cache
+def _events_per_instruction(name):
+    """(simulated instructions, {event: {(file, line): executions}})
+    of one traced run, for the ``line`` and ``opcode`` events."""
+    program = get_workload(name).program()
+    result, counts = count_events({PipelineModel._run_stream.__code__},
+                                  lambda: run_on_core(program, "xt910"))
+    return result.stats.instructions, counts
+
+
+def _check(name, event, budget):
+    instructions, counts = _events_per_instruction(name)
+    check_budget(f"{name}: executed {event}s in _run_stream per simulated "
+                 "instruction", counts[event], instructions, budget)
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))
