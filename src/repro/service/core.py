@@ -11,7 +11,9 @@ surface — behind one supervisor with a full robustness envelope:
   burning worker slots after N consecutive terminal failures,
 * **crash-isolated execution** on :class:`~repro.service.pool.
   WorkerPool` — a worker that dies or wedges is reaped and classified,
-  never propagated,
+  never propagated; a healthy worker takes job after job, and any
+  other outcome retires it, so a job that raised never shares a
+  process with the next one,
 * **retry with exponential backoff + jitter** for the transient
   failure classes (worker crash, wall-clock timeout, internal worker
   error), seeded so campaigns replay deterministically,
@@ -70,9 +72,10 @@ class JobService:
     containment and no wall-clock reaping (chaos crash/hang plans
     would take this process with them), but single-stepping a job
     under pdb works.  The default is full process isolation, on one
-    :class:`WorkerPool` that lives as long as the service: use the
-    service as a context manager (or call :meth:`close`) to reap the
-    children of its last jobs at once rather than at interpreter exit.
+    :class:`WorkerPool` that lives as long as the service and reuses
+    its workers across jobs and batches: use the service as a context
+    manager (or call :meth:`close`) to reap its idle workers at once
+    rather than when the service is collected or at interpreter exit.
     """
 
     def __init__(self, *, workers: int | None = None,
@@ -321,6 +324,7 @@ class JobService:
         counters: dict[str, Any] = dict(self._counts)
         pool = self._pool
         counters["workers_launched"] = pool.launched if pool else 0
+        counters["workers_retired"] = pool.retired if pool else 0
         counters["breaker_trips"] = self.breaker.trips
         counters["breaker_open"] = len(self.breaker.open_keys)
         for name, value in self.store.counters().items():

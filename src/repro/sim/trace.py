@@ -36,14 +36,6 @@ class DynInst:
     div_bits: int = 0
 
     @property
-    def is_control(self) -> bool:
-        return self.inst.spec.iclass.value in ("branch", "jump")
-
-    @property
-    def is_load(self) -> bool:
-        return self.inst.spec.iclass.value in ("load", "vload", "amo")
-
-    @property
     def is_store(self) -> bool:
         return self.inst.spec.iclass.value in ("store", "vstore", "amo")
 

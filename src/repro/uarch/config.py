@@ -23,7 +23,11 @@ class FrontendConfig:
     fetch_bytes: int = 16          # 128-bit fetch line per cycle
     fetch_insts: int = 8           # up to 8 (compressed) instructions
     ibuf_entries: int = 32         # instruction buffer depth
-    depth: int = 7                 # frontend pipe stages IF..RF
+    # Frontend stage count (IF..RF), read only by the physical model and
+    # the explore depth axis.  The timing model does not read it: its
+    # fetch->decode (3) and decode->issue (2) gaps are fixed, and a
+    # redirect costs ``mispredict_extra`` and the taken bubbles below.
+    depth: int = 7
     direction: DirectionConfig = field(default_factory=DirectionConfig)
     btb: BtbConfig = field(default_factory=BtbConfig)
     ras_entries: int = 16

@@ -111,3 +111,11 @@ class TestServiceBench:
         baseline["jobs_per_s"] = payload["jobs_per_s"] * 10
         failures = benchkit.check(bench, payload, baseline)
         assert failures and "jobs_per_s" in failures[0]
+
+    def test_gate_catches_a_fork_per_job(self):
+        payload = benchkit.run(service_bench.BENCH, quick=True, jobs=4,
+                               workers=2)
+        assert payload["workers_launched"] == 2
+        forked = dict(payload, workers_launched=4)
+        [problem] = service_bench.invariants(forked, payload)
+        assert "forked 4 workers for 2 slots" in problem

@@ -1,8 +1,13 @@
 """The crash-isolated worker pool: every task gets exactly one outcome."""
 
+import gc
 import multiprocessing
 import multiprocessing.util
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 import time
 
 from repro.service import pool as pool_module
@@ -35,17 +40,39 @@ def _nap(seconds):
 def _wedge_or_hang(x):
     if x == "wedge":
         # Runs when the child's multiprocessing bootstrap exits: the
-        # result is already on the pipe, the process is going nowhere.
+        # error retires the worker, its report is already on the pipe,
+        # and the process is going nowhere.
         multiprocessing.util.Finalize(None, time.sleep, args=(30,),
                                       exitpriority=0)
-        return os.getpid()
+        raise ValueError(os.getpid())
     if x == "hang":
         _hang(x)
     return x
 
 
+def _pid(x):
+    if x == "error":
+        raise ValueError("bad task")
+    return os.getpid()
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
+
+
+def _zombie(pid: int) -> bool:
+    """True once *pid* has died and waits to be reaped."""
+    with open(f"/proc/{pid}/stat") as handle:
+        return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _dead(pid: int) -> bool:
+    """True once *pid* has died, reaped or not (an orphan's reaper is
+    not ours)."""
+    try:
+        return _zombie(pid)
+    except FileNotFoundError:
+        return True
 
 
 def _gone(pid: int) -> bool:
@@ -111,7 +138,8 @@ class TestOutcomes:
 
 
 class TestLifecycle:
-    """running → exiting → reaped, and nothing left behind."""
+    """spawned → running ⇄ idle → exiting → reaped, and nothing left
+    behind."""
 
     def test_close_leaves_no_child_and_no_descriptor(self):
         run_tasks(_double, [0], workers=1)      # multiprocessing warm-up
@@ -121,7 +149,7 @@ class TestLifecycle:
             pool.submit(i, i)
         assert len(pool.drain()) == 6
         pool.close()
-        assert pool.launched == 6
+        assert pool.launched == 2               # one per slot, reused
         assert multiprocessing.active_children() == []
         assert _open_fds() == baseline
 
@@ -138,8 +166,8 @@ class TestLifecycle:
 
     def test_close_after_an_exception_inside_a_step(self, monkeypatch):
         # The pass is abandoned half-way: the entries it had resolved
-        # (one exiting, one already reaped) are still listed as
-        # running, and the outcome it had queued is batch-relative.
+        # (one idle, one already reaped) are still listed as running,
+        # and the outcome it had queued is batch-relative.
         pool = WorkerPool(3, _mixed)
         pool.submit("done", 1)
         pool.submit("dead", "crash")
@@ -159,7 +187,7 @@ class TestLifecycle:
         except KeyboardInterrupt:
             pass
         assert calls == ["done", "dead"]
-        assert len(pool._running) == 3 and len(pool._exiting) == 1
+        assert len(pool._running) == 3 and len(pool._idle) == 1
         monkeypatch.undo()
         pool.close()
         pool.close()
@@ -169,9 +197,9 @@ class TestLifecycle:
         pool.close()
 
     def test_wedged_exit_holds_up_nobody(self, monkeypatch):
-        # A worker that reported and then hangs on its way out used to
-        # block the supervisor in join(5.0): no sibling result, no
-        # sibling deadline, for five seconds.
+        # A worker that reported an error and then hangs on its way out
+        # must not block the supervisor in a join: no sibling result,
+        # no sibling deadline, for the whole grace period.
         monkeypatch.setattr(pool_module, "_EXIT_GRACE_S", 1.0)
         with WorkerPool(2, _wedge_or_hang) as pool:
             start = time.monotonic()
@@ -180,13 +208,93 @@ class TestLifecycle:
             outcomes = dict(pool.drain())
             assert time.monotonic() - start < 1.5
             assert outcomes["B"].status == "timeout"
-            assert outcomes["A"].ok
-            wedged = outcomes["A"].value
+            assert outcomes["A"].status == "error"
+            wedged = int(outcomes["A"].value["message"])
             assert not _gone(wedged)            # still in its finalizer
             time.sleep(1.0)
             pool.submit("C", "ok")              # one more supervision step
             assert pool.drain()[0][1].ok
             assert _gone(wedged)
+
+
+class TestReuse:
+    """A worker outlives an ``ok`` task and only an ``ok`` task."""
+
+    def test_ok_tasks_share_a_worker_and_an_error_retires_it(self):
+        with WorkerPool(1, _pid) as pool:
+            pids = []
+            for i in range(3):
+                pool.submit(i, i)
+                [(_, outcome)] = pool.drain()
+                pids.append(outcome.value)
+            assert len(set(pids)) == 1
+            assert (pool.launched, pool.retired) == (1, 0)
+            pool.submit("bad", "error")
+            [(_, bad)] = pool.drain()
+            assert bad.status == "error"
+            pool.submit("next", 1)
+            [(_, after)] = pool.drain()
+            assert after.ok and after.value != pids[0]
+            assert (pool.launched, pool.retired) == (2, 1)
+
+    def test_an_idle_worker_killed_from_outside_is_replaced(self):
+        with WorkerPool(1, _pid) as pool:
+            pool.submit("first", 0)
+            [(_, first)] = pool.drain()
+            os.kill(first.value, signal.SIGKILL)
+            while not _zombie(first.value):
+                time.sleep(0.01)
+            pool.submit("next", 1)
+            [(_, after)] = pool.drain()
+            assert after.ok and after.value != first.value
+            assert (pool.launched, pool.retired) == (2, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_an_orphaned_idle_worker_exits_by_itself(self):
+        # Closing a supervisor end cannot end a worker (its siblings
+        # hold a copy), so an idle worker watches its parent instead.
+        script = ("import time\n"
+                  "from repro.service.pool import WorkerPool\n"
+                  "pool = WorkerPool(1, abs)\n"
+                  "pool.submit(0, -1)\n"
+                  "assert pool.drain()[0][1].value == 1\n"
+                  "print(pool._idle[0].process.pid, flush=True)\n"
+                  "time.sleep(60)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(pathlib.Path(pool_module.__file__).parents[2]),
+            os.environ.get("PYTHONPATH")])))
+        supervisor = subprocess.Popen([sys.executable, "-c", script],
+                                      stdout=subprocess.PIPE, text=True,
+                                      env=env)
+        try:
+            worker = int(supervisor.stdout.readline())
+        finally:
+            supervisor.kill()
+            supervisor.wait()
+            supervisor.stdout.close()
+        patience = time.monotonic() + 10.0
+        while not _dead(worker) and time.monotonic() < patience:
+            time.sleep(0.05)
+        assert _dead(worker)
+
+    def test_an_unpicklable_payload_is_its_own_error(self):
+        with WorkerPool(1, _pid) as pool:
+            pool.submit("bad", lambda: None)
+            pool.submit("good", 0)
+            outcomes = dict(pool.drain())
+            assert outcomes["bad"].status == "error"
+            assert outcomes["good"].ok
+            assert (pool.launched, pool.retired) == (1, 0)
+
+    def test_dropped_pool_reaps_its_idle_workers(self):
+        pool = WorkerPool(2, _pid)
+        for i in range(2):
+            pool.submit(i, i)
+        pids = [outcome.value for _, outcome in pool.drain()]
+        del pool
+        gc.collect()
+        assert multiprocessing.active_children() == []
+        assert all(_gone(pid) for pid in pids)
 
 
 class TestSerializeException:

@@ -14,8 +14,17 @@ import time
 from repro.asm import assemble
 from repro.harness.runner import run_on_core
 from repro.obs import collect_service
-from repro.service import JobService, JobSpec, JobState, RetryPolicy
+from repro.service import (
+    JobResult,
+    JobService,
+    JobSpec,
+    JobState,
+    RetryPolicy,
+    WorkerPool,
+)
 from repro.service.chaos import clean_source, wild_jump_source
+from repro.service.worker import execute_job
+from repro.workloads.vector import vec_axpy_f32, vec_strcmp
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.01,
                          backoff_cap_s=0.05, jitter=0.2)
@@ -203,7 +212,9 @@ class TestPoolLifetime:
             pool = service._pool
             _submit_some(service, 4, base=31)
             assert service._pool is pool
-        assert service.counters()["workers_launched"] == 4
+        counters = service.counters()
+        assert counters["workers_launched"] == 1    # one worker, reused
+        assert counters["workers_retired"] == 0
         assert multiprocessing.active_children() == []
         assert _open_fds() == baseline
 
@@ -237,6 +248,21 @@ class TestPoolLifetime:
             monkeypatch.undo()
             _submit_some(service, 1, base=41)
 
+    def test_an_internal_error_retires_its_worker(self):
+        with _service(workers=1) as service:
+            _submit_some(service, 1, base=43)
+            [before] = [entry.process.pid for entry in service._pool._idle]
+            result = service.submit(
+                JobSpec(source=clean_source(44), core=None,
+                        chaos={"error_attempts": [1]}))
+            assert result.state is JobState.COMPLETED
+            assert result.attempts == 2
+            [after] = [entry.process.pid for entry in service._pool._idle]
+            counters = service.counters()
+        assert after != before
+        assert counters["workers_launched"] == 2
+        assert counters["workers_retired"] == 1
+
     def test_latency_window_is_bounded(self):
         service = _service(isolation=False)
         assert service.latencies_s.maxlen == 4096
@@ -244,6 +270,45 @@ class TestPoolLifetime:
         service.submit(JobSpec(source=clean_source(42), core=None))
         assert len(service.latencies_s) == 4096
         assert service.counters()["latency_p50_ms"] == 9000.0
+
+
+class TestWorkerReuse:
+    def test_a_reused_worker_gives_a_fresh_workers_result(self):
+        # The fifth task of one worker, after a timed, a functional, a
+        # guest-fault and a vector job, must answer exactly as a
+        # worker that never ran anything else.
+        vector = vec_strcmp()
+        earlier = [
+            JobSpec(source=clean_source(50), core="xt910", name="timed"),
+            JobSpec(source=clean_source(51), core=None, name="functional"),
+            JobSpec(source=wild_jump_source(), core=None, name="fault"),
+            JobSpec(source=vector.source, compress=vector.compress,
+                    core=None, name="vector"),
+        ]
+        axpy = vec_axpy_f32()
+        fixed = JobSpec(source=axpy.source, compress=axpy.compress,
+                        core="xt910", name="fixed")
+
+        def answers(specs):
+            with WorkerPool(1, execute_job) as pool:
+                for index, spec in enumerate(specs):
+                    pool.submit(index, {"spec": spec.to_dict(),
+                                        "attempt": 1})
+                outcomes = dict(pool.drain())
+                assert pool.launched == 1
+            results = [JobResult.from_dict(outcomes[index].value)
+                       for index in range(len(specs))]
+            payloads = [result.to_dict() for result in results]
+            for payload in payloads:
+                payload.pop("duration_s")
+            return [result.state for result in results], payloads
+
+        states, reused = answers(earlier + [fixed])
+        assert states == [JobState.COMPLETED, JobState.COMPLETED,
+                          JobState.FAILED, JobState.COMPLETED,
+                          JobState.COMPLETED]
+        _, [fresh] = answers([fixed])
+        assert reused[-1] == fresh
 
 
 class TestInvariants:
@@ -271,3 +336,4 @@ class TestInvariants:
         assert registry["service.jobs_completed"] == 1
         assert "service.latency_p50_ms" in registry
         assert registry["service.workers_launched"] == 0
+        assert registry["service.workers_retired"] == 0
