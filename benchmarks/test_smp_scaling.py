@@ -6,7 +6,6 @@ communications"; these benches quantify both on the timing model.
 """
 
 from repro.asm import assemble
-from repro.smp import CoherenceConfig, CoherentCluster
 from repro.smp.timing import run_smp_timing
 
 PARALLEL = """
@@ -55,22 +54,14 @@ def test_cluster_scaling(benchmark):
 
 
 def test_snoop_filter_traffic(benchmark):
-    """Snoop filter: probes only go to actual sharers."""
+    """Snoop filter: probes only go to the cores holding the line.
 
-    def traffic():
-        counts = {}
-        for snoop_filter in (True, False):
-            cluster = CoherentCluster(CoherenceConfig(
-                cores=4, snoop_filter=snoop_filter))
-            for core in range(4):
-                base = 0x100000 * (core + 1)
-                for i in range(256):
-                    cluster.access(core, base + i * 64, is_write=(i % 4 == 0))
-            counts[snoop_filter] = cluster.stats.snoops_sent
-        return counts
-
-    counts = benchmark.pedantic(traffic, rounds=1, iterations=1)
-    print(f"\nsnoops with filter: {counts[True]}, "
-          f"broadcast: {counts[False]}")
-    assert counts[True] == 0          # disjoint working sets: no probes
-    assert counts[False] > 1000       # broadcast probes every miss
+    The timed cluster's snoop is exact, so its probes are the filtered
+    count; a broadcast snoop would probe every sibling on every store."""
+    program = assemble(PARALLEL, compress=True)
+    result = benchmark.pedantic(lambda: run_smp_timing(program, cores=4),
+                                rounds=1, iterations=1)
+    print(f"\nsnoops with filter: {result.filtered_probes}, "
+          f"broadcast: {result.broadcast_probes}")
+    assert result.filtered_probes == 0   # disjoint working sets: no probes
+    assert result.broadcast_probes == 3 * 4 * 3000   # 3000 stores a hart

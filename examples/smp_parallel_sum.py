@@ -1,14 +1,15 @@
 """SMP on a 4-core cluster (section VI): atomics, locks, coherence.
 
 Runs a real parallel-sum program on four harts sharing memory (with
-LR/SC and AMO synchronization), then replays the sharing pattern
-through the MOSEI coherence model to show what the snoop filter saves.
+LR/SC and AMO synchronization), then times it on the 4-core cluster to
+show what the snoop filter saves: the probes sent to the cores that
+held a stored line, against a broadcast to every other core per store.
 
     python examples/smp_parallel_sum.py
 """
 
 from repro.asm import assemble
-from repro.smp import CoherenceConfig, CoherentCluster, run_smp
+from repro.smp import run_smp, run_smp_timing
 
 PARALLEL_SUM = """
     .equ N, 4096
@@ -73,21 +74,11 @@ def main() -> None:
 
     # Coherence cost of the sharing pattern, with and without the
     # snoop filter the paper credits for reducing inter-core traffic.
-    for snoop_filter in (True, False):
-        cluster = CoherentCluster(CoherenceConfig(
-            cores=4, snoop_filter=snoop_filter))
-        # each core streams its private quarter, then all bang on 'total'
-        for core in range(4):
-            base = 0x10000 + core * 8192
-            for offset in range(0, 8192, 64):
-                cluster.access(core, base + offset, is_write=False)
-        for i in range(64):
-            cluster.access(i % 4, 0x40000, is_write=True)
-        s = cluster.stats
-        label = "with snoop filter" if snoop_filter else "broadcast snooping"
-        print(f"  {label:20s} snoops={s.snoops_sent:4d} "
-              f"invalidations={s.invalidations:3d} "
-              f"cache-to-cache={s.cache_to_cache:3d}")
+    timed = run_smp_timing(program, cores=4)
+    print(f"  timed on the cluster: makespan {timed.makespan} cycles, "
+          f"{timed.stores} stores")
+    print(f"  {'with snoop filter':20s} snoops={timed.filtered_probes:5d}")
+    print(f"  {'broadcast snooping':20s} snoops={timed.broadcast_probes:5d}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
-"""Set-associative cache model with MOSEI line states.
+"""Set-associative cache model with per-line coherence states.
 
-Used for the L1 instruction/data caches (32/64 KB) and the shared
-inclusive L2 (256 KB - 8 MB, 8/16-way) described in section II of the
-paper.  Lines carry a MOSEI coherence state so the same structure
-backs both the single-core hierarchy and the SMP cluster (section VI).
+Used for the L1 instruction/data caches (32/64 KB) and the L2
+(256 KB - 8 MB, 8/16-way) described in section II of the paper.  A
+line's state says whether a store hit upgrades it (E/S -> M).  The SMP
+cluster (:mod:`repro.smp.timing`) keeps its L1Ds coherent by
+invalidating sibling copies on every store, so a line is only ever
+M, E or S: the paper's Owned state is not modelled (DESIGN.md, known
+deviations).
 """
 
 from __future__ import annotations
@@ -11,22 +14,16 @@ from __future__ import annotations
 import enum
 import types
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class LineState(enum.Enum):
-    """MOSEI coherence states (the paper's L2 protocol, section VI)."""
+    """The M/E/S/I subset of the paper's MOSEI states (section VI)."""
 
     MODIFIED = "M"
-    OWNED = "O"
     EXCLUSIVE = "E"
     SHARED = "S"
     INVALID = "I"
-
-
-VALID_STATES = frozenset(
-    {LineState.MODIFIED, LineState.OWNED, LineState.EXCLUSIVE,
-     LineState.SHARED})
 
 
 @dataclass
@@ -56,7 +53,6 @@ class CacheLine:
     state: LineState = LineState.EXCLUSIVE
     dirty: bool = False
     prefetched: bool = False
-    sharers: set[int] = field(default_factory=set)  # L2 snoop filter bits
     way: int = 0                # physical way this line occupies
     data_faults: int = 0        # flipped bits pending in the data array
     tag_fault: bool = False     # flipped bit pending in the tag array
@@ -286,8 +282,7 @@ class Cache:
             line.prefetched = False
         if is_write:
             line.dirty = True
-            if line.state in (LineState.EXCLUSIVE, LineState.SHARED,
-                              LineState.OWNED):
+            if line.state in (LineState.EXCLUSIVE, LineState.SHARED):
                 line.state = LineState.MODIFIED
         return True
 

@@ -1,6 +1,7 @@
 """The per-core memory hierarchy timing model.
 
-Composes the L1I/L1D caches, the shared inclusive L2, the multi-size
+Composes the L1I/L1D caches, a private or cluster-shared L2 (not
+inclusive: an L2 eviction leaves L1 copies in place), the multi-size
 TLBs, the multi-mode multi-stream prefetchers and the fixed-latency
 DRAM into one object with two entry points:
 

@@ -15,6 +15,9 @@ Each store that reaches the hierarchy snoops the siblings once,
 whichever path it takes through the timing loop: one the loop completes
 inline as an L1D hit calls the hierarchy's ``snoop_store_hit`` hook,
 and any other reaches ``access_data``, which calls the same method.
+The snoop is an exact snoop filter: it probes only the siblings whose
+L1D holds the line, where a broadcast would probe every sibling on
+every store (:class:`SmpTimingResult` reports both counts).
 
 Approximation: the per-core cycle clocks are not lock-stepped, so
 fine-grained timing interleavings (e.g. lock convoy dynamics) are
@@ -35,6 +38,11 @@ from ..uarch.presets import xt910
 from ..uarch.stats import CoreStats
 from .runner import SmpMachine
 
+#: Cycles a store stalls when its snoop invalidated a sibling's copy.
+SNOOP_LATENCY = 8
+#: Functional steps each hart takes per round-robin turn.
+INTERLEAVE = 4
+
 
 @dataclass
 class SmpTimingStats:
@@ -50,11 +58,10 @@ class _CoherentHierarchy(MemoryHierarchy):
     """A per-core hierarchy whose writes invalidate sibling L1 copies."""
 
     def __init__(self, config: MemHierConfig, l2: Cache, dram: Dram,
-                 shared_stats: SmpTimingStats, snoop_latency: int = 8):
+                 shared_stats: SmpTimingStats):
         super().__init__(config, l2=l2, dram=dram)
         self._sibling_l1ds: list[Cache] = []
         self._shared = shared_stats
-        self._snoop_latency = snoop_latency
 
     def set_siblings(self, siblings: list["_CoherentHierarchy"]) -> None:
         self._sibling_l1ds = [s.l1d for s in siblings if s is not self]
@@ -85,8 +92,8 @@ class _CoherentHierarchy(MemoryHierarchy):
             return 0
         shared = self._shared
         shared.sharing_invalidations += invalidated
-        shared.snoop_stall_cycles += self._snoop_latency
-        return self._snoop_latency
+        shared.snoop_stall_cycles += SNOOP_LATENCY
+        return SNOOP_LATENCY
 
 
 @dataclass
@@ -94,6 +101,18 @@ class SmpTimingResult:
     per_core: list[CoreStats]
     coherence: SmpTimingStats
     exit_codes: list[int]
+    stores: int     # that reached the harts' hierarchies; each snooped once
+
+    @property
+    def filtered_probes(self) -> int:
+        """Snoop probes sent to the siblings that held the line."""
+        return self.coherence.sharing_invalidations
+
+    @property
+    def broadcast_probes(self) -> int:
+        """Snoop probes a cluster without a filter would send: every
+        store probes every sibling."""
+        return (len(self.per_core) - 1) * self.stores
 
     @property
     def makespan(self) -> int:
@@ -117,13 +136,12 @@ class SmpTimingResult:
 
 def run_smp_timing(program: Program, cores: int = 4,
                    config: CoreConfig | None = None,
-                   interleave: int = 4,
                    max_steps_per_hart: int = 5_000_000) -> SmpTimingResult:
     """Functionally execute on *cores* harts, then time every trace."""
     config = config if config is not None else xt910()
 
     # 1. Functional SMP run, collecting per-hart traces.
-    machine = SmpMachine(program, cores=cores, interleave=interleave,
+    machine = SmpMachine(program, cores=cores, interleave=INTERLEAVE,
                          vlen=config.vlen)
     traces = machine.traces(max_steps_per_hart)
 
@@ -152,4 +170,5 @@ def run_smp_timing(program: Program, cores: int = 4,
     return SmpTimingResult(
         per_core=per_core, coherence=shared_stats,
         exit_codes=[h.exit_code if h.exit_code is not None else -1
-                    for h in machine.harts])
+                    for h in machine.harts],
+        stores=sum(h.stats.stores for h in hierarchies))

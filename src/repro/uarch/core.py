@@ -659,7 +659,7 @@ class PipelineModel:
         observe_l1 = hier.l1_prefetcher.observe
         INVALID = LineState.INVALID
         MODIFIED = LineState.MODIFIED
-        wstates = (LineState.EXCLUSIVE, LineState.SHARED, LineState.OWNED)
+        wstates = (LineState.EXCLUSIVE, LineState.SHARED)
 
         resolve = self._resolve
         rows_key = self._rows_key

@@ -23,6 +23,7 @@ from repro.harness import (
     ras_campaign,
     run_experiment,
     run_fig20,
+    table1,
 )
 from repro.harness.explore import CellFailure
 from repro.service import core as service_core
@@ -49,6 +50,21 @@ def test_run_experiment_passes_jobs_only_where_taken():
         == "table2"   # run_table2 takes no jobs
     assert run_experiment("table1", quick=True, jobs=2).to_json_dict() \
         == run_experiment("table1", quick=True).to_json_dict()
+
+
+def test_table1_fails_when_a_cluster_hart_exits_nonzero(monkeypatch):
+    # Hart 0 exits 0, so the single-core smoke cells pass; hart 1 of
+    # the first 2-core cluster run exits 1.
+    monkeypatch.setattr(table1, "_SMOKE", Workload("table1-smoke", """
+_start:
+    csrr a0, mhartid
+    snez a0, a0
+    li a7, 93
+    ecall
+""", compress=False))
+    with pytest.raises(RuntimeError,
+                       match=r"2-core cluster .* exit codes \[0, 1\]"):
+        table1.run_table1(quick=True)
 
 
 def test_fig17_without_its_anchor_fails_before_simulating(monkeypatch):

@@ -219,7 +219,6 @@ class TestStepLimit:
             if entry == "SmpMachine.run":
                 SmpMachine(program, cores=4, interleave=4).run(limit)
             else:
-                run_smp_timing(program, cores=4, interleave=4,
-                               max_steps_per_hart=limit)
+                run_smp_timing(program, cores=4, max_steps_per_hart=limit)
         # 12 full turns of 4 steps, then steps 49, 50 and 51 of hart 0
         assert [hart.state.instret for hart in harts] == [51, 48, 48, 48]

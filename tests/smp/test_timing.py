@@ -1,7 +1,8 @@
-"""Multi-core timing tests: scaling, sharing costs."""
+"""Multi-core timing tests: scaling, sharing costs, snoop counts."""
 
 from repro.asm import assemble
-from repro.smp.timing import run_smp_timing
+from repro.smp import timing
+from repro.smp.timing import SmpTimingStats, run_smp_timing
 
 
 def parallel_work(n_per_hart: int = 2000) -> str:
@@ -85,6 +86,68 @@ class TestSharing:
         shared = run_smp_timing(assemble(SHARED_COUNTER, compress=True),
                                 cores=4)
         assert shared.coherence.snoop_stall_cycles > 0
+
+
+FALSE_SHARING = """
+    .data
+    .align 6
+line: .zero 64
+    .text
+_start:
+    csrr s0, mhartid
+    la s1, line
+    slli t0, s0, 3           # one dword a hart, all in one line
+    add s1, s1, t0
+    li s2, 200
+loop:
+    ld t1, 0(s1)
+    addi t1, t1, 1
+    sd t1, 0(s1)
+    addi s2, s2, -1
+    bnez s2, loop
+    li a0, 0
+    li a7, 93
+    ecall
+"""
+
+
+class TestSnoopCounts:
+    """The timed snoop probes exactly the siblings holding the line
+    (``filtered_probes``); a broadcast snoop would probe every sibling
+    on every store (``broadcast_probes``)."""
+
+    def test_one_hart_probes_nothing(self):
+        result = run_smp_timing(assemble(parallel_work(500)), cores=1)
+        assert result.stores > 0
+        assert result.filtered_probes == result.broadcast_probes == 0
+
+    def test_disjoint_working_sets_need_no_probe(self):
+        result = run_smp_timing(assemble(parallel_work(500)), cores=4)
+        assert result.filtered_probes == 0
+        assert result.stores == 4 * 500
+        assert result.broadcast_probes == 3 * result.stores > 0
+
+    def test_false_sharing_probes_only_the_holders(self, monkeypatch):
+        snoops = []
+        snoop = timing._CoherentHierarchy.snoop_store_hit
+
+        def counted(self, vaddr):
+            snoops.append(vaddr)
+            return snoop(self, vaddr)
+
+        monkeypatch.setattr(timing._CoherentHierarchy, "snoop_store_hit",
+                            counted)
+        result = run_smp_timing(assemble(FALSE_SHARING), cores=4)
+        assert result.exit_codes == [0] * 4
+        # The store count is the snoop count, read off the hierarchies.
+        assert result.stores == len(snoops) == 4 * 200
+        assert result.filtered_probes \
+            == result.coherence.sharing_invalidations
+        assert 0 < result.filtered_probes < result.broadcast_probes
+
+    def test_coherence_counters_keep_their_two_keys(self):
+        assert sorted(SmpTimingStats().counters()) \
+            == ["sharing_invalidations", "snoop_stall_cycles"]
 
 
 class TestResultShape:
