@@ -17,12 +17,10 @@ from pathlib import Path
 from ..asm import assemble
 from ..asm.program import Program
 from .cfg import CFG, build_cfg
-from .checks import SEV_ERROR, SEV_INFO, SEV_WARNING, Finding, run_checks
+from .checks import Finding, run_checks
 
 #: baseline shipped with the analyzer package
 DEFAULT_BASELINE = Path(__file__).with_name("lint_baseline.json")
-
-_SEV_ORDER = {SEV_ERROR: 0, SEV_WARNING: 1, SEV_INFO: 2}
 
 
 @dataclass
@@ -38,12 +36,6 @@ class LintReport:
     @property
     def keys(self) -> list[str]:
         return sorted({f.key for f in self.findings})
-
-    def worst_severity(self) -> str | None:
-        if not self.findings:
-            return None
-        return min((f.severity for f in self.findings),
-                   key=lambda s: _SEV_ORDER.get(s, 3))
 
     def to_dict(self) -> dict:
         return {

@@ -152,13 +152,3 @@ class CsrFile:
         if addr == CSR_MISA or addr == CSR_MHARTID:
             return  # WARL: writes ignored in this model
         self._regs[addr] = value & MASK64
-
-    def set_bits(self, addr: int, mask: int) -> int:
-        old = self.read(addr)
-        self.write(addr, old | mask)
-        return old
-
-    def clear_bits(self, addr: int, mask: int) -> int:
-        old = self.read(addr)
-        self.write(addr, old & ~mask)
-        return old

@@ -1,29 +1,19 @@
-"""Set-associative cache model with per-line coherence states.
+"""Set-associative cache model.
 
 Used for the L1 instruction/data caches (32/64 KB) and the L2
 (256 KB - 8 MB, 8/16-way) described in section II of the paper.  A
-line's state says whether a store hit upgrades it (E/S -> M).  The SMP
-cluster (:mod:`repro.smp.timing`) keeps its L1Ds coherent by
-invalidating sibling copies on every store, so a line is only ever
-M, E or S: the paper's Owned state is not modelled (DESIGN.md, known
-deviations).
+line is present or absent; a present line is clean or dirty, and a
+dirty line counts a writeback when it is evicted.  The SMP cluster
+(:mod:`repro.smp.timing`) keeps its L1Ds coherent by invalidating
+sibling copies on every store, so the paper's MOSEI line states are
+not modelled (DESIGN.md, known deviations).
 """
 
 from __future__ import annotations
 
-import enum
 import types
 from collections import OrderedDict
 from dataclasses import dataclass
-
-
-class LineState(enum.Enum):
-    """The M/E/S/I subset of the paper's MOSEI states (section VI)."""
-
-    MODIFIED = "M"
-    EXCLUSIVE = "E"
-    SHARED = "S"
-    INVALID = "I"
 
 
 @dataclass
@@ -49,8 +39,6 @@ class CacheStats:
 
 @dataclass(slots=True)
 class CacheLine:
-    tag: int
-    state: LineState = LineState.EXCLUSIVE
     dirty: bool = False
     prefetched: bool = False
     way: int = 0                # physical way this line occupies
@@ -68,16 +56,17 @@ class Cache:
     """An LRU set-associative cache.
 
     Addresses are split as ``| tag | set | offset |``.  The model tracks
-    line presence and state only (data lives in the functional memory),
-    which is exactly what the timing model needs.
+    which lines are present and which of them are dirty (data lives in
+    the functional memory), which is exactly what the timing model
+    needs.
 
     A set is made on first fill: until then its ``_sets`` entry is the
     shared read-only ``_EMPTY_SET``, which answers every probe
     (``get``, ``in``, ``len``, iteration) as an empty set would.
     Only :meth:`fill` stores into a set, and it gives the set its own
-    ``OrderedDict`` first; every other mutation (LRU update, drop,
-    clear) is reached only through a line the set holds, or skips the
-    shared mapping.
+    ``OrderedDict`` first; every other mutation (LRU update, drop) is
+    reached only through a line the set holds, or skips the shared
+    mapping.
     """
 
     #: correctable errors on one (set, way) before it is quarantined
@@ -123,8 +112,9 @@ class Cache:
 
     # -- operations ------------------------------------------------------------
 
-    def lookup(self, addr: int, update_lru: bool = True) -> CacheLine | None:
-        """Probe for the line containing *addr*; None on miss.
+    def lookup(self, addr: int) -> CacheLine | None:
+        """Probe for the line containing *addr*; None on miss.  The LRU
+        order is left as it was.
 
         The probe is where the arrays are actually read, so pending
         ECC/parity faults resolve here: a tag parity error drops the
@@ -133,16 +123,9 @@ class Cache:
         """
         laddr = self.line_addr(addr)
         index = self._index(laddr)
-        cache_set = self._sets[index]
-        line = cache_set.get(laddr)
-        if line is None or line.state is LineState.INVALID:
-            return None
-        if line.tag_fault or line.data_faults:
+        line = self._sets[index].get(laddr)
+        if line is not None and (line.tag_fault or line.data_faults):
             line = self._resolve_faults(addr, laddr, index, line)
-            if line is None:
-                return None
-        if update_lru:
-            cache_set.move_to_end(laddr)
         return line
 
     # -- RAS: ECC/parity resolution and fault injection hooks -----------------
@@ -202,35 +185,34 @@ class Cache:
         resident line biased toward recently used entries.  Returns the
         faulted line address, or None when nothing is resident.
         """
-        line = self._pick_line(addr, rng)
-        if line is None:
+        picked = self._pick_line(addr, rng)
+        if picked is None:
             return None
+        laddr, line = picked
         line.data_faults += bits
-        return line.tag << self._offset_bits
+        return laddr << self._offset_bits
 
     def inject_tag_fault(self, addr: int | None = None,
                          rng=None) -> int | None:
         """Flip a bit in the tag array of a resident line."""
-        line = self._pick_line(addr, rng)
-        if line is None:
+        picked = self._pick_line(addr, rng)
+        if picked is None:
             return None
+        laddr, line = picked
         line.tag_fault = True
-        return line.tag << self._offset_bits
+        return laddr << self._offset_bits
 
-    def _pick_line(self, addr: int | None, rng) -> CacheLine | None:
+    def _pick_line(self, addr: int | None,
+                   rng) -> tuple[int, CacheLine] | None:
+        """The resident ``(line address, line)`` a fault lands on."""
         if addr is not None:
             laddr = self.line_addr(addr)
             line = self._sets[self._index(laddr)].get(laddr)
-            return None if line is None \
-                or line.state is LineState.INVALID else line
-        candidates = []
-        for cache_set in self._sets:
-            if cache_set:
-                # MRU end of the per-set LRU order: the lines a running
-                # workload is most likely to touch again.
-                line = next(reversed(cache_set.values()))
-                if line.state is not LineState.INVALID:
-                    candidates.append(line)
+            return None if line is None else (laddr, line)
+        # MRU end of each set's LRU order: the lines a running workload
+        # is most likely to touch again.
+        candidates = [next(reversed(cache_set.items()))
+                      for cache_set in self._sets if cache_set]
         if not candidates:
             return None
         if rng is None:
@@ -260,14 +242,15 @@ class Cache:
         return sum(len(ways) for ways in self._disabled_ways.values())
 
     def access(self, addr: int, is_write: bool = False) -> bool:
-        """Demand access; returns True on hit and updates stats/state."""
+        """Demand access; returns True on hit and updates stats and the
+        LRU order (a write hit marks the line dirty)."""
         # Inlined lookup(): this runs once per demand access at every
         # level, so the common clean-hit path avoids the extra call.
         laddr = addr >> self._offset_bits
         index = laddr % self.num_sets
         cache_set = self._sets[index]
         line = cache_set.get(laddr)
-        if line is None or line.state is LineState.INVALID:
+        if line is None:
             self.stats.misses += 1
             return False
         if line.tag_fault or line.data_faults:
@@ -282,13 +265,16 @@ class Cache:
             line.prefetched = False
         if is_write:
             line.dirty = True
-            if line.state in (LineState.EXCLUSIVE, LineState.SHARED):
-                line.state = LineState.MODIFIED
         return True
 
-    def fill(self, addr: int, state: LineState = LineState.EXCLUSIVE,
+    def fill(self, addr: int, dirty: bool = False,
              prefetched: bool = False) -> CacheLine | None:
-        """Insert the line for *addr*; returns the evicted line (if any)."""
+        """Insert the line for *addr*; returns the evicted line (if any).
+
+        *dirty* is a write-allocate fill: the store that missed has
+        written the line.  Refilling a present line can mark it dirty
+        but never cleans it.
+        """
         laddr = self.line_addr(addr)
         index = self._index(laddr)
         cache_set = self._sets[index]
@@ -297,7 +283,8 @@ class Cache:
         victim: CacheLine | None = None
         if laddr in cache_set:
             line = cache_set[laddr]
-            line.state = state
+            if dirty:
+                line.dirty = True
             line.prefetched = prefetched
             cache_set.move_to_end(laddr)
             return None
@@ -315,8 +302,8 @@ class Cache:
             used = {line.way for line in cache_set.values()}
             way = next((w for w in range(self.assoc)
                         if w not in used and w not in disabled), 0)
-        cache_set[laddr] = CacheLine(tag=laddr, state=state,
-                                     prefetched=prefetched, way=way)
+        cache_set[laddr] = CacheLine(dirty=dirty, prefetched=prefetched,
+                                     way=way)
         if prefetched:
             self.stats.prefetch_fills += 1
         return victim
@@ -333,18 +320,7 @@ class Cache:
         return line
 
     def contains(self, addr: int) -> bool:
-        return self.lookup(addr, update_lru=False) is not None
-
-    def flush_all(self) -> int:
-        """Invalidate everything; returns the number of dirty lines."""
-        dirty = 0
-        for cache_set in self._sets:
-            if cache_set is not _EMPTY_SET:
-                dirty += sum(1 for line in cache_set.values() if line.dirty)
-                cache_set.clear()
-        if not self._disabled_ways:
-            self._ways_dense = True      # empty sets are trivially dense
-        return dirty
+        return self.lookup(addr) is not None
 
     @property
     def occupancy(self) -> int:

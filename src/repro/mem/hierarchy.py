@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .cache import Cache, LineState
+from .cache import Cache
 from .dram import Dram, DramConfig
 from .prefetch import PrefetchConfig, StreamPrefetcher
 from .tlb import Tlb, TlbConfig
@@ -183,8 +183,7 @@ class MemoryHierarchy:
         line = self.l1d.line_addr(addr)
         stall = self._consume_pending(self._pending_l1, line, cycle)
         if stall is not None:
-            self.l1d.fill(addr, LineState.MODIFIED if is_write
-                          else LineState.EXCLUSIVE, prefetched=True)
+            self.l1d.fill(addr, dirty=is_write, prefetched=True)
             self.l1d.stats.prefetch_hits += 1
             self.stats.l1d_miss_stall_cycles += stall
             return cfg.l1_latency + stall
@@ -198,8 +197,7 @@ class MemoryHierarchy:
         latency = cfg.l1_latency + mshr_wait + downstream
         if not is_write:
             heapq.heappush(self._mshr_heap, start + downstream)
-        self.l1d.fill(addr, LineState.MODIFIED if is_write
-                      else LineState.EXCLUSIVE)
+        self.l1d.fill(addr, dirty=is_write)
         self.stats.l1d_miss_stall_cycles += latency - cfg.l1_latency
         return latency
 
@@ -232,11 +230,11 @@ class MemoryHierarchy:
         if self.l1i.access(vaddr):
             return 0
         if self.l2.access(vaddr):
-            self.l1i.fill(vaddr, LineState.SHARED)
+            self.l1i.fill(vaddr)
             return self.config.l2_latency
         ready = self.dram.request(cycle, self.config.line_size)
         self.l2.fill(vaddr)
-        self.l1i.fill(vaddr, LineState.SHARED)
+        self.l1i.fill(vaddr)
         return self.config.l2_latency + (ready - cycle)
 
     # -- prefetch plumbing ------------------------------------------------------------

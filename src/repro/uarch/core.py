@@ -84,7 +84,6 @@ from operator import length_hint
 from types import SimpleNamespace
 
 from ..isa.instructions import InstrClass
-from ..mem.cache import LineState
 from ..mem.hierarchy import MemoryHierarchy
 from ..sim.trace import DynInst, RecordBatch
 from .branch import HybridDirectionPredictor
@@ -657,9 +656,6 @@ class PipelineModel:
         l1i_sets = l1i._sets
         l1i_stats = l1i.stats
         observe_l1 = hier.l1_prefetcher.observe
-        INVALID = LineState.INVALID
-        MODIFIED = LineState.MODIFIED
-        wstates = (LineState.EXCLUSIVE, LineState.SHARED)
 
         resolve = self._resolve
         rows_key = self._rows_key
@@ -836,7 +832,6 @@ class PipelineModel:
                             cs = l1i_sets[laddr % l1i_nsets]
                             line = cs.get(laddr)
                             if line is not None \
-                                    and line.state is not INVALID \
                                     and not line.tag_fault \
                                     and not line.data_faults:
                                 # Clean L1I hit: access_inst would
@@ -1118,7 +1113,6 @@ class PipelineModel:
                                     cs = l1d_sets[laddr % l1d_nsets]
                                     line = cs.get(laddr)
                                     if line is not None \
-                                            and line.state is not INVALID \
                                             and not line.tag_fault \
                                             and not line.data_faults:
                                         if mem_tlb:
@@ -1133,8 +1127,6 @@ class PipelineModel:
                                         extra = l1_latency
                                         if ti.is_amo:   # a store hit
                                             line.dirty = True
-                                            if line.state in wstates:
-                                                line.state = MODIFIED
                                             h_stats.stores += 1
                                             if snoop_store_hit is not None:
                                                 extra += snoop_store_hit(addr)
@@ -1222,7 +1214,6 @@ class PipelineModel:
                                 cs = l1d_sets[laddr % l1d_nsets]
                                 line = cs.get(laddr)
                                 if line is not None \
-                                        and line.state is not INVALID \
                                         and not line.tag_fault \
                                         and not line.data_faults:
                                     if mem_tlb:
@@ -1234,8 +1225,6 @@ class PipelineModel:
                                         l1d_stats.prefetch_hits += 1
                                         line.prefetched = False
                                     line.dirty = True
-                                    if line.state in wstates:
-                                        line.state = MODIFIED
                                     h_stats.stores += 1
                                     observe_l1(addr, complete)
                                     drain = l1_latency

@@ -46,7 +46,6 @@ class LoopBuffer:
         self._loop_target: int | None = None   # loop head
         self._hit_count = 0
         self._active = False
-        self._body_size = 0
         self.stats = LoopBufferStats()
 
     @property
@@ -89,7 +88,6 @@ class LoopBuffer:
             self._hit_count += 1
             if self._hit_count >= self.config.capture_threshold:
                 self._active = True
-                self._body_size = body_insts
                 self.stats.captures += 1
         else:
             self._loop_pc = pc

@@ -73,12 +73,6 @@ class CoreStats:
             return 0.0
         return self.direction_mispredicts / self.branches
 
-    def mpki(self, event_count: int) -> float:
-        """Events per kilo-instruction."""
-        if not self.instructions:
-            return 0.0
-        return 1000.0 * event_count / self.instructions
-
     def summary(self) -> str:
         lines = [
             f"instructions      {self.instructions}",

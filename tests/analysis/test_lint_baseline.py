@@ -108,13 +108,3 @@ _start:
             assert {"check", "severity", "function", "addr", "line",
                     "message", "extra", "source", "key"} <= set(finding)
 
-    def test_worst_severity(self):
-        clean = lint_source("_start:\n    li a7, 93\n    ecall\n")
-        assert clean.worst_severity() is None
-        bad = lint_source("""
-_start:
-    vadd.vv v1, v2, v3
-    li a7, 93
-    ecall
-""")
-        assert bad.worst_severity() == "error"

@@ -1,4 +1,4 @@
-"""Cache model tests: indexing, LRU, states, stats."""
+"""Cache model tests: indexing, LRU, dirty lines, stats."""
 
 import random
 from collections import OrderedDict
@@ -6,7 +6,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mem import Cache, LineState
+from repro.mem import Cache
 from repro.mem.cache import CacheLine
 
 
@@ -73,11 +73,21 @@ class TestReplacement:
 
 
 class TestStates:
-    def test_write_upgrades_to_modified(self):
+    def test_write_hit_marks_dirty(self):
         c = make_cache()
-        c.fill(0x1000, LineState.SHARED)
+        c.fill(0x1000)
+        assert not c.lookup(0x1000).dirty
         c.access(0x1000, is_write=True)
-        assert c.lookup(0x1000).state is LineState.MODIFIED
+        assert c.lookup(0x1000).dirty
+
+    def test_refill_never_cleans(self):
+        c = make_cache()
+        c.fill(0x1000, dirty=True)
+        c.fill(0x1000)
+        assert c.lookup(0x1000).dirty
+        c.fill(0x2000)
+        c.fill(0x2000, dirty=True)
+        assert c.lookup(0x2000).dirty
 
     def test_invalidate(self):
         c = make_cache()
@@ -85,14 +95,6 @@ class TestStates:
         line = c.invalidate(0x1000)
         assert line is not None
         assert not c.contains(0x1000)
-
-    def test_flush_all_reports_dirty(self):
-        c = make_cache()
-        c.fill(0)
-        c.fill(64)
-        c.access(0, is_write=True)
-        assert c.flush_all() == 1
-        assert c.occupancy == 0
 
     def test_prefetch_accounting(self):
         c = make_cache()
@@ -154,11 +156,9 @@ class _EagerCache(Cache):
 _ADDR = st.integers(0, 4095)
 _OPS = st.one_of(
     st.tuples(st.just("access"), _ADDR, st.booleans()),
-    st.tuples(st.just("fill"), _ADDR, st.sampled_from(list(LineState)),
-              st.booleans()),
+    st.tuples(st.just("fill"), _ADDR, st.booleans(), st.booleans()),
     st.tuples(st.just("invalidate"), _ADDR),
     st.tuples(st.just("contains"), _ADDR),
-    st.tuples(st.just("flush_all"),),
     st.tuples(st.just("inject_data_fault"), st.none() | _ADDR,
               st.integers(1, 2), st.integers(0, 3)),
     st.tuples(st.just("inject_tag_fault"), st.none() | _ADDR,
@@ -200,7 +200,7 @@ def test_unfilled_sets_share_one_read_only_mapping():
     c = make_cache()
     assert len({id(s) for s in c._sets}) == 1
     with pytest.raises(TypeError):
-        c._sets[0][0] = CacheLine(tag=0)
+        c._sets[0][0] = CacheLine()
     c.fill(0)
     assert c._sets[0] is not c._sets[1]
     assert len(c._sets[1]) == 0 and c.occupancy == 1

@@ -37,9 +37,18 @@ class TestDemandPath:
     def test_writes_mark_dirty(self):
         h = make_hier()
         h.access_data(0x10000, 0, is_write=True)
-        from repro.mem.cache import LineState
+        assert h.l1d.lookup(0x10000).dirty
 
-        assert h.l1d.lookup(0x10000).state is LineState.MODIFIED
+    def test_store_miss_stream_writes_back_every_eviction(self):
+        # Write-allocate: each store miss fills a dirty line, so once
+        # the stream outgrows the L1D every eviction is a writeback.
+        h = make_hier()
+        lines = 4 * h.config.l1d_size // h.config.line_size
+        for i in range(lines):
+            h.access_data(i * h.config.line_size, 300 * i, is_write=True)
+        stats = h.l1d.stats
+        assert stats.evictions == lines - h.l1d.num_sets * h.l1d.assoc
+        assert stats.writebacks == stats.evictions > 0
 
     def test_line_crossing_access(self):
         h = make_hier()

@@ -29,13 +29,13 @@ from repro.uarch.core import PipelineModel
 from repro.workloads import get_workload
 
 #: Executed ``_run_stream`` lines per simulated instruction; measured
-#: 87.4 / 106.0 when committed.  Raise it only with the reason in the
+#: 87.3 / 105.9 when committed.  Raise it only with the reason in the
 #: commit message — every line here is paid a hundred thousand times a
 #: second.
-BUDGET = {"coremark-crc": 91.8, "coremark-list": 111.3}
+BUDGET = {"coremark-crc": 91.7, "coremark-list": 111.2}
 #: Executed ``_run_stream`` bytecodes per simulated instruction on
-#: CPython 3.11; measured 382.7 / 464.5 when committed.  Same rule.
-OPCODE_BUDGET = {"coremark-crc": 401.8, "coremark-list": 487.7}
+#: CPython 3.11; measured 382.0 / 462.9 when committed.  Same rule.
+OPCODE_BUDGET = {"coremark-crc": 401.1, "coremark-list": 486.0}
 OPCODE_PYTHON = (3, 11)
 
 

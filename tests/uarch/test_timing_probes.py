@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.asm import assemble
 from repro.harness.runner import run_on_core
+from repro.uarch import uconfig
 from repro.uarch.presets import get_preset
 
 CORE = "xt910"
@@ -32,16 +33,32 @@ FILLER = ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "a2",
           "a3", "a4", "a5", "a6", "s3", "s4", "s5", "s8")
 
 
-def _cycles(source: str) -> int:
-    return run_on_core(assemble(source), CORE, tier=3).cycles
+#: The xt910 preset with address translation and both stream
+#: prefetchers off: what is left of a load miss is the cache ladder.
+NO_TLB_NO_PREFETCH = {"mem.model_tlb": False,
+                      "mem.l1_prefetch.enabled": False,
+                      "mem.l2_prefetch.enabled": False}
 
 
-def _per_iteration(guest, small: int = 20, large: int = 40) -> float:
+def _config(overrides=None):
+    if not overrides:
+        return get_preset(CORE)
+    doc = uconfig.config_to_doc(get_preset(CORE))
+    return uconfig.config_from_doc(uconfig.apply_overrides(doc, overrides))
+
+
+def _cycles(source: str, overrides=None) -> int:
+    return run_on_core(assemble(source), _config(overrides), tier=3).cycles
+
+
+def _per_iteration(guest, small: int = 20, large: int = 40,
+                   overrides=None) -> float:
     """Cycles per loop iteration, from two trip counts: the fixed cost
     of start-up and drain cancels in the difference.  Both counts are
     past warm-up (the pointer chase reaches its steady state within 15
     iterations, once the cold instruction fetches are behind it)."""
-    return (_cycles(guest(large)) - _cycles(guest(small))) / (large - small)
+    return (_cycles(guest(large), overrides)
+            - _cycles(guest(small), overrides)) / (large - small)
 
 
 def _fillers(count: int) -> str:
@@ -67,6 +84,35 @@ loop:
 {chase}    addi s2, s2, -1
     bnez s2, loop
 {EXIT}"""
+
+
+def _ring_chase(lines: int):
+    """16 dependent loads per iteration round a ring of *lines*
+    sequential cache lines, each holding the address of the next.  The
+    loop that builds the ring stores to every line, so the chase starts
+    with the whole ring in the L2 and the L1D holding only its tail."""
+    def guest(iterations: int) -> str:
+        chase = "    ld a0, 0(a0)\n" * 16
+        return f"""
+    .text
+_start:
+    li s1, 0x1000000
+    li s7, {lines}
+    mv t0, s1
+build:
+    addi t1, t0, 64
+    sd t1, 0(t0)
+    mv t0, t1
+    addi s7, s7, -1
+    bnez s7, build
+    sd s1, -64(t0)
+    mv a0, s1
+    li s2, {iterations}
+loop:
+{chase}    addi s2, s2, -1
+    bnez s2, loop
+{EXIT}"""
+    return guest
 
 
 def _independent_alu(iterations: int) -> str:
@@ -118,6 +164,23 @@ def test_l1_pointer_chase_recovers_load_to_use():
     config = get_preset(CORE)
     per_load = _per_iteration(_pointer_chase) / 16
     assert per_load == config.lsu.load_to_use + config.mem.l1_latency
+
+
+def test_l2_pointer_chase_recovers_l2_latency():
+    """A pointer chase round 2,048 sequential lines (eight per L1D set,
+    twice the L1D's ways, and a sixteenth of the L2) misses the LRU
+    L1D on every load and hits the L2: with the TLB and the
+    prefetchers off, each load costs the L1 rung plus
+    ``mem.l2_latency``.  Both trip counts (320 and 640 loads) stay on
+    the first half of the ring, which the L1D no longer holds."""
+    config = _config(NO_TLB_NO_PREFETCH)
+    lines = 2048
+    assert lines * config.mem.line_size == 2 * config.mem.l1d_size
+    assert lines * config.mem.line_size < config.mem.l2_size
+    per_load = _per_iteration(_ring_chase(lines),
+                              overrides=NO_TLB_NO_PREFETCH) / 16
+    assert per_load == (config.lsu.load_to_use + config.mem.l1_latency
+                        + config.mem.l2_latency)
 
 
 def test_independent_addis_recover_alu_count():
