@@ -27,10 +27,14 @@ entry into one emission kind — inline: ``alu`` (RV64IM and the XT-910
 register extensions), ``load``/``store`` (straight into the page when
 ``Memory`` allows direct access and the access stays inside one
 existing page, else ``load_int``/``store_int``), ``branch``, ``jal``,
-``jalr``, ``auipc`` and ``vsetvli`` (its vtype and VLMAX folded); a
-``bare`` handler call for the other simple entries; or the full
-``step()``-equivalent "cold dance" for CSR/AMO/DIV/system/fence and
-the other vector instructions — and pass two emits the source for
+``jalr``, ``auipc``, ``vsetvli`` (its vtype and VLMAX folded) and,
+under the numpy vector engine, ``vmem`` (an unmasked unit-stride
+``vle``/``vse``: one slice copy between its page and ``vbuf`` when the
+page exists, holds the whole span and the register group ends inside
+v31, with the full step as its ``else`` arm); a ``bare`` handler call
+for the other simple entries; or the full ``step()``-equivalent "cold
+dance" for CSR/AMO/DIV/system/fence and the other vector instructions
+— and pass two emits the source for
 a ``make(E, records)`` factory whose inner function — ``run``, or
 ``trace``, which fills the record slots — binds the handlers,
 instructions and record slots as default arguments (fast locals, zero
@@ -336,6 +340,9 @@ def _resolve(entry) -> str:
         return "bare"
     if mn == "vsetvli":
         return "vsetvli"
+    if (spec.fmt in ("VL", "VS") and inst.aux
+            and active_engine() == "numpy"):
+        return "vmem"
     if flags & (FLAG_FENCE_I | FLAG_SFENCE | FLAG_VECTOR):
         return "full"
     if mn == "auipc":
@@ -395,11 +402,13 @@ class _Emitter:
         self.vlen = vlen
         self.lines: list[str] = []
         self.params: list[str] = []
+        self.indent = "        "
         self.needs_cold_state = False  # sd/rc locals required
         self.needs_from_bytes = False  # the B local required
+        self.needs_vector_file = False  # the D/C locals required
 
     def out(self, line: str) -> None:
-        self.lines.append("        " + line)
+        self.lines.append(self.indent + line)
 
     def _fill(self, k: int, **fields: str) -> None:
         """One run's record writes: seq, *fields*, vl and sew.
@@ -470,6 +479,46 @@ class _Emitter:
                      f"p[o:o + {size}] = {data}")
         self.out(f"else: st(a, {value}, {size})")
 
+    def _vmem(self, k: int, entry, static_vtype, n: int) -> None:
+        """An unmasked unit-stride ``vle``/``vse`` of ``n = vl * width``
+        bytes at ``a``: ``_bind_vload``/``_bind_vstore``'s page copy,
+        inlined.  It runs when ``vl`` > 0, the page exists and holds
+        the whole span, and the register group ends inside v31, and
+        counts and records what their apply does; every other case
+        (``P`` is empty under MMIO or a wrapped entry point) takes the
+        full step, its ``else`` arm."""
+        self.needs_vector_file = True
+        inst = entry[1]
+        spec = inst.spec
+        width = spec.mem_bytes
+        vlenb = self.vlen // 8
+        lo = (inst.rd if spec.fmt == "VL" else inst.rs3) * vlenb
+        self.out(f"a = {_rx(inst.rs1)}")
+        self.out("v = state.vl")
+        self.out(f"n = v * {width}" if width > 1 else "n = v")
+        self.out(f"o = a & {PAGE_MASK}")
+        self.out(f"p = P.get(a >> {PAGE_SHIFT})")
+        self.out(f"if n and p and o + n <= {PAGE_SIZE} and "
+                 f"n <= {32 * vlenb - lo}:")
+        self.indent += "    "
+        self.out(f"D[{lo}:{lo} + n] = p[o:o + n]" if spec.fmt == "VL"
+                 else f"p[o:o + n] = D[{lo}:{lo} + n]")
+        self.out('C["batched_ops"] += 1')
+        self.out('C["elems_total"] += v')
+        self.out('C["elems_active"] += v')
+        self.out("sd.mem_addr = a")
+        self.out("sd.mem_size = n")
+        self.out("sd.taken = False")
+        self.out("sd.target = 0")
+        self.out("sd.div_bits = 0")
+        if self.trace:
+            self._fill(k, mem_addr="a", mem_size="n")
+        self.indent = self.indent[:-4]
+        self.out("else:")
+        self.indent += "    "
+        self._full(k, entry, static_vtype, n)
+        self.indent = self.indent[:-4]
+
     def _leave(self, retired: int, pc: str, indent: str = "") -> None:
         self.out(f"{indent}state.instret = n0 + {retired}")
         self.out(f"{indent}state.pc = {pc}")
@@ -484,10 +533,10 @@ class _Emitter:
         branch there becomes a guard that leaves on the other
         direction, a ``jal`` links and continues.
         """
-        handler, inst, pc, fall, flags, _rec = entry
+        _handler, inst, pc, fall, _flags, _rec = entry
         spec = inst.spec
         static_vtype = None
-        if isinstance(kind, tuple):  # ("full", (sew, lmul) | None)
+        if isinstance(kind, tuple):  # ("full"/"vmem", (sew, lmul) | None)
             kind, static_vtype = kind
         self.out(f"# @{k}")          # _position() maps lines back to k
         if self.trace:
@@ -589,7 +638,15 @@ class _Emitter:
                 self._fill(k, target="t", next_pc="t")
             self._leave(n, "t")
             return
-        # -- the full step()-equivalent dance --------------------------------
+        if kind == "vmem":
+            self._vmem(k, entry, static_vtype, n)
+        else:
+            self._full(k, entry, static_vtype, n)
+
+    def _full(self, k: int, entry, static_vtype, n: int) -> None:
+        """The full ``step()``-equivalent dance of position *k*."""
+        _handler, inst, pc, fall, flags, _rec = entry
+        spec = inst.spec
         self.needs_cold_state = True
         vector = bool(flags & FLAG_VECTOR)
         if vector:
@@ -679,8 +736,8 @@ def _kinds(block) -> list:
             static = decode_vtype(entry[1].imm)
         elif mn == "vsetvl":
             static = None
-        elif kinds[idx] == "full" and (entry[4] & FLAG_VECTOR):
-            kinds[idx] = ("full", static)
+        elif kinds[idx] in ("full", "vmem") and (entry[4] & FLAG_VECTOR):
+            kinds[idx] = (kinds[idx], static)
     return kinds
 
 
@@ -734,6 +791,9 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
     if emitter.needs_cold_state:
         parts.append("        sd = state.side")
         parts.append("        rc = emu._recent.append")
+    if emitter.needs_vector_file:
+        parts.append("        D = state.vbuf.data")
+        parts.append("        C = state.vec_counters")
     parts.extend(emitter.lines)
     parts.append(f"    return {variant}")
     parts.append("")

@@ -18,9 +18,12 @@ Two interchangeable engines implement the same architectural contract:
     which evaluates the expression over the first vl lanes.  Masking
     is a boolean index unpacked from v0, tails are left untouched by
     slice assignment.  An unmasked unit-stride load or store is one
-    byte copy between a ``Memory`` page and ``vbuf``; the other memory
-    ops go through ``np.frombuffer`` views onto the pages (guarded
-    cross-page fallbacks stay batched via span copies).  Shapes numpy
+    byte copy between a ``Memory`` page and ``vbuf``; tier 3 inlines
+    that copy into its generated code (``codegen``'s ``vmem`` kind),
+    and the handler here is its tier-1/2 form and its oracle, the
+    template's fallback for every span the copy cannot serve.  The
+    other memory ops go through ``np.frombuffer`` views onto the pages
+    (guarded cross-page fallbacks stay batched via span copies).  Shapes numpy
     cannot express bit-identically (div/rem, 128-bit widenings, FP
     reductions, wrapped register groups, MMIO-mapped memory) delegate
     to the reference engine and are counted as fallbacks.
@@ -1284,7 +1287,8 @@ def _bind_vload(s: MachineState, i: Instruction, sew: int,
         return lambda vl, m: _vload_any(s, i, vl)
     # Unmasked unit-stride: the group's bytes are the span's bytes, so
     # one slice copy from the page is the whole load.  An untouched
-    # page, a page-crossing span or MMIO gives no view.
+    # page, a page-crossing span or MMIO gives no view.  Tier 3 emits
+    # this copy inline (codegen's vmem kind) and calls here otherwise.
     width = i.spec.mem_bytes
     lo = i.rd * s.vlenb
     end = len(s.vbuf)
@@ -1316,7 +1320,8 @@ def _bind_vstore(s: MachineState, i: Instruction, sew: int,
     # Unmasked unit-stride: one store_bytes of the group's bytes.  Every
     # byte of the span is written, so it allocates exactly the pages the
     # reference's per-element stores would, and it is the entry point
-    # SmpMachine wraps to break LR reservations.
+    # SmpMachine wraps to break LR reservations.  Tier 3 copies into a
+    # resident page inline (codegen's vmem kind) and calls here otherwise.
     width = i.spec.mem_bytes
     lo = i.rs3 * s.vlenb
     end = len(s.vbuf)

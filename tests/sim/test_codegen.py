@@ -21,7 +21,7 @@ import pytest
 from repro.asm import assemble
 from repro.isa.instructions import SPECS, Instruction
 from repro.sim import Emulator, EmulatorError, WatchdogExpired
-from repro.sim import blockcache, codegen, exec_scalar
+from repro.sim import blockcache, codegen, exec_scalar, exec_vector
 from repro.sim.state import MachineState
 from repro.sim.trace import RecordBatch
 from repro.workloads import coremark_suite
@@ -672,3 +672,310 @@ class TestInlineFallback:
         """
         tier3 = _precise_and_tier3(source)
         assert tier3.counters()["codegen_executions"] > 0
+
+
+VMEM = """
+_start:
+    li s0, 5
+    li s1, 0x201000          # the source, filled below
+    li s2, 0x203000          # allocated by its first vse
+    li s3, 0x205000          # never stored to: its loads read zeros
+    li s4, 0x210000          # a fresh page every round
+    li t0, 0x1122334455667788
+    li t1, 0
+fill:
+    slli t2, t1, 3
+    add t2, t2, s1
+    sd t0, 0(t2)
+    addi t0, t0, 0x135
+    addi t1, t1, 1
+    li t2, 64
+    blt t1, t2, fill
+loop:
+    li t0, 16
+    vsetvli t1, t0, e8, m1
+    vle8.v v1, (s1)
+    vse8.v v1, (s2)
+    vse8.v v1, (s4)
+    li t0, 8
+    vsetvli t1, t0, e16, m1
+    vle16.v v2, (s1)
+    addi a1, s2, 16
+    vse16.v v2, (a1)
+    li t0, 16
+    vsetvli t1, t0, e32, m4
+    vle32.v v4, (s1)
+    addi a1, s2, 64
+    vse32.v v4, (a1)
+    li t0, 4
+    vsetvli t1, t0, e64, m2
+    addi a1, s1, 8
+    vle64.v v10, (a1)
+    vle64.v v12, (s3)
+    addi a1, s2, 160
+    vse64.v v10, (a1)
+    addi a1, s2, 200
+    vse64.v v12, (a1)
+    addi s1, s1, 24
+    addi s2, s2, 8
+    li t2, 4096
+    add s4, s4, t2
+    addi s0, s0, -1
+    bnez s0, loop
+    li a0, 0
+    li a7, 93
+    ecall
+"""
+
+
+def _vector_tiers(source: str, prepare=lambda emulator: None):
+    """The precise, tier-3 ``trace`` and tier-3 ``run`` emulators of
+    *source*, after checking that both tier-3 variants ran superblocks
+    and left the precise records, state and ``vec_counters``; *prepare*
+    sees each fresh emulator, in that order, before it runs."""
+    program = assemble(source, compress=False)
+    precise, traced, ran = (Emulator(program) for _ in range(3))
+    for emulator in (precise, traced, ran):
+        prepare(emulator)
+    assert stream(traced.trace(None, tier=3)) == stream(precise.trace(None))
+    ran.run(tier=3)
+    for emulator in (traced, ran):
+        assert emulator.counters()["codegen_executions"] > 0
+        assert emulator.fingerprint() == precise.fingerprint()
+        assert emulator.state.vec_counters == precise.state.vec_counters
+    return precise, traced, ran
+
+
+def _kinds_by_mnemonic(emulator) -> dict[str, set]:
+    """Each vector memory mnemonic of the compiled superblocks -> the
+    emission kinds pass 1 gave it."""
+    kinds = collections.defaultdict(set)
+    for unit in emulator._codegen.compiled.values():
+        for entry in unit.entries:
+            if entry[1].spec.fmt in ("VL", "VS", "VLS", "VSS"):
+                kinds[entry[1].spec.mnemonic].add(codegen._resolve(entry))
+    return kinds
+
+
+class TestVectorInlineFallback:
+    """Tier 3 copies an unmasked unit-stride ``vle``/``vse`` straight
+    between its page and ``vbuf``; every case the copy cannot serve
+    takes the full step, whose handler is the template's oracle.  Each
+    program runs superblocks, in both variants."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_engine(self):
+        entered = exec_vector.active_engine()
+        exec_vector.select_engine("numpy")
+        yield
+        exec_vector.select_engine(entered)
+
+    def test_templates_serve_the_resident_pages(self, monkeypatch):
+        """Only the load from an untouched page and the store to a fresh
+        one call their handler at tier 3."""
+        calls = collections.Counter()
+        bind = codegen.bind_handler
+
+        def counting(inst, static=None, scoped=True):
+            handler = bind(inst, static, scoped)
+
+            def count(state, i):
+                calls[i.spec.mnemonic] += 1
+                handler(state, i)
+            return count
+
+        monkeypatch.setattr(codegen, "bind_handler", counting)
+        precise, _traced, ran = _vector_tiers(VMEM)
+        assert precise.state.vec_counters["fallback_ops"] == 0
+        assert set(calls) == {"vle64.v", "vse8.v"}
+        assert {kind for kinds in _kinds_by_mnemonic(ran).values()
+                for kind in kinds} == {"vmem"}
+
+    def test_instance_wrapped_store_bytes_sees_every_vse(self):
+        logs = []
+
+        def wrap(emulator):
+            memory = emulator.state.memory
+            calls, original = [], memory.store_bytes
+            logs.append(calls)
+
+            def store_bytes(addr, data):
+                calls.append((addr, bytes(data)))
+                original(addr, data)
+            memory.store_bytes = store_bytes
+
+        _vector_tiers(VMEM, prepare=wrap)
+        precise_log, traced_log, ran_log = logs
+        assert len(precise_log) == 5 * 6
+        assert traced_log == ran_log == precise_log
+
+    def test_mmio_device_sees_the_same_vector_accesses(self):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x10000000
+            li s2, 0x201000
+            sd zero, 0(s2)
+        loop:
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            vle32.v v1, (s1)
+            addi a1, s1, 64
+            vse32.v v1, (a1)
+            li t0, 16
+            vsetvli t1, t0, e8, m1
+            vle8.v v2, (s2)
+            vse8.v v2, (s1)
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        logs = []
+
+        def mmio(emulator):
+            device = _Device()
+            logs.append(device.log)
+            emulator.state.memory.register_mmio(0x10000000, 0x1000, device)
+
+        _vector_tiers(source, prepare=mmio)
+        precise_log, traced_log, ran_log = logs
+        assert len(precise_log) == 5 * (4 + 4 + 16)
+        assert traced_log == ran_log == precise_log
+
+    def test_untouched_page_loads_allocate_nothing(self):
+        # the fingerprint ignores zero pages, so it cannot see this
+        precise, traced, ran = _vector_tiers(VMEM)
+        assert (traced.state.memory.allocated_bytes
+                == ran.state.memory.allocated_bytes
+                == precise.state.memory.allocated_bytes)
+        assert 0x205 not in precise.state.memory._pages
+
+    def test_page_straddling_accesses_match(self):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x201FF8          # 8 bytes before a page boundary
+            li s2, 0x203FF0          # 16 bytes before one
+            li t0, 0x1122334455667788
+            sd t0, 0(s1)
+            sd t0, 8(s1)
+            sd t0, -8(s1)
+        loop:
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            vle32.v v1, (s1)         # 8 bytes on each page
+            addi a1, s1, -8
+            vle32.v v2, (a1)         # ends at the boundary
+            vse32.v v1, (s2)         # ends at the boundary
+            addi a1, s2, 8
+            vse32.v v2, (a1)         # onto the untouched next page
+            li t0, 16
+            vsetvli t1, t0, e64, m8
+            addi a1, s1, -96
+            vle64.v v8, (a1)         # 128 bytes, 24 of them on the next page
+            addi a1, s2, -64
+            vse64.v v8, (a1)
+            add t0, t0, s0
+            sd t0, 0(s1)
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        _vector_tiers(source)
+
+    def test_vl_zero_matches(self):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x201000
+            li t0, 0x1122334455667788
+            sd t0, 0(s1)
+        loop:
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            vle32.v v1, (s1)
+            li t0, 0
+            vsetvli t1, t0, e32, m1
+            vle32.v v2, (s1)
+            addi a1, s1, 64
+            vse32.v v1, (a1)
+            vse8.v v1, (s1)
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        precise, _traced, _ran = _vector_tiers(source)
+        assert precise.state.vec_counters["elems_total"] == 5 * 4
+
+    def test_group_past_v31_falls_back(self):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x201000
+            li t0, 0x1122334455667788
+            sd t0, 0(s1)
+            sd t0, 1016(s1)
+        loop:
+            li t0, 128
+            vsetvli t1, t0, e8, m8
+            vle8.v v24, (s1)         # 128 bytes: v24-v31 exactly
+            vle64.v v24, (s1)        # 1,024 bytes from v24 on
+            addi a1, s1, 2040
+            vse64.v v24, (a1)
+            vse8.v v24, (a1)
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        precise, _traced, _ran = _vector_tiers(source)
+        assert precise.state.vec_counters["fallback_ops"] == 5 * 2
+
+    def test_masked_and_strided_forms_take_the_full_step(self):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x201000
+            li t0, 0x1122334455667788
+            sd t0, 0(s1)
+            sd t0, 8(s1)
+            sd t0, 24(s1)
+        loop:
+            li t0, 16
+            vsetvli t1, t0, e8, m1
+            vle8.v v0, (s1)
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            vle32.v v1, (s1), v0.t
+            li t2, 8
+            vlse32.v v2, (s1), t2
+            addi a1, s1, 64
+            vse32.v v1, (a1), v0.t
+            vsse32.v v2, (a1), t2
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        _precise, _traced, ran = _vector_tiers(source)
+        assert _kinds_by_mnemonic(ran) == {
+            "vle8.v": {"vmem"}, "vle32.v": {"full"}, "vlse32.v": {"full"},
+            "vse32.v": {"full"}, "vsse32.v": {"full"}}
+
+    def test_reference_engine_emits_no_template(self):
+        exec_vector.select_engine("ref")
+        _precise, _traced, ran = _vector_tiers(VMEM)
+        assert {kind for kinds in _kinds_by_mnemonic(ran).values()
+                for kind in kinds} == {"full"}
+        assert all("D = state.vbuf.data" not in codegen.emit_source(
+                       unit.blocks, trace, ran.state.vlen)
+                   for unit in ran._codegen.compiled.values()
+                   for trace in (False, True))
