@@ -12,7 +12,10 @@ A floor is a ratio because absolute MIPS and jobs/sec shift with the
 host: a floored key fails when it drops more than ``tolerance`` below
 the baseline's value.  A baseline is only comparable with the bench
 that wrote it, so :func:`load` refuses a file whose ``bench`` name or
-schema stamp differs rather than gate on whatever keys overlap.
+schema stamp differs rather than gate on whatever keys overlap.  Each
+payload also records the host it was measured on (:func:`machine`); a
+gate failure against a baseline from another host, or from before the
+field, says so, since the host alone can move a ratio.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ import functools
 import importlib
 import json
 import operator
+import platform
 import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
+
+import numpy as np
 
 from ..sim.emulator import Emulator
 
@@ -124,11 +130,29 @@ def best_emulation(repeat: int, workload: Any,
     return seconds, emulator
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def machine() -> dict[str, str]:
+    """The host a payload is measured on: the CPU model and the Python
+    and numpy versions."""
+    return {"cpu": _cpu_model(), "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
 def run(bench: Bench, quick: bool = False, **options: Any) -> Payload:
     """Run *bench* and put the payload header on what it measured."""
     key, version = bench.stamp
     return {key: version, "bench": bench.name, "quick": quick,
-            **bench.run(quick=quick, **options)}
+            "machine": machine(), **bench.run(quick=quick, **options)}
 
 
 def save(payload: Payload, path: str) -> None:
@@ -163,6 +187,20 @@ def _dig(payload: Payload, dotted: str) -> Any:
     return functools.reduce(operator.getitem, dotted.split("."), payload)
 
 
+def _other_machine(payload: Payload, baseline: Payload) -> str | None:
+    """How *baseline*'s host differs from *payload*'s; None if it does
+    not."""
+    here, there = payload.get("machine") or {}, baseline.get("machine")
+    if here == (there or {}):
+        return None
+    if not there:
+        return "the baseline records no machine"
+    return "measured on another machine: " + ", ".join(
+        f"{field} {here.get(field)!r} (baseline {there.get(field)!r})"
+        for field in sorted(set(here) | set(there))
+        if here.get(field) != there.get(field))
+
+
 def check(bench: Bench, payload: Payload, baseline: Payload,
           tolerance: float | None = None) -> list[str]:
     """Gate a fresh *payload* against *baseline*.
@@ -170,7 +208,8 @@ def check(bench: Bench, payload: Payload, baseline: Payload,
     Returns human-readable failure strings (empty = no regression): one
     per floored key that dropped more than *tolerance* (default: the
     bench's own) below a baseline that has it, then whatever the
-    bench's invariants object to.
+    bench's invariants object to; each names the host difference when
+    the two payloads' machines differ.
     """
     if tolerance is None:
         tolerance = bench.tolerance
@@ -186,7 +225,11 @@ def check(bench: Bench, payload: Payload, baseline: Payload,
             failures.append(
                 f"{key} regressed: {current} < {floor:.4f} "
                 f"(baseline {base}, tolerance {tolerance:.0%})")
-    return failures + bench.invariants(payload, baseline)
+    failures += bench.invariants(payload, baseline)
+    other = _other_machine(payload, baseline) if failures else None
+    if other:
+        failures = [f"{failure}; {other}" for failure in failures]
+    return failures
 
 
 def drive(bench: Bench, out: str | None = None,
@@ -223,4 +266,5 @@ def drive(bench: Bench, out: str | None = None,
 
 
 __all__ = ["Bench", "BenchError", "NAMES", "SCHEMA", "best_emulation",
-           "best_of", "check", "drive", "get", "load", "run", "save"]
+           "best_of", "check", "drive", "get", "load", "machine", "run",
+           "save"]

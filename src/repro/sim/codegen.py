@@ -31,10 +31,13 @@ existing page, else ``load_int``/``store_int``), ``branch``, ``jal``,
 under the numpy vector engine, ``vmem`` (an unmasked unit-stride
 ``vle``/``vse``: one slice copy between its page and ``vbuf`` when the
 page exists, holds the whole span and the register group ends inside
-v31, with the full step as its ``else`` arm); a ``bare`` handler call
-for the other simple entries; or the full ``step()``-equivalent "cold
-dance" for CSR/AMO/DIV/system/fence and the other vector instructions
-— and pass two emits the source for
+v31, with the full step as its ``else`` arm) and ``vapply`` (a batched
+arithmetic op under a vtype its block proves static, unmasked or
+masking for itself: a direct call of the op's ``apply``, bound once per
+linked unit, with its handler's counting inlined); a ``bare`` handler
+call for the other simple entries; or the full ``step()``-equivalent
+"cold dance" for CSR/AMO/DIV/system/fence and the other vector
+instructions — and pass two emits the source for
 a ``make(E, records)`` factory whose inner function — ``run``, or
 ``trace``, which fills the record slots — binds the handlers,
 instructions and record slots as default arguments (fast locals, zero
@@ -75,11 +78,14 @@ import tempfile
 import time
 import weakref
 from collections.abc import Iterator, Sequence
+from functools import partial
+
+import numpy as np
 
 from .. import source_digest
 from ..asm.assembler import decode_vtype
 from .exec_scalar import EcallShim, Trap
-from .exec_vector import active_engine, bind_handler
+from .exec_vector import active_engine, bind_apply, bind_handler, direct_op
 from .memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from .syscalls import ExitRequest
 from .blockcache import (
@@ -403,9 +409,12 @@ class _Emitter:
         self.lines: list[str] = []
         self.params: list[str] = []
         self.indent = "        "
-        self.needs_cold_state = False  # sd/rc locals required
+        self.needs_side = False        # the sd local required
+        self.needs_cold_state = False  # rc local and X required (+ sd)
         self.needs_from_bytes = False  # the B local required
-        self.needs_vector_file = False  # the D/C locals required
+        self.needs_vector_file = False  # the D local required
+        self.needs_counters = False    # the C local required
+        self.needs_errstate = False    # the ES local required
 
     def out(self, line: str) -> None:
         self.lines.append(self.indent + line)
@@ -423,6 +432,15 @@ class _Emitter:
             self.out(f"r{k}.{name} = {expr}")
         self.out(f"r{k}.vl = vl")
         self.out(f"r{k}.sew = sew")
+
+    def _side(self, mem_addr: str = "0", mem_size: str = "0") -> None:
+        """Write the five ``state.side`` fields (a step resets them to
+        these defaults before its handler runs)."""
+        self.out(f"sd.mem_addr = {mem_addr}")
+        self.out(f"sd.mem_size = {mem_size}")
+        self.out("sd.taken = False")
+        self.out("sd.target = 0")
+        self.out("sd.div_bits = 0")
 
     def _load(self, inst) -> None:
         """A load from address ``a``: its bytes sliced straight out of
@@ -487,7 +505,7 @@ class _Emitter:
         counts and records what their apply does; every other case
         (``P`` is empty under MMIO or a wrapped entry point) takes the
         full step, its ``else`` arm."""
-        self.needs_vector_file = True
+        self.needs_vector_file = self.needs_counters = self.needs_side = True
         inst = entry[1]
         spec = inst.spec
         width = spec.mem_bytes
@@ -506,11 +524,7 @@ class _Emitter:
         self.out('C["batched_ops"] += 1')
         self.out('C["elems_total"] += v')
         self.out('C["elems_active"] += v')
-        self.out("sd.mem_addr = a")
-        self.out("sd.mem_size = n")
-        self.out("sd.taken = False")
-        self.out("sd.target = 0")
-        self.out("sd.div_bits = 0")
+        self._side("a", "n")
         if self.trace:
             self._fill(k, mem_addr="a", mem_size="n")
         self.indent = self.indent[:-4]
@@ -518,6 +532,39 @@ class _Emitter:
         self.indent += "    "
         self._full(k, entry, static_vtype, n)
         self.indent = self.indent[:-4]
+
+    def _vapply(self, k: int, entry, static_vtype) -> None:
+        """A batched vector op as a direct call of its ``apply``, bound
+        once per linked unit under the static vtype
+        (``exec_vector.direct_op``): its handler's counting inlined, and
+        ``state.side`` and the record left as the full step leaves them.
+        The op touches no memory, so it cannot raise and needs neither
+        the synced ``pc``/``instret`` nor the ``try``.  An FP op of the
+        trace variant opens its own ``np.errstate``; the run variant's
+        runs inside ``Emulator.run``'s."""
+        op = direct_op(entry[1], static_vtype, self.vlen)
+        self.needs_side = self.needs_counters = True
+        self.params.append(f"a{k}=_vapply(E[{k}][1], {static_vtype!r})")
+        if self.trace:
+            vl = "vl"                # the trace variant tracks state.vl
+        else:
+            vl = "v"
+            self.out("v = state.vl")
+        if op.specializable:
+            self.out('C["specialized_ops"] += 1')
+        if op.counted:               # unmasked
+            self.out('C["batched_ops"] += 1')
+            self.out(f'C["elems_total"] += {vl}')
+            self.out(f'C["elems_active"] += {vl}')
+        if op.fp and self.trace:
+            self.needs_errstate = True
+            self.out('with ES(all="ignore"):')
+            self.out(f"    a{k}({vl}, None)")
+        else:
+            self.out(f"a{k}({vl}, None)")
+        self._side()
+        if self.trace:
+            self._fill(k)
 
     def _leave(self, retired: int, pc: str, indent: str = "") -> None:
         self.out(f"{indent}state.instret = n0 + {retired}")
@@ -536,7 +583,7 @@ class _Emitter:
         _handler, inst, pc, fall, _flags, _rec = entry
         spec = inst.spec
         static_vtype = None
-        if isinstance(kind, tuple):  # ("full"/"vmem", (sew, lmul) | None)
+        if isinstance(kind, tuple):  # (vector kind, (sew, lmul) | None)
             kind, static_vtype = kind
         self.out(f"# @{k}")          # _position() maps lines back to k
         if self.trace:
@@ -640,6 +687,8 @@ class _Emitter:
             return
         if kind == "vmem":
             self._vmem(k, entry, static_vtype, n)
+        elif kind == "vapply":
+            self._vapply(k, entry, static_vtype)
         else:
             self._full(k, entry, static_vtype, n)
 
@@ -647,7 +696,7 @@ class _Emitter:
         """The full ``step()``-equivalent dance of position *k*."""
         _handler, inst, pc, fall, flags, _rec = entry
         spec = inst.spec
-        self.needs_cold_state = True
+        self.needs_side = self.needs_cold_state = True
         vector = bool(flags & FLAG_VECTOR)
         if vector:
             # A handler of this variant's own for the instruction; a
@@ -664,11 +713,7 @@ class _Emitter:
         rec = f"r{k}" if self.trace else "None"
         self.out(f"state.pc = {pc}")
         self.out(f"state.instret = n0 + {k}")
-        self.out("sd.mem_addr = 0")
-        self.out("sd.mem_size = 0")
-        self.out("sd.taken = False")
-        self.out("sd.target = 0")
-        self.out("sd.div_bits = 0")
+        self._side()
         self.out(f"rc(({pc}, i{k}))")
         self.out("try:")
         # a vector handler's return value is discarded: it falls through
@@ -719,14 +764,17 @@ def _prefill(entry, kind) -> list[tuple[str, object]]:
     return []
 
 
-def _kinds(block) -> list:
+def _kinds(block, vlen: int) -> list:
     """Pass 1 over one constituent, with its static vtypes.
 
     Inside one straight-line block, a constant-imm vsetvli fixes
     SEW/LMUL for every later vector entry (vsetvl takes vtype from a
     register, so it resets the knowledge).  The scan restarts at every
     constituent, so a vector op is specialized exactly where its own
-    block proves it.
+    block proves it.  A full-step vector entry whose op
+    ``exec_vector.direct_op`` accepts under that vtype becomes a
+    ``vapply``: a choice made from the text, VLEN and the engine only,
+    as the code cache's key is.
     """
     kinds: list = [_resolve(entry) for entry in block.entries]
     static = None
@@ -737,7 +785,11 @@ def _kinds(block) -> list:
         elif mn == "vsetvl":
             static = None
         elif kinds[idx] in ("full", "vmem") and (entry[4] & FLAG_VECTOR):
-            kinds[idx] = (kinds[idx], static)
+            kind = kinds[idx]
+            if (kind == "full"
+                    and direct_op(entry[1], static, vlen) is not None):
+                kind = "vapply"
+            kinds[idx] = (kind, static)
     return kinds
 
 
@@ -751,7 +803,7 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
     follows: list = []
     for index, block in enumerate(chain):
         entries += block.entries
-        kinds += _kinds(block)
+        kinds += _kinds(block, vlen)
         follows += [None] * (len(block.entries) - 1)
         follows.append(chain[index + 1].start if index + 1 < len(chain)
                        else None)
@@ -775,6 +827,8 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
         params += ", B=int.from_bytes"
     if emitter.needs_cold_state:
         params += ", X=_EXC"
+    if emitter.needs_errstate:
+        params += ", ES=_errstate"
     if trace:
         prefill = tuple((k, name, value)
                         for k, (entry, kind) in enumerate(zip(entries, kinds))
@@ -788,11 +842,13 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
     if trace:
         parts.append("        vl = state.vl")
         parts.append("        sew = state.sew")
-    if emitter.needs_cold_state:
+    if emitter.needs_side:
         parts.append("        sd = state.side")
+    if emitter.needs_cold_state:
         parts.append("        rc = emu._recent.append")
     if emitter.needs_vector_file:
         parts.append("        D = state.vbuf.data")
+    if emitter.needs_counters:
         parts.append("        C = state.vec_counters")
     parts.extend(emitter.lines)
     parts.append(f"    return {variant}")
@@ -839,13 +895,16 @@ class Superblock:
         self.guards = frozenset(guards)
         self._prefixes: dict[int, RecordBatch] = {}
 
-    def link(self, variant: int, code) -> None:
-        """Exec one generated module and bind its function."""
+    def link(self, variant: int, code, state) -> None:
+        """Exec one generated module and bind its function; a ``vapply``
+        entry's apply is bound to *state*."""
         if variant and self.records is None:
             self.records = RecordBatch(
                 DynInst(seq=0, pc=pc, inst=inst, next_pc=fall)
                 for _handler, inst, pc, fall, _flags, _rec in self.entries)
-        module_globals = {"_EXC": _EXC, "_vbind": bind_handler}
+        module_globals = {"_EXC": _EXC, "_vbind": bind_handler,
+                          "_vapply": partial(bind_apply, state),
+                          "_errstate": np.errstate}
         exec(code, module_globals)
         self.variants[variant] = module_globals["make"](self.entries,
                                                         self.records)
@@ -1002,14 +1061,6 @@ class CodegenEngine:
             except OSError:
                 pass
 
-    def _code_digest(self, ranges: tuple) -> bytes:
-        """One sha256 over the bytes of every constituent range."""
-        load = self.emu.state.memory.load_bytes
-        digest = hashlib.sha256()
-        for start, end in dict.fromkeys(ranges):
-            digest.update(load(start, end - start))
-        return digest.digest()
-
     def persist(self) -> None:
         """Write newly compiled superblocks to disk (atomic, prunable).
 
@@ -1084,8 +1135,14 @@ class CodegenEngine:
         """Compile (or warm-link) one variant of *unit*."""
         if not self._disk_loaded:
             self._load_disk()
+        state = self.emu.state
+        # one sha256 over the bytes of every constituent range
+        load = state.memory.load_bytes
+        hasher = hashlib.sha256()
+        for start, end in dict.fromkeys(unit.ranges):
+            hasher.update(load(start, end - start))
+        digest = hasher.digest()
         key = (unit.ranges, variant)
-        digest = self._code_digest(unit.ranges)
         stored = self._disk.get(key)
         if stored is not None and stored[0] == digest:
             self.disk_hits += 1
@@ -1093,14 +1150,13 @@ class CodegenEngine:
         else:
             self.disk_misses += 1
             began = time.perf_counter()
-            source = emit_source(unit.blocks, bool(variant),
-                                 self.emu.state.vlen)
+            source = emit_source(unit.blocks, bool(variant), state.vlen)
             code = compile(source, _filename(unit.start), "exec")
             self.compile_s += time.perf_counter() - began
             self.blocks_compiled += 1
             self._disk[key] = (digest, code)
             self._dirty = True
-        unit.link(variant, code)
+        unit.link(variant, code, state)
         return unit.variants[variant]
 
     # -- dispatch ------------------------------------------------------------

@@ -35,23 +35,29 @@ Two interchangeable engines implement the same architectural contract:
 
 ``VECTOR_EXEC`` is the live dispatch table; :func:`select_engine`
 mutates it in place.  Tier 1 looks handlers up in it per step, and
-those bind and apply on every call.  Tiers 2 and 3 link
-:func:`bind_handler` per static instruction at translate time: a
-handler that keeps its binding while vtype holds, counted as
-specialized where tier 3 proves SEW/LMUL static inside a block.  They
-must therefore be rebuilt (a fresh
+those bind and apply on every call.  Tier 2 links :func:`bind_handler`
+per static instruction at translate time: a handler that keeps its
+binding while vtype holds.  Tier 3 calls the ``apply`` of a batched
+arithmetic op its block proves SEW/LMUL static for directly
+(:func:`direct_op` says which, :func:`bind_apply` binds it once per
+compiled unit; ``codegen``'s ``vapply`` kind inlines the handler's
+counting), and links the handler, counted as specialized under a
+static vtype, for every other vector op: the handler is the tier-1/2
+form of the op.  Tiers 2 and 3 must therefore be rebuilt (a fresh
 :class:`~repro.sim.emulator.Emulator`) after switching engines.
 
 FP ops raise no numpy warnings: their handlers open an
-``np.errstate(all="ignore")`` per op, except those tier 3 links into
-the non-recording variant of a compiled block, which only
-``Emulator.run`` runs, inside one scope for the whole run.
+``np.errstate(all="ignore")`` per op, and so does a direct call in the
+recording variant of a compiled block; the non-recording variant,
+which only ``Emulator.run`` runs, opens none, inside one scope for the
+whole run.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -624,7 +630,10 @@ for _w in (8, 16, 32, 64):
 # (``vbuf`` and its views are never reallocated), so :func:`bind_handler`
 # gives tiers 2 and 3 one handler per static instruction that binds on
 # first use and again only when vtype changes; the tier-1 handlers in
-# ``VECTOR_EXEC_NUMPY`` bind on every call.
+# ``VECTOR_EXEC_NUMPY`` bind on every call.  The hottest applies keep
+# the lane views of the last vl they ran with and slice again only when
+# vl changes: each slice is a numpy call, and one static instruction
+# mostly runs at one vl.
 # ===========================================================================
 
 _DT_U: dict[int, Any] = {8: np.uint8, 16: np.uint16,
@@ -655,6 +664,8 @@ class _NpOp(NamedTuple):
 
 #: mnemonic -> batched op
 _NP_OPS: dict[str, _NpOp] = {}
+#: the formats of the vector loads and stores
+_MEM_FMTS = frozenset({"VL", "VS", "VLS", "VSS", "VLX", "VSX"})
 
 
 def _fb(s: MachineState, i: Instruction) -> None:
@@ -705,7 +716,7 @@ def _begin(s: MachineState, i: Instruction, vl: int) -> Any:
         return None
     c["masked_ops"] += 1
     m = _mask_bools(s, vl)
-    c["elems_active"] += np.count_nonzero(m)
+    c["elems_active"] += int(np.count_nonzero(m))
     return m
 
 
@@ -811,13 +822,19 @@ def _int_binop(op_at: Callable[[int], Callable[[Any, Any], Any]],
             return None
         vec = isinstance(b, np.ndarray)
         op = op_at(sew)
+        last, av, bv, d = -1, a, b, dst   # the lanes of the last vl
 
         def apply(vl: int, m: Any) -> None:
-            res = op(a[:vl], b[:vl] if vec else b())
+            nonlocal last, av, bv, d
+            if vl != last:
+                last, av, d = vl, a[:vl], dst[:vl]
+                if vec:
+                    bv = b[:vl]
+            res = op(av, bv if vec else b())
             if m is None:
-                dst[:vl] = res
+                d[...] = res
             else:
-                np.putmask(dst[:vl], m, res)
+                np.putmask(d, m, res)
         return apply
     return bind
 
@@ -882,17 +899,24 @@ def _widening(mul: bool, mac: bool, signed: bool) -> Binder:
             return None
         vec = isinstance(b, np.ndarray)
         ufunc = np.multiply if mul else np.add
+        last, av, bv, d = -1, a, b, dst   # the lanes of the last vl
 
         def apply(vl: int, m: Any) -> None:
-            d = dst[:vl]
+            nonlocal last, av, bv, d
+            if vl != last:
+                last, av, d = vl, a[:vl], dst[:vl]
+                if vec:
+                    bv = b[:vl]
             # dtype=wd widens both operands before the op
-            res = ufunc(a[:vl], b[:vl] if vec else wd(int(b())), dtype=wd)
-            if mac:
-                res += d
-            if m is None:
-                d[:] = res
-            else:
+            res = ufunc(av, bv if vec else wd(int(b())), dtype=wd)
+            if m is not None:
+                if mac:
+                    res += d
                 np.putmask(d, m, res)
+            elif mac:
+                d += res             # wraps as res + d does
+            else:
+                d[...] = res
         return apply
     return bind
 
@@ -908,9 +932,15 @@ def _compare(op: Any, signed: bool) -> Binder:
         vec = isinstance(b, np.ndarray)
         lo = i.rd * s.vlenb
         dest = s.vbuf[lo:lo + s.vlenb]
+        last, av, bv = -1, a, b           # the lanes of the last vl
 
         def apply(vl: int, m: Any) -> None:
-            res = op(a[:vl], b[:vl] if vec else b())
+            nonlocal last, av, bv
+            if vl != last:
+                last, av = vl, a[:vl]
+                if vec:
+                    bv = b[:vl]
+            res = op(av, bv if vec else b())
             if m is None and not vl & 7:
                 # whole bytes: pack the lanes straight into v[rd]
                 dest[:vl >> 3] = np.packbits(res, bitorder="little")
@@ -1113,13 +1143,26 @@ def _fp_groups(s: MachineState, i: Instruction, sew: int,
     return dst, df, a
 
 
+#: SEW -> the struct pair ``f*_bits_to_float`` packs and unpacks with
+_FP_STRUCTS: dict[int, tuple[Callable[..., bytes], Callable[..., Any]]] = {
+    sew: (struct.Struct(bits).pack, struct.Struct(lane).unpack)
+    for sew, bits, lane in ((16, "<H", "<e"), (32, "<I", "<f"),
+                            (64, "<Q", "<d"))}
+
+
 def _fp_rs1(s: MachineState, i: Instruction, sew: int, lmul: int) -> Any:
     """vs1's float lanes, or a reader of the f-register operand (its raw
-    low *sew* bits) as a float64; None when the vs1 group wraps."""
+    low *sew* bits) as a float64; None when the vs1 group wraps.
+
+    The scalar stays a ``np.float64``: under NEP 50 a Python float is a
+    "weak" scalar, which would compute float16/32 lanes in their own
+    precision instead of widening them."""
     if i.spec.rs1_file == "v":
         return _group_f(s, i.rs1, sew, lmul)
-    fregs, rs1, unpack = s.fregs, i.rs1, _FP_UNPACK[sew]
-    return lambda: np.float64(unpack(fregs[rs1]))
+    fregs, rs1, f64 = s.fregs, i.rs1, np.float64
+    pack, unpack = _FP_STRUCTS[sew]
+    mask = (1 << sew) - 1
+    return lambda: f64(unpack(pack(fregs[rs1] & mask))[0])
 
 
 def _fp_store(dst: Any, df: Any, vl: int, m: Any, res64: Any) -> None:
@@ -1167,13 +1210,34 @@ def _fp_mac(sign_prod: int, dest_is_addend: bool) -> Binder:
             return None
         dst, df, a = groups
         vec = isinstance(b, np.ndarray)
+        mul, f64 = np.multiply, np.float64
+        last, av, bv, d = -1, a, b, df    # the lanes of the last vl
 
         def apply(vl: int, m: Any) -> None:
-            bb = b[:vl] if vec else b()
+            nonlocal last, av, bv, d
+            if vl != last:
+                last, av, d = vl, a[:vl], df[:vl]
+                if vec:
+                    bv = b[:vl]
+            bb = bv if vec else b()
+            if m is None and sign_prod > 0:
+                # the float64 product and sum of the expression below,
+                # in place, rounded once by the store (a float32/16 .vv
+                # product must widen: dtype=f64)
+                if dest_is_addend:
+                    x = mul(av, bb, dtype=f64) if vec else av * bb
+                    x += d
+                else:
+                    x = mul(d, bb, dtype=f64) if vec else d * bb
+                    x += av
+                d[...] = x
+                return
+            # masked, or a -1 sign, which keeps the sp multiply:
+            # np.negative would flip a NaN's sign bit
             if dest_is_addend:  # vd = sign * vs1*vs2 + vd
-                res = sp * a[:vl] * bb + df[:vl]
+                res = sp * av * bb + d
             else:               # vd = sign * vd*vs1 + vs2
-                res = sp * df[:vl] * bb + a[:vl]
+                res = sp * d * bb + av
             _fp_store(dst, df, vl, m, res)
         return apply
     return bind
@@ -1641,8 +1705,49 @@ def bind_handler(inst: Instruction, static: tuple[int, int] | None = None,
     return _handler(op, cache=True, static=static, scoped=scoped)
 
 
+#: VLEN -> a scratch state that :func:`direct_op` binds against
+_PROBES: dict[int, MachineState] = {}
+
+
+def direct_op(inst: Instruction, static: tuple[int, int] | None,
+              vlen: int) -> _NpOp | None:
+    """The batched op tier 3 calls the ``apply`` of directly for *inst*,
+    or None when *inst* keeps its handler.
+
+    That takes the numpy engine, a static (SEW, LMUL) *static*, an op
+    whose handler would pass its apply no mask (unmasked, or an op that
+    counts and masks for itself), no memory access (a memory op's apply
+    may raise through ``Memory``'s entry points), and a binding: whether
+    the binder falls back depends only on the instruction and the vtype,
+    so one bind against a scratch state of *vlen* decides it for every
+    state.
+    """
+    if _active_engine != "numpy" or static is None:
+        return None
+    spec = inst.spec
+    op = _NP_OPS.get(spec.mnemonic)
+    if (op is None or spec.fmt in _MEM_FMTS
+            or (op.counted and not inst.aux)):
+        return None
+    probe = _PROBES.get(vlen)
+    if probe is None:
+        probe = _PROBES[vlen] = MachineState(vlen=vlen)
+    if op.bind(probe, inst, *static) is None:
+        return None
+    return op
+
+
+def bind_apply(state: MachineState, inst: Instruction,
+               static: tuple[int, int]) -> Apply:
+    """The apply of *inst*'s :func:`direct_op` bound to *state* under
+    *static*, once per linked unit: what its handler would bind."""
+    apply = _NP_OPS[inst.spec.mnemonic].bind(state, inst, *static)
+    assert apply is not None, "direct_op probed this binding"
+    return apply
+
+
 select_engine(os.environ.get("REPRO_VECTOR_ENGINE", "numpy"))
 
 __all__ = ["VECTOR_EXEC", "VECTOR_EXEC_REF", "VECTOR_EXEC_NUMPY",
            "VectorHandler", "select_engine", "active_engine",
-           "bind_handler"]
+           "bind_handler", "direct_op", "bind_apply"]

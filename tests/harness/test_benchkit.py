@@ -214,7 +214,7 @@ def test_drive_exit_codes(tmp_path, capsys):
     assert benchkit.drive(_toy(10, runs), out=baseline, repeat=1) == 0
     assert json.loads(open(baseline).read()) == {
         "schema": benchkit.SCHEMA, "bench": "toy", "quick": False,
-        "repeat": 1, "score": 10}
+        "machine": benchkit.machine(), "repeat": 1, "score": 10}
     assert benchkit.drive(_toy(8, runs), baseline=baseline) == 0
     assert "no regression" in capsys.readouterr().out
     # a regression, and an invariant, are one REGRESSION line each
@@ -232,6 +232,31 @@ def test_drive_exit_codes(tmp_path, capsys):
                           baseline=str(tmp_path / "absent")) == 2
     assert len(runs) == before
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_payload_records_its_machine():
+    machine = benchkit.machine()
+    assert sorted(machine) == ["cpu", "numpy", "python"]
+    assert all(isinstance(value, str) and value for value in machine.values())
+    assert benchkit.run(_toy(10, []), repeat=1)["machine"] == machine
+
+
+def test_regression_names_a_baseline_from_another_machine():
+    bench = _toy(10, [])
+    here = {"score": 10, "machine": {"cpu": "A", "python": "3.11.7",
+                                     "numpy": "2.4.6"}}
+    slower = {**here, "score": 5}
+    elsewhere = {**here, "machine": {**here["machine"], "cpu": "B"}}
+    assert benchkit.check(bench, here, elsewhere) == []
+    [same] = benchkit.check(bench, {**slower, "score": 6}, here)
+    assert "machine" not in same
+    [moved] = benchkit.check(bench, {**slower, "score": 6}, elsewhere)
+    assert moved.startswith("score regressed") and (
+        "another machine: cpu 'A' (baseline 'B')" in moved)
+    failures = benchkit.check(bench, slower, {"score": 10})   # odd, too
+    assert len(failures) == 2 and all(
+        "the baseline records no machine" in failure
+        for failure in failures)
 
 
 # -- the two cell functions no tier-1 test used to import --------------------

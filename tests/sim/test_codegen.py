@@ -14,6 +14,7 @@ cold and warm, is the equivalence lattice's job
 import collections
 import gc
 import os
+import struct
 import weakref
 
 import pytest
@@ -747,13 +748,16 @@ def _vector_tiers(source: str, prepare=lambda emulator: None):
 
 
 def _kinds_by_mnemonic(emulator) -> dict[str, set]:
-    """Each vector memory mnemonic of the compiled superblocks -> the
-    emission kinds pass 1 gave it."""
+    """Each vector mnemonic of the compiled superblocks but ``vsetvli``
+    -> the emission kinds pass 1 gave it."""
     kinds = collections.defaultdict(set)
+    vlen = emulator.state.vlen
     for unit in emulator._codegen.compiled.values():
-        for entry in unit.entries:
-            if entry[1].spec.fmt in ("VL", "VS", "VLS", "VSS"):
-                kinds[entry[1].spec.mnemonic].add(codegen._resolve(entry))
+        for block in unit.blocks:
+            for entry, kind in zip(block.entries,
+                                   codegen._kinds(block, vlen)):
+                if isinstance(kind, tuple):     # (vector kind, static)
+                    kinds[entry[1].spec.mnemonic].add(kind[0])
     return kinds
 
 
@@ -979,3 +983,357 @@ class TestVectorInlineFallback:
                        unit.blocks, trace, ran.state.vlen)
                    for unit in ran._codegen.compiled.values()
                    for trace in (False, True))
+
+
+def _direct_tiers(source: str, tmp_path):
+    """The precise, tier-3 ``trace`` and tier-3 ``run`` emulators of
+    *source*, after checking that both tier-3 variants ran superblocks
+    and left the precise records and state, and the ``vec_counters`` of
+    tier 3 with every vector op on its handler: the precise interpreter
+    proves no vtype static, so it counts no ``specialized_ops``."""
+    program = assemble(source, compress=False)
+    precise, traced, ran = (Emulator(program) for _ in range(3))
+    assert stream(traced.trace(None, tier=3)) == stream(precise.trace(None))
+    ran.run(tier=3)
+    handlers = Emulator(program, code_cache_dir=str(tmp_path / "handlers"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codegen, "direct_op", lambda inst, static, vlen: None)
+        handlers.run(tier=3)
+    for emulator in (traced, ran):
+        assert emulator.counters()["codegen_executions"] > 0
+        assert emulator.fingerprint() == precise.fingerprint()
+        assert emulator.state.vec_counters == handlers.state.vec_counters
+    assert (dict(handlers.state.vec_counters, specialized_ops=0)
+            == precise.state.vec_counters)
+    return precise, traced, ran
+
+
+#: one of every kind of batched arithmetic op under static vtypes: a
+#: counted one, a compare, FP, a widening MAC, a reduction, and ops that
+#: count for themselves (vmerge, the mask logicals, vmv.x.s)
+VAPPLY = """
+_start:
+    li s0, 5
+    li s1, 0x201000
+    li s2, 0x203000
+    li t0, 0x4010000040200000
+    sd t0, 0(s1)
+    li t0, 0x3FC00000C0400000
+    sd t0, 8(s1)
+    li t0, 0x00000005FFFFFFFD
+    sd t0, 16(s1)
+loop:
+    li t0, 4
+    vsetvli t1, t0, e32, m1
+    vle32.v v0, (s1)
+    addi a1, s1, 8
+    vle32.v v1, (a1)
+    vadd.vv v3, v1, v0
+    vmsne.vv v4, v1, v3
+    vcpop.m t2, v4
+    vmerge.vvm v5, v1, v3, v0
+    vmand.mm v6, v4, v0
+    vredsum.vs v7, v3, v1
+    vmv.x.s t3, v7
+    add s3, s3, t2
+    add s3, s3, t3
+    flw fa0, 0(s1)
+    vfmacc.vf v8, fa0, v1
+    vfnmacc.vv v9, v1, v0
+    vfmadd.vf v9, fa0, v8
+    li t0, 4
+    vsetvli t1, t0, e16, m1
+    vwmacc.vv v10, v1, v0
+    vadd.vi v12, v1, 3
+    vmul.vx v13, v1, s0
+    li t0, 4
+    vsetvli t1, t0, e32, m1
+    vse32.v v9, (s2)
+    addi a1, s2, 16
+    vse32.v v10, (a1)
+    addi s2, s2, 32
+    addi s0, s0, -1
+    bnez s0, loop
+    mv a0, zero
+    li a7, 93
+    ecall
+"""
+
+_ARITH = {"vadd.vv", "vmsne.vv", "vcpop.m", "vmerge.vvm", "vmand.mm",
+          "vredsum.vs", "vmv.x.s", "vfmacc.vf", "vfnmacc.vv", "vfmadd.vf",
+          "vwmacc.vv", "vadd.vi", "vmul.vx"}
+
+
+def _fp_edges(sew: int) -> list[int]:
+    """Sixteen SEW-bit patterns: NaNs with payloads, quiet and
+    signalling, of both signs; +-inf; +-0; subnormals; +-the largest
+    finite value (twice it overflows); and four ordinary values."""
+    exp = {16: 5, 32: 8, 64: 11}[sew]
+    man = sew - 1 - exp
+    sign, inf, quiet = 1 << (sew - 1), ((1 << exp) - 1) << man, 1 << (man - 1)
+    fmt, raw = {16: ("<e", "<H"), 32: ("<f", "<I"), 64: ("<d", "<Q")}[sew]
+
+    def bits(value: float) -> int:
+        return struct.unpack(raw, struct.pack(fmt, value))[0]
+    return [inf | quiet | 5, sign | inf | quiet | 0x23, inf | 1,
+            sign | inf | 5, inf, sign | inf, sign, 0, 1, sign | (quiet - 1),
+            inf - 1, sign | (inf - 1), bits(1.5), bits(-2.0), bits(3.25),
+            bits(0.1)]
+
+
+_FP_MACS = ("vfmacc", "vfnmacc", "vfmadd")
+
+
+def _fp_edge_program(sew: int, sfx: str) -> tuple[str, list[list[int]]]:
+    """Five rounds of the three FP multiply-adds over the edge lanes
+    (vs2 = the edges, vs1 and vd rotations of them, the .vf scalar a
+    NaN, inf, -0, a subnormal and 2.0 in turn), each result stored; and
+    per stored lane, its inputs."""
+    lanes = _fp_edges(sew)
+    vs1, vd = lanes[5:] + lanes[:5], lanes[11:] + lanes[:11]
+    scalars = [lanes[1], lanes[4], lanes[6], lanes[8], lanes[13]]
+    directive = {16: ".half", 32: ".word", 64: ".dword"}[sew]
+    ops = "".join(f"""
+    la a0, vd
+    vle{sew}.v v24, (a0)
+    {op}.{sfx} v24, {"v16" if sfx == "vv" else "fa0"}, v8
+    vse{sew}.v v24, (s2)
+    addi s2, s2, {2 * sew}""" for op in _FP_MACS)
+    inputs = [[lanes[k], vs1[k] if sfx == "vv" else scalars[r], vd[k]]
+              for r in range(5) for _op in _FP_MACS for k in range(16)]
+
+    def row(values: list[int]) -> str:
+        return ", ".join(str(v) for v in values)
+    return f"""
+    .data
+    .align 3
+va: {directive} {row(lanes)}
+vb: {directive} {row(vs1)}
+vd: {directive} {row(vd)}
+sc: .dword {row(scalars)}
+out: .zero {len(inputs) * sew // 8}
+    .text
+_start:
+    li s0, 5
+    la s1, sc
+    la s2, out
+loop:
+    fld fa0, 0(s1)
+    li t0, 16
+    vsetvli t1, t0, e{sew}, m{sew // 8}
+    la a0, va
+    vle{sew}.v v8, (a0)
+    la a0, vb
+    vle{sew}.v v16, (a0){ops}
+    addi s1, s1, 8
+    addi s0, s0, -1
+    bnez s0, loop
+    li a0, 0
+    li a7, 93
+    ecall
+""", inputs
+
+
+class TestVectorApply:
+    """Tier 3 calls a statically typed batched op's bound ``apply``
+    directly (the ``vapply`` kind); a masked counted op, an op without a
+    static vtype, a binding that falls back and the reference engine
+    keep the full step.  Each program runs superblocks, in both
+    variants, and counts what the handlers count."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_engine(self):
+        entered = exec_vector.active_engine()
+        exec_vector.select_engine("numpy")
+        yield
+        exec_vector.select_engine(entered)
+
+    def test_static_ops_are_called_directly(self, tmp_path):
+        precise, _traced, ran = _direct_tiers(VAPPLY, tmp_path)
+        counters = ran.state.vec_counters
+        assert counters["fallback_ops"] == 0
+        assert counters["specialized_ops"] > 0
+        kinds = _kinds_by_mnemonic(ran)
+        assert {mn: kinds[mn] for mn in _ARITH} == {
+            mn: {"vapply"} for mn in _ARITH}
+        assert precise.state.regs[19] != 0       # s3 saw vcpop and vmv.x.s
+
+    def test_no_static_vtype_keeps_the_full_step(self, tmp_path):
+        """A vsetvl takes its vtype from a register, here e32 and e16 in
+        turn: the ops after it keep their handler, which rebinds."""
+        source = """
+        _start:
+            li s0, 6
+            li s1, 0x201000
+            li s2, 0x203000
+            li s3, 8                 # vtype e32,m1; xor 12 gives e16,m1
+            li t0, 0x4010000040200000
+            sd t0, 0(s1)
+            sd t0, 8(s1)
+        loop:
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            vle32.v v1, (s1)
+            vle32.v v2, (s1)
+            vadd.vv v3, v1, v2
+            flw fa0, 0(s1)
+            vsetvl t1, t0, s3
+            vadd.vv v4, v1, v3
+            vfmacc.vf v4, fa0, v2
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            vse32.v v4, (s2)
+            addi s2, s2, 16
+            xori s3, s3, 12
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        _precise, _traced, ran = _direct_tiers(source, tmp_path)
+        kinds = _kinds_by_mnemonic(ran)
+        assert kinds["vadd.vv"] == {"vapply", "full"}
+        assert kinds["vfmacc.vf"] == {"full"}
+
+    def test_masked_counted_ops_keep_the_full_step(self, tmp_path):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x201000
+            li t0, 0x4010000040200005
+            sd t0, 0(s1)
+            sd t0, 8(s1)
+        loop:
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            vle32.v v0, (s1)
+            vle32.v v1, (s1)
+            flw fa0, 4(s1)
+            vadd.vv v3, v1, v0, v0.t
+            vfmacc.vf v4, fa0, v1, v0.t
+            vmerge.vvm v5, v1, v3, v0
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        precise, _traced, ran = _direct_tiers(source, tmp_path)
+        assert precise.state.vec_counters["masked_ops"] == 5 * 3
+        assert {mn: kinds for mn, kinds in _kinds_by_mnemonic(ran).items()
+                if mn != "vle32.v"} == {
+            "vadd.vv": {"full"}, "vfmacc.vf": {"full"},
+            "vmerge.vvm": {"vapply"}}
+
+    def test_group_past_v31_keeps_the_full_step(self, tmp_path):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x201000
+            li t0, 0x4010000040200000
+            sd t0, 0(s1)
+            sd t0, 8(s1)
+            flw fa0, 0(s1)
+        loop:
+            li t0, 16
+            vsetvli t1, t0, e32, m4
+            vle32.v v4, (s1)
+            vadd.vv v28, v4, v8      # v28-v31 exactly
+            vadd.vv v30, v4, v8      # v30-v33: wraps
+            vfmacc.vf v29, fa0, v4   # wraps
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        precise, _traced, ran = _direct_tiers(source, tmp_path)
+        assert precise.state.vec_counters["fallback_ops"] == 5 * 2
+        kinds = _kinds_by_mnemonic(ran)
+        assert kinds["vadd.vv"] == {"vapply", "full"}
+        assert kinds["vfmacc.vf"] == {"full"}
+
+    def test_vl_zero_matches(self, tmp_path):
+        source = """
+        _start:
+            li s0, 5
+            li s1, 0x201000
+            li t0, 0x4010000040200000
+            sd t0, 0(s1)
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            vle32.v v1, (s1)
+            vle32.v v7, (s1)
+            flw fa0, 0(s1)
+        loop:
+            li t0, 0
+            vsetvli t1, t0, e32, m1
+            vadd.vv v3, v1, v1
+            vfmacc.vf v5, fa0, v1
+            vmsne.vv v4, v1, v3
+            vcpop.m t2, v4
+            vredsum.vs v7, v3, v1    # writes vd[0] even at vl = 0
+            add s3, s3, t2
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        """
+        precise, _traced, ran = _direct_tiers(source, tmp_path)
+        assert precise.state.vec_counters["elems_total"] == 2 * 4
+        assert _kinds_by_mnemonic(ran)["vfmacc.vf"] == {"vapply"}
+
+    def test_reference_engine_emits_no_direct_call(self):
+        exec_vector.select_engine("ref")
+        program = assemble(VAPPLY, compress=False)
+        precise, ran = Emulator(program), Emulator(program)
+        precise.run()
+        ran.run(tier=3)
+        assert ran.fingerprint() == precise.fingerprint()
+        assert {kind for kinds in _kinds_by_mnemonic(ran).values()
+                for kind in kinds} == {"full"}
+        assert all("_vapply" not in codegen.emit_source(
+                       unit.blocks, trace, ran.state.vlen)
+                   for unit in ran._codegen.compiled.values()
+                   for trace in (False, True))
+
+    @pytest.mark.parametrize("sfx", ["vv", "vf"])
+    @pytest.mark.parametrize("sew", [16, 32, 64])
+    def test_fp_edge_lanes(self, sew, sfx, tmp_path):
+        """NaN payloads of both signs, infinities, signed zeros,
+        subnormals and overflowing results: both tier-3 variants match
+        the precise interpreter, and every lane the reference engine's
+        Python floats: the same bits, or a NaN of the same sign where
+        the lane had at most one NaN input (which NaN two of them give
+        is the host's choice, and CPython 3.11 reads every binary16 NaN
+        as its canonical NaN)."""
+        source, inputs = _fp_edge_program(sew, sfx)
+        precise, _traced, ran = _direct_tiers(source, tmp_path)
+        assert {mn: kinds for mn, kinds in _kinds_by_mnemonic(ran).items()
+                if mn.startswith("vf")} == {
+            f"{op}.{sfx}": {"vapply"} for op in _FP_MACS}
+        exec_vector.select_engine("ref")
+        reference = Emulator(precise.program)
+        reference.run()
+        exp = {16: 5, 32: 8, 64: 11}[sew]
+        inf = ((1 << exp) - 1) << (sew - 1 - exp)
+
+        def is_nan(value: int) -> bool:
+            return value & ~(1 << (sew - 1)) > inf
+
+        def out(emulator) -> list[int]:
+            size = sew // 8
+            data = emulator.state.memory.load_bytes(
+                emulator.program.symbol("out"), len(inputs) * size)
+            return [int.from_bytes(data[k:k + size], "little")
+                    for k in range(0, len(data), size)]
+        for got, want, lane in zip(out(precise), out(reference), inputs):
+            if not is_nan(want):
+                assert got == want, (hex(got), hex(want), lane)
+            elif sum(map(is_nan, lane)) <= 1:
+                assert is_nan(got) and got >> (sew - 1) == want >> (sew - 1), (
+                    hex(got), hex(want), lane)
+            else:
+                assert is_nan(got)

@@ -719,3 +719,29 @@ _start:
     counters = emulator.state.vec_counters
     assert counters["masked_ops"] >= 1
     assert counters["elems_active"] < counters["elems_total"]
+
+
+@pytest.mark.parametrize("tier", [1, 2, 3])
+def test_masked_op_counters_are_json(tier, tmp_path, monkeypatch):
+    """A masked op's active lanes are counted as a Python ``int``: the
+    counters reach ``CoreStats.extra``, which must ``json.dumps``."""
+    monkeypatch.setenv("REPRO_CODE_CACHE_DIR", str(tmp_path))
+    src = """
+    .data
+    .align 3
+vals: .word 1, 2, 3, 4
+    .text
+_start:
+    li t0, 4
+    vsetvli t3, t0, e32, m1
+    li t2, 0b0101
+    vmv.s.x v0, t2
+    la t1, vals
+    vle32.v v1, (t1), v0.t
+""" + EXIT
+    result = run_on_core(assemble(src, compress=False), "xt910", tier=tier)
+    extra = result.stats.extra
+    assert extra["tier"] == tier
+    assert extra["vector_masked_ops"] == 1
+    assert extra["vector_elems_active"] == 2
+    assert json.loads(json.dumps(extra)) == extra
