@@ -24,11 +24,13 @@ per exit position.  There is one unit per start pc.
 
 Translation is two-pass, resolve-then-emit: pass one classifies every
 entry into one emission kind — inline: ``alu`` (RV64IM and the XT-910
-register extensions), ``load``/``store`` (straight into the page when
-``Memory`` allows direct access and the access stays inside one
-existing page, else ``load_int``/``store_int``), ``branch``, ``jal``,
-``jalr``, ``auipc``, ``vsetvli`` (its vtype and VLMAX folded) and,
-under the numpy vector engine, ``vmem`` (an unmasked unit-stride
+register extensions), ``load``/``store`` (read or written in its page
+when ``Memory`` allows direct access and the access stays inside one
+page: a byte by its index, a wider field by a precompiled little-endian
+``struct`` codec; a load from a page nothing has written reads one
+shared zero page; else ``load_int``/``store_int``), ``branch``,
+``jal``, ``jalr``, ``auipc``, ``vsetvli`` (its vtype and VLMAX folded)
+and, under the numpy vector engine, ``vmem`` (an unmasked unit-stride
 ``vle``/``vse``: one slice copy between its page and ``vbuf`` when the
 page exists, holds the whole span and the register group ends inside
 v31, with the full step as its ``else`` arm) and ``vapply`` (a batched
@@ -74,6 +76,7 @@ import hashlib
 import importlib.util
 import marshal
 import os
+import struct
 import tempfile
 import time
 import weakref
@@ -107,6 +110,13 @@ _EXC = (EcallShim, ExitRequest, Trap)
 _M64 = 0xFFFFFFFFFFFFFFFF
 _MHEX = "0xFFFFFFFFFFFFFFFF"
 _S64 = 0x8000000000000000
+#: the little-endian page-word codecs of the in-page 2-, 4- and 8-byte
+#: loads and stores, bound as ``U{size}``/``K{size}`` defaults
+_CODECS = {f"_{kind}{size}": getattr(struct.Struct(fmt), method)
+           for size, fmt in ((2, "<H"), (4, "<I"), (8, "<Q"))
+           for kind, method in (("U", "unpack_from"), ("K", "pack_into"))}
+#: ``Z``: what an inline load reads in place of a page nothing has written
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 _LOADS = frozenset({"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu",
                     "flw", "fld"})
@@ -411,7 +421,7 @@ class _Emitter:
         self.indent = "        "
         self.needs_side = False        # the sd local required
         self.needs_cold_state = False  # rc local and X required (+ sd)
-        self.needs_from_bytes = False  # the B local required
+        self.codecs: set[str] = set()  # the U{size}/K{size} locals
         self.needs_vector_file = False  # the D local required
         self.needs_counters = False    # the C local required
         self.needs_errstate = False    # the ES local required
@@ -443,12 +453,16 @@ class _Emitter:
         self.out("sd.div_bits = 0")
 
     def _load(self, inst) -> None:
-        """A load from address ``a``: its bytes sliced straight out of
-        its page ``P[a >> 12]`` when that page exists and holds the
-        whole access, else read by ``ld`` (``Memory.load_int``), which
-        also serves MMIO and wrapped entry points (``P`` is then empty).
-        Both read the unsigned field; a narrow signed load extends it
-        after."""
+        """A load from address ``a``: read straight out of its page
+        ``P[a >> 12]`` when the access stays inside the page (a byte by
+        its index, a wider field by the precompiled ``U{size}`` codec,
+        ``struct``'s little-endian ``unpack_from``), else by ``ld``
+        (``Memory.load_int``).  A page missing from ``P`` is the shared
+        zero page ``Z``, so a load from memory nothing has written reads
+        0 inline and allocates nothing, as ``load_int`` does.  Under
+        MMIO or a wrapped entry point ``P`` is empty and ``Z`` is None,
+        so every load goes through ``ld``.  Both read the unsigned
+        field; a narrow signed load extends it after."""
         spec = inst.spec
         size = spec.mem_bytes
         call = f"ld(a, {size})"
@@ -456,13 +470,13 @@ class _Emitter:
             self.out(call)  # keep the access (MMIO side effects)
             return
         if size == 1:
-            self.out(f"p = P.get(a >> {PAGE_SHIFT})")
+            self.out(f"p = P.get(a >> {PAGE_SHIFT}, Z)")
             field = f"p[a & {PAGE_MASK}] if p else {call}"
         else:
-            self.needs_from_bytes = True
+            self.codecs.add(f"U{size}")
             self.out(f"o = a & {PAGE_MASK}")
-            self.out(f"p = P.get(a >> {PAGE_SHIFT})")
-            field = (f"B(p[o:o + {size}], 'little') if p and "
+            self.out(f"p = P.get(a >> {PAGE_SHIFT}, Z)")
+            field = (f"U{size}(p, o)[0] if p and "
                      f"o <= {PAGE_SIZE - size} else {call}")
         if spec.rd_file == "f":
             # a single is NaN-boxed; a double is the 64-bit pattern
@@ -478,8 +492,12 @@ class _Emitter:
 
     def _store(self, inst) -> None:
         """A store to address ``a``, into its page when it exists and
-        holds the whole access, else through ``st``
-        (``Memory.store_int``, which allocates an untouched page)."""
+        holds the whole access (a byte by its index, a wider field by
+        the precompiled ``K{size}`` codec, ``struct``'s little-endian
+        ``pack_into``, of the value masked to its width; a register
+        already holds 64 bits), else through ``st``
+        (``Memory.store_int``, which allocates an untouched page).  A
+        store never sees the zero page."""
         spec = inst.spec
         size = spec.mem_bytes
         value = (f"F[{inst.rs2}]" if spec.rs2_file == "f"
@@ -488,13 +506,13 @@ class _Emitter:
             self.out(f"p = P.get(a >> {PAGE_SHIFT})")
             self.out(f"if p: p[a & {PAGE_MASK}] = {value} & 255")
         else:
-            data = (repr(bytes(size)) if value == "0" else
-                    f"({value} & 0x{(1 << size * 8) - 1:X}).to_bytes("
-                    f"{size}, 'little')")
+            self.codecs.add(f"K{size}")
+            data = (value if value == "0" or size == 8 else
+                    f"{value} & 0x{(1 << size * 8) - 1:X}")
             self.out(f"o = a & {PAGE_MASK}")
             self.out(f"p = P.get(a >> {PAGE_SHIFT})")
             self.out(f"if p and o <= {PAGE_SIZE - size}: "
-                     f"p[o:o + {size}] = {data}")
+                     f"K{size}(p, o, {data})")
         self.out(f"else: st(a, {value}, {size})")
 
     def _vmem(self, k: int, entry, static_vtype, n: int) -> None:
@@ -823,8 +841,8 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
         # fell off the end of a straight-line (or truncated) block
         emitter._leave(n, str(entries[-1][3]))
     params = "".join(f", {p}" for p in emitter.params)
-    if emitter.needs_from_bytes:
-        params += ", B=int.from_bytes"
+    params += "".join(f", {name}=_{name}"
+                      for name in sorted(emitter.codecs))
     if emitter.needs_cold_state:
         params += ", X=_EXC"
     if emitter.needs_errstate:
@@ -836,7 +854,7 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
         if prefill:
             parts.append(f"    for k, name, value in {prefill!r}:")
             parts.append("        setattr(records[k], name, value)")
-    parts.append(f"    def {variant}(emu, state, R, F, ld, st, P, "
+    parts.append(f"    def {variant}(emu, state, R, F, ld, st, P, Z, "
                  f"cold, eng{params}):")
     parts.append("        n0 = state.instret")
     if trace:
@@ -904,7 +922,7 @@ class Superblock:
                 for _handler, inst, pc, fall, _flags, _rec in self.entries)
         module_globals = {"_EXC": _EXC, "_vbind": bind_handler,
                           "_vapply": partial(bind_apply, state),
-                          "_errstate": np.errstate}
+                          "_errstate": np.errstate, **_CODECS}
         exec(code, module_globals)
         self.variants[variant] = module_globals["make"](self.entries,
                                                         self.records)
@@ -1193,12 +1211,13 @@ class CodegenEngine:
         memory = state.memory
         regs, fregs = state.regs, state.fregs
         load, store = memory.load_int, memory.store_int
-        # the pages generated loads and stores slice directly, read once
-        # per dispatch like load/store; none (so every access goes
-        # through those) where Memory refuses direct access
-        pages = memory.store_pages
+        # the pages generated loads and stores access directly, and the
+        # zero page a load reads an untouched one from, read once per
+        # dispatch like load/store; none (so every access goes through
+        # those) where Memory refuses direct access
+        pages, zero = memory.store_pages, _ZERO_PAGE
         if pages is None:
-            pages = {}
+            pages, zero = {}, None
         compiled_map = self.compiled
         engine = self.blocks
         translated = engine.blocks
@@ -1221,7 +1240,7 @@ class CodegenEngine:
                     self.executions += 1
                     try:
                         retired = run(emu, state, regs, fregs, load, store,
-                                      pages, _cold, self)
+                                      pages, zero, _cold, self)
                     except _EXC:
                         raise
                     except Exception as exc:

@@ -15,6 +15,7 @@ import collections
 import gc
 import os
 import struct
+import sys
 import weakref
 
 import pytest
@@ -983,6 +984,215 @@ class TestVectorInlineFallback:
                        unit.blocks, trace, ran.state.vlen)
                    for unit in ran._codegen.compiled.values()
                    for trace in (False, True))
+
+
+def _scalar(body: str) -> str:
+    """A program that runs *body* five times round, with ``t0``, ``ft0``
+    and ``ft1`` holding sign-bit-set values, ``s2`` a page the body
+    stores to, ``s3`` the middle of a page nothing writes, ``s4`` 8
+    bytes before the end of another page, and ``s5``/``s6`` free for
+    checksums."""
+    return f"""
+        .data
+        .align 3
+    vals: .dword 0x8091A2B3C4D5E6F7, 0xF0E1D2C3B4A59687, 0xFFFFFFFF80008080
+        .text
+    _start:
+        li s0, 5
+        la s1, vals
+        li s2, 0x201000
+        li s3, 0x300800
+        li s4, 0x204FF8
+        li s5, 0
+        li s6, 0
+        ld t0, 0(s1)
+        fld ft0, 8(s1)
+        flw ft1, 16(s1)
+    loop:
+    {body}
+        addi t0, t0, 0x135
+        addi s0, s0, -1
+        bnez s0, loop
+        li a0, 0
+        li a7, 93
+        ecall
+    """
+
+
+def _round_trip(base: str, offsets: dict[str, int]) -> str:
+    """Every scalar store of the sign-bit-set values at
+    ``offsets[mnemonic](base)``, then every load back from the same
+    places (each integer load at its store's field), folded into
+    ``s5``/``s6`` so the fingerprint sees each value."""
+    def at(mnemonic: str) -> str:
+        return f"{offsets[mnemonic]}({base})"
+    lines = [f"sd t0, {at('sd')}", f"sw t0, {at('sw')}",
+             f"sh t0, {at('sh')}", f"sb t0, {at('sb')}",
+             f"fsd ft0, {at('fsd')}", f"fsw ft1, {at('fsw')}"]
+    for load, store, reg in (("lb", "sb", "t1"), ("lbu", "sb", "t2"),
+                             ("lh", "sh", "t3"), ("lhu", "sh", "t4"),
+                             ("lw", "sw", "t5"), ("lwu", "sw", "t6"),
+                             ("ld", "sd", "a1")):
+        lines += [f"{load} {reg}, {at(store)}", f"add s5, s5, {reg}",
+                  f"xor s6, s6, {reg}"]
+    lines += [f"flw ft2, {at('fsw')}", f"fld ft3, {at('fsd')}",
+              "fmv.x.d a2, ft2", "fmv.x.d a3, ft3",
+              "add s5, s5, a2", "xor s6, s6, a3"]
+    return "\n".join(f"        {line}" for line in lines)
+
+
+#: one field per store, packed: a 1-byte field at 14, and so on
+_IN_PAGE = {"sd": 0, "sw": 8, "sh": 12, "sb": 14, "fsd": 16, "fsw": 24}
+#: every field unaligned, none crossing the page
+_UNALIGNED = {"sd": 35, "sw": 45, "sh": 51, "sb": 53, "fsd": 57, "fsw": 67}
+#: each field's last byte is its page's last (s4 is 8 before the end);
+#: the FP stores overwrite the integer ones, so the loads read theirs
+_PAGE_END = {"sd": 0, "sw": 4, "sh": 6, "sb": 7, "fsd": 0, "fsw": 4}
+#: each field one byte later, so it crosses into the next page (the
+#: byte lands in it)
+_STRADDLE = {"sd": 1, "sw": 5, "sh": 7, "sb": 8, "fsd": 1, "fsw": 5}
+#: every load width from the page nothing writes: aligned, unaligned,
+#: ending at the page end, and one crossing into the next page
+_UNTOUCHED = "\n".join(
+    f"        {load} {reg}, {offset}(s3)\n        add s5, s5, {reg}"
+    for load, reg, offset in (("lb", "t1", -2041), ("lbu", "t2", 2047),
+                              ("lh", "t3", 6), ("lhu", "t4", 2046),
+                              ("lw", "t5", 1), ("lwu", "t6", 2044),
+                              ("ld", "a1", 2040), ("ld", "a2", -2045),
+                              ("lw", "a5", 2045))
+) + """
+        flw ft2, 12(s3)
+        fld ft3, 16(s3)
+        fmv.x.d a4, ft3
+        add s5, s5, a4"""
+#: loads into x0, some from the page nothing writes, and stores of x0
+#: over fields the round filled first
+_X0 = """
+        sd t0, 0(s2)
+        sd t0, 8(s2)
+        sd t0, 16(s2)
+        lw zero, 0(s2)
+        ld zero, 8(s2)
+        lh zero, 16(s3)
+        ld zero, 24(s3)
+        sd zero, 0(s2)
+        sw zero, 8(s2)
+        sh zero, 12(s2)
+        sb zero, 16(s2)
+        ld t1, 0(s2)
+        ld t2, 8(s2)
+        ld t3, 16(s2)
+        add s5, s5, t1
+        add s5, s5, t2
+        xor s6, s6, t3"""
+
+
+class TestScalarPageCodecs:
+    """Tier 3 reads and writes a 2-, 4- or 8-byte field inside one page
+    with a ``struct`` codec and reads a page nothing wrote from the
+    shared zero page; a byte keeps its index, and everything else still
+    goes through ``Memory.load_int``/``store_int``.  Each program runs
+    superblocks, and both tier-3 variants must leave the precise
+    records and state (``_vector_tiers``)."""
+
+    def test_every_width_round_trips_sign_bit_set_values(self):
+        _precise, traced, _ran = _vector_tiers(
+            _scalar(_round_trip("s2", _IN_PAGE)))
+        sources = "".join(
+            codegen.emit_source(unit.blocks, trace, traced.state.vlen)
+            for unit in traced._codegen.compiled.values()
+            for trace in (False, True))
+        for codec in ("U2(", "U4(", "U8(", "K2(", "K4(", "K8("):
+            assert codec in sources
+
+    def test_unaligned_in_page_accesses(self):
+        _vector_tiers(_scalar(_round_trip("s2", _UNALIGNED)))
+
+    def test_fields_ending_at_the_page_end(self):
+        _vector_tiers(_scalar(_round_trip("s4", _PAGE_END)))
+
+    def test_fields_crossing_the_page_end_fall_back(self):
+        precise, traced, ran = _vector_tiers(
+            _scalar(_round_trip("s4", _STRADDLE)))
+        # the fallback stores allocate the next page, as tier 1's do
+        assert (traced.state.memory.allocated_bytes
+                == ran.state.memory.allocated_bytes
+                == precise.state.memory.allocated_bytes)
+
+    def test_untouched_page_loads_read_zero_inline(self):
+        sizes, load_calls = [], []
+
+        def prepare(emulator):
+            sizes.append(emulator.state.memory.allocated_bytes)
+
+        precise, traced, ran = _vector_tiers(_scalar(_UNTOUCHED),
+                                             prepare=prepare)
+        for emulator, size in zip((precise, traced, ran), sizes):
+            assert emulator.state.regs[21] == 0          # s5
+            assert emulator.state.memory.allocated_bytes == size
+        # the rounds superblocks run call load_int for the untouched
+        # pages only at the load crossing the page end
+        emulator = Emulator(assemble(_scalar(_UNTOUCHED), compress=False))
+
+        def count(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "load_int"
+                    and frame.f_locals["addr"] >= 0x300000):
+                load_calls.append(frame.f_locals["addr"])
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            emulator.run(tier=3)
+        finally:
+            sys.setprofile(previous)
+        assert emulator.counters()["codegen_executions"] > 0
+        calls = collections.Counter(load_calls)
+        assert calls.pop(0x300800 + 2045) == 5
+        assert len(calls) == 10 and max(calls.values()) < 5
+
+    def test_loads_into_and_stores_of_x0(self):
+        _vector_tiers(_scalar(_X0))
+
+    def test_mmio_device_sees_every_access(self):
+        logs = []
+
+        def mmio(emulator):
+            device = _Device()
+            logs.append(device.log)
+            emulator.state.memory.register_mmio(0x201000, 0x1000, device)
+
+        _vector_tiers(_scalar(_round_trip("s2", _IN_PAGE) + "\n" + _X0),
+                      prepare=mmio)
+        precise_log, traced_log, ran_log = logs
+        assert len(precise_log) == 5 * 27
+        assert traced_log == ran_log == precise_log
+
+    @pytest.mark.parametrize("entry", ["load_int", "store_int"])
+    def test_instance_wrapped_entry_point_sees_every_access(self, entry):
+        logs = []
+
+        def wrap(emulator):
+            memory = emulator.state.memory
+            calls, original = [], getattr(memory, entry)
+            logs.append(calls)
+
+            def wrapped(*args, **kwargs):
+                if args[0] >= 0x100000:     # data, not instruction fetch
+                    # no kwargs: tier 3 passes no ``signed`` (it extends
+                    # the unsigned field itself)
+                    calls.append(args)
+                return original(*args, **kwargs)
+            setattr(memory, entry, wrapped)
+
+        body = "\n".join((_round_trip("s2", _IN_PAGE),
+                          _round_trip("s4", _PAGE_END), _UNTOUCHED, _X0))
+        _vector_tiers(_scalar(body), prepare=wrap)
+        precise_log, traced_log, ran_log = logs
+        # 36 loads a round, 4 of them into x0, after the 3 loading the
+        # values, or 19 stores a round
+        assert len(precise_log) == (5 * 36 + 3 if entry == "load_int"
+                                    else 5 * 19)
+        assert traced_log == ran_log == precise_log
 
 
 def _direct_tiers(source: str, tmp_path):

@@ -26,7 +26,9 @@ unit-stride ``vle``/``vse`` a full step into its handler (before tier
 With every batched arithmetic op a full step into its handler (before
 tier 3 called a statically typed op's ``apply`` directly),
 ``vec-axpy-f64`` ran 2.39, ``vec-axpy-f32`` 3.33, ``vec-stencil32``
-2.23 and ``vec-strcmp`` 5.34.
+2.23 and ``vec-strcmp`` 5.34.  With every scalar load from a page
+nothing had written calling ``load_int`` (before tier 3 read the shared
+zero page inline), ``stream-triad`` ran 0.100 calls per instruction.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ BUDGET = {
 #: kernels; measured values + 5 %.  Same rule.
 SCALAR_BUDGET = {
     "dhrystone-like": 0.266,
-    "stream-triad": 0.105,
+    "stream-triad": 0.051,
     "scalar-mac16": 0.058,
-    "blockchain-xt": 0.654,
-    "coremark-list": 0.242,
+    "blockchain-xt": 0.653,
+    "coremark-list": 0.241,
 }
 
 KERNELS = {w.name: w for w in vector_suite() if w.name in BUDGET}
