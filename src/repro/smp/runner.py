@@ -7,16 +7,18 @@ kernels (the section VI claim that each cluster's cores boot one
 coherent OS reduces, at this modeling level, to coherent shared-memory
 execution with working atomics).
 
-Every multi-hart run goes through one loop, :meth:`SmpMachine.traces`:
+Every multi-hart run goes through one loop, :meth:`SmpMachine.quanta`:
 each turn it calls each live hart's tier-1 ``Emulator.step``
-``interleave`` times and appends the records to that hart's trace.
-Functional runs (:meth:`SmpMachine.run`) and timed ones
-(:func:`~repro.smp.timing.run_smp_timing`) differ only in what they do
-with the traces afterwards.
+``interleave`` times, and every few turns it hands each hart's new
+records to its caller and drops them.  Functional runs
+(:meth:`SmpMachine.run`) only count them; timed ones
+(:func:`~repro.smp.timing.run_smp_timing`) time each hart's batch as
+soon as it is handed over, so no run keeps a whole trace.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..asm.program import Program, STACK_TOP
@@ -79,46 +81,72 @@ class SmpMachine:
         self.memory.store_bytes = store_bytes  # type: ignore[method-assign]
         self.memory.store_int = store_int  # type: ignore[method-assign]
 
-    def traces(self, max_steps_per_hart: int = 5_000_000
-               ) -> list[list[DynInst]]:
-        """Round-robin step all harts until they all exit; returns each
-        hart's dynamic records in retirement order.
+    def quanta(self, turns: int, max_steps_per_hart: int = 5_000_000
+               ) -> Iterator[list[list[DynInst]]]:
+        """Round-robin step all harts until they all exit, yielding each
+        hart's new records every *turns* turns.
 
-        Every turn steps each live hart ``interleave`` times (fewer if
-        it exits), appending straight to its trace.  This is the one
-        multi-hart loop: :meth:`run` and
-        :func:`~repro.smp.timing.run_smp_timing` both drive it.  A hart
-        whose step *max_steps_per_hart* + 1 retires raises
-        ``RuntimeError`` naming it.
+        This is the one multi-hart loop.  Every turn steps each live
+        hart ``interleave`` times (fewer if it exits); a hart that exits
+        leaves the rotation after the turn it exits in.  Every *turns*
+        turns, and once more after the last hart exits, the loop yields
+        one list per hart (in hart order) of the records it retired
+        since the previous yield — empty for a hart that has exited —
+        and keeps none of them.  A hart whose step
+        *max_steps_per_hart* + 1 retires raises ``RuntimeError`` naming
+        it, in the middle of its turn.
         """
         interleave = self.interleave
-        traces: list[list[DynInst]] = [[] for _ in self.harts]
-        live = list(zip(range(len(self.harts)), self.harts, traces))
+        harts = self.harts
+        steps = [0] * len(harts)
+        live = list(enumerate(harts))
         while live:
-            for index, hart, trace in live:
-                count = interleave
-                room = max_steps_per_hart - len(trace)
-                if room < count:
-                    count = room + 1
-                step = hart.step
-                append = trace.append
-                for _ in range(count):
-                    append(step())
-                    if hart.halted:
-                        break
-                if len(trace) > max_steps_per_hart:
-                    raise RuntimeError(
-                        f"hart {index} exceeded {max_steps_per_hart} steps")
-            live = [entry for entry in live if not entry[1].halted]
+            batches: list[list[DynInst]] = [[] for _ in harts]
+            for _ in range(turns):
+                for index, hart in live:
+                    batch = batches[index]
+                    taken = len(batch)
+                    count = interleave
+                    room = max_steps_per_hart - steps[index]
+                    if room < count:
+                        count = room + 1
+                    step = hart.step
+                    append = batch.append
+                    for _ in range(count):
+                        append(step())
+                        if hart.halted:
+                            break
+                    steps[index] += len(batch) - taken
+                    if steps[index] > max_steps_per_hart:
+                        raise RuntimeError(
+                            f"hart {index} exceeded {max_steps_per_hart} "
+                            "steps")
+                live = [entry for entry in live if not entry[1].halted]
+                if not live:
+                    break
+            yield batches
+
+    def traces(self, max_steps_per_hart: int = 5_000_000
+               ) -> list[list[DynInst]]:
+        """Run :meth:`quanta` to the end, collecting each hart's
+        dynamic records in retirement order."""
+        traces: list[list[DynInst]] = [[] for _ in self.harts]
+        for batches in self.quanta(64, max_steps_per_hart):
+            for trace, batch in zip(traces, batches):
+                trace.extend(batch)
         return traces
 
     def run(self, max_steps_per_hart: int = 5_000_000) -> SmpResult:
-        """Run :meth:`traces` to the end."""
-        traces = self.traces(max_steps_per_hart)
+        """Run :meth:`quanta` to the end, counting each hart's steps and
+        keeping none of its records."""
+        steps = [0] * len(self.harts)
+        for batches in self.quanta(1, max_steps_per_hart):
+            for index, batch in enumerate(batches):
+                steps[index] += len(batch)
         return SmpResult(
             exit_codes=[h.exit_code if h.exit_code is not None else -1
                         for h in self.harts],
-            steps=[len(trace) for trace in traces], memory=self.memory)
+            steps=steps, memory=self.memory)
 
 
 def run_smp(program: Program, cores: int = 4,

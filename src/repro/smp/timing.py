@@ -2,10 +2,15 @@
 
 Methodology: the functional SMP machine runs all harts round-robin
 (real atomics, shared memory) through its one loop,
-:meth:`~repro.smp.runner.SmpMachine.traces`, which returns each hart's
-dynamic trace; each trace then drives its own pipeline model, in
-64-record quanta taken round-robin (``PipelineModel.run_quantum``: the
-same batched loop that times a single core).  The cores share the L2
+:meth:`~repro.smp.runner.SmpMachine.quanta`, ``INTERLEAVE`` steps per
+hart per turn.  Every ``QUANTUM // INTERLEAVE`` turns the loop hands
+over each hart's new records — one 64-record quantum per live hart —
+and each quantum goes straight to that hart's pipeline model, in hart
+order (``PipelineModel.run_quantum``: the same batched loop that times
+a single core), and is then dropped.  The functional run never reads
+timing state, so this streamed schedule times exactly the quanta, in
+exactly the order, that slicing every finished trace into 64-record
+pieces and taking them round-robin would.  The cores share the L2
 cache and the DRAM bandwidth model, and writes invalidate other cores'
 L1 copies (write-invalidate coherence), so capacity contention,
 bandwidth contention and sharing misses are all represented.  The
@@ -42,6 +47,8 @@ from .runner import SmpMachine
 SNOOP_LATENCY = 8
 #: Functional steps each hart takes per round-robin turn.
 INTERLEAVE = 4
+#: Records each pipeline times per call; a multiple of ``INTERLEAVE``.
+QUANTUM = 64
 
 
 @dataclass
@@ -137,15 +144,11 @@ class SmpTimingResult:
 def run_smp_timing(program: Program, cores: int = 4,
                    config: CoreConfig | None = None,
                    max_steps_per_hart: int = 5_000_000) -> SmpTimingResult:
-    """Functionally execute on *cores* harts, then time every trace."""
+    """Execute on *cores* harts, timing each hart's records in
+    ``QUANTUM``-record slices as the round-robin retires them."""
     config = config if config is not None else xt910()
 
-    # 1. Functional SMP run, collecting per-hart traces.
-    machine = SmpMachine(program, cores=cores, interleave=INTERLEAVE,
-                         vlen=config.vlen)
-    traces = machine.traces(max_steps_per_hart)
-
-    # 2. Shared memory-system substrate.
+    # 1. Shared memory-system substrate.
     shared_stats = SmpTimingStats()
     mem = config.mem
     l2 = Cache("L2-shared", mem.l2_size, mem.l2_assoc, mem.line_size)
@@ -155,17 +158,21 @@ def run_smp_timing(program: Program, cores: int = 4,
         for _ in range(cores)]
     for hierarchy in hierarchies:
         hierarchy.set_siblings(hierarchies)
+    pipelines = [PipelineModel(config, hierarchy=hierarchy)
+                 for hierarchy in hierarchies]
 
-    # 3. Per-core timing, interleaved in chunks so the per-core cycle
-    # clocks stay roughly aligned (shared DRAM/L2 state is meaningful
-    # only between cores at comparable times).
-    pipelines = [PipelineModel(config, hierarchy=hierarchies[index])
-                 for index in range(cores)]
-    chunk = 64
-    for pos in range(0, max(map(len, traces)), chunk):
-        for pipeline, trace in zip(pipelines, traces):
-            if pos < len(trace):
-                pipeline.run_quantum(trace[pos:pos + chunk])
+    # 2. Functional SMP run, timed one quantum per hart at a time so the
+    # per-core cycle clocks stay roughly aligned (shared DRAM/L2 state
+    # is meaningful only between cores at comparable times).  A live
+    # hart retires exactly QUANTUM records in QUANTUM // INTERLEAVE
+    # turns; one that exits hands over what it retired before exiting.
+    machine = SmpMachine(program, cores=cores, interleave=INTERLEAVE,
+                         vlen=config.vlen)
+    for batches in machine.quanta(QUANTUM // INTERLEAVE,
+                                  max_steps_per_hart):
+        for pipeline, batch in zip(pipelines, batches):
+            if batch:
+                pipeline.run_quantum(batch)
     per_core = [pipeline.finish() for pipeline in pipelines]
     return SmpTimingResult(
         per_core=per_core, coherence=shared_stats,

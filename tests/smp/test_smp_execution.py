@@ -181,6 +181,14 @@ class TestParallelKernel:
         total = result.memory.load_int(program.symbol("total"), 8)
         assert total == 1024 * 1025 // 2
 
+    def test_run_counts_what_traces_collects(self):
+        """``run`` keeps no records, only counts them per hart."""
+        program = assemble(LRSC_COUNTER)
+        result = SmpMachine(program, cores=3, interleave=5).run()
+        traces = SmpMachine(program, cores=3, interleave=5).traces()
+        assert result.steps == [len(trace) for trace in traces]
+        assert result.exit_codes == [0] * 3
+
     def test_single_core_degenerates(self):
         program = assemble(ATOMIC_COUNTER)
         result = run_smp(program, cores=1)
