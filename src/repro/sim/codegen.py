@@ -18,9 +18,29 @@ at ``jalr``, at CSR/SYSTEM/fence terminators, at a block not yet run
 and at ``MAX_BLOCK_INSTS`` instructions; a back-edge to the head
 repeats it (the loop unrolls).  Inside the chain a conditional branch
 is a *guard*: the other direction leaves with ``state.pc`` and
-``state.instret`` synced, after the trace variant filled its record.
-The superblock owns its record slots, with one persistent prefix batch
-per exit position.  There is one unit per start pc.
+``state.instret`` synced and a side exit counted, after the trace
+variant filled its record.  The superblock owns its record slots, with
+one persistent prefix batch per exit position.  There is one unit per
+start pc.
+
+Loops: a chain *closes on its head* where the next block is the head
+again or the last block's successor is (a fall-through, a ``jal``, or
+the loop branch in either direction).  The ``run`` variant of such a
+chain wraps its longest closing prefix in ``while True:`` and goes
+round again while another whole iteration fits the budget the
+dispatcher passes (``limit - steps``) and no machine check is pending,
+so a watchdog cut and a machine check still fall on an iteration
+boundary; it does not emit the rest of the chain.  The ``trace``
+variant never loops, so a timed run sees the same record batches.
+
+Register locals: both variants read each integer register x1-x31 their
+inline code names into a local ``x{i}`` once at entry, and inline code
+works on those (``F`` and the folded x0 stay as they are).  A local
+written inline is *dirty*: dirty locals are stored back to ``R`` at
+every leave and before any call that reads registers from ``state`` or
+can raise (the ``ld``/``st`` fallback arms, bare handlers, the full
+step, a ``vapply`` with an integer operand), and the integer ``rd`` a
+call may write is re-read after it.
 
 Translation is two-pass, resolve-then-emit: pass one classifies every
 entry into one emission kind — inline: ``alu`` (RV64IM and the XT-910
@@ -121,6 +141,9 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 _LOADS = frozenset({"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu",
                     "flw", "fld"})
 _STORES = frozenset({"sb", "sh", "sw", "sd", "fsw", "fsd"})
+#: the kinds whose inline code names their integer operands' locals
+_INLINE = frozenset({"alu", "auipc", "load", "store", "branch", "jal",
+                     "jalr", "vsetvli"})
 _XT_MAC = frozenset({"mula", "muls", "mulaw", "mulsw", "mulah", "mulsh"})
 _BRANCH_COND = {
     "beq": "{a} == {b}",
@@ -182,15 +205,16 @@ def _cold(emu, exc, fall, rec):
 # -- pass 1: resolve ---------------------------------------------------------
 
 def _rx(index: int) -> str:
-    """Integer-register read with the x0 constant folded."""
-    return "0" if index == 0 else f"R[{index}]"
+    """Integer-register read: its local ``x{index}``, with the x0
+    constant folded."""
+    return "0" if index == 0 else f"x{index}"
 
 
 def _address(inst) -> str:
     """A load's or store's effective address, ``rs1 + imm`` masked;
     a register alone is already masked."""
     if inst.imm == 0 and inst.rs1:
-        return f"R[{inst.rs1}]"
+        return f"x{inst.rs1}"
     return f"({_rx(inst.rs1)} + {inst.imm}) & {_MHEX}"
 
 
@@ -204,14 +228,14 @@ def _alu_lines(inst) -> list[str] | None:
     """Specialized source for one integer-computational instruction.
 
     Each template is the corresponding ``exec_scalar`` handler body
-    with the register indices and immediate substituted — the Python
+    with the register locals and immediate substituted — the Python
     expressions are identical, so the results are bit-identical.
     Returns ``None`` for mnemonics left to a bare handler call.
     """
     mn = inst.spec.mnemonic
     rd, imm = inst.rd, inst.imm
     a, b = _rx(inst.rs1), _rx(inst.rs2)
-    dst = f"R[{rd}]"
+    dst = f"x{rd}"
     if mn == "lui":
         return [f"{dst} = {imm & _M64}"]
     if mn == "addi":
@@ -411,14 +435,31 @@ def _guarded(block) -> bool:
 # -- pass 2: emit ------------------------------------------------------------
 
 class _Emitter:
-    """Builds one ``run``/``trace`` function body."""
+    """Builds one ``run``/``trace`` function body.
 
-    def __init__(self, trace: bool, vlen: int):
+    Inline code works on register locals.  ``dirty`` holds the integer
+    registers whose local is ahead of ``R`` on the path being emitted,
+    since its last flush; :meth:`_flush` stores them back at every
+    leave and before any call that reads registers from ``state`` or
+    can raise, and the register such a call may write is reloaded
+    after it.  Both are markers resolved by :meth:`body`: a reload
+    only for a register inline code uses, and a flush on a path that
+    has not flushed since a loop's head also stores the registers the
+    back-edge leaves dirty.  *loop* emits the ``run`` variant of a
+    unit that closes on its head, whose leaves count the iterations
+    before theirs.
+    """
+
+    def __init__(self, trace: bool, vlen: int, loop: bool = False):
         self.trace = trace
         self.vlen = vlen
-        self.lines: list[str] = []
+        self.loop = loop
+        self.lines: list = []          # source lines and markers
         self.params: list[str] = []
-        self.indent = "        "
+        self.indent = "            " if loop else "        "
+        self.dirty: set[int] = set()
+        self.unflushed = True          # no flush since the head
+        self.used: set[int] = set()    # the registers inline code names
         self.needs_side = False        # the sd local required
         self.needs_cold_state = False  # rc local and X required (+ sd)
         self.codecs: set[str] = set()  # the U{size}/K{size} locals
@@ -428,6 +469,54 @@ class _Emitter:
 
     def out(self, line: str) -> None:
         self.lines.append(self.indent + line)
+
+    def body(self) -> tuple[list[str], list[int]]:
+        """The emitted lines with their markers resolved, and the
+        registers kept in locals."""
+        used = self.used
+        # what the back-edge leaves dirty is dirty at the head
+        entry = self.dirty if self.loop else set()
+        lines = []
+        for line in self.lines:
+            if isinstance(line, str):
+                lines.append(line)
+            elif len(line) == 2:       # (indent, register): a reload
+                indent, index = line
+                if index in used:
+                    lines.append(f"{indent}x{index} = R[{index}]")
+            else:                      # (indent, dirty, unflushed)
+                indent, dirty, unflushed = line
+                lines.extend(f"{indent}R[{index}] = x{index}"
+                             for index in sorted(dirty | entry
+                                                 if unflushed else dirty))
+        return lines, sorted(used)
+
+    def _flush(self, indent: str = "") -> None:
+        """Store every dirty register local back to ``R``."""
+        self.lines.append((self.indent + indent, frozenset(self.dirty),
+                           self.unflushed))
+
+    def _call(self) -> None:
+        """Before a call on the main path: ``R`` is current after it."""
+        self._flush()
+        self.dirty.clear()
+        self.unflushed = False
+
+    def _reload(self, inst) -> None:
+        """After a call: re-read the integer register it may write."""
+        if inst.spec.rd_file == "x" and inst.rd:
+            self.lines.append((self.indent, inst.rd))
+
+    def _wrote(self, inst) -> None:
+        """Inline code wrote *inst*'s integer destination local."""
+        if inst.spec.rd_file == "x" and inst.rd:
+            self.dirty.add(inst.rd)
+
+    def _retired(self, k: int) -> str:
+        """A leave's return value: *k* more than the iterations before."""
+        if not self.loop:
+            return str(k)
+        return f"n0 - s + {k}" if k else "n0 - s"
 
     def _fill(self, k: int, **fields: str) -> None:
         """One run's record writes: seq, *fields*, vl and sew.
@@ -452,6 +541,15 @@ class _Emitter:
         self.out("sd.target = 0")
         self.out("sd.div_bits = 0")
 
+    def _fallback(self, test: str, fast: str, slow: str) -> None:
+        """``if test: fast`` and the entry-point call *slow* as its
+        ``else`` arm, after the dirty locals are flushed there: the
+        call can raise."""
+        self.out(f"if {test}: {fast}")
+        self.out("else:")
+        self._flush("    ")
+        self.out(f"    {slow}")
+
     def _load(self, inst) -> None:
         """A load from address ``a``: read straight out of its page
         ``P[a >> 12]`` when the access stays inside the page (a byte by
@@ -467,28 +565,32 @@ class _Emitter:
         size = spec.mem_bytes
         call = f"ld(a, {size})"
         if spec.rd_file != "f" and not inst.rd:
+            self._call()
             self.out(call)  # keep the access (MMIO side effects)
             return
         if size == 1:
             self.out(f"p = P.get(a >> {PAGE_SHIFT}, Z)")
-            field = f"p[a & {PAGE_MASK}] if p else {call}"
+            test, field = "p", f"p[a & {PAGE_MASK}]"
         else:
             self.codecs.add(f"U{size}")
             self.out(f"o = a & {PAGE_MASK}")
             self.out(f"p = P.get(a >> {PAGE_SHIFT}, Z)")
-            field = (f"U{size}(p, o)[0] if p and "
-                     f"o <= {PAGE_SIZE - size} else {call}")
+            test = f"p and o <= {PAGE_SIZE - size}"
+            field = f"U{size}(p, o)[0]"
         if spec.rd_file == "f":
             # a single is NaN-boxed; a double is the 64-bit pattern
-            self.out(f"F[{inst.rd}] = ({field}) | 0xFFFFFFFF00000000"
-                     if size == 4 else f"F[{inst.rd}] = {field}")
+            box = " | 0xFFFFFFFF00000000" if size == 4 else ""
+            self._fallback(test, f"F[{inst.rd}] = {field}{box}",
+                           f"F[{inst.rd}] = {call}{box}")
         elif spec.mem_unsigned or size == 8:
-            self.out(f"R[{inst.rd}] = {field}")
+            self._fallback(test, f"x{inst.rd} = {field}",
+                           f"x{inst.rd} = {call}")
         else:
             bits = size * 8
-            self.out(f"v = {field}")
-            self.out(f"R[{inst.rd}] = v + 0x{_M64 + 1 - (1 << bits):X} "
+            self._fallback(test, f"v = {field}", f"v = {call}")
+            self.out(f"x{inst.rd} = v + 0x{_M64 + 1 - (1 << bits):X} "
                      f"if v > 0x{(1 << bits - 1) - 1:X} else v")
+        self._wrote(inst)
 
     def _store(self, inst) -> None:
         """A store to address ``a``, into its page when it exists and
@@ -502,18 +604,18 @@ class _Emitter:
         size = spec.mem_bytes
         value = (f"F[{inst.rs2}]" if spec.rs2_file == "f"
                  else _rx(inst.rs2))
+        slow = f"st(a, {value}, {size})"
         if size == 1:
             self.out(f"p = P.get(a >> {PAGE_SHIFT})")
-            self.out(f"if p: p[a & {PAGE_MASK}] = {value} & 255")
-        else:
-            self.codecs.add(f"K{size}")
-            data = (value if value == "0" or size == 8 else
-                    f"{value} & 0x{(1 << size * 8) - 1:X}")
-            self.out(f"o = a & {PAGE_MASK}")
-            self.out(f"p = P.get(a >> {PAGE_SHIFT})")
-            self.out(f"if p and o <= {PAGE_SIZE - size}: "
-                     f"K{size}(p, o, {data})")
-        self.out(f"else: st(a, {value}, {size})")
+            self._fallback("p", f"p[a & {PAGE_MASK}] = {value} & 255", slow)
+            return
+        self.codecs.add(f"K{size}")
+        data = (value if value == "0" or size == 8 else
+                f"{value} & 0x{(1 << size * 8) - 1:X}")
+        self.out(f"o = a & {PAGE_MASK}")
+        self.out(f"p = P.get(a >> {PAGE_SHIFT})")
+        self._fallback(f"p and o <= {PAGE_SIZE - size}",
+                       f"K{size}(p, o, {data})", slow)
 
     def _vmem(self, k: int, entry, static_vtype, n: int) -> None:
         """An unmasked unit-stride ``vle``/``vse`` of ``n = vl * width``
@@ -548,7 +650,10 @@ class _Emitter:
         self.indent = self.indent[:-4]
         self.out("else:")
         self.indent += "    "
+        # the first arm flushed nothing
+        dirty, unflushed = set(self.dirty), self.unflushed
         self._full(k, entry, static_vtype, n)
+        self.dirty, self.unflushed = dirty, unflushed
         self.indent = self.indent[:-4]
 
     def _vapply(self, k: int, entry, static_vtype) -> None:
@@ -557,9 +662,11 @@ class _Emitter:
         (``exec_vector.direct_op``): its handler's counting inlined, and
         ``state.side`` and the record left as the full step leaves them.
         The op touches no memory, so it cannot raise and needs neither
-        the synced ``pc``/``instret`` nor the ``try``.  An FP op of the
-        trace variant opens its own ``np.errstate``; the run variant's
-        runs inside ``Emulator.run``'s."""
+        the synced ``pc``/``instret`` nor the ``try``; a ``.vx`` op
+        reads its integer register from ``state``, and an op with an
+        integer ``rd`` writes it there.  An FP op
+        of the trace variant opens its own ``np.errstate``; the run
+        variant's runs inside ``Emulator.run``'s."""
         op = direct_op(entry[1], static_vtype, self.vlen)
         self.needs_side = self.needs_counters = True
         self.params.append(f"a{k}=_vapply(E[{k}][1], {static_vtype!r})")
@@ -574,29 +681,48 @@ class _Emitter:
             self.out('C["batched_ops"] += 1')
             self.out(f'C["elems_total"] += {vl}')
             self.out(f'C["elems_active"] += {vl}')
+        spec = entry[1].spec
+        if "x" in (spec.rs1_file, spec.rs2_file):
+            self._call()             # a ``.vx`` operand read from R
         if op.fp and self.trace:
             self.needs_errstate = True
             self.out('with ES(all="ignore"):')
             self.out(f"    a{k}({vl}, None)")
         else:
             self.out(f"a{k}({vl}, None)")
+        self._reload(entry[1])
         self._side()
         if self.trace:
             self._fill(k)
 
-    def _leave(self, retired: int, pc: str, indent: str = "") -> None:
-        self.out(f"{indent}state.instret = n0 + {retired}")
+    def _leave(self, retired: int, pc: str, indent: str = "",
+               guard: bool = False) -> None:
+        """Return to the dispatcher at *pc*, *retired* instructions into
+        this iteration; a *guard* counts a side exit."""
+        self._flush(indent)
+        if guard:
+            self.out(f"{indent}eng.side_exits += 1")
+        self.out(f"{indent}state.instret = n0 + {retired}" if retired
+                 else f"{indent}state.instret = n0")
         self.out(f"{indent}state.pc = {pc}")
-        self.out(f"{indent}return {retired}")
+        self.out(f"{indent}return {self._retired(retired)}")
+
+    def back_edge(self, m: int, head: int) -> None:
+        """The end of one *m*-instruction iteration: go round again
+        while another whole one fits the budget and no machine check is
+        pending, else leave at the head."""
+        self.out(f"n0 += {m}")
+        self.out("if n0 > L or emu._pending_mcheck is not None:")
+        self._leave(0, str(head), indent="    ")
 
     def emit(self, k: int, entry, kind, n: int,
              follow: int | None) -> None:
         """Emit position *k* of an *n*-instruction superblock.
 
         *follow* is the PC the superblock goes on at when *entry* ends
-        a constituent before the last (None otherwise): a conditional
-        branch there becomes a guard that leaves on the other
-        direction, a ``jal`` links and continues.
+        a constituent before the last, or the last of a loop (None
+        otherwise): a conditional branch there becomes a guard that
+        leaves on the other direction, a ``jal`` links and continues.
         """
         _handler, inst, pc, fall, _flags, _rec = entry
         spec = inst.spec
@@ -606,23 +732,33 @@ class _Emitter:
         self.out(f"# @{k}")          # _position() maps lines back to k
         if self.trace:
             self.params.append(f"r{k}=records[{k}]")
+        if kind in _INLINE:
+            self.used.update(index for index, file in (
+                (inst.rs1, spec.rs1_file), (inst.rs2, spec.rs2_file),
+                (inst.rd, spec.rd_file)) if index and file == "x")
+        elif kind == "vmem" and inst.rs1:
+            self.used.add(inst.rs1)
         if kind == "alu":
             if inst.rd:
                 for line in _alu_lines(inst):
                     self.out(line)
+                self._wrote(inst)
             if self.trace:
                 self._fill(k)
             return
         if kind == "bare":
             self.params.append(f"h{k}=E[{k}][0]")
             self.params.append(f"i{k}=E[{k}][1]")
+            self._call()
             self.out(f"h{k}(state, i{k})")
+            self._reload(inst)
             if self.trace:
                 self._fill(k)
             return
         if kind == "auipc":
             if inst.rd:
-                self.out(f"R[{inst.rd}] = {(pc + inst.imm) & _M64}")
+                self.out(f"x{inst.rd} = {(pc + inst.imm) & _M64}")
+                self._wrote(inst)
             if self.trace:
                 self._fill(k)
             return
@@ -646,14 +782,15 @@ class _Emitter:
             self.out(f"state.sew = {sew}")
             self.out(f"state.lmul = {lmul}")
             if inst.rs1:
-                self.out(f"v = R[{inst.rs1}]")
+                self.out(f"v = x{inst.rs1}")
                 granted = "v"
                 self.out(f"state.vl = v = v if v < {vlmax} else {vlmax}")
             else:                    # AVL = VLEN * 8 >= VLMAX
                 granted = str(vlmax)
                 self.out(f"state.vl = {vlmax}")
             if inst.rd:
-                self.out(f"R[{inst.rd}] = {granted}")
+                self.out(f"x{inst.rd} = {granted}")
+                self._wrote(inst)
             if self.trace:
                 self.out(f"vl = {granted}")
                 self.out(f"sew = {sew}")
@@ -683,12 +820,13 @@ class _Emitter:
             else:
                 self.out(f"if {cond}:" if other == target
                          else f"if not ({cond}):")
-            self._leave(k + 1, str(other), indent="    ")
+            self._leave(k + 1, str(other), indent="    ", guard=True)
             return
         if kind == "jal":
             target = (pc + inst.imm) & _M64
             if inst.rd:
-                self.out(f"R[{inst.rd}] = {(pc + inst.size) & _M64}")
+                self.out(f"x{inst.rd} = {(pc + inst.size) & _M64}")
+                self._wrote(inst)
             if self.trace:
                 self._fill(k)
             if follow is None:
@@ -698,7 +836,8 @@ class _Emitter:
             self.out(f"t = ({_rx(inst.rs1)} + {inst.imm})"
                      f" & 0xFFFFFFFFFFFFFFFE")
             if inst.rd:
-                self.out(f"R[{inst.rd}] = {(pc + inst.size) & _M64}")
+                self.out(f"x{inst.rd} = {(pc + inst.size) & _M64}")
+                self._wrote(inst)
             if self.trace:
                 self._fill(k, target="t", next_pc="t")
             self._leave(n, "t")
@@ -729,6 +868,7 @@ class _Emitter:
         self.params.append(f"i{k}=E[{k}][1]")
         terminator = spec.iclass in _TERMINATORS
         rec = f"r{k}" if self.trace else "None"
+        self._call()
         self.out(f"state.pc = {pc}")
         self.out(f"state.instret = n0 + {k}")
         self._side()
@@ -739,7 +879,8 @@ class _Emitter:
                  else f"    np = h{k}(state, i{k})")
         self.out("except X as exc:")
         self.out(f"    cold(emu, exc, {fall}, {rec})")
-        self.out(f"    return {k + 1}")
+        self.out(f"    return {self._retired(k + 1)}")
+        self._reload(inst)
         if flags & (FLAG_FENCE_I | FLAG_SFENCE):
             self.out("emu._decode_cache.clear()")
             self.out("eng.on_fence()")
@@ -811,31 +952,56 @@ def _kinds(block, vlen: int) -> list:
     return kinds
 
 
+def _closing(chain: Sequence) -> int:
+    """How many constituents of *chain* its longest prefix that closes
+    on the head has (the next block is the head again, or the last
+    block's successor is), or 0 when none does."""
+    head = chain[0].start
+    for count in range(len(chain), 0, -1):
+        following = (chain[count].start if count < len(chain)
+                     else _successor(chain[-1]))
+        if following == head:
+            return count
+    return 0
+
+
 def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
     """Emit the ``make(E, records)`` factory module of one variant of
     the superblock that runs the tier-2 blocks *chain* in order,
     entered at the first: ``trace`` fills *records*, ``run`` does not
-    record.  *vlen* folds into each ``vsetvli``'s VLMAX."""
+    record.  *vlen* folds into each ``vsetvli``'s VLMAX.
+
+    The ``run`` variant of a chain that closes on its head runs its
+    longest closing prefix as a ``while True:`` loop, iterating while
+    another whole iteration fits the budget ``B`` the dispatcher passes
+    and no machine check is pending; the rest of the chain is not
+    emitted.  Both variants keep the integer registers they use in
+    locals, read once at entry."""
+    closing = 0 if trace else _closing(chain)
+    blocks = chain[:closing] if closing else chain
     entries: list = []
     kinds: list = []
     follows: list = []
-    for index, block in enumerate(chain):
+    for index, block in enumerate(blocks):
         entries += block.entries
         kinds += _kinds(block, vlen)
         follows += [None] * (len(block.entries) - 1)
         follows.append(chain[index + 1].start if index + 1 < len(chain)
-                       else None)
+                       else chain[0].start if closing else None)
     n = len(entries)
     variant = "trace" if trace else "run"
     parts = [f"# generated by repro.sim.codegen: {variant} of the "
              f"superblock at {chain[0].start:#x} ({len(chain)} blocks, "
-             f"{n} insts)",
+             f"{sum(len(block.entries) for block in chain)} insts"
+             + (f", a {n}-instruction loop" if closing else "") + ")",
              "def make(E, records):"]
-    emitter = _Emitter(trace, vlen)
+    emitter = _Emitter(trace, vlen, loop=bool(closing))
     for k, (entry, kind, follow) in enumerate(zip(entries, kinds, follows)):
         emitter.emit(k, entry, kind, n, follow)
     last_kind = kinds[-1]
-    if last_kind not in ("branch", "jal", "jalr") and not (
+    if closing:
+        emitter.back_edge(n, chain[0].start)
+    elif last_kind not in ("branch", "jal", "jalr") and not (
             last_kind == "full"
             and entries[-1][1].spec.iclass in _TERMINATORS):
         # fell off the end of a straight-line (or truncated) block
@@ -855,8 +1021,11 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
             parts.append(f"    for k, name, value in {prefill!r}:")
             parts.append("        setattr(records[k], name, value)")
     parts.append(f"    def {variant}(emu, state, R, F, ld, st, P, Z, "
-                 f"cold, eng{params}):")
+                 f"cold, eng, B{params}):")
     parts.append("        n0 = state.instret")
+    if closing:
+        parts.append("        s = n0")
+        parts.append(f"        L = n0 + B - {n}")
     if trace:
         parts.append("        vl = state.vl")
         parts.append("        sew = state.sew")
@@ -868,7 +1037,11 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
         parts.append("        D = state.vbuf.data")
     if emitter.needs_counters:
         parts.append("        C = state.vec_counters")
-    parts.extend(emitter.lines)
+    lines, used = emitter.body()
+    parts.extend(f"        x{index} = R[{index}]" for index in used)
+    if closing:
+        parts.append("        while True:")
+    parts.extend(lines)
     parts.append(f"    return {variant}")
     parts.append("")
     return "\n".join(parts)
@@ -1199,7 +1372,9 @@ class CodegenEngine:
         A block's second dispatch forms the superblock headed by it.
         Yields the DynInst batches (slots reused) when *record*; else
         runs each superblock's non-recording variant and yields nothing
-        for it, for :meth:`Emulator.run` to drain.  Newly compiled
+        for it, for :meth:`Emulator.run` to drain.  Each call of a
+        generated function gets the steps left, which a looping ``run``
+        variant never passes.  Newly compiled
         superblocks are persisted to the on-disk cache on the way out.
         """
         # the generator holds the emulator; the engine's reference is weak
@@ -1240,19 +1415,16 @@ class CodegenEngine:
                     self.executions += 1
                     try:
                         retired = run(emu, state, regs, fregs, load, store,
-                                      pages, zero, _cold, self)
+                                      pages, zero, _cold, self,
+                                      limit - steps)
                     except _EXC:
                         raise
                     except Exception as exc:
                         self._crash(unit, variant, exc)
                     steps += retired
-                    if retired != unit.n:
-                        if retired in unit.guards:
-                            self.side_exits += 1
-                        if record:
-                            yield unit.prefix(retired)
-                    elif record:
-                        yield unit.records
+                    if record:
+                        yield (unit.records if retired == unit.n
+                               else unit.prefix(retired))
                     continue
                 block = translated.get(pc)
                 if block is None:

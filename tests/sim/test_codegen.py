@@ -21,9 +21,11 @@ import weakref
 import pytest
 
 from repro.asm import assemble
+from repro.isa.csr import TrapCause
 from repro.isa.instructions import SPECS, Instruction
 from repro.sim import Emulator, EmulatorError, WatchdogExpired
 from repro.sim import blockcache, codegen, exec_scalar, exec_vector
+from repro.sim.emulator import MachineCheckError
 from repro.sim.state import MachineState
 from repro.sim.trace import RecordBatch
 from repro.workloads import coremark_suite
@@ -233,12 +235,14 @@ class TestTier3Mode:
                     "codegen_side_exits", "codegen_disk_hits",
                     "codegen_disk_misses", "codegen_persisted"):
             assert key in counters
-        # The loop's first trip runs on tier 2; its second dispatch
-        # links one superblock, the loop unrolled 32 times.  It runs
-        # trips 2-33 to the end, then trips 34-50 and leaves at the
-        # 17th copy's guard when the loop exits.
+        # The loop's first trip runs in the entry's block, its second
+        # on tier 2; its third dispatch links one superblock, the loop
+        # unrolled 32 times, which closes on its head: the run variant
+        # iterates it in one call.  Trips 3-34 are its first iteration,
+        # and on the second it leaves at the 16th copy's guard when
+        # trip 50 exits the loop.
         assert counters["codegen_superblocks"] == 1
-        assert counters["codegen_executions"] == 2
+        assert counters["codegen_executions"] == 1
         assert counters["codegen_side_exits"] == 1
         assert counters["codegen_persisted"] == 1
 
@@ -552,13 +556,16 @@ _XT_OPERANDS["extu"] = _XT_OPERANDS["ext"]
 @pytest.mark.parametrize("mnemonic", sorted(_XT_OPERANDS))
 def test_xt_template_is_its_handler(mnemonic):
     """Each inlined XT template against its ``exec_scalar`` handler on
-    edge values, with rd also a source (the MAC accumulator)."""
+    edge values, with rd also a source (the MAC accumulator).  The
+    template works on the register locals ``x1``-``x3``, read from and
+    stored back to ``R`` as a generated unit does."""
     handler = exec_scalar.SCALAR_EXEC[mnemonic]
     state = MachineState()
     for imm, aux in _XT_OPERANDS[mnemonic]:
         inst = Instruction(spec=SPECS[mnemonic], rd=3, rs1=1, rs2=2,
                            imm=imm, aux=aux)
-        lines = codegen._alu_lines(inst)
+        lines = ["x1, x2, x3 = R[1], R[2], R[3]",
+                 *codegen._alu_lines(inst), "R[3] = x3"]
         scope: dict = {}
         exec("def template(R):\n" + "".join(f"    {line}\n"
                                              for line in lines), scope)
@@ -1547,3 +1554,398 @@ class TestVectorApply:
                     hex(got), hex(want), lane)
             else:
                 assert is_nan(got)
+
+
+# -- loops: the run variant iterates a superblock that closes on its head ----
+
+def _loops(emulator) -> int:
+    """How many of *emulator*'s superblocks close on their head, so
+    that their ``run`` variant iterates."""
+    return sum(codegen._closing(unit.blocks) > 0
+               for unit in emulator._codegen.compiled.values())
+
+
+def _outcome(emulator, tier: int, max_steps: int | None = None):
+    """What ``emulator.run`` raised at *tier*, or None."""
+    try:
+        emulator.run(max_steps, tier=tier)
+    except (EmulatorError, exec_scalar.Trap) as exc:
+        return exc
+    return None
+
+
+def _counted(emulator) -> dict:
+    """The ``vec_counters`` every tier counts: tier 1 proves no vtype
+    static, so it counts no ``specialized_ops``."""
+    return {name: value for name, value in emulator.state.vec_counters.items()
+            if name != "specialized_ops"}
+
+
+def _run_tiers(source: str, max_steps: int | None = None,
+               prepare=lambda emulator: None):
+    """The precise and tier-3 ``run`` emulators of *source* and what
+    each run raised, after checking that tier 3 ran a looping
+    superblock and left tier 1's state (``fingerprint()``: instret,
+    exit code, registers, memory) and ``vec_counters`` (against tier 3's
+    ``trace`` variant, which does not loop, in full).  *prepare* sees
+    each fresh emulator, the precise one first, before it runs."""
+    program = assemble(source, compress=False)
+    precise, ran, traced = (Emulator(program) for _ in range(3))
+    for emulator in (precise, ran, traced):
+        prepare(emulator)
+    outcomes = (_outcome(precise, 1, max_steps), _outcome(ran, 3, max_steps))
+    try:
+        stream(traced.trace(max_steps, tier=3))
+    except (EmulatorError, exec_scalar.Trap):
+        pass
+    assert _loops(ran) > 0
+    assert ran.fingerprint() == precise.fingerprint()
+    assert _counted(ran) == _counted(precise)
+    assert ran.state.vec_counters == traced.state.vec_counters
+    return precise, ran, outcomes
+
+
+#: a three-instruction loop: its superblock is 21 copies, 63 instructions
+#: an iteration, entered at instret 7 (the entry's block runs ``li`` and
+#: trip 1, tier 2 trip 2), so its iterations end at instret 70, 133...
+_COUNT = """
+_start:
+    li s0, 100
+loop:
+    addi a1, a1, 3
+    addi s0, s0, -1
+    bnez s0, loop
+    andi a0, a1, 127
+    li a7, 93
+    ecall
+"""
+
+#: a six-instruction loop over ``buf``: 10 copies, 60 instructions an
+#: iteration, entered at instret 15 on trip 3, so its iterations end at
+#: instret 75, 135 and 195 (trips 3-12, 13-22, 23-32).  a1 and a2 are
+#: written in locals before the store.
+_ACCESS = """
+    .data
+buf: .dword 5, 0
+    .text
+_start:
+    la s1, buf
+    li s0, 60
+loop:
+    addi a1, a1, 1
+    ld t1, 0(s1)
+    add a2, a2, t1
+    sd a1, 8(s1)
+    addi s0, s0, -1
+    bnez s0, loop
+    li a0, 0
+    li a7, 93
+    ecall
+"""
+
+
+def _wrap_data(emulator, entry: str, on_access) -> None:
+    """Instance-wrap ``Memory.<entry>``: *on_access(count, emulator)*
+    runs before each access to ``buf`` (the count from 1), never on an
+    instruction fetch."""
+    memory = emulator.state.memory
+    original = getattr(memory, entry)
+    buf = emulator.program.symbol("buf")
+    count = 0
+
+    def wrapped(addr, *args, **kwargs):
+        nonlocal count
+        if buf <= addr < buf + 16:
+            count += 1
+            on_access(count, emulator)
+        return original(addr, *args, **kwargs)
+    setattr(memory, entry, wrapped)
+
+
+class TestLoopSuperblocks:
+    """The ``run`` variant of a superblock whose chain closes on its
+    head iterates inside its one call, on register locals, while a
+    whole iteration fits the budget and no machine check is pending.
+    Every program leaves tier 1's state, and so the iterations' exits,
+    flushes and reloads are the precise ones."""
+
+    def test_single_block_loop_is_one_call(self):
+        precise, ran, _ = _run_tiers(_COUNT)
+        assert ran.exit_code == precise.exit_code == 300 & 127
+        # trips 3-23, 24-44... are whole iterations, and the fifth
+        # leaves at its guard when trip 100 exits the loop
+        counters = ran.counters()
+        assert counters["codegen_executions"] == 1
+        assert counters["codegen_side_exits"] == 1
+        unit = ran._codegen.compiled[ran.program.symbol("loop")]
+        assert "while True:" in codegen.emit_source(unit.blocks, False,
+                                                    ran.state.vlen)
+        assert "while" not in codegen.emit_source(unit.blocks, True,
+                                                  ran.state.vlen)
+
+    def test_multi_block_loop_with_a_forward_branch(self):
+        source = """
+        _start:
+            li s0, 300
+        loop:
+            andi t0, s0, 15
+            bnez t0, skip
+            addi a1, a1, 1
+        skip:
+            add a2, a2, s0
+            addi s0, s0, -1
+            bnez s0, loop
+            add a0, a1, a2
+            andi a0, a0, 127
+            li a7, 93
+            ecall
+        """
+        precise, ran, _ = _run_tiers(source)
+        assert ran.exit_code == precise.exit_code
+        # the guard leaves the loop on every 16th trip
+        assert ran.counters()["codegen_side_exits"] >= 300 // 16
+
+    def test_watchdog_at_every_offset_of_two_iterations(self):
+        # the superblock is formed at instret 7 and entered there once
+        # 63 instructions fit; its iterations end at 70, 133 and 196
+        for limit in range(8, 7 + 3 * 63 + 1):
+            precise, ran, (cut, cut3) = _run_tiers(_COUNT, max_steps=limit)
+            assert isinstance(cut, WatchdogExpired)
+            assert isinstance(cut3, WatchdogExpired)
+            assert (cut3.pc, cut3.partial["instret"]) == (
+                cut.pc, cut.partial["instret"])
+            assert ran.state.instret == limit
+
+    def test_csrr_instret_inside_the_loop(self):
+        # A CSR ends its block, so no superblock through it closes on
+        # its head: the loop around it runs as the full step's dance.
+        source = """
+        _start:
+            li s0, 40
+        loop:
+            addi a1, a1, 1
+            csrr t1, instret
+            add a2, a2, t1
+            addi s0, s0, -1
+            bnez s0, loop
+            andi a0, a2, 127
+            li a7, 93
+            ecall
+        """
+        program = assemble(source, compress=False)
+        precise, ran = Emulator(program), Emulator(program)
+        assert ran.run(tier=3) == precise.run()
+        assert ran.counters()["codegen_executions"] > 0
+        assert _loops(ran) == 0
+        assert ran.fingerprint() == precise.fingerprint()
+
+    def test_full_step_trap_inside_the_loop(self):
+        # On trip 21 (the third iteration of eight copies) the
+        # amoadd's address is misaligned: its full step takes the trap, with the iteration's
+        # pc and instret, to a handler that reads both.
+        source = """
+            .data
+        word: .word 0, 0
+            .text
+        _start:
+            la t0, handler
+            csrw mtvec, t0
+            la s1, word
+            li s0, 40
+        loop:
+            addi a1, a1, 1
+            addi t3, s0, -20
+            seqz t3, t3
+            add t2, s1, t3
+            amoadd.w a4, a1, (t2)
+            div a5, a4, s0
+            addi s0, s0, -1
+            bnez s0, loop
+            li a0, 0
+            li a7, 93
+            ecall
+        handler:
+            csrr a6, instret
+            csrr a7, mepc
+            sub a0, a7, a6
+            andi a0, a0, 127
+            li a7, 93
+            ecall
+        """
+        precise, ran, _ = _run_tiers(source)
+        assert ran.state.regs[8] == precise.state.regs[8] == 20  # s0
+        assert ran.exit_code == precise.exit_code
+
+    def test_mmio_device_inside_the_loop(self):
+        source = """
+        _start:
+            li s0, 40
+            li s1, 0x10000000
+        loop:
+            lw t0, 4(s1)
+            lb t1, 1(s1)
+            ld t2, 8(s1)
+            lw zero, 0(s1)
+            addi a1, a1, 1
+            sw t0, 16(s1)
+            sd a1, 24(s1)
+            sb t1, 3(s1)
+            add a0, a0, t1
+            addi s0, s0, -1
+            bnez s0, loop
+            andi a0, a0, 127
+            li a7, 93
+            ecall
+        """
+        logs = []
+
+        def mmio(emulator):
+            device = _Device()
+            logs.append(device.log)
+            emulator.state.memory.register_mmio(0x10000000, 0x1000, device)
+
+        _run_tiers(source, prepare=mmio)
+        precise_log, ran_log, _traced_log = logs
+        assert len(ran_log) == 40 * 7
+        assert ran_log == precise_log
+
+    @pytest.mark.parametrize("entry", ["load_int", "store_int"])
+    def test_trap_from_a_wrapped_entry_point(self, entry):
+        # The 30th access (trip 30: the third iteration) raises; the
+        # registers its loop wrote in locals are in the file at the
+        # trap.  Tier 1 takes it (no handler: EmulatorError); tier 3's
+        # fallback arm lets it escape, with pc and instret at the
+        # superblock's entry.
+        def fault(count, emulator):
+            if count == 30:
+                raise exec_scalar.Trap(TrapCause.LOAD_ACCESS_FAULT, 0)
+
+        program = assemble(_ACCESS, compress=False)
+        precise, ran = Emulator(program), Emulator(program)
+        for emulator in (precise, ran):
+            _wrap_data(emulator, entry, fault)
+        assert isinstance(_outcome(precise, 1), EmulatorError)
+        assert isinstance(_outcome(ran, 3), exec_scalar.Trap)
+        assert _loops(ran) == 1
+        assert ran.state.regs == precise.state.regs
+        assert ran.state.regs[11] == 30                    # a1
+        assert ran.state.memory.load_bytes(
+            program.symbol("buf"), 16) == precise.state.memory.load_bytes(
+                program.symbol("buf"), 16)
+
+    def test_machine_check_taken_at_the_next_back_edge(self):
+        # The 20th load (trip 20, in the second iteration) posts an
+        # uncorrectable error; the loop leaves at that iteration's end,
+        # instret 135, where the dispatcher delivers it (no handler).
+        def post(count, emulator):
+            if count == 20:
+                emulator.post_machine_check(0x1234)
+
+        program = assemble(_ACCESS, compress=False)
+        ran = Emulator(program)
+        _wrap_data(ran, "load_int", post)
+        assert isinstance(_outcome(ran, 3), MachineCheckError)
+        assert _loops(ran) == 1
+        assert ran.state.instret == 135
+        assert ran.state.pc == program.symbol("loop")
+        assert ran.state.regs[11] == 22                    # a1
+        assert ran.machine_checks == 1
+
+    def test_writes_to_x0(self):
+        source = """
+            .data
+        buf: .dword 7, 9
+            .text
+        _start:
+            la s1, buf
+            li s0, 40
+        loop:
+            addi zero, s0, 5
+            add zero, s0, s1
+            lui zero, 0x12
+            auipc zero, 0
+            lw zero, 0(s1)
+            ld zero, 8(s1)
+            mulh zero, s0, s1
+            div zero, s0, s1
+            jal zero, next
+        next:
+            add a1, a1, zero
+            addi a2, zero, 1
+            add a3, a3, a2
+            addi s0, s0, -1
+            bnez s0, loop
+            andi a0, a3, 127
+            li a7, 93
+            ecall
+        """
+        precise, ran, _ = _run_tiers(source)
+        assert ran.state.regs[0] == 0
+        assert ran.exit_code == precise.exit_code == 40
+
+    def test_vector_ops_read_and_write_integer_registers(self):
+        # vadd.vx reads a1 just written in a local; the loop reads
+        # vmv.x.s's a2 on the next instruction.
+        source = """
+        _start:
+            li s0, 40
+        loop:
+            li t0, 4
+            vsetvli t1, t0, e32, m1
+            addi a1, a1, 7
+            vadd.vx v1, v1, a1
+            vmv.x.s a2, v1
+            add a3, a3, a2
+            addi s0, s0, -1
+            bnez s0, loop
+            andi a0, a3, 127
+            li a7, 93
+            ecall
+        """
+        entered = exec_vector.active_engine()
+        exec_vector.select_engine("numpy")
+        try:
+            precise, ran, _ = _run_tiers(source)
+        finally:
+            exec_vector.select_engine(entered)
+        kinds = _kinds_by_mnemonic(ran)
+        assert kinds["vadd.vx"] == kinds["vmv.x.s"] == {"vapply"}
+        assert ran.exit_code == precise.exit_code
+
+    def test_crash_on_the_third_iteration_names_its_instruction(
+            self, monkeypatch):
+        # fadd.d is a bare handler call; its 40th run (trip 40, in the
+        # third iteration of 16 copies) raises a non-trap exception
+        source = """
+        _start:
+            li s0, 60
+        loop:
+            addi a1, a1, 1
+            fadd.d f0, f1, f2
+            addi s0, s0, -1
+            bnez s0, loop
+            li a7, 93
+            ecall
+        """
+        calls = []
+        fadd = exec_scalar.SCALAR_EXEC["fadd.d"]
+
+        def failing(state, inst):
+            calls.append(None)
+            if len(calls) == 40:
+                raise ValueError("injected")
+            return fadd(state, inst)
+
+        monkeypatch.setitem(exec_scalar.SCALAR_EXEC, "fadd.d", failing)
+        program = assemble(source, compress=False)
+        precise, ran = Emulator(program), Emulator(program)
+        assert isinstance(_outcome(precise, 1), EmulatorError)
+        calls.clear()
+        with pytest.raises(EmulatorError) as excinfo:
+            ran.run(tier=3)
+        assert _loops(ran) == 1
+        loop = program.symbol("loop")
+        fadd_pc = loop + 4
+        assert (f"fadd.d (block {loop:#x} of the superblock at {loop:#x})"
+                f" at pc={fadd_pc:#x}") in str(excinfo.value)
+        assert ran.state.regs == precise.state.regs
