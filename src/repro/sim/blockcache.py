@@ -19,11 +19,15 @@ basic block exactly once into a :class:`TranslatedBlock`:
   PC and never trap take a short path that is just the handler call
   plus three slot writes.
 
-Architectural behavior is preserved exactly: the full path below is a
-line-for-line equivalent of ``Emulator.step`` (same trap delivery,
-same ecall shim, same fence invalidation, same DynInst field values),
-and the block dispatcher re-checks machine-check banks between blocks.
-``fence.i``/``icache``/``sfence.vma`` invalidate the whole cache.
+Architectural behavior is preserved exactly: the full path below does
+what ``Emulator.step`` does around a handler call (the same side-effect
+reset and DynInst field values), and what only a few instructions need
+is ``Emulator``'s own, shared by every tier: an ecall, an exit or a
+trap retires through ``Emulator._retire_raised``, and
+``fence.i``/``icache``/``sfence.vma`` go through
+``Emulator._sync_instruction_stream``, which invalidates the whole
+cache.  The block dispatcher re-checks machine-check banks between
+blocks.
 Self-modifying stores that hit the *not-yet-executed* tail of the
 block being translated-and-run for the first time invalidate that tail
 so the fresh bytes are re-decoded, matching the precise interpreter's
@@ -41,11 +45,10 @@ from __future__ import annotations
 
 import weakref
 
-from ..isa.csr import PrivMode, TrapCause
 from ..isa.instructions import InstrClass
-from .exec_scalar import SCALAR_EXEC, EcallShim, Trap
+from .emulator import RAISED
+from .exec_scalar import SCALAR_EXEC, Trap
 from .exec_vector import VECTOR_EXEC, bind_handler
-from .syscalls import ExitRequest
 from .trace import DynInst, RecordBatch
 
 #: longest straight-line run translated into one block
@@ -104,19 +107,6 @@ class TranslatedBlock:
         self.exit: int | None = None
         #: lazily built repro.analysis.sanitize._BlockSummary
         self.sanitize = None
-
-
-def _fill(rec: DynInst, state, side, next_pc: int) -> None:
-    """Write one full record (cold paths; the hot path inlines this)."""
-    rec.seq = state.instret
-    rec.next_pc = next_pc
-    rec.taken = side.taken
-    rec.target = side.target
-    rec.mem_addr = side.mem_addr
-    rec.mem_size = side.mem_size
-    rec.vl = state.vl
-    rec.sew = state.sew
-    rec.div_bits = side.div_bits
 
 
 class BlockEngine:
@@ -289,41 +279,13 @@ class BlockEngine:
                 side.target = 0
                 side.div_bits = 0
                 recent_append((pc, inst))
-                next_pc = None
                 try:
                     next_pc = handler(state, inst)
-                except EcallShim:
-                    if state.priv == PrivMode.MACHINE:
-                        try:
-                            emu.syscalls.handle(state)
-                        except ExitRequest as exit_req:
-                            emu.exit_code = exit_req.code
-                            emu.halted = True
-                        # fall through: retires like a plain instruction
-                    else:
-                        cause = (TrapCause.ECALL_FROM_U
-                                 if state.priv == PrivMode.USER
-                                 else TrapCause.ECALL_FROM_S)
-                        emu._take_trap(Trap(cause, 0))
-                        if record:
-                            _fill(rec, state, side, state.pc)
-                        state.instret += 1
-                        break
-                except ExitRequest as exit_req:
-                    emu.exit_code = exit_req.code
-                    emu.halted = True
-                except Trap as trap:
-                    emu._take_trap(trap)
-                    if record:
-                        _fill(rec, state, side, state.pc)
-                    state.instret += 1
+                except RAISED as exc:
+                    emu._retire_raised(exc, fall, rec if record else None)
                     break
-
                 if flags & (FLAG_FENCE_I | FLAG_SFENCE):
-                    emu._decode_cache.clear()
-                    self.invalidate()
-                    if flags & FLAG_SFENCE and emu.mmu is not None:
-                        emu.mmu.flush_tlb()
+                    emu._sync_instruction_stream(bool(flags & FLAG_SFENCE))
                 if flags & FLAG_VECTOR:
                     next_pc = None  # step() ignores vector return values
                 if next_pc is None:

@@ -57,9 +57,10 @@ v31, with the full step as its ``else`` arm) and ``vapply`` (a batched
 arithmetic op under a vtype its block proves static, unmasked or
 masking for itself: a direct call of the op's ``apply``, bound once per
 linked unit, with its handler's counting inlined); a ``bare`` handler
-call for the other simple entries; or the full ``step()``-equivalent
-"cold dance" for CSR/AMO/DIV/system/fence and the other vector
-instructions — and pass two emits the source for
+call for the other simple entries; or the *full step* for
+CSR/AMO/DIV/system/fence and the other vector instructions, the
+handler call with ``state`` synced as ``Emulator.step`` syncs it — and
+pass two emits the source for
 a ``make(E, records)`` factory whose inner function — ``run``, or
 ``trace``, which fills the record slots — binds the handlers,
 instructions and record slots as default arguments (fast locals, zero
@@ -83,11 +84,17 @@ observed any code mutation.
 
 Semantics contract: the retired ``DynInst`` stream, architectural
 state, exit code and memory image are bit-identical to tier-2 (and
-therefore to ``Emulator.step``).  Two accepted diagnostic deviations,
-mirroring tier-2's own envelope: instructions outside the cold dance
-do not append to the crash-backtrace ring, and self-modifying stores
-are only detected by the tier-2 first-run check (tier-3 only executes
-blocks tier-2 has already run once) or an explicit ``fence.i``.
+therefore to ``Emulator.step``).  What raises retires through
+``Emulator._retire_raised``, the path of every tier: the full step
+catches its own, and the dispatcher retires what an ``ld``/``st``
+fallback call lets escape (a wrapped ``Memory`` entry point or an MMIO
+device), with ``pc``, ``instret`` and ``side`` read back from the
+generated frame (``_retire_escaped``).  Two accepted diagnostic
+deviations, mirroring tier-2's own envelope: instructions outside the
+full step do not append to the crash-backtrace ring, and self-modifying
+stores are only detected by the tier-2 first-run check (tier-3 only
+executes blocks tier-2 has already run once) or an explicit
+``fence.i``.
 """
 
 from __future__ import annotations
@@ -107,17 +114,16 @@ import numpy as np
 
 from .. import source_digest
 from ..asm.assembler import decode_vtype
-from .exec_scalar import EcallShim, Trap
+from .emulator import RAISED
+from .exec_scalar import Trap
 from .exec_vector import active_engine, bind_apply, bind_handler, direct_op
 from .memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
-from .syscalls import ExitRequest
 from .blockcache import (
     _TERMINATORS,
     FLAG_FENCE_I,
     FLAG_SFENCE,
     FLAG_VECTOR,
     MAX_BLOCK_INSTS,
-    _fill,
 )
 from .trace import DynInst, RecordBatch
 
@@ -126,7 +132,6 @@ CODE_CACHE_LIMIT = 4096
 #: on-disk cache files kept before mtime-based pruning
 DISK_CACHE_FILES = 64
 
-_EXC = (EcallShim, ExitRequest, Trap)
 _M64 = 0xFFFFFFFFFFFFFFFF
 _MHEX = "0xFFFFFFFFFFFFFFFF"
 _S64 = 0x8000000000000000
@@ -153,53 +158,6 @@ _BRANCH_COND = {
     "bltu": "{a} < {b}",
     "bgeu": "{a} >= {b}",
 }
-
-
-def _cold(emu, exc, fall, rec):
-    """The exceptional retire paths, shared by every compiled block.
-
-    Line-for-line equivalent of the ``except`` arms in
-    ``BlockEngine.execute``; the caller synced ``state.pc`` and
-    ``state.instret`` before the handler ran, so the record/trap state
-    here matches the interpreter exactly.  *rec* is ``None`` in the
-    non-recording variant.
-    """
-    from ..isa.csr import PrivMode, TrapCause
-
-    state = emu.state
-    side = state.side
-    if isinstance(exc, EcallShim):
-        if state.priv == PrivMode.MACHINE:
-            try:
-                emu.syscalls.handle(state)
-            except ExitRequest as exit_req:
-                emu.exit_code = exit_req.code
-                emu.halted = True
-            if rec is not None:
-                _fill(rec, state, side, fall)
-            state.pc = fall
-            state.instret += 1
-            return
-        cause = (TrapCause.ECALL_FROM_U if state.priv == PrivMode.USER
-                 else TrapCause.ECALL_FROM_S)
-        emu._take_trap(Trap(cause, 0))
-        if rec is not None:
-            _fill(rec, state, side, state.pc)
-        state.instret += 1
-        return
-    if isinstance(exc, ExitRequest):
-        emu.exit_code = exc.code
-        emu.halted = True
-        if rec is not None:
-            _fill(rec, state, side, fall)
-        state.pc = fall
-        state.instret += 1
-        return
-    # a synchronous Trap raised mid-instruction
-    emu._take_trap(exc)
-    if rec is not None:
-        _fill(rec, state, side, state.pc)
-    state.instret += 1
 
 
 # -- pass 1: resolve ---------------------------------------------------------
@@ -461,7 +419,7 @@ class _Emitter:
         self.unflushed = True          # no flush since the head
         self.used: set[int] = set()    # the registers inline code names
         self.needs_side = False        # the sd local required
-        self.needs_cold_state = False  # rc local and X required (+ sd)
+        self.needs_full_state = False  # rc local and X required (+ sd)
         self.codecs: set[str] = set()  # the U{size}/K{size} locals
         self.needs_vector_file = False  # the D local required
         self.needs_counters = False    # the C local required
@@ -850,10 +808,13 @@ class _Emitter:
             self._full(k, entry, static_vtype, n)
 
     def _full(self, k: int, entry, static_vtype, n: int) -> None:
-        """The full ``step()``-equivalent dance of position *k*."""
+        """The full step of position *k*: the handler call with
+        ``state`` synced, and what it raises retired, as on every tier,
+        by ``Emulator._retire_raised`` (a fence's sync likewise by
+        ``Emulator._sync_instruction_stream``)."""
         _handler, inst, pc, fall, flags, _rec = entry
         spec = inst.spec
-        self.needs_side = self.needs_cold_state = True
+        self.needs_side = self.needs_full_state = True
         vector = bool(flags & FLAG_VECTOR)
         if vector:
             # A handler of this variant's own for the instruction; a
@@ -878,12 +839,12 @@ class _Emitter:
         self.out(f"    h{k}(state, i{k})" if vector
                  else f"    np = h{k}(state, i{k})")
         self.out("except X as exc:")
-        self.out(f"    cold(emu, exc, {fall}, {rec})")
+        self.out(f"    emu._retire_raised(exc, {fall}, {rec})")
         self.out(f"    return {self._retired(k + 1)}")
         self._reload(inst)
         if flags & (FLAG_FENCE_I | FLAG_SFENCE):
-            self.out("emu._decode_cache.clear()")
-            self.out("eng.on_fence()")
+            self.out(f"emu._sync_instruction_stream("
+                     f"{bool(flags & FLAG_SFENCE)})")
         if not vector:
             self.out("if np is None:")
             self.out(f"    np = {fall}")
@@ -1009,8 +970,8 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
     params = "".join(f", {p}" for p in emitter.params)
     params += "".join(f", {name}=_{name}"
                       for name in sorted(emitter.codecs))
-    if emitter.needs_cold_state:
-        params += ", X=_EXC"
+    if emitter.needs_full_state:
+        params += ", X=_RAISED"
     if emitter.needs_errstate:
         params += ", ES=_errstate"
     if trace:
@@ -1021,7 +982,7 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
             parts.append(f"    for k, name, value in {prefill!r}:")
             parts.append("        setattr(records[k], name, value)")
     parts.append(f"    def {variant}(emu, state, R, F, ld, st, P, Z, "
-                 f"cold, eng, B{params}):")
+                 f"eng, B{params}):")
     parts.append("        n0 = state.instret")
     if closing:
         parts.append("        s = n0")
@@ -1031,7 +992,7 @@ def emit_source(chain: Sequence, trace: bool, vlen: int) -> str:
         parts.append("        sew = state.sew")
     if emitter.needs_side:
         parts.append("        sd = state.side")
-    if emitter.needs_cold_state:
+    if emitter.needs_full_state:
         parts.append("        rc = emu._recent.append")
     if emitter.needs_vector_file:
         parts.append("        D = state.vbuf.data")
@@ -1093,7 +1054,7 @@ class Superblock:
             self.records = RecordBatch(
                 DynInst(seq=0, pc=pc, inst=inst, next_pc=fall)
                 for _handler, inst, pc, fall, _flags, _rec in self.entries)
-        module_globals = {"_EXC": _EXC, "_vbind": bind_handler,
+        module_globals = {"_RAISED": RAISED, "_vbind": bind_handler,
                           "_vapply": partial(bind_apply, state),
                           "_errstate": np.errstate, **_CODECS}
         exec(code, module_globals)
@@ -1117,19 +1078,27 @@ class Superblock:
         return self.blocks[-1]
 
 
+def _generated(unit: Superblock, exc: Exception):
+    """The innermost traceback entry of *exc* in *unit*'s generated
+    function, or None."""
+    name = _filename(unit.start)
+    found = None
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == name:
+            found = tb
+        tb = tb.tb_next
+    return found
+
+
 def _position(unit: Superblock, variant: int, exc: Exception,
               vlen: int) -> int:
     """The position of *unit* that raised *exc* in *variant*: the
     generated frame's line, mapped back through the ``# @k`` markers of
     its source (which :func:`emit_source` reproduces exactly; this is
     the crash path)."""
-    name = _filename(unit.start)
-    line = 0
-    tb = exc.__traceback__
-    while tb is not None:
-        if tb.tb_frame.f_code.co_filename == name:
-            line = tb.tb_lineno
-        tb = tb.tb_next
+    tb = _generated(unit, exc)
+    line = tb.tb_lineno if tb is not None else 0
     index = 0
     source = emit_source(unit.blocks, bool(variant), vlen)
     for text in source.splitlines()[:line]:
@@ -1207,10 +1176,6 @@ class CodegenEngine:
             self.compiled.pop(head, None)
         self.smc_drops += 1
         self._mutated = True
-
-    def on_fence(self) -> None:
-        """Called from generated code; tier-2 notifies us back."""
-        self.blocks.invalidate()
 
     # -- the persistent code cache -------------------------------------------
 
@@ -1364,6 +1329,39 @@ class CodegenEngine:
                  f"{unit.start:#x})")
         raise EmulatorError(self.emu._crash_report(pc, where, exc)) from exc
 
+    def _retire_escaped(self, unit: Superblock, variant: int,
+                        exc: Exception) -> tuple[int, list | None]:
+        """Retire the load or store of *unit* whose ``ld``/``st`` call
+        raised *exc* (one of ``RAISED``, from a wrapped ``Memory`` entry
+        point or an MMIO device), as tier 1 would; the full step
+        retires its own, and a bare handler or ``vapply`` raises none.
+
+        The generated frame's ``n0`` (the iteration's first instret)
+        and ``a`` (the address) set ``state.pc``, ``instret`` and
+        ``side`` as the handler would have.  Returns, like
+        :meth:`BlockEngine.execute`, the instructions the call retired
+        and their batch (None when not recording), which ends in a
+        fresh record: the unit's own slot holds fields ``make`` wrote
+        once for every later run.
+        """
+        state = self.emu.state
+        k = _position(unit, variant, exc, state.vlen)
+        frame = _generated(unit, exc).tb_frame.f_locals
+        _handler, inst, pc, fall, _flags, _rec = unit.entries[k]
+        n0 = frame["n0"]
+        state.pc = pc
+        state.instret = n0 + k
+        side = state.side
+        side.mem_addr = frame["a"]
+        side.mem_size = inst.spec.mem_bytes
+        side.taken = False
+        side.target = 0
+        side.div_bits = 0
+        rec = DynInst(0, pc, inst, fall) if variant else None
+        self.emu._retire_raised(exc, fall, rec)
+        retired = n0 - frame.get("s", n0) + k + 1
+        return retired, (unit.records[:k] + [rec] if variant else None)
+
     def dispatch(self, limit: int, record: bool) -> Iterator[Sequence]:
         """Tier 3's dispatch loop: superblocks where they exist, the
         tier-2 engine (whose first run of a block earns it a place in
@@ -1415,10 +1413,14 @@ class CodegenEngine:
                     self.executions += 1
                     try:
                         retired = run(emu, state, regs, fregs, load, store,
-                                      pages, zero, _cold, self,
-                                      limit - steps)
-                    except _EXC:
-                        raise
+                                      pages, zero, self, limit - steps)
+                    except RAISED as exc:
+                        retired, batch = self._retire_escaped(unit, variant,
+                                                              exc)
+                        steps += retired
+                        if batch:
+                            yield batch
+                        continue
                     except Exception as exc:
                         self._crash(unit, variant, exc)
                     steps += retired

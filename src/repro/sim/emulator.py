@@ -53,6 +53,10 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 _SYNC_MNEMONICS = frozenset(("fence.i", "icache.iall", "icache.iva",
                              "sfence.vma"))
 
+#: what an instruction's semantics raise to be retired by
+#: :meth:`Emulator._retire_raised` rather than crash the run
+RAISED = (EcallShim, ExitRequest, Trap)
+
 
 class EmulatorError(Exception):
     """Raised for unrecoverable emulation problems (bad fetch etc.)."""
@@ -194,9 +198,10 @@ class Emulator:
 
         The common path is spelled out here: the decode-cache hit
         (:meth:`_fetch` runs only on a miss), the ``SideEffects`` reset
-        and the record itself.  :meth:`_record` builds the record on the
-        trap paths.  Multi-hart runs step every hart through this method,
-        so each opcode here is paid once per simulated SMP instruction.
+        and the record itself; what raises retires through
+        :meth:`_retire_raised`, as on tiers 2 and 3.  Multi-hart runs
+        step every hart through this method, so each opcode here is paid
+        once per simulated SMP instruction.
         """
         state = self.state
         if self._pending_mcheck is not None:
@@ -236,28 +241,9 @@ class Emulator:
                 next_pc = handler(state, inst)
             else:
                 vhandler(state, inst)
-        except EcallShim:
-            if state.priv == PrivMode.MACHINE:
-                try:
-                    self.syscalls.handle(state)
-                except ExitRequest as exit_req:
-                    self.exit_code = exit_req.code
-                    self.halted = True
-            else:
-                cause = TrapCause.ECALL_FROM_U                     if state.priv == PrivMode.USER                     else TrapCause.ECALL_FROM_S
-                self._take_trap(Trap(cause, 0))
-                record = self._record(pc, inst, state.pc)
-                state.instret += 1
-                return record
-        except ExitRequest as exit_req:
-            self.exit_code = exit_req.code
-            self.halted = True
-        except Trap as trap:
-            self._take_trap(trap)
-            next_pc = state.pc  # updated by the trap handler
-            record = self._record(pc, inst, next_pc)
-            state.pc = next_pc
-            state.instret += 1
+        except RAISED as exc:
+            record = DynInst(0, pc, inst, 0)
+            self._retire_raised(exc, (pc + inst.size) & MASK64, record)
             return record
         except EmulatorError:
             raise
@@ -266,13 +252,7 @@ class Emulator:
                 self._crash_report(pc, mnemonic, exc)) from exc
 
         if mnemonic in _SYNC_MNEMONICS:
-            # Instruction-stream synchronisation: stale decodes of
-            # self-modified code must not survive the fence.
-            self._decode_cache.clear()
-            if self._blocks is not None:
-                self._blocks.invalidate()
-            if mnemonic == "sfence.vma" and self.mmu is not None:
-                self.mmu.flush_tlb()
+            self._sync_instruction_stream(mnemonic == "sfence.vma")
         if next_pc is None:
             next_pc = (pc + inst.size) & MASK64
         seq = state.instret
@@ -285,12 +265,71 @@ class Emulator:
     def _fetch_trap(self, pc: int, trap: Trap) -> DynInst:
         """Take a trap raised fetching *pc*; returns its retired record
         (a placeholder ``addi`` whose next PC is the handler)."""
-        self._take_trap(trap)
         state = self.state
-        state.instret += 1
-        return DynInst(seq=state.instret, pc=pc,
-                       inst=Instruction(spec=SPECS["addi"]),
+        seq = state.instret
+        self._take_trap(trap)
+        state.instret = seq + 1
+        return DynInst(seq=seq, pc=pc, inst=Instruction(spec=SPECS["addi"]),
                        next_pc=state.pc)
+
+    def _retire_raised(self, exc: Exception, fall: int,
+                       rec: DynInst | None) -> None:
+        """Retire the instruction at ``state.pc`` whose semantics raised
+        *exc* (one of :data:`RAISED`): the one retire path for what
+        raises, on every tier.
+
+        The caller synced ``state.pc``, ``state.instret`` and
+        ``state.side`` as for the handler's call; *fall* is the
+        instruction's fall-through, and *rec*, its record slot, gets
+        every field but ``pc`` and ``inst`` (None when not recording).
+        An ``ecall`` in M-mode runs the syscall shim and, like an exit,
+        retires to *fall*; an ``ecall`` from U or S and every other trap
+        retire to the trap handler (:meth:`_take_trap`, which raises
+        :class:`EmulatorError` when there is none).
+        """
+        state = self.state
+        next_pc = fall
+        if isinstance(exc, EcallShim):
+            if state.priv == PrivMode.MACHINE:
+                try:
+                    self.syscalls.handle(state)
+                except ExitRequest as exit_req:
+                    self.exit_code = exit_req.code
+                    self.halted = True
+            else:
+                self._take_trap(Trap(TrapCause.ECALL_FROM_U
+                                     if state.priv == PrivMode.USER
+                                     else TrapCause.ECALL_FROM_S, 0))
+                next_pc = state.pc
+        elif isinstance(exc, ExitRequest):
+            self.exit_code = exc.code
+            self.halted = True
+        else:
+            self._take_trap(exc)
+            next_pc = state.pc
+        if rec is not None:
+            side = state.side
+            rec.seq = state.instret
+            rec.next_pc = next_pc
+            rec.taken = side.taken
+            rec.target = side.target
+            rec.mem_addr = side.mem_addr
+            rec.mem_size = side.mem_size
+            rec.vl = state.vl
+            rec.sew = state.sew
+            rec.div_bits = side.div_bits
+        state.pc = next_pc
+        state.instret += 1
+
+    def _sync_instruction_stream(self, sfence: bool) -> None:
+        """``fence.i``, ``icache.*`` and (*sfence*) ``sfence.vma`` on
+        every tier: no decode, block or superblock made before the fence
+        is reused, and after ``sfence.vma`` no address translation."""
+        self._decode_cache.clear()
+        if self._blocks is not None:
+            self._blocks.invalidate()
+        if sfence and self.mmu is not None:
+            self.mmu.flush_tlb()
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -360,15 +399,6 @@ class Emulator:
                 f"uncorrectable hardware error at addr={addr:#x} "
                 f"(source {source}) with no mtvec handler", addr, source)
         self._take_trap(Trap(TrapCause.MACHINE_CHECK, addr))
-
-    def _record(self, pc: int, inst: Instruction, next_pc: int) -> DynInst:
-        side = self.state.side
-        return DynInst(
-            seq=self.state.instret, pc=pc, inst=inst, next_pc=next_pc,
-            taken=side.taken, target=side.target,
-            mem_addr=side.mem_addr, mem_size=side.mem_size,
-            vl=self.state.vl, sew=self.state.sew,
-            div_bits=side.div_bits)
 
     def _check_interrupts(self) -> None:
         """Take the highest-priority enabled pending interrupt, if any."""

@@ -1,7 +1,9 @@
 """The equivalence lattice: every reachable corner against the precise one.
 
 Functional corners must retire the precise corner's records
-(:func:`project`) and end in its ``Emulator.fingerprint()``; timing
+(:func:`project`) and end in its ``Emulator.fingerprint()``, and a
+program with a Python reference must store it at its result symbol in
+each of them (so a fault every tier shares still shows); timing
 corners must give the frozen oracle's ``CoreStats.as_comparable()``.
 Axes, the reachability rule and the proofs are in DESIGN.md
 ("Equivalence lattice").  Tier 1 runs :data:`PLAN` and one hypothesis
@@ -32,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import Sanitizer
 from repro.harness.runner import GuestExit, run_on_core
+from repro.isa.csr import TrapCause
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs import GuestProfiler, PipelineTracer
 from repro.service import JobService, JobSpec, ResultStore
@@ -185,6 +188,10 @@ class Run:
     def __init__(self, workload: Workload, scratch: str):
         self.workload, self.scratch = workload, scratch
         self.program = workload.program()
+        #: what the program must store at its result symbol (None: it
+        #: has no Python reference)
+        self.reference = (workload.reference() if workload.reference
+                          else None)
         #: VLEN -> the precise corner's answer at that VLEN
         self.answers: dict[int, dict] = {}
         #: (preset, VLEN) -> the reference model's stats
@@ -236,6 +243,9 @@ class Run:
         else:
             outcome, want = self.timed(corner), self.oracle(corner)
         got, failed = outcome
+        if (isinstance(corner, Functional) and self.reference is not None
+                and got["result"] != self.reference):
+            failed = [*failed, "result is not the workload's reference"]
         return ", ".join(sorted(key for key in want.keys() | got.keys()
                                 if want.get(key) != got.get(key))
                          + [f"proof: {text}" for text in failed])
@@ -273,8 +283,12 @@ class Run:
         if corner.cache == "cold":
             self.warm[warm] = (cache_dir if counters["codegen_persisted"]
                                else None)
+        result = (emulator.state.memory.load_int(
+            self.program.symbol(self.workload.result_symbol), 8)
+            if self.reference is not None else None)
         # a digest, not the records: plan answers live as long as the process
         return {"records": len(records), "stream": hash(tuple(records)),
+                "result": result,
                 "vector records": sum(record[0][0] == "v"
                                       for record in records),
                 **emulator.fingerprint()}, _failed({
@@ -685,6 +699,100 @@ again:
     ecall
 """)
 
+
+def traps_result() -> int:
+    """What ``traps`` stores at ``result``: the count of each ``mcause``
+    0-9, one nibble each with cause 0 highest, under the ``instret`` its
+    ``csrr`` reads.  It takes each of its three causes once a round, and
+    retires 8 instructions to ``round``, four rounds of 58 (7 in M-mode
+    to ``mret``; ``li``, ``addi``, ``amoadd.w`` and 11 in the handler;
+    ``ebreak`` and 11; ``li``, ``ecall`` and 15; 8 to ``bnez``), 5 to
+    ``pack`` and its 10 trips of 6."""
+    counts = sum(4 << 4 * (9 - cause) for cause in (
+        TrapCause.BREAKPOINT, TrapCause.STORE_MISALIGNED,
+        TrapCause.ECALL_FROM_U))
+    return (8 + 4 * 58 + 5 + 10 * 6) << 40 | counts
+
+
+#: a guest handler for every synchronous trap: four times round, the
+#: guest drops from M- to U-mode, takes a misaligned ``amoadd.w``, an
+#: ``ebreak`` and a U-mode ``ecall`` (whose trap returns to M-mode) and
+#: makes an M-mode ``write`` syscall; then it stores before a
+#: ``fence.i``.  The handler counts each ``mcause``, skips the trapping
+#: instruction and returns with ``mret``
+TRAPS = Workload(name="traps", compress=False, reference=traps_result,
+    source="""
+    .data
+    .align 3
+counts: .zero 80
+word:   .word 0, 0
+result: .dword 0
+msg:    .ascii "trap\\n"
+    .text
+_start:
+    la t0, handler
+    csrw mtvec, t0
+    la s1, counts
+    la s3, word
+    li s0, 4
+round:
+    li t0, 0x1800
+    csrc mstatus, t0        # MPP = U
+    la t0, user
+    csrw mepc, t0
+    mret
+user:
+    li a1, 1
+    addi t2, s3, 2
+    amoadd.w a2, a1, (t2)   # misaligned
+    ebreak
+    li s2, 1                # this trap returns to M-mode
+    ecall
+    li a0, 1
+    la a1, msg
+    li a2, 5
+    li a7, 64
+    ecall                   # write
+    addi s0, s0, -1
+    bnez s0, round
+    sd a1, 0(s3)
+    fence.i
+    li t0, 0
+    li t1, 0
+    li t2, 80
+pack:
+    add t3, s1, t1
+    ld t3, 0(t3)
+    slli t0, t0, 4
+    add t0, t0, t3
+    addi t1, t1, 8
+    bne t1, t2, pack
+    csrr t3, instret
+    slli t3, t3, 40
+    add t0, t0, t3
+    la t3, result
+    sd t0, 0(t3)
+    li a0, 0
+    li a7, 93
+    ecall
+handler:
+    csrr t0, mcause
+    slli t0, t0, 3
+    add t0, t0, s1
+    ld t1, 0(t0)
+    addi t1, t1, 1
+    sd t1, 0(t0)
+    csrr t0, mepc
+    addi t0, t0, 4
+    csrw mepc, t0
+    beqz s2, back
+    li t0, 0x1800
+    csrs mstatus, t0        # MPP = M
+    li s2, 0
+back:
+    mret
+""")
+
 #: (programs, corners): what tier 1 runs
 PLAN_ROWS = [
     (ALL, [Functional(3, cache="cold"), Functional(3, cache="warm"),
@@ -713,6 +821,13 @@ PLAN_ROWS = [
     ([INLINE.name], [corner for corner in CORNERS
                      if isinstance(corner, Functional)]
      + [Timed(3), Timed(3, vlen=WIDE)]),
+    # every functional corner a scalar program reaches but the warm
+    # one: a run that fences persists no code
+    ([TRAPS.name], [corner for corner in CORNERS
+                    if isinstance(corner, Functional)
+                    and corner.engine == "numpy" and corner.cache != "warm"
+                    and corner.vlen == PRECISE.vlen]
+     + [Timed(1), Timed(3)]),
 ]
 PLAN = {name: sorted({corner for names, corners in PLAN_ROWS if name in names
                       for corner in corners}, key=CORNERS.index)
@@ -725,7 +840,7 @@ def workload(name: str) -> Workload:
         return dataclasses.replace(SMALL[name](), name=name)
     return ({MASKED.name: MASKED, REBIND.name: REBIND,
              SUPERBLOCKS.name: SUPERBLOCKS, INLINE.name: INLINE,
-             **SMC}.get(name)
+             TRAPS.name: TRAPS, **SMC}.get(name)
             or get_workload(name))
 
 

@@ -1643,6 +1643,21 @@ loop:
     ecall
 """
 
+#: ``_ACCESS`` with an ``mtvec`` handler that skips the faulting
+#: instruction and counts the traps in a3
+_SKIPPED = _ACCESS.replace("""_start:
+""", """_start:
+    la t0, skip
+    csrw mtvec, t0
+""") + """
+skip:
+    csrr t0, mepc
+    addi t0, t0, 4
+    csrw mepc, t0
+    addi a3, a3, 1
+    mret
+"""
+
 
 def _wrap_data(emulator, entry: str, on_access) -> None:
     """Instance-wrap ``Memory.<entry>``: *on_access(count, emulator)*
@@ -1813,9 +1828,8 @@ class TestLoopSuperblocks:
     def test_trap_from_a_wrapped_entry_point(self, entry):
         # The 30th access (trip 30: the third iteration) raises; the
         # registers its loop wrote in locals are in the file at the
-        # trap.  Tier 1 takes it (no handler: EmulatorError); tier 3's
-        # fallback arm lets it escape, with pc and instret at the
-        # superblock's entry.
+        # trap.  Every tier takes it at that access, with no handler:
+        # EmulatorError, pc and instret at the faulting instruction.
         def fault(count, emulator):
             if count == 30:
                 raise exec_scalar.Trap(TrapCause.LOAD_ACCESS_FAULT, 0)
@@ -1825,13 +1839,39 @@ class TestLoopSuperblocks:
         for emulator in (precise, ran):
             _wrap_data(emulator, entry, fault)
         assert isinstance(_outcome(precise, 1), EmulatorError)
-        assert isinstance(_outcome(ran, 3), exec_scalar.Trap)
+        assert isinstance(_outcome(ran, 3), EmulatorError)
         assert _loops(ran) == 1
+        assert ran.state.pc == precise.state.pc
+        assert ran.state.instret == precise.state.instret
         assert ran.state.regs == precise.state.regs
         assert ran.state.regs[11] == 30                    # a1
         assert ran.state.memory.load_bytes(
             program.symbol("buf"), 16) == precise.state.memory.load_bytes(
                 program.symbol("buf"), 16)
+
+    @pytest.mark.parametrize("entry", ["load_int", "store_int"])
+    def test_trap_from_a_wrapped_entry_point_to_a_handler(self, entry):
+        # Every 7th access raises, in looping units, in the trace
+        # variant and on tier 2, and the handler skips the access; each
+        # tier retires tier 1's records and leaves its state.
+        def fault(count, emulator):
+            if count % 7 == 0:
+                raise exec_scalar.Trap(TrapCause.LOAD_ACCESS_FAULT, 0)
+
+        def prepare(emulator):
+            _wrap_data(emulator, entry, fault)
+
+        precise, ran, outcomes = _run_tiers(_SKIPPED, prepare=prepare)
+        assert outcomes == (None, None)
+        assert ran.state.regs[13] == precise.state.regs[13] == 60 // 7
+        program = assemble(_SKIPPED, compress=False)
+        streams = []
+        for tier in (1, 2, 3):
+            emulator = Emulator(program)
+            prepare(emulator)
+            streams.append(stream(emulator.trace(tier=tier)))
+            assert emulator.fingerprint() == precise.fingerprint()
+        assert streams[2] == streams[1] == streams[0]
 
     def test_machine_check_taken_at_the_next_back_edge(self):
         # The 20th load (trip 20, in the second iteration) posts an

@@ -120,6 +120,18 @@ class TestPageFaults:
 """, extra_maps=[(0x4000_0000, 0x0090_0000, 4096, PTE_R | PTE_W)])
         assert emulator.run(100_000) == 12
 
+    def test_fetch_fault_record_takes_the_next_seq(self):
+        emulator = boot_with_paging("""
+    li t0, 0x50000000
+    jr t0                # unmapped: the fetch faults (12)
+""", handler_body="""
+    csrr a0, mcause
+""")
+        seqs = [record.seq for batch in emulator.trace(100_000)
+                for record in batch]
+        assert emulator.exit_code == 12
+        assert seqs == list(range(len(seqs)))
+
     def test_mtval_holds_faulting_address(self):
         emulator = boot_with_paging("""
     li t0, 0x70000008
