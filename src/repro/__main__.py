@@ -705,10 +705,11 @@ def main(argv: list[str] | None = None) -> int:
     p_exp.set_defaults(fn=cmd_explore)
 
     p_bench = sub.add_parser(
-        "bench", help="emulator MIPS + harness wall-clock benchmark")
+        "bench", help="calibrated layer speeds: the emulator's tiers, "
+                      "the timing model, the vector engine, the service")
     p_bench.add_argument("--pipeline", action="store_true",
                          help="benchmark the 12-stage timing model "
-                              "(fast path vs frozen reference oracle) "
+                              "(production vs frozen reference oracle) "
                               "instead of the emulator; writes/reads "
                               "BENCH_pipeline.json-shaped payloads")
     p_bench.add_argument("--service", action="store_true",
@@ -720,9 +721,8 @@ def main(argv: list[str] | None = None) -> int:
                          choices=[1, 2, 3],
                          help="execution tier to benchmark: 3 runs the "
                               "cold/warm specializing-translator bench "
-                              "(BENCH_tier3.json); 1 and 2 are the "
-                              "precise/fast columns of the default "
-                              "emulator bench")
+                              "(BENCH_tier3.json); 1 and 2 are "
+                              "columns of the default emulator bench")
     p_bench.add_argument("--vector", action="store_true",
                          help="benchmark the RVV kernel suite: numpy-"
                               "batched vs per-element reference vector "
@@ -742,7 +742,7 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--tolerance", type=float, default=None,
                          help="allowed fractional drop vs baseline "
                               "(default: the bench's own tolerance, "
-                              "0.30 for MIPS benches, 0.50 for "
+                              "0.30 for the layer benches, 0.50 for "
                               "--service)")
     p_bench.set_defaults(fn=cmd_bench)
 

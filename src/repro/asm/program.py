@@ -55,7 +55,3 @@ class Program:
     @property
     def text_end(self) -> int:
         return self.text_base + len(self.text)
-
-    @property
-    def data_end(self) -> int:
-        return self.data_base + len(self.data)

@@ -1,21 +1,27 @@
 """The bench spine: one timer, one file format, one gate, one driver.
 
 A bench is a :class:`Bench` record plus a cell function; what a bench
-does *not* own is here, once: min-of-N wall-clock timing
+does *not* own is here, once: calibrated min-of-N wall-clock timing
 (:func:`best_of`), the payload header and JSON file format
-(:func:`run`, :func:`save`, :func:`load`), the relative-floor gate
+(:func:`run`, :func:`save`, :func:`load`), the floor gate
 (:func:`check`) and the CLI sequence with its exit codes
 (:func:`drive`), which ``repro bench`` and ``repro explore --depth``
 both reach through :func:`get`.
 
-A floor is a ratio because absolute MIPS and jobs/sec shift with the
-host: a floored key fails when it drops more than ``tolerance`` below
-the baseline's value.  A baseline is only comparable with the bench
-that wrote it, so :func:`load` refuses a file whose ``bench`` name or
-schema stamp differs rather than gate on whatever keys overlap.  Each
-payload also records the host it was measured on (:func:`machine`); a
-gate failure against a baseline from another host, or from before the
-field, says so, since the host alone can move a ratio.
+Every time :func:`best_of` returns is calibrated: a fixed pure-Python
+kernel (:func:`calibrate`, a copy of ``bench/calibrate.py``'s) runs
+between the timed laps, and each lap is scaled to the host on which the
+kernel takes ``CAL_NOMINAL_MS``.  A floor is therefore an absolute
+speed in that one unit (kinst/s, jobs/s) or a ratio to a frozen oracle,
+never a ratio to live code that may itself get faster: a floored key
+fails when it drops more than ``tolerance`` below the baseline's value.
+A baseline is only comparable with the bench that wrote it, so
+:func:`load` refuses a file whose ``bench`` name or schema stamp differs
+rather than gate on whatever keys overlap.  Each payload also records
+the host it was measured on (:func:`machine`) and the calibration
+kernel's times; a gate failure against a baseline from another host,
+or from before the field, says so, since calibration divides out host
+speed but not every difference between hosts.
 """
 
 from __future__ import annotations
@@ -28,17 +34,17 @@ import platform
 import sys
 import time
 from dataclasses import dataclass
+from statistics import median
 from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from ..sim.emulator import Emulator
-
 T = TypeVar("T")
 Payload = dict[str, Any]
 
-#: ``schema`` of the payloads whose header :func:`run` writes.
-SCHEMA = 1
+#: ``schema`` of the payloads whose header :func:`run` writes (2: every
+#: timed number is calibrated).
+SCHEMA = 2
 
 
 class BenchError(ValueError):
@@ -63,42 +69,99 @@ class Bench:
     stamp: tuple[str, int] = ("schema", SCHEMA)     # version key, value
 
 
-#: Every bench: payload name -> the module whose ``BENCH`` it is (named,
-#: not imported: the bench modules import this one).
+#: Every bench: payload name -> (module, attribute) of its record
+#: (named, not imported: the bench modules import this one).
 _MODULES = {
-    "emulator": "repro.harness.perfbench",
-    "pipeline": "repro.harness.pipebench",
-    "tier3": "repro.harness.tierbench",
-    "vector": "repro.harness.vecbench",
-    "service": "repro.service.bench",
-    "explore-depth": "repro.harness.explore",
+    "emulator": ("repro.harness.layerbench", "EMULATOR"),
+    "pipeline": ("repro.harness.layerbench", "PIPELINE"),
+    "tier3": ("repro.harness.layerbench", "TIER3"),
+    "vector": ("repro.harness.layerbench", "VECTOR"),
+    "service": ("repro.service.bench", "BENCH"),
+    "explore-depth": ("repro.harness.explore", "BENCH"),
 }
 NAMES = tuple(_MODULES)
 
 
 def get(name: str) -> Bench:
     """The registered bench called *name*."""
-    bench: Bench = importlib.import_module(_MODULES[name]).BENCH
+    module, attribute = _MODULES[name]
+    bench: Bench = getattr(importlib.import_module(module), attribute)
     assert bench.name == name, (bench.name, name)
     return bench
 
 
+# -- calibration: a copy of bench/calibrate.py's kernel ----------------------
+
+#: The kernel's time on the host its loop count was sized on: the unit of
+#: every calibrated time, shared with the benchmark's ``sim_kips_norm``.
+CAL_NOMINAL_MS = 5.0
+_CAL_ITERATIONS = 13600
+
+
+class _CalState:
+    __slots__ = ("acc",)
+
+    def __init__(self) -> None:
+        self.acc = 0
+
+
+_CAL_TABLE = [0] * 256
+_CAL_SLOTS = dict.fromkeys(range(64), 0)
+_CAL_STATE = _CalState()
+
+
+def _fold(acc: int, value: int) -> int:
+    return ((acc << 1) ^ value) & 0x7FFFFFFF
+
+
+def calibrate() -> float:
+    """Run the fixed kernel once; returns its wall time in seconds.
+
+    It imports nothing from ``repro``, so no change to the simulator
+    moves it, and it does identical work on every call: an LCG, list and
+    dict indexing, attribute stores and a call per iteration, the mix of
+    the simulator's own hot loops.
+    """
+    table, slots, state = _CAL_TABLE, _CAL_SLOTS, _CAL_STATE
+    start = time.perf_counter()
+    for index in range(256):
+        table[index] = 0
+    for key in range(64):
+        slots[key] = 0
+    state.acc = 0
+    x = 12345
+    for _ in range(_CAL_ITERATIONS):
+        x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+        j = (x >> 8) & 255
+        table[j] = (table[j] + x) & 0xFFFF
+        k = j & 63
+        slots[k] = slots[k] ^ table[j]
+        state.acc = _fold(state.acc, slots[k])
+    return time.perf_counter() - start
+
+
 def best_of(repeat: int,
             once: Callable[[Callable[..., Any]], T]) -> tuple[list[float], T]:
-    """Min-of-N wall clock: run ``once(timed)`` *repeat* times.
+    """Calibrated min-of-N wall clock: run ``once(timed)`` *repeat* times.
 
     Inside a round, what goes through ``timed(fn, *args, **kwargs)`` is
     on the clock and everything else (set-up, a differential check) is
     off it.  A round that times several contenders back-to-back
     interleaves them, which keeps scheduler noise out of their ratio.
-    Returns the fastest time seen for each ``timed`` call of a round, in
-    call order, and the last round's return value.
+    The calibration kernel runs before every ``timed`` call and after
+    each round.  Returns, for each ``timed`` call of a round in call
+    order, its fastest raw time × ``CAL_NOMINAL_MS`` / the fastest
+    kernel time of this call (seconds on the nominal host: a host *k*
+    times slower takes *k* times as long on both), and the last round's
+    return value.
     """
     if repeat < 1:
         raise ValueError(f"repeat must be at least 1, not {repeat}")
     laps: list[float] = []
+    kernel: list[float] = []
 
     def timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        kernel.append(calibrate())
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         laps.append(time.perf_counter() - start)
@@ -108,26 +171,10 @@ def best_of(repeat: int,
     for _ in range(repeat):
         laps.clear()
         value = once(timed)
+        kernel.append(calibrate())
         best = list(map(min, best, laps)) if best else list(laps)
-    return best, value
-
-
-def best_emulation(repeat: int, workload: Any,
-                   code_cache_dir: str | None = None,
-                   **run_options: Any) -> tuple[float, Emulator]:
-    """Best-of-*repeat* seconds of ``Emulator.run(**run_options)`` on
-    *workload*, and the last emulator.  Each round builds a fresh
-    emulator off the clock: tiers 2 and 3 bind vector handlers and
-    cached code at translate time, so a reused one times something else.
-    """
-    def once(timed: Callable[..., Any]) -> Emulator:
-        emulator = Emulator(workload.program(),
-                            code_cache_dir=code_cache_dir)
-        timed(emulator.run, **run_options)
-        return emulator
-
-    (seconds,), emulator = best_of(repeat, once)
-    return seconds, emulator
+    scale = CAL_NOMINAL_MS / (min(kernel) * 1e3)
+    return [lap * scale for lap in best], value
 
 
 def _cpu_model() -> str:
@@ -148,11 +195,22 @@ def machine() -> dict[str, str]:
             "numpy": np.__version__}
 
 
+#: Calibration kernel runs :func:`run` records on each side of a bench.
+_HEADER_SAMPLES = 5
+
+
 def run(bench: Bench, quick: bool = False, **options: Any) -> Payload:
-    """Run *bench* and put the payload header on what it measured."""
+    """Run *bench* and put the payload header on what it measured: the
+    host, and the calibration kernel's times just before and after."""
     key, version = bench.stamp
+    kernel = [calibrate() for _ in range(_HEADER_SAMPLES)]
+    body = bench.run(quick=quick, **options)
+    kernel += [calibrate() for _ in range(_HEADER_SAMPLES)]
+    calibration = {"nominal_ms": CAL_NOMINAL_MS,
+                   "min_ms": round(min(kernel) * 1e3, 4),
+                   "p50_ms": round(median(kernel) * 1e3, 4)}
     return {key: version, "bench": bench.name, "quick": quick,
-            "machine": machine(), **bench.run(quick=quick, **options)}
+            "machine": machine(), "calibration": calibration, **body}
 
 
 def save(payload: Payload, path: str) -> None:
@@ -265,6 +323,6 @@ def drive(bench: Bench, out: str | None = None,
     return 0
 
 
-__all__ = ["Bench", "BenchError", "NAMES", "SCHEMA", "best_emulation",
-           "best_of", "check", "drive", "get", "load", "machine", "run",
-           "save"]
+__all__ = ["Bench", "BenchError", "CAL_NOMINAL_MS", "NAMES", "SCHEMA",
+           "best_of", "calibrate", "check", "drive", "get", "load",
+           "machine", "run", "save"]

@@ -97,10 +97,6 @@ class PhysicalEstimate:
     frequency_ghz: float
     dynamic_uw_per_mhz: float
 
-    @property
-    def power_mw_at_fmax(self) -> float:
-        return self.dynamic_uw_per_mhz * self.frequency_ghz * 1000.0 / 1000.0
-
 
 class PhysicalModel:
     """Estimates Table II quantities for a :class:`CoreConfig`."""

@@ -3,14 +3,15 @@
 Drives a healthy mixed load (functional + timed jobs, unique program
 hashes so the result cache cannot shortcut the measurement) through a
 fully-isolated :class:`~repro.service.core.JobService` and records
-jobs/sec plus end-to-end latency percentiles to ``BENCH_service.json``.
+calibrated jobs/sec (:func:`~repro.harness.benchkit.best_of`) plus the
+raw end-to-end latency percentiles to ``BENCH_service.json``.
 
-The committed JSON doubles as the CI regression baseline, mirroring
-``BENCH_emulator.json``: the bench job re-runs the quick profile and
-fails when throughput drops more than the tolerance below the
-checked-in number.  The jobs are tiny, so the pipe round trip and the
+The committed JSON doubles as the CI regression baseline, like every
+``benchkit`` bench: the bench job re-runs the quick profile and fails
+when throughput drops more than the tolerance below the checked-in
+number.  The jobs are tiny, so the pipe round trip and the
 supervisor's polling weigh heavily and vary widely across hosts; the
-default tolerance is looser than the emulator bench's.  Worker reuse
+default tolerance is looser than the layer benches'.  Worker reuse
 is gated exactly instead: a healthy load forks one worker per slot.
 """
 
@@ -51,7 +52,6 @@ def run(quick: bool = True, jobs: int | None = None,
         "jobs": count,
         "workers": width,
         "completed": completed,
-        "wall_s": round(wall_s, 3),
         "jobs_per_s": round(count / wall_s, 3),
         "latency_p50_ms": counters["latency_p50_ms"],
         "latency_p99_ms": counters["latency_p99_ms"],
@@ -83,8 +83,8 @@ def render(payload: dict[str, Any]) -> str:
         f"{payload['workers']} workers "
         f"({'quick' if payload['quick'] else 'full'} profile)",
         f"{'completed':16s}{payload['completed']:>10}",
-        f"{'wall':16s}{payload['wall_s']:>10.3f}  s",
-        f"{'throughput':16s}{payload['jobs_per_s']:>10.3f}  jobs/s",
+        f"{'throughput':16s}{payload['jobs_per_s']:>10.3f}  jobs/s "
+        f"(calibrated)",
         f"{'latency p50':16s}{payload['latency_p50_ms']:>10.3f}  ms",
         f"{'latency p99':16s}{payload['latency_p99_ms']:>10.3f}  ms",
         f"{'workers launched':16s}{payload['workers_launched']:>10}",

@@ -99,6 +99,7 @@ executes blocks tier-2 has already run once) or an explicit
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import importlib.util
 import marshal
@@ -1028,7 +1029,7 @@ class Superblock:
     """
 
     __slots__ = ("start", "n", "blocks", "ranges", "entries", "records",
-                 "variants", "guards", "_prefixes")
+                 "variants", "guards", "marks", "_prefixes")
 
     def __init__(self, blocks: list):
         self.start = blocks[0].start
@@ -1045,6 +1046,9 @@ class Superblock:
             if _guarded(block):
                 guards.add(position)
         self.guards = frozenset(guards)
+        #: per variant, once a raise needs it: the source line of each
+        #: ``# @k`` marker and its *k* (:func:`_position`)
+        self.marks: list = [None, None]
         self._prefixes: dict[int, RecordBatch] = {}
 
     def link(self, variant: int, code, state) -> None:
@@ -1095,17 +1099,21 @@ def _position(unit: Superblock, variant: int, exc: Exception,
               vlen: int) -> int:
     """The position of *unit* that raised *exc* in *variant*: the
     generated frame's line, mapped back through the ``# @k`` markers of
-    its source (which :func:`emit_source` reproduces exactly; this is
-    the crash path)."""
+    its source (which :func:`emit_source` reproduces exactly).  The
+    markers are read once per unit and variant, on its first raise."""
+    if unit.marks[variant] is None:
+        lines, positions = [0], [0]
+        source = emit_source(unit.blocks, bool(variant), vlen)
+        for number, text in enumerate(source.splitlines(), 1):
+            text = text.strip()
+            if text.startswith("# @"):
+                lines.append(number)
+                positions.append(int(text[3:]))
+        unit.marks[variant] = (lines, positions)
+    lines, positions = unit.marks[variant]
     tb = _generated(unit, exc)
     line = tb.tb_lineno if tb is not None else 0
-    index = 0
-    source = emit_source(unit.blocks, bool(variant), vlen)
-    for text in source.splitlines()[:line]:
-        text = text.strip()
-        if text.startswith("# @"):
-            index = int(text[3:])
-    return index
+    return positions[bisect.bisect_right(lines, line) - 1]
 
 
 # -- the engine --------------------------------------------------------------

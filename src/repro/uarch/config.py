@@ -97,8 +97,3 @@ class CoreConfig:
     mem: MemHierConfig = field(default_factory=MemHierConfig)
     vector_enabled: bool = True
     vlen: int = 128
-
-    @property
-    def dispatch_width(self) -> int:
-        """Sustained frontend throughput: decode is the narrow point."""
-        return min(self.decode_width, self.rename_width)

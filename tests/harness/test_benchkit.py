@@ -2,7 +2,8 @@
 
 Each committed ``BENCH_*.json`` is the fixture for its own bench: the
 gate tests perturb a copy of it and run it through the shared
-``benchkit.check`` against the original.
+``benchkit.check`` against the original.  The layer benches' cells and
+their exact checks are here too (``repro.harness.layerbench``).
 """
 
 import copy
@@ -12,8 +13,9 @@ import types
 
 import pytest
 
-from repro.harness import benchkit, pipebench, vecbench
+from repro.harness import benchkit, layerbench
 from repro.sim import exec_vector
+from repro.uarch.refmodel import ReferencePipelineModel
 from repro.workloads import get_workload
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -54,6 +56,14 @@ def test_every_bench_is_registered_with_a_committed_baseline():
     assert FLOORED == sorted(set(COMMITTED) - {"explore-depth"})
 
 
+def test_only_the_frozen_oracles_ratio_is_floored():
+    # ratios to live code (tier 1, tier 2, the reference vector engine)
+    # are recorded, not floored: an oracle that gets faster is no
+    # regression
+    assert [key for _name, key in FLOORS if "vs_oracle" in key] == [
+        "summary.vs_oracle.timing"]
+
+
 @pytest.mark.parametrize("name", benchkit.NAMES)
 def test_identical_payload_passes(name):
     payload = _committed(name)
@@ -78,10 +88,9 @@ def test_inside_tolerance_passes(name):
     assert benchkit.check(bench, payload, baseline) == []
 
 
-@pytest.mark.parametrize("name,key", FLOORS,
-                         ids=[f"{n}-{k}" for n, k in FLOORS])
-def test_floor_fails_below_band(name, key):
+def _fails_below_band(name, key):
     bench, baseline = benchkit.get(name), _committed(name)
+    assert key in bench.floors, (name, key)
     payload = _scaled(baseline, key, 1.0 - 1.1 * bench.tolerance)
     failures = benchkit.check(bench, payload, baseline)
     assert any(key in failure and "regressed" in failure
@@ -89,6 +98,41 @@ def test_floor_fails_below_band(name, key):
     # ... and the CLI's --tolerance is what moves that floor
     relaxed = benchkit.check(bench, payload, baseline, tolerance=1.0)
     assert not any("regressed" in failure for failure in relaxed)
+
+
+@pytest.mark.parametrize("name,key", FLOORS,
+                         ids=[f"{n}-{k}" for n, k in FLOORS])
+def test_calibrated_floor_fails_below_band(name, key):
+    _fails_below_band(name, key)
+
+
+#: Each key the gate floored before its timed numbers were calibrated
+#: (schema 1), and the floored keys that hold what it held: a speed's
+#: calibrated self, and both sides of a ratio to live code as calibrated
+#: speeds; the ratio to the frozen ``refmodel.py`` stays a ratio.
+COUNTERPARTS = {
+    ("emulator", "summary.coremark_fast_mips"): ["summary.kips.tier2"],
+    ("emulator", "summary.coremark_speedup"): [
+        "summary.kips.tier2", "summary.kips.tier1"],
+    ("pipeline", "summary.coremark_fast_mips"): ["summary.kips.timing"],
+    ("pipeline", "summary.coremark_speedup"): ["summary.vs_oracle.timing"],
+    ("tier3", "summary.coremark_tier3_mips"): ["summary.kips.tier3"],
+    ("tier3", "summary.coremark_speedup_vs_tier2"): [
+        "summary.kips.tier3", "summary.kips.tier2"],
+    ("vector", "summary.geomean_speedup"): [
+        f"summary.kips.{engine}-t{tier}" for engine in ("numpy", "ref")
+        for tier in (1, 2, 3)],
+    ("service", "jobs_per_s"): ["jobs_per_s"],
+}
+
+
+@pytest.mark.parametrize("name,old", COUNTERPARTS,
+                         ids=[f"{n}-{k}" for n, k in COUNTERPARTS])
+def test_floor_fails_below_band(name, old):
+    """Parametrized by the schema-1 floors: each one's calibrated
+    counterparts are floored and fail below their band."""
+    for key in COUNTERPARTS[name, old]:
+        _fails_below_band(name, key)
 
 
 @pytest.mark.parametrize("name", FLOORED)
@@ -109,12 +153,14 @@ def test_explore_baseline_must_cover_every_depth():
 
 
 def _recompiled_warm(payload):
-    payload["summary"]["warm_blocks_compiled"] = 3
+    payload["summary"]["compiled_warm"] = 3
 
 
 def _below_absolute_speedup(payload):
-    payload["summary"]["geomean_speedup"] = \
-        vecbench.MIN_GEOMEAN_SPEEDUP - 0.1
+    for result in payload["workloads"].values():
+        ratios = result["vs_oracle"]
+        for subject in ratios:
+            ratios[subject] = layerbench.MIN_GEOMEAN_SPEEDUP - 0.1
 
 
 def _lost_a_job(payload):
@@ -131,13 +177,14 @@ def _deeper_got_cheaper(payload):
 
 
 @pytest.mark.parametrize("name,violate,message", [
+    ("emulator", _recompiled_warm, "warm-start"),
     ("tier3", _recompiled_warm, "warm-start"),
     ("vector", _below_absolute_speedup, "absolute floor"),
     ("service", _lost_a_job, "lost jobs"),
     ("explore-depth", _cycle_drift, "timing-model change"),
     ("explore-depth", _deeper_got_cheaper, "not monotonic"),
-], ids=["tier3-warm-start", "vector-absolute-floor", "service-completed",
-        "explore-exact-cycles", "explore-monotone"])
+], ids=["emulator-warm-start", "tier3-warm-start", "vector-absolute-floor",
+        "service-completed", "explore-exact-cycles", "explore-monotone"])
 def test_invariant_fails_at_any_tolerance(name, violate, message):
     bench, baseline = benchkit.get(name), _committed(name)
     payload = copy.deepcopy(baseline)
@@ -180,21 +227,52 @@ def test_save_load_round_trip_and_render(name, tmp_path):
 # -- the timer and the driver, on a bench that costs nothing -----------------
 
 
-def test_best_of_keeps_the_minimum_per_timed_call(monkeypatch):
-    clock = iter([0, 5, 5, 6,       # round 1: laps 5 and 1
-                  10, 12, 12, 16])  # round 2: laps 2 and 4
+def _clock(monkeypatch, *deltas):
+    """Make benchkit's clock step through *deltas* (seconds between
+    successive readings): the calibration kernel reads it twice a run,
+    a timed call twice."""
+    readings = [0.0]
+    for delta in deltas:
+        readings.append(readings[-1] + delta)
+    clock = iter(readings)
     monkeypatch.setattr(benchkit, "time", types.SimpleNamespace(
         perf_counter=lambda: next(clock)))
+
+
+def test_best_of_keeps_the_minimum_per_timed_call(monkeypatch):
+    # each round: kernel, lap, kernel, lap, kernel (10 ms each)
+    _clock(monkeypatch, .01, 0, 5, 0, .01, 0, 1, 0, .01, 0,    # laps 5, 1
+           .01, 0, 2, 0, .01, 0, 4, 0, .01)                  # laps 2, 4
     rounds = []
 
     def once(timed):
         rounds.append(timed(len, "ab") + timed(len, "abc"))
         return len(rounds)
 
-    assert benchkit.best_of(2, once) == ([2, 1], 2)
+    # the fastest lap of each call, at 5 ms nominal / 10 ms measured
+    laps, value = benchkit.best_of(2, once)
+    assert laps == pytest.approx([1.0, 0.5]) and value == 2
     assert rounds == [5, 5]
     with pytest.raises(ValueError, match="repeat"):
         benchkit.best_of(0, once)
+
+
+@pytest.mark.parametrize("slower", [1.0, 3.0])
+def test_a_calibrated_lap_is_raw_times_nominal_over_calibration(
+        monkeypatch, slower):
+    # kernel 6.5 ms, lap 300 ms, kernel 6 ms: 0.3 x 5 / 6 seconds, and
+    # a host *slower* times slower on both reads the same
+    _clock(monkeypatch, *(slower * delta
+                          for delta in (.0065, 0, .3, 0, .006)))
+    (lap,), _ = benchkit.best_of(1, lambda timed: timed(len, ""))
+    assert lap == pytest.approx(0.3 * benchkit.CAL_NOMINAL_MS / 6.0)
+
+
+def test_the_calibration_kernel_does_the_benchmarks_work():
+    # bench/calibrate.py's CHECKSUM: the copy runs the same kernel, so
+    # benchkit's calibrated unit is the benchmark's sim_kips_norm unit
+    assert benchkit.calibrate() > 0
+    assert benchkit._CAL_STATE.acc == 0x6F703371
 
 
 def _toy(score, runs):
@@ -212,7 +290,10 @@ def test_drive_exit_codes(tmp_path, capsys):
     runs = []
     baseline = str(tmp_path / "toy.json")
     assert benchkit.drive(_toy(10, runs), out=baseline, repeat=1) == 0
-    assert json.loads(open(baseline).read()) == {
+    written = json.loads(open(baseline).read())
+    assert sorted(written.pop("calibration")) == [
+        "min_ms", "nominal_ms", "p50_ms"]
+    assert written == {
         "schema": benchkit.SCHEMA, "bench": "toy", "quick": False,
         "machine": benchkit.machine(), "repeat": 1, "score": 10}
     assert benchkit.drive(_toy(8, runs), baseline=baseline) == 0
@@ -238,7 +319,11 @@ def test_payload_records_its_machine():
     machine = benchkit.machine()
     assert sorted(machine) == ["cpu", "numpy", "python"]
     assert all(isinstance(value, str) and value for value in machine.values())
-    assert benchkit.run(_toy(10, []), repeat=1)["machine"] == machine
+    payload = benchkit.run(_toy(10, []), repeat=1)
+    assert payload["machine"] == machine
+    calibration = payload["calibration"]
+    assert calibration["nominal_ms"] == benchkit.CAL_NOMINAL_MS
+    assert 0 < calibration["min_ms"] <= calibration["p50_ms"]
 
 
 def test_regression_names_a_baseline_from_another_machine():
@@ -259,15 +344,26 @@ def test_regression_names_a_baseline_from_another_machine():
         for failure in failures)
 
 
-# -- the two cell functions no tier-1 test used to import --------------------
+# -- the layer benches' cells and their oracle checks ------------------------
 
 
-def test_pipeline_cell_runs_and_is_oracle_checked():
-    result = pipebench.bench_workload("coremark-list", repeat=1)
-    assert result["insts"] > 0
-    assert result["ref_mips"] > 0 and result["fast_mips"] > 0
-    assert result["speedup"] == pytest.approx(
-        result["ref_s"] / result["fast_s"], rel=1e-2)
+def test_pipeline_cell_runs_and_is_oracle_checked(monkeypatch):
+    workload = get_workload("coremark-list")
+    cell = layerbench.ROWS["pipeline"].cell
+    insts, seconds, extra = cell(workload, 1)
+    assert insts > 0 and extra == {}
+    assert sorted(seconds) == ["ref", "timing"]
+    assert all(value > 0 for value in seconds.values())
+
+    class Diverged(ReferencePipelineModel):
+        def run(self, batches):
+            stats = super().run(batches)
+            stats.cycles += 1
+            return stats
+
+    monkeypatch.setattr(layerbench, "PipelineModel", Diverged)
+    with pytest.raises(RuntimeError, match="diverged"):
+        cell(workload, 1)
 
 
 @pytest.mark.parametrize("engine", ["numpy", "ref"])
@@ -275,12 +371,12 @@ def test_vector_cell_runs_and_leaves_the_engine_as_found(engine):
     entered = exec_vector.active_engine()
     exec_vector.select_engine(engine)
     try:
-        entry = vecbench.bench_workload(get_workload("vec-memcpy"),
-                                        repeat=1)
+        insts, seconds, extra = layerbench.ROWS["vector"].cell(
+            get_workload("vec-memcpy"), 1)
         assert exec_vector.active_engine() == engine
     finally:
         exec_vector.select_engine(entered)
-    assert sorted(entry["tiers"]) == ["1", "2", "3"]
-    assert entry["insts"] > 0 and entry["batched_ops"] > 0
-    for tier in entry["tiers"].values():
-        assert tier["ref_s"] > 0 and tier["numpy_s"] > 0
+    assert sorted(seconds) == ["numpy-t1", "numpy-t2", "numpy-t3",
+                               "ref-t1", "ref-t2", "ref-t3"]
+    assert insts > 0 and extra["batched_ops"] > 0
+    assert all(value > 0 for value in seconds.values())

@@ -1873,6 +1873,43 @@ class TestLoopSuperblocks:
             assert emulator.fingerprint() == precise.fingerprint()
         assert streams[2] == streams[1] == streams[0]
 
+    @pytest.mark.parametrize("variant", [0, 1], ids=["run", "trace"])
+    def test_escaped_traps_read_a_units_source_once(self, monkeypatch,
+                                                    tmp_path, variant):
+        # An escaped trap finds its position through the unit's `# @k`
+        # markers; the markers are read once per unit and variant, not
+        # by emitting its whole source again on every trap.
+        def fault(count, emulator):
+            if count % 7 == 0:
+                raise exec_scalar.Trap(TrapCause.LOAD_ACCESS_FAULT, 0)
+
+        positions, emitted = collections.Counter(), collections.Counter()
+        position, emit = codegen._position, codegen.emit_source
+
+        def counting_position(unit, variant, exc, vlen):
+            positions[id(unit.blocks), variant] += 1
+            return position(unit, variant, exc, vlen)
+
+        def counting_emit(blocks, trace, vlen):
+            emitted[id(blocks), int(trace)] += 1
+            return emit(blocks, trace, vlen)
+
+        monkeypatch.setattr(codegen, "_position", counting_position)
+        monkeypatch.setattr(codegen, "emit_source", counting_emit)
+        emulator = Emulator(assemble(_SKIPPED, compress=False),
+                            code_cache_dir=str(tmp_path))
+        _wrap_data(emulator, "load_int", fault)
+        if variant:
+            stream(emulator.trace(tier=3))
+        else:
+            emulator.run(tier=3)
+        assert emulator.state.regs[13] == 60 // 7
+        key, traps = positions.most_common(1)[0]
+        assert key[1] == variant and traps >= 2
+        # one emit to compile it (the cache starts empty), one for its
+        # markers
+        assert emitted[key] == 2
+
     def test_machine_check_taken_at_the_next_back_edge(self):
         # The 20th load (trip 20, in the second iteration) posts an
         # uncorrectable error; the loop leaves at that iteration's end,

@@ -79,7 +79,7 @@ def test_only_the_oracle_bench_imports_the_reference_model():
         str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
         if path != REFMODEL
         and _imports_refmodel(ast.parse(path.read_text()))}
-    assert importers == {"harness/pipebench.py"}
+    assert importers == {"harness/layerbench.py"}
 
 
 def test_nothing_steps_the_reference_models_stages():
